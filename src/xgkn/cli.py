@@ -57,16 +57,6 @@ from .model import (
 
 OUT_ROOT_ENV = "XGKN_OUT_ROOT"
 
-
-def parallel_map(fn, items, jobs: int = 1) -> list:
-    """Ordered map over pure per-item work, capped at ``jobs`` workers."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
 DEFAULT_CONFIG = {
     "dataset": {
         "kind": "ba2motifs",
@@ -85,7 +75,6 @@ DEFAULT_CONFIG = {
     "aim": {},
     "seeds": [0, 1, 2, 3, 4],
     "out_dir": "runs/default",
-    "jobs": 1,
 }
 
 
@@ -304,8 +293,7 @@ def cmd_explain(config: dict) -> int:
     for seed, split in zip(config["seeds"], splits):
         model, _ = _load_model(out_dir, seed, h)
         eval_ds = ds.subset(split.test_ids)
-        importances = parallel_map(lambda g: node_importance(model, g),
-                                   eval_ds.graphs, config.get("jobs", 1))
+        importances = [node_importance(model, g) for g in eval_ds.graphs]
         selection = select_threshold(model, eval_ds, criterion, grid=grid,
                                      cfg=aim_cfg, rng=Rng(seed).derive("threshold"),
                                      importances=importances)
@@ -544,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override a config entry (dotted path, JSON value)")
     parser.add_argument("--out", help="override out_dir")
     parser.add_argument("--compare", help="another run directory for t-tests")
-    parser.add_argument("--jobs", type=int, help="worker cap for parallel sections")
     return parser
 
 
@@ -562,8 +549,6 @@ def main(argv=None) -> int:
         config = _apply_overrides(config, args.set)
         if args.out:
             config["out_dir"] = args.out
-        if args.jobs:
-            config["jobs"] = args.jobs
         if args.command == "prepare":
             return cmd_prepare(config)
         if args.command == "train":

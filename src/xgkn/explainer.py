@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import CapacityError, MissingGroundTruthError, ShapeError
-from .graphs import Graph, NodeSet, Rng, induced_subgraph, iou_nodes
+from .errors import CapacityError, ShapeError
+from .graphs import Graph, NodeSet, Rng, induced_subgraph
 from .model import ForwardTrace, XgknModel, forward
 from .numkit import Tensor, softmax
 
@@ -172,29 +172,15 @@ class ThresholdSelection:
     scores: dict
 
 
-def _a1_score(ds: Dataset, explanations: list[Explanation]) -> float:
-    if ds.gt_instance_masks is None:
-        raise MissingGroundTruthError("threshold criterion a1 needs ground-truth masks")
-    values = []
-    for i, expl in enumerate(explanations):
-        mask = ds.gt_instance_masks[i]
-        if mask is None or len(mask) == 0:
-            continue
-        values.append(iou_nodes(expl.selected, NodeSet(mask.ids)))
-    if not values:
-        raise MissingGroundTruthError("no graph carries a usable ground-truth mask")
-    return float(np.mean(values))
-
-
 def criterion_score(model: XgknModel, ds: Dataset, importances: list[np.ndarray],
                     p: float, criterion: str, cfg=None, rng: Rng | None = None) -> float:
     """Score one candidate threshold under the selection criterion."""
     explanations = [threshold_explanation(g, imp, p)
                     for g, imp in zip(ds.graphs, importances)]
+    from . import metrics  # deferred: metrics builds on this module
     if criterion == "a1":
-        return _a1_score(ds, explanations)
+        return metrics.metric_a1(explanations, ds).value
     if criterion == "i1+i2":
-        from . import metrics  # deferred: metrics builds on this module
         if cfg is None:
             cfg = metrics.AimConfig()
         if rng is None:

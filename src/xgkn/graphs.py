@@ -238,25 +238,6 @@ def k_hop_neighborhood(g: Graph, v: int, k: int, max_size: int) -> Graph:
     return _induced_by_positions(g, [start] + kept, anchor=0)
 
 
-def direct_product(g1: Graph, g2: Graph) -> tuple[Graph, dict[tuple[int, int], int]]:
-    """Tensor (direct) product graph plus the (v, v') -> product index map.
-
-    Product nodes are ordered pairs; the edge weight between (v, v') and
-    (u, u') is ``A1[v, u] * A2[v', u']``, so binary graphs give the classic
-    direct product and weighted filters multiply through.
-    """
-    if g1.n == 0 or g2.n == 0:
-        raise EmptySelectionError("direct product requires nonempty graphs")
-    adj = np.kron(g1.adjacency, g2.adjacency)
-    n = g1.n * g2.n
-    index_map = {}
-    for i, vid in enumerate(g1.node_ids):
-        for j, wid in enumerate(g2.node_ids):
-            index_map[(int(vid), int(wid))] = i * g2.n + j
-    product = Graph(adj, np.ones((n, 1)), np.arange(n))
-    return product, index_map
-
-
 def iou_nodes(a: NodeSet, b: NodeSet) -> float:
     """Intersection-over-union of two node sets; 1.0 when both are empty."""
     if a.root is not None and b.root is not None and a.root != b.root:

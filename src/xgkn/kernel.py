@@ -14,7 +14,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import numkit as nk
-from .errors import AnchorError
 from .graphs import Graph, Rng, k_hop_neighborhood
 from .numkit import Tensor
 
@@ -79,74 +78,8 @@ class GraphFilter:
     def adjacency_values(self) -> np.ndarray:
         return self.effective_adjacency().values
 
-    def as_graph(self) -> Graph:
-        """Snapshot of the current continuous adjacency as a Graph value."""
-        return Graph(self.adjacency_values(), self.features.values.copy(),
-                     np.arange(self.size))
-
     def parameters(self) -> list[Tensor]:
         return [self.adjacency_logits, self.features]
-
-
-def node_pair_similarity(gv: Graph, filt: GraphFilter, encoder: FeatureEncoder) -> Tensor:
-    """Cosine similarities between encoded subgraph nodes and filter nodes."""
-    embedded = encoder.encode(gv.features)
-    filter_rows = nk.row_unit_normalize(filt.features)
-    return embedded @ nk.transpose(filter_rows)
-
-
-def rw_kernel(g1: Graph, g2: Graph, walk_cap: int, similarity: np.ndarray) -> float:
-    """P-step random-walk kernel sum_{p=0..P} s^T A_x^p s with s = vec(S),
-    evaluated through the factorized recurrence (A_x itself is never built)."""
-    if walk_cap < 0:
-        raise ValueError("walk cap must be >= 0")
-    s = np.asarray(similarity, dtype=np.float64)
-    if s.shape != (g1.n, g2.n):
-        raise ValueError(f"similarity shape {s.shape} != ({g1.n}, {g2.n})")
-    m = s
-    total = float((s * m).sum())
-    for _ in range(walk_cap):
-        m = g1.adjacency @ m @ g2.adjacency
-        total += float((s * m).sum())
-    return total
-
-
-def anchored_rw_kernel(gv: Graph, filt: GraphFilter, encoder: FeatureEncoder,
-                       walk_cap: int | None = None) -> Tensor:
-    """Walk-kernel response of one node-centered subgraph against one filter,
-    restricted to walks starting at the anchor; differentiable in the filter
-    and encoder parameters. The walk cap defaults to the filter size."""
-    if gv.anchor is None:
-        raise AnchorError("subgraph has no anchor; build it with k_hop_neighborhood")
-    if gv.anchor != 0:
-        raise AnchorError("anchor must sit at position 0")
-    cap = filt.size if walk_cap is None else walk_cap
-    s = node_pair_similarity(gv, filt, encoder)
-    w = filt.effective_adjacency()
-    a = Tensor(gv.adjacency)
-    m = s
-    acc = s
-    for _ in range(cap):
-        m = nk.matmul(a, nk.matmul(m, w))
-        acc = acc + m
-    anchor_row = nk.gather_rows(s * acc, np.array([0]))
-    return nk.tsum(anchor_row)
-
-
-@dataclass(frozen=True)
-class KernelResponse:
-    """Kernel scores R[v][i] for node-centered subgraph v against filter i."""
-
-    R: np.ndarray
-    node_ids: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.R.shape[0]
-
-    @property
-    def num_filters(self) -> int:
-        return self.R.shape[1]
 
 
 @dataclass(frozen=True)
@@ -199,7 +132,9 @@ def combine_stacks(stacks: list[SubgraphStack]) -> tuple[SubgraphStack, np.ndarr
 def stack_responses(stack: SubgraphStack, filters: list[GraphFilter],
                     encoder: FeatureEncoder, walk_cap: int | None = None) -> Tensor:
     """Response matrix (one row per anchor, one column per filter) for a
-    combined subgraph stack. Equals entrywise anchored_rw_kernel calls."""
+    combined subgraph stack. Entry (v, i) is the anchored walk kernel of v's
+    neighbourhood against filter i; tests/oracles.py holds the per-pair
+    reference it is checked against."""
     if stack.raw_features.shape[0] and np.all(stack.raw_features == stack.raw_features[0]):
         return _uniform_feature_responses(stack, filters, encoder, walk_cap)
     embedded = encoder.encode(stack.raw_features)
@@ -247,12 +182,3 @@ def _uniform_feature_responses(stack: SubgraphStack, filters: list[GraphFilter],
             coeffs.append(nk.transpose(s) @ vec)
         columns.append(Tensor(anchor_walks[:, :cap + 1]) @ nk.vstack(coeffs))
     return nk.hstack(columns)
-
-
-def kernel_responses(g: Graph, filters: list[GraphFilter], encoder: FeatureEncoder,
-                     k: int, max_size: int, walk_cap: int | None = None) -> KernelResponse:
-    """R[v][i] = anchored walk kernel of the k-hop neighborhood of v against
-    filter i (the similarity layer of the network)."""
-    stack = build_subgraph_stack(g, k, max_size)
-    r = stack_responses(stack, filters, encoder, walk_cap)
-    return KernelResponse(R=r.values.copy(), node_ids=np.array(g.node_ids))

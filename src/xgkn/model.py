@@ -215,16 +215,6 @@ def _aggregate_tensor(r: Tensor, mode: str, eps: float, seg: np.ndarray, num_gra
     raise ValueError(f"unknown aggregation mode {mode!r}")
 
 
-def aggregate_responses(R: np.ndarray, mode: str, eps: float = 1e-8,
-                        norm_scope: str = "global") -> tuple[np.ndarray, np.ndarray]:
-    """Aggregate one response matrix into per-filter scores; also returns the
-    additive per-row contributions (for max: one-hot rows at the argmax)."""
-    r = Tensor(np.asarray(R, dtype=np.float64))
-    seg = np.zeros(r.shape[0], dtype=np.int64)
-    z, s_tilde, _ = _aggregate_tensor(r, mode, eps, seg, 1, norm_scope)
-    return z.values.reshape(-1), s_tilde
-
-
 def _batch_logits(model: XgknModel, stacks: list[SubgraphStack], training: bool):
     combined, graph_seg = combine_stacks(stacks)
     r = stack_responses(combined, model.filters, model.encoder, model.config.walk_cap)
@@ -251,33 +241,11 @@ def forward(model: XgknModel, g: Graph) -> ForwardTrace:
     )
 
 
-def predict_class(model: XgknModel, g: Graph) -> int:
-    return forward(model, g).predicted_class
-
-
 def evaluate_accuracy(model: XgknModel, ds: Dataset, ids) -> float:
-    correct = sum(predict_class(model, ds.graphs[i]) == ds.graphs[i].label for i in ids)
-    return correct / len(list(ids))
-
-
-def mean_aggregated_scores(model: XgknModel, graphs) -> np.ndarray:
-    """Mean per-filter score vector over a collection of graphs."""
-    zs = [forward(model, g).z for g in graphs]
-    return np.mean(np.vstack(zs), axis=0)
-
-
-def _score_matrix(model: XgknModel, stacks: list[SubgraphStack],
-                  chunk: int = 128) -> np.ndarray:
-    """Aggregated score vectors (one row per graph), batch-norm untouched."""
-    rows = []
-    for lo in range(0, len(stacks), chunk):
-        part = stacks[lo:lo + chunk]
-        combined, graph_seg = combine_stacks(part)
-        r = stack_responses(combined, model.filters, model.encoder, model.config.walk_cap)
-        z, _, _ = _aggregate_tensor(r, model.config.agg_mode, model.config.entropy_eps,
-                                    graph_seg, len(part), model.config.norm_scope)
-        rows.append(z.values)
-    return np.vstack(rows)
+    ids = list(ids)
+    correct = sum(forward(model, ds.graphs[i]).predicted_class == ds.graphs[i].label
+                  for i in ids)
+    return correct / len(ids)
 
 
 def train(model: XgknModel, ds: Dataset, split: Split, cfg: TrainConfig):
@@ -323,7 +291,8 @@ def train(model: XgknModel, ds: Dataset, split: Split, cfg: TrainConfig):
     model.restore(best["snap"])
     # recalibrate frozen batch-norm statistics on the training split so the
     # inference normalization matches the restored parameters exactly
-    scores = _score_matrix(model, stacks)
+    scores = np.vstack([_batch_logits(model, stacks[lo:lo + 128], training=False)[1].values
+                        for lo in range(0, n, 128)])
     model.predictor.running_mean = scores.mean(axis=0, keepdims=True)
     model.predictor.running_var = scores.var(axis=0, keepdims=True)
     model.z_baseline = scores.mean(axis=0)

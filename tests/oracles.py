@@ -1,13 +1,22 @@
-"""Independent brute-force oracles used to pin expected values.
+"""Independent reference implementations used to pin expected values.
 
-Everything here is deliberately naive (enumeration, BFS, permutations) and
-shares no code with the library paths it checks.
+Most of them are deliberately naive (enumeration, BFS, permutations) and share
+no code with the library paths they check. The walk-kernel references
+(``rw_kernel``, ``anchored_rw_kernel``) evaluate one graph pair at a time what
+``kernel.stack_responses`` computes for a whole stack. They reuse the
+package's ``Graph``, its numkit ops and the filter and encoder
+parameterisation, so that their gradients can be checked too, but not the
+stacked walk recurrence or the rank-one shortcut they are compared against.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from xgkn import numkit as nk
+from xgkn.errors import AnchorError, EmptySelectionError
+from xgkn.graphs import Graph
 
 
 def bfs_hop_distances(adjacency: np.ndarray, start: int) -> dict[int, int]:
@@ -156,3 +165,72 @@ def is_isomorphic_bruteforce(a1: np.ndarray, a2: np.ndarray) -> bool:
         if np.array_equal(b1[np.ix_(p, p)], b2):
             return True
     return False
+
+
+def direct_product(g1: Graph, g2: Graph) -> tuple[Graph, dict[tuple[int, int], int]]:
+    """Tensor (direct) product graph plus the (v, v') -> product index map.
+
+    Product nodes are ordered pairs; the edge weight between (v, v') and
+    (u, u') is ``A1[v, u] * A2[v', u']``, so binary graphs give the classic
+    direct product and weighted filters multiply through.
+    """
+    if g1.n == 0 or g2.n == 0:
+        raise EmptySelectionError("direct product requires nonempty graphs")
+    adj = np.kron(g1.adjacency, g2.adjacency)
+    n = g1.n * g2.n
+    index_map = {}
+    for i, vid in enumerate(g1.node_ids):
+        for j, wid in enumerate(g2.node_ids):
+            index_map[(int(vid), int(wid))] = i * g2.n + j
+    product = Graph(adj, np.ones((n, 1)), np.arange(n))
+    return product, index_map
+
+
+def filter_as_graph(filt) -> Graph:
+    """Snapshot of a GraphFilter's current continuous adjacency as a Graph."""
+    return Graph(filt.adjacency_values(), filt.features.values.copy(),
+                 np.arange(filt.size))
+
+
+def node_pair_similarity(gv: Graph, filt, encoder) -> nk.Tensor:
+    """Cosine similarities between encoded subgraph nodes and filter nodes."""
+    embedded = encoder.encode(gv.features)
+    filter_rows = nk.row_unit_normalize(filt.features)
+    return embedded @ nk.transpose(filter_rows)
+
+
+def rw_kernel(g1: Graph, g2: Graph, walk_cap: int, similarity: np.ndarray) -> float:
+    """P-step random-walk kernel sum_{p=0..P} s^T A_x^p s with s = vec(S),
+    evaluated through the factorized recurrence (A_x itself is never built)."""
+    if walk_cap < 0:
+        raise ValueError("walk cap must be >= 0")
+    s = np.asarray(similarity, dtype=np.float64)
+    if s.shape != (g1.n, g2.n):
+        raise ValueError(f"similarity shape {s.shape} != ({g1.n}, {g2.n})")
+    m = s
+    total = float((s * m).sum())
+    for _ in range(walk_cap):
+        m = g1.adjacency @ m @ g2.adjacency
+        total += float((s * m).sum())
+    return total
+
+
+def anchored_rw_kernel(gv: Graph, filt, encoder, walk_cap: int | None = None) -> nk.Tensor:
+    """Walk-kernel response of one node-centered subgraph against one filter,
+    restricted to walks starting at the anchor; differentiable in the filter
+    and encoder parameters. The walk cap defaults to the filter size."""
+    if gv.anchor is None:
+        raise AnchorError("subgraph has no anchor; build it with k_hop_neighborhood")
+    if gv.anchor != 0:
+        raise AnchorError("anchor must sit at position 0")
+    cap = filt.size if walk_cap is None else walk_cap
+    s = node_pair_similarity(gv, filt, encoder)
+    w = filt.effective_adjacency()
+    a = nk.Tensor(gv.adjacency)
+    m = s
+    acc = s
+    for _ in range(cap):
+        m = nk.matmul(a, nk.matmul(m, w))
+        acc = acc + m
+    anchor_row = nk.gather_rows(s * acc, np.array([0]))
+    return nk.tsum(anchor_row)

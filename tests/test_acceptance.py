@@ -27,9 +27,8 @@ from xgkn.explainer import (
     criterion_score,
 )
 from xgkn.ged import ged_exact, ged_normalized
-from xgkn.graphs import Graph, NodeSet, Rng, direct_product
-from xgkn.kernel import FeatureEncoder, GraphFilter, anchored_rw_kernel, \
-    build_subgraph_stack, node_pair_similarity, rw_kernel, stack_responses
+from xgkn.graphs import Graph, NodeSet, Rng
+from xgkn.kernel import FeatureEncoder, GraphFilter, build_subgraph_stack, stack_responses
 from xgkn.metrics import (
     AimConfig,
     metric_a1,
@@ -48,7 +47,8 @@ from xgkn.model import (
 )
 
 from conftest import random_graph
-from oracles import ged_bruteforce, walk_kernel_bruteforce
+from oracles import anchored_rw_kernel, direct_product, filter_as_graph, ged_bruteforce, \
+    node_pair_similarity, rw_kernel, walk_kernel_bruteforce
 from test_explainer import make_model
 
 
@@ -230,6 +230,7 @@ class TestKernelProperties:
         rng = Rng(800)
         worst_plain = 0.0
         worst_anchored = 0.0
+        worst_stacked = 0.0
         for trial in range(50):
             n1 = int(rng.integers(1, 5))
             n2 = int(rng.integers(1, 5))
@@ -245,14 +246,19 @@ class TestKernelProperties:
             filt = GraphFilter.init(n2, 3, rng.derive("f", trial))
             enc = FeatureEncoder.init(2, 3, rng.derive("e", trial))
             s2 = node_pair_similarity(gv, filt, enc).values
-            product2, _ = direct_product(gv, filt.as_graph())
+            product2, _ = direct_product(gv, filter_as_graph(filt))
             expected2 = walk_kernel_bruteforce(product2.adjacency, s2.reshape(-1), cap,
                                                start_rows=range(filt.size))
             got2 = anchored_rw_kernel(gv, filt, enc, walk_cap=cap).item()
             worst_anchored = max(worst_anchored, abs(got2 - expected2))
+            # the package path: node 0's neighbourhood spans all it can reach
+            stacked = stack_responses(build_subgraph_stack(g1, n1, n1), [filt], enc,
+                                      walk_cap=cap).values[0, 0]
+            worst_stacked = max(worst_stacked, abs(stacked - expected2))
         report("criterion 8: kernels match brute-force walk oracles within 1e-9",
-               worst_plain < 1e-9 and worst_anchored < 1e-9,
-               f"plain={worst_plain:.2e} anchored={worst_anchored:.2e}")
+               worst_plain < 1e-9 and worst_anchored < 1e-9 and worst_stacked < 1e-9,
+               f"plain={worst_plain:.2e} anchored={worst_anchored:.2e} "
+               f"stacked={worst_stacked:.2e}")
 
     def test_criterion_9_gradient_checks(self):
         # each trainable path is checked at well-conditioned random points:

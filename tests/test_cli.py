@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import xgkn.cli
 from xgkn.cli import main
 
 TINY_CONFIG = {
@@ -122,3 +126,11 @@ class TestEnvRoot:
         config = write_config(tmp_path, Path("relative_run"))
         assert main(["prepare", "-c", str(config)]) == 0
         assert (tmp_path / "root" / "relative_run" / "dataset.json").exists()
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # welch_ttest imports scipy.special itself: at module level it would add
+    # its import time to the start-up of every CLI stage
+    env = {**os.environ, "PYTHONPATH": str(Path(xgkn.cli.__file__).resolve().parents[1])}
+    code = "import sys, xgkn.cli; sys.exit('scipy.special' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -11,7 +11,6 @@ from xgkn.graphs import (
     Graph,
     NodeSet,
     Rng,
-    direct_product,
     induced_subgraph,
     iou_nodes,
     k_hop_neighborhood,
@@ -20,7 +19,7 @@ from xgkn.graphs import (
 )
 
 from conftest import cycle_graph, house_graph, path_graph, random_graph, star_graph
-from oracles import bfs_hop_distances, product_edges_bruteforce
+from oracles import bfs_hop_distances, direct_product, product_edges_bruteforce
 
 
 class TestGraphInvariants:

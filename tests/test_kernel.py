@@ -3,20 +3,18 @@ import pytest
 
 from xgkn import numkit as nk
 from xgkn.errors import AnchorError
-from xgkn.graphs import Graph, direct_product, k_hop_neighborhood
-from xgkn.kernel import (
-    FeatureEncoder,
-    GraphFilter,
-    anchored_rw_kernel,
-    build_subgraph_stack,
-    kernel_responses,
-    node_pair_similarity,
-    rw_kernel,
-    stack_responses,
-)
+from xgkn.graphs import Graph, k_hop_neighborhood
+from xgkn.kernel import FeatureEncoder, GraphFilter, build_subgraph_stack, stack_responses
 
 from conftest import cycle_graph, path_graph, random_graph
-from oracles import walk_kernel_bruteforce
+from oracles import (
+    anchored_rw_kernel,
+    direct_product,
+    filter_as_graph,
+    node_pair_similarity,
+    rw_kernel,
+    walk_kernel_bruteforce,
+)
 
 
 def constant_similarity_filter(adjacency: np.ndarray, embed_dim: int = 2) -> GraphFilter:
@@ -155,7 +153,7 @@ class TestAnchoredKernel:
             cap = int(rng.integers(0, 4))
 
             s = node_pair_similarity(gv, filt, enc).values
-            filter_graph = filt.as_graph()
+            filter_graph = filter_as_graph(filt)
             product, _ = direct_product(gv, filter_graph)
             anchor_rows = range(filt.size)  # product rows with first coordinate 0
             expected = walk_kernel_bruteforce(product.adjacency, s.reshape(-1), cap,
@@ -175,7 +173,7 @@ class TestAnchoredKernel:
             )
             s_full = node_pair_similarity(
                 Graph(g.adjacency, g.features, g.node_ids, anchor=0), filt, enc).values
-            expected = rw_kernel(g, filt.as_graph(), 2, s_full)
+            expected = rw_kernel(g, filter_as_graph(filt), 2, s_full)
             assert total == pytest.approx(expected, abs=1e-9)
 
     def test_gradients_match_finite_differences(self, rng):
@@ -194,27 +192,27 @@ class TestKernelResponses:
         g = cycle_graph(6)
         filt = GraphFilter.init(3, 4, rng.derive(1))
         enc = FeatureEncoder.init(1, 4, rng.derive(2))
-        resp = kernel_responses(g, [filt], enc, k=1, max_size=10)
-        assert resp.R.shape == (6, 1)
-        assert np.allclose(resp.R, resp.R[0, 0])
+        r = stack_responses(build_subgraph_stack(g, 1, 10), [filt], enc).values
+        assert r.shape == (6, 1)
+        assert np.allclose(r, r[0, 0])
 
     def test_single_node_graph(self, rng):
         g = Graph(np.zeros((1, 1)), np.ones((1, 1)), np.arange(1))
         filt = GraphFilter.init(3, 4, rng.derive(3))
         enc = FeatureEncoder.init(1, 4, rng.derive(4))
-        resp = kernel_responses(g, [filt], enc, k=2, max_size=5)
-        assert resp.R.shape == (1, 1)
+        r = stack_responses(build_subgraph_stack(g, 2, 5), [filt], enc).values
+        assert r.shape == (1, 1)
 
     def test_entries_match_single_call_recomputation(self, rng):
         g = random_graph(6, 0.4, rng.derive(5), d=2)
         filters = [GraphFilter.init(3, 4, rng.derive("f", i)) for i in range(2)]
         enc = FeatureEncoder.init(2, 4, rng.derive(6))
-        resp = kernel_responses(g, filters, enc, k=2, max_size=4)
+        r = stack_responses(build_subgraph_stack(g, 2, 4), filters, enc).values
         for v in range(6):
             nb = k_hop_neighborhood(g, v, 2, 4)
             for i, filt in enumerate(filters):
                 expected = anchored_rw_kernel(nb, filt, enc).item()
-                assert resp.R[v, i] == pytest.approx(expected, abs=1e-9)
+                assert r[v, i] == pytest.approx(expected, abs=1e-9)
 
     def test_constant_feature_shortcut_matches_single_calls(self, rng):
         # constant features activate the rank-one shortcut; it must agree
@@ -222,12 +220,12 @@ class TestKernelResponses:
         g = random_graph(7, 0.4, rng.derive(11)).with_features(np.ones((7, 1)))
         filters = [GraphFilter.init(4, 3, rng.derive("cf", i)) for i in range(2)]
         enc = FeatureEncoder.init(1, 3, rng.derive(12))
-        resp = kernel_responses(g, filters, enc, k=2, max_size=5)
+        r = stack_responses(build_subgraph_stack(g, 2, 5), filters, enc).values
         for v in range(7):
             nb = k_hop_neighborhood(g, v, 2, 5)
             for i, filt in enumerate(filters):
                 expected = anchored_rw_kernel(nb, filt, enc).item()
-                assert resp.R[v, i] == pytest.approx(expected, abs=1e-9)
+                assert r[v, i] == pytest.approx(expected, abs=1e-9)
 
     def test_constant_feature_shortcut_gradients(self, rng):
         g = random_graph(6, 0.5, rng.derive(13)).with_features(np.ones((6, 1)))
@@ -254,8 +252,8 @@ class TestKernelResponses:
             filters.append(filt)
         enc = FeatureEncoder.init(2, 4, rng.derive(10))
         enc.weight.values = np.abs(enc.weight.values) + 0.1
-        resp = kernel_responses(g, filters, enc, k=2, max_size=5)
-        assert resp.R.min() >= 0.0
+        r = stack_responses(build_subgraph_stack(g, 2, 5), filters, enc).values
+        assert r.min() >= 0.0
 
     def test_stack_responses_gradients_match_finite_differences(self, rng):
         g = random_graph(5, 0.5, rng.derive(7), d=2)

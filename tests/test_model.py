@@ -14,8 +14,8 @@ from xgkn.model import (
     Predictor,
     TrainConfig,
     XgknModel,
+    _aggregate_tensor,
     _batch_logits,
-    aggregate_responses,
     evaluate_accuracy,
     forward,
     init_model,
@@ -45,26 +45,34 @@ def small_model(feature_dim=1, num_classes=2, seed=0, **overrides) -> XgknModel:
     return init_model(ModelConfig(**defaults), feature_dim, num_classes, Rng(seed))
 
 
+def aggregate_one_graph(R: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """One response matrix aggregated as a batch of one graph: the per-filter
+    scores and the additive per-row contributions."""
+    r = nk.Tensor(np.asarray(R, dtype=np.float64))
+    z, s_tilde, _ = _aggregate_tensor(r, mode, 1e-8, np.zeros(r.shape[0], dtype=np.int64), 1)
+    return z.values.reshape(-1), s_tilde
+
+
 class TestAggregate:
     def test_sum_mode(self):
-        z, s_tilde = aggregate_responses(np.array([[1.0, 2.0], [3.0, 4.0]]), "sum")
+        z, s_tilde = aggregate_one_graph(np.array([[1.0, 2.0], [3.0, 4.0]]), "sum")
         assert np.allclose(z, [4.0, 6.0])
         assert np.allclose(s_tilde, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_entropy_single_nonzero_entry(self):
-        z, _ = aggregate_responses(np.array([[5.0], [0.0]]), "negative_entropy")
+        z, _ = aggregate_one_graph(np.array([[5.0], [0.0]]), "negative_entropy")
         assert abs(z[0]) < 1e-6
 
     def test_entropy_two_equal_entries(self):
         # norm sqrt(2), q = 1/sqrt(2) each, z = -sqrt(2) ln(2) / 2
-        z, s_tilde = aggregate_responses(np.array([[1.0], [1.0]]), "negative_entropy")
+        z, s_tilde = aggregate_one_graph(np.array([[1.0], [1.0]]), "negative_entropy")
         expected = 2.0 * (1.0 / math.sqrt(2.0)) * math.log(1.0 / math.sqrt(2.0))
         assert z[0] == pytest.approx(expected, abs=1e-9)
         assert z[0] == pytest.approx(-0.4901, abs=1e-4)
         assert np.allclose(s_tilde.sum(axis=0), z)
 
     def test_max_mode_records_argmax(self):
-        z, s_tilde = aggregate_responses(np.array([[1.0, 9.0], [5.0, 2.0]]), "max")
+        z, s_tilde = aggregate_one_graph(np.array([[1.0, 9.0], [5.0, 2.0]]), "max")
         assert np.allclose(z, [5.0, 9.0])
         assert np.allclose(s_tilde, [[0.0, 9.0], [5.0, 0.0]])
 
@@ -72,11 +80,11 @@ class TestAggregate:
         for mode in ("sum", "negative_entropy"):
             for trial in range(10):
                 r = rng.normal(size=(6, 3))
-                z, s_tilde = aggregate_responses(r, mode)
+                z, s_tilde = aggregate_one_graph(r, mode)
                 assert np.allclose(s_tilde.sum(axis=0), z, atol=1e-9)
 
     def test_all_zero_entropy_guarded(self):
-        z, _ = aggregate_responses(np.zeros((4, 2)), "negative_entropy")
+        z, _ = aggregate_one_graph(np.zeros((4, 2)), "negative_entropy")
         assert np.all(np.isfinite(z))
 
 
@@ -171,6 +179,7 @@ class TestTrain:
         model = small_model(seed=7)
         model, history = train(model, ds, split, TrainConfig(epochs=200, seed=3))
         assert evaluate_accuracy(model, ds, split.train_ids) == 1.0
+        assert evaluate_accuracy(model, ds, (i for i in split.train_ids)) == 1.0
         assert len(history) <= 200
 
     def test_training_is_deterministic(self):

@@ -265,9 +265,20 @@ class TestWelch:
 
     def test_matches_scipy_on_random_samples(self):
         rng = Rng(29)
+        pairs = []
         for trial in range(20):
             a = rng.normal(size=int(rng.integers(3, 15)))
             b = rng.normal(loc=rng.random(), size=int(rng.integers(3, 15)))
+            pairs.append((a, b))
+        # extreme corners of the t tail: |t| = 50 at df ~ 1.47, |t| = 1e-3 at
+        # df = 18, and |t| ~ 24 at df = 26 (p ~ 3e-19)
+        shift = 0.25 + 50.0 * math.sqrt(0.3125)
+        pairs.append(([0.0, 1.0], [shift, shift + 0.5]))
+        a = rng.normal(size=10)
+        pairs.append((a, a + 1e-3 * math.sqrt(2.0 * a.var(ddof=1) / 10)))
+        a = rng.normal(size=14)
+        pairs.append((a, a + 10.0))
+        for a, b in pairs:
             ours = nk.welch_ttest(a, b)
             ref = scipy.stats.ttest_ind(a, b, equal_var=False)
             assert ours.t == pytest.approx(ref.statistic, abs=1e-10)
