@@ -88,8 +88,10 @@ def merge_config(user: dict) -> dict:
     return merged
 
 
-def config_hash(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+def canonical_hash(payload: dict) -> str:
+    """Short sha256 of the canonical JSON form: the config hash that every
+    artifact carries, and the content hash of a prepared dataset."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
@@ -208,7 +210,7 @@ def load_prepared(out_dir: Path, expected_hash: str) -> tuple[Dataset, list]:
 def cmd_prepare(config: dict) -> int:
     out_dir = resolve_out_dir(config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    h = config_hash(config)
+    h = canonical_hash(config)
     ds = build_dataset(config)
     seeds = config["seeds"]
     splits = []
@@ -217,12 +219,10 @@ def cmd_prepare(config: dict) -> int:
         splits.append({"train_ids": list(split.train_ids),
                        "test_ids": list(split.test_ids),
                        "fold": split.fold, "seed": split.seed})
-    dataset_payload = {"config_hash": h, "dataset": dataset_to_dict(ds)}
-    _dump_json(out_dir / "dataset.json", dataset_payload)
-    content_hash = hashlib.sha256(
-        (out_dir / "dataset.json").read_bytes()).hexdigest()[:16]
-    dataset_payload["content_hash"] = content_hash
-    _dump_json(out_dir / "dataset.json", dataset_payload)
+    dataset_dict = dataset_to_dict(ds)
+    content_hash = canonical_hash(dataset_dict)
+    _dump_json(out_dir / "dataset.json", {"config_hash": h, "content_hash": content_hash,
+                                          "dataset": dataset_dict})
     _dump_json(out_dir / "splits.json", {"config_hash": h, "splits": splits})
     _dump_json(out_dir / "config.json", {"config_hash": h, "config": config})
     _log(out_dir, f"prepare: {len(ds)} graphs, hash {h}, content {content_hash}")
@@ -232,7 +232,7 @@ def cmd_prepare(config: dict) -> int:
 
 def cmd_train(config: dict) -> int:
     out_dir = resolve_out_dir(config)
-    h = config_hash(config)
+    h = canonical_hash(config)
     ds, splits = load_prepared(out_dir, h)
     model_cfg = ModelConfig(**config["model"])
     for seed, split in zip(config["seeds"], splits):
@@ -280,7 +280,7 @@ def _aim_config(config: dict, ds: Dataset) -> AimConfig:
 
 def cmd_explain(config: dict) -> int:
     out_dir = resolve_out_dir(config)
-    h = config_hash(config)
+    h = canonical_hash(config)
     ds, splits = load_prepared(out_dir, h)
     aim_cfg = _aim_config(config, ds)
     grid = tuple(config["threshold"]["grid"])
@@ -332,7 +332,7 @@ def _explanations_from_records(records: list, ds: Dataset) -> tuple[list, list]:
 
 def cmd_evaluate(config: dict, compare_dir: str | None = None) -> int:
     out_dir = resolve_out_dir(config)
-    h = config_hash(config)
+    h = canonical_hash(config)
     ds, splits = load_prepared(out_dir, h)
     aim_cfg = _aim_config(config, ds)
     values: dict[str, list] = {name: [] for name in AIM_METRIC_ORDER}
@@ -487,16 +487,15 @@ def render_report(payload: dict) -> str:
 def cmd_report(config: dict, compare_dir: str | None = None) -> int:
     out_dir = resolve_out_dir(config)
     payload = _load_json(out_dir / "report.json")
-    print(render_report(payload))
+    _check_hash(payload, canonical_hash(config), out_dir / "report.json")
     if compare_dir:
         other = _load_json(Path(compare_dir) / "report.json")
         ours = {name: entry["values"] for name, entry in payload["metrics"].items()}
         theirs = {name: entry["values"] for name, entry in other["metrics"].items()}
-        report = aim_report(ours, comparisons={Path(compare_dir).name: theirs})
-        for row in report.ttests:
-            flag = "*" if row["significant"] else " "
-            print(f"t-test {row['metric']} vs {row['against']}: "
-                  f"t={row['t']:.3f} df={row['df']:.1f} p={row['p_value']:.4f}{flag}")
+        report = aim_report(ours, comparisons={Path(compare_dir).name: theirs},
+                            alpha=AimConfig(**config["aim"]).alpha)
+        payload["ttests"] = list(report.ttests)
+    print(render_report(payload))
     return 0
 
 
@@ -549,6 +548,8 @@ def main(argv=None) -> int:
         config = _apply_overrides(config, args.set)
         if args.out:
             config["out_dir"] = args.out
+        if len(set(config["seeds"])) != len(config["seeds"]):
+            raise ValueError(f"seeds must be distinct, got {config['seeds']}")
         if args.command == "prepare":
             return cmd_prepare(config)
         if args.command == "train":

@@ -49,10 +49,6 @@ class SplitError(XgknError, ValueError):
     """A requested split cannot be constructed."""
 
 
-class AnchorError(XgknError, ValueError):
-    """A subgraph is missing the anchor node required by the kernel."""
-
-
 class TrainingDivergedError(XgknError, RuntimeError):
     """Training loss became non-finite."""
 

@@ -158,10 +158,6 @@ def threshold_explanation(g: Graph, importance: np.ndarray, p: float) -> Explana
     )
 
 
-def explain_graph(model: XgknModel, g: Graph, p: float) -> Explanation:
-    return threshold_explanation(g, node_importance(model, g), p)
-
-
 DEFAULT_THRESHOLD_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 

@@ -1,16 +1,25 @@
 """Exact graph edit distance for small graphs via A* over node assignments.
 
-Unit cost model: node insert/delete 1, edge insert/delete 1, node substitution
-0 when the feature rows agree within a tolerance and 1 otherwise. The
-normalized distance divides by the worst-case edit path (delete one graph
-entirely, insert the other), which bounds it to [0, 1].
+Unit costs only: node insertion and deletion cost 1, edge insertion and
+deletion cost 1, and a node substitution costs 0 when the two feature rows
+agree within ``FEATURE_TOL`` in every entry and 1 otherwise. So the distance
+is an integer. The normalized distance divides by the worst-case edit path
+(delete one graph entirely, insert the other), which bounds it to [0, 1].
+
+The search maps the nodes of ``g1``, highest degree first, each to an unused
+node of ``g2`` or to deletion. With ``r1``/``r2`` nodes of each graph still
+unmapped and ``open1``/``open2`` edges with an unmapped endpoint, no completion
+costs less than ``|r1 - r2| + |open1 - open2|``, because each remaining node
+or edge is either matched one-to-one or deleted or inserted at cost 1. Once
+all of ``g1`` is mapped (``r1 = open1 = 0``) the bound is exactly the cost of
+inserting the leftover nodes and open edges of ``g2``, so a state's priority
+is its full cost, and the first complete state popped is optimal.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,133 +28,65 @@ from .graphs import Graph
 from .kernel import GraphFilter
 
 MAX_EXACT_NODES = 12
+FEATURE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class EditCostModel:
-    node_insert: float = 1.0
-    node_delete: float = 1.0
-    edge_insert: float = 1.0
-    edge_delete: float = 1.0
-    substitution_mismatch: float = 1.0
-    feature_tol: float = 1e-9
-
-    def __post_init__(self):
-        for name in ("node_insert", "node_delete", "edge_insert",
-                     "edge_delete", "substitution_mismatch"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.feature_tol < 0:
-            raise ValueError("feature_tol must be nonnegative")
-
-
-def _substitution_costs(g1: Graph, g2: Graph, costs: EditCostModel) -> np.ndarray:
-    out = np.zeros((g1.n, g2.n))
-    for u in range(g1.n):
-        for v in range(g2.n):
-            if not np.allclose(g1.features[u], g2.features[v],
-                               atol=costs.feature_tol, rtol=0.0):
-                out[u, v] = costs.substitution_mismatch
-    return out
-
-
-def _assignment_delta(b1, b2, order, assignment, v, costs, sub_costs) -> float:
-    """Cost added by assigning the next g1 node to ``v`` (None = delete):
-    its node cost plus edge terms against the already-processed prefix."""
-    step = len(assignment)
-    u = order[step]
-    total = costs.node_delete if v is None else sub_costs[u, v]
-    for prev_step in range(step):
-        u_prev = order[prev_step]
-        v_prev = assignment[prev_step]
-        e1 = b1[u, u_prev]
-        if v is None or v_prev is None:
-            if e1:
-                total += costs.edge_delete
-            continue
-        e2 = b2[v, v_prev]
-        if e1 and not e2:
-            total += costs.edge_delete
-        elif e2 and not e1:
-            total += costs.edge_insert
-    return total
-
-
-def _remaining_bound(g1, g2, order, depth, used2, costs) -> float:
-    """Admissible lower bound on the cost of completing a partial assignment."""
-    r1 = g1.n - depth
-    r2 = g2.n - len(used2)
-    node_bound = abs(r1 - r2) * min(costs.node_insert, costs.node_delete)
-    processed = set(order[:depth])
-    b1 = np.triu(g1.adjacency, 1) != 0
-    rows, cols = np.nonzero(b1)
-    open1 = sum(1 for i, j in zip(rows, cols)
-                if i not in processed or j not in processed)
-    b2 = np.triu(g2.adjacency, 1) != 0
-    rows2, cols2 = np.nonzero(b2)
-    open2 = sum(1 for i, j in zip(rows2, cols2)
-                if i not in used2 or j not in used2)
-    edge_bound = abs(open1 - open2) * min(costs.edge_insert, costs.edge_delete)
-    return node_bound + edge_bound
-
-
-def ged_exact(g1: Graph, g2: Graph, costs: EditCostModel | None = None) -> float:
-    """Minimal edit cost transforming ``g1`` into ``g2`` (A* search)."""
-    costs = costs or EditCostModel()
+def ged_exact(g1: Graph, g2: Graph) -> float:
+    """Minimal unit edit cost transforming ``g1`` into ``g2`` (A* search)."""
     if g1.n > MAX_EXACT_NODES or g2.n > MAX_EXACT_NODES:
         raise CapacityError(
             f"exact edit distance is capped at {MAX_EXACT_NODES} nodes per graph")
-    if g1.n == 0 and g2.n == 0:
-        return 0.0
-    sub_costs = _substitution_costs(g1, g2, costs)
-    # expanding high-degree nodes first tightens the bound sooner
-    order = sorted(range(g1.n), key=lambda u: -int(g1.degrees()[u]))
+    n1, n2 = g1.n, g2.n
     b1 = g1.adjacency != 0
     b2 = g2.adjacency != 0
+    mismatch = ~np.isclose(g1.features[:, None, :], g2.features[None, :, :],
+                           atol=FEATURE_TOL, rtol=0.0).all(axis=2)
+    # expanding high-degree nodes first tightens the bound sooner
+    order = np.argsort(-b1.sum(axis=1), kind="stable")
+    rank = np.argsort(order)
+    # closed1[d]: g1 edges whose endpoints are both among the first d mapped
+    rows, cols = np.nonzero(np.triu(b1, 1))
+    last = np.maximum(rank[rows], rank[cols])
+    closed1 = [0] + np.cumsum(np.bincount(last, minlength=n1)).tolist()
+    e1, e2 = len(rows), int(np.count_nonzero(np.triu(b2, 1)))
+    order, a1, a2, mismatch = order.tolist(), b1.tolist(), b2.tolist(), mismatch.tolist()
 
-    def complete(assignment, used2) -> float:
-        """Cost of inserting everything g2 still needs once g1 is exhausted."""
-        total = 0.0
-        leftover = [v for v in range(g2.n) if v not in used2]
-        total += costs.node_insert * len(leftover)
-        mapped2 = set(used2)
-        rows, cols = np.nonzero(np.triu(g2.adjacency, 1))
-        for x, y in zip(rows, cols):
-            if x not in mapped2 or y not in mapped2:
-                total += costs.edge_insert
-        return total
+    def bound(depth: int, used: int, closed2: int) -> int:
+        return (abs((n1 - depth) - (n2 - used))
+                + abs((e1 - closed1[depth]) - (e2 - closed2)))
 
     counter = itertools.count()
-    heap = [(0.0, next(counter), 0, 0.0, (), frozenset())]
-    best = np.inf
-    while heap:
-        f, _, depth, g, assignment, used2 = heapq.heappop(heap)
-        if f >= best:
-            break
-        if depth == g1.n:
-            best = min(best, g + complete(assignment, used2))
-            continue
-        choices = [None] + [v for v in range(g2.n) if v not in used2]
-        for v in choices:
-            delta = _assignment_delta(b1, b2, order, assignment, v, costs, sub_costs)
-            new_g = g + delta
-            new_used = used2 | {v} if v is not None else used2
-            h = _remaining_bound(g1, g2, order, depth + 1, new_used, costs)
-            if new_g + h < best:
-                heapq.heappush(heap, (new_g + h, next(counter), depth + 1, new_g,
-                                      assignment + (v,), frozenset(new_used)))
-    return float(best)
+    heap = [(bound(0, 0, 0), next(counter), 0, 0, (), frozenset(), 0)]
+    while True:
+        f, _, depth, g, assignment, used2, closed2 = heapq.heappop(heap)
+        if depth == n1:
+            return float(f)
+        u = order[depth]
+        for v in [None] + [v for v in range(n2) if v not in used2]:
+            # node cost plus the edges from u to the already-mapped prefix
+            step = 1 if v is None else mismatch[u][v]
+            for u_prev, v_prev in zip(order, assignment):
+                if v is None or v_prev is None:
+                    step += a1[u][u_prev]
+                else:
+                    step += a1[u][u_prev] != a2[v][v_prev]
+            new_used, new_closed = used2, closed2
+            if v is not None:
+                new_used = used2 | {v}
+                new_closed += sum(a2[v][w] for w in used2)
+            new_g = g + step
+            heapq.heappush(heap, (
+                new_g + bound(depth + 1, len(new_used), new_closed), next(counter),
+                depth + 1, new_g, assignment + (v,), new_used, new_closed))
 
 
-def ged_normalized(g1: Graph, g2: Graph, costs: EditCostModel | None = None) -> float:
+def ged_normalized(g1: Graph, g2: Graph) -> float:
     """Edit distance divided by the worst-case path (full delete + full
     insert); 0 for two empty graphs."""
-    costs = costs or EditCostModel()
-    worst = (costs.node_delete * g1.n + costs.edge_delete * g1.num_edges()
-             + costs.node_insert * g2.n + costs.edge_insert * g2.num_edges())
-    if worst == 0.0:
+    worst = g1.n + g1.num_edges() + g2.n + g2.num_edges()
+    if worst == 0:
         return 0.0
-    return ged_exact(g1, g2, costs) / worst
+    return ged_exact(g1, g2) / worst
 
 
 def binarize_filter(filt: GraphFilter, edge_threshold: float = 0.5,

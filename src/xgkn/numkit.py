@@ -1,7 +1,6 @@
 """Minimal numerical substrate: 2-D tensors with reverse-mode gradients over a
-fixed op vocabulary, an Adam optimizer, finite-difference checking, and the
-statistics helpers (softmax, Spearman, Welch's t-test) the rest of the package
-relies on.
+fixed op vocabulary, an Adam optimizer, and the statistics helpers (softmax,
+Spearman, Welch's t-test) the rest of the package relies on.
 
 Everything is float64 and strictly two-dimensional; scalars are (1, 1).
 """
@@ -340,35 +339,6 @@ def backward(output: Tensor) -> None:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
-
-
-def finite_difference_check(f, params: list[Tensor], eps: float = 1e-5) -> float:
-    """Max relative error between reverse-mode and central-difference gradients.
-
-    ``f`` re-evaluates the scalar objective from the current parameter values.
-    """
-    for p in params:
-        p.zero_grad()
-    out = f()
-    if not np.isfinite(out.values).all():
-        raise NumericError("objective is non-finite")
-    backward(out)
-    analytic = [np.zeros_like(p.values) if p.grad is None else p.grad.copy() for p in params]
-    worst = 0.0
-    for p, g_ad in zip(params, analytic):
-        base = p.values
-        flat = base.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + eps
-            f_plus = f().item()
-            flat[i] = keep - eps
-            f_minus = f().item()
-            flat[i] = keep
-            g_fd = (f_plus - f_minus) / (2.0 * eps)
-            rel = abs(g_ad.reshape(-1)[i] - g_fd) / (abs(g_fd) + 1e-8)
-            worst = max(worst, rel)
-    return worst
 
 
 @dataclass

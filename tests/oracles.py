@@ -7,6 +7,10 @@ no code with the library paths they check. The walk-kernel references
 package's ``Graph``, its numkit ops and the filter and encoder
 parameterisation, so that their gradients can be checked too, but not the
 stacked walk recurrence or the rank-one shortcut they are compared against.
+
+The module also holds what only the tests use: the central-difference
+gradient check, the one-call ``explain_graph`` and the ``AnchorError`` that
+``anchored_rw_kernel`` raises.
 """
 
 import itertools
@@ -15,8 +19,47 @@ import math
 import numpy as np
 
 from xgkn import numkit as nk
-from xgkn.errors import AnchorError, EmptySelectionError
+from xgkn.errors import EmptySelectionError, NumericError, XgknError
+from xgkn.explainer import Explanation, node_importance, threshold_explanation
 from xgkn.graphs import Graph
+
+
+class AnchorError(XgknError, ValueError):
+    """A subgraph is missing the anchor node required by the kernel."""
+
+
+def explain_graph(model, g: Graph, p: float) -> Explanation:
+    """Importance map and thresholded explanation of one graph in one call."""
+    return threshold_explanation(g, node_importance(model, g), p)
+
+
+def finite_difference_check(f, params: list[nk.Tensor], eps: float = 1e-5) -> float:
+    """Max relative error between reverse-mode and central-difference gradients.
+
+    ``f`` re-evaluates the scalar objective from the current parameter values.
+    """
+    for p in params:
+        p.zero_grad()
+    out = f()
+    if not np.isfinite(out.values).all():
+        raise NumericError("objective is non-finite")
+    nk.backward(out)
+    analytic = [np.zeros_like(p.values) if p.grad is None else p.grad.copy() for p in params]
+    worst = 0.0
+    for p, g_ad in zip(params, analytic):
+        base = p.values
+        flat = base.reshape(-1)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + eps
+            f_plus = f().item()
+            flat[i] = keep - eps
+            f_minus = f().item()
+            flat[i] = keep
+            g_fd = (f_plus - f_minus) / (2.0 * eps)
+            rel = abs(g_ad.reshape(-1)[i] - g_fd) / (abs(g_fd) + 1e-8)
+            worst = max(worst, rel)
+    return worst
 
 
 def bfs_hop_distances(adjacency: np.ndarray, start: int) -> dict[int, int]:

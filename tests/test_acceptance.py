@@ -47,8 +47,8 @@ from xgkn.model import (
 )
 
 from conftest import random_graph
-from oracles import anchored_rw_kernel, direct_product, filter_as_graph, ged_bruteforce, \
-    node_pair_similarity, rw_kernel, walk_kernel_bruteforce
+from oracles import anchored_rw_kernel, direct_product, filter_as_graph, finite_difference_check, \
+    ged_bruteforce, node_pair_similarity, rw_kernel, walk_kernel_bruteforce
 from test_explainer import make_model
 
 
@@ -282,7 +282,7 @@ class TestKernelProperties:
                 r = stack_responses(stack, filters, encoder)
                 return nk.tsum(r * r)
 
-            worst = max(worst, nk.finite_difference_check(kernel_objective, kernel_params))
+            worst = max(worst, finite_difference_check(kernel_objective, kernel_params))
 
             # entropy aggregation on responses bounded away from the clamp
             resp = nk.Tensor(rng.random((5, 3)) + 0.5, requires_grad=True)
@@ -293,7 +293,7 @@ class TestKernelProperties:
                 z, _, _ = _aggregate_tensor(resp, "negative_entropy", 1e-8, seg, 2)
                 return nk.tsum(z * weights)
 
-            worst = max(worst, nk.finite_difference_check(entropy_objective, [resp]))
+            worst = max(worst, finite_difference_check(entropy_objective, [resp]))
 
             # batch-norm + linear predictor under cross-entropy
             predictor = Predictor(3, 2, depth=1 + trial % 2, hidden_dim=4,
@@ -304,7 +304,7 @@ class TestKernelProperties:
             def predictor_objective():
                 return nk.cross_entropy(predictor.logits(scores, training=True), labels)
 
-            worst = max(worst, nk.finite_difference_check(
+            worst = max(worst, finite_difference_check(
                 predictor_objective, predictor.parameters() + [scores]))
         report("criterion 9: all trainable gradients pass FD checks < 1e-4",
                worst < 1e-4, f"worst={worst:.2e}")

@@ -90,6 +90,34 @@ class TestPipeline:
         printed = capsys.readouterr().out
         assert "p=1.0000" in printed
 
+    def test_report_under_other_config_refused(self, pipeline):
+        _, _, config = pipeline
+        assert main(["report", "-c", str(config), "--set", "train.epochs=4"]) == 1
+
+    def test_report_compare_prints_each_ttest_once_at_config_alpha(
+            self, pipeline, tmp_path, capsys):
+        _, base_dir, _ = pipeline
+        out_dir = tmp_path / "alpha"
+        # one epoch gives other metric values than the base run's five; on
+        # this config several p-values land between 0.05 and 0.9, where the
+        # configured alpha and the default one disagree
+        config = write_config(tmp_path, out_dir, extra={
+            "train": {"epochs": 1, "batch_size": 16},
+            "aim": {"samples_per_graph": 3, "alpha": 0.9}})
+        for command in ("prepare", "train", "explain"):
+            assert main([command, "-c", str(config)]) == 0
+        assert main(["evaluate", "-c", str(config), "--compare", str(base_dir)]) == 0
+        ttests = json.loads((out_dir / "report.json").read_text())["ttests"]
+        capsys.readouterr()
+        assert main(["report", "-c", str(config), "--compare", str(base_dir)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("t-test")]
+        assert len(lines) == len(ttests) > 0
+        for line, row in zip(lines, ttests):
+            assert line.startswith(f"t-test {row['metric']} vs ")
+            assert line.endswith("*") == (row["p_value"] < 0.9)
+        assert any(0.05 <= row["p_value"] < 0.9 for row in ttests)
+
 
 class TestErrors:
     def test_missing_config_is_usage_error(self):
@@ -110,6 +138,24 @@ class TestErrors:
         assert main(["prepare", "-c", str(config)]) == 0
         # changing a knob that alters the hash must invalidate the artifacts
         assert main(["train", "-c", str(config), "--set", "train.epochs=6"]) == 1
+
+    def test_duplicate_seeds_rejected(self, tmp_path, capsys):
+        config = write_config(tmp_path, tmp_path / "dup", extra={"seeds": [0, 0]})
+        assert main(["prepare", "-c", str(config)]) == 2
+        assert "seeds" in capsys.readouterr().err
+        assert not (tmp_path / "dup").exists()
+
+    def test_content_hash_ignores_the_config(self, tmp_path):
+        hashes = []
+        for epochs in (5, 6):
+            out_dir = tmp_path / f"epochs{epochs}"
+            config = write_config(tmp_path, out_dir)
+            assert main(["prepare", "-c", str(config), "--set",
+                         f"train.epochs={epochs}"]) == 0
+            payload = json.loads((out_dir / "dataset.json").read_text())
+            hashes.append((payload["config_hash"], payload["content_hash"]))
+        assert hashes[0][0] != hashes[1][0]
+        assert hashes[0][1] == hashes[1][1]
 
     def test_override_changes_dataset(self, tmp_path, capsys):
         out_dir = tmp_path / "run2"

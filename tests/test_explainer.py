@@ -6,7 +6,6 @@ from xgkn.errors import CapacityError, MissingGroundTruthError
 from xgkn.explainer import (
     Attribution,
     exact_shapley,
-    explain_graph,
     explanation_record,
     node_importance,
     propagate_to_nodes,
@@ -20,7 +19,7 @@ from xgkn.model import ForwardTrace, ModelConfig, init_model
 from xgkn.numkit import Tensor
 
 from conftest import cycle_graph, random_graph
-from oracles import shapley_permutation_oracle
+from oracles import explain_graph, shapley_permutation_oracle
 
 
 def make_model(m=4, depth=1, seed=0, num_classes=2, agg="negative_entropy"):

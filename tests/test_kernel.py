@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from xgkn import numkit as nk
-from xgkn.errors import AnchorError
 from xgkn.graphs import Graph, k_hop_neighborhood
 from xgkn.kernel import FeatureEncoder, GraphFilter, build_subgraph_stack, stack_responses
 
 from conftest import cycle_graph, path_graph, random_graph
 from oracles import (
+    AnchorError,
     anchored_rw_kernel,
     direct_product,
     filter_as_graph,
+    finite_difference_check,
     node_pair_similarity,
     rw_kernel,
     walk_kernel_bruteforce,
@@ -182,7 +183,7 @@ class TestAnchoredKernel:
             filt = GraphFilter.init(3, 3, rng.derive("fdf", trial))
             enc = FeatureEncoder.init(2, 3, rng.derive("fde", trial))
             params = filt.parameters() + [enc.weight]
-            err = nk.finite_difference_check(
+            err = finite_difference_check(
                 lambda: anchored_rw_kernel(gv, filt, enc), params)
             assert err < 1e-4
 
@@ -238,7 +239,7 @@ class TestKernelResponses:
             r = stack_responses(stack, filters, enc)
             return nk.tsum(r * r)
 
-        assert nk.finite_difference_check(objective, params) < 1e-4
+        assert finite_difference_check(objective, params) < 1e-4
 
     def test_nonnegative_similarities_give_nonnegative_responses(self, rng):
         # positive-orthant embeddings make every similarity nonnegative, and
@@ -266,4 +267,4 @@ class TestKernelResponses:
             r = stack_responses(stack, filters, enc)
             return nk.tsum(r * r)
 
-        assert nk.finite_difference_check(objective, params) < 1e-4
+        assert finite_difference_check(objective, params) < 1e-4

@@ -3,7 +3,7 @@ import pytest
 
 from xgkn.data import Dataset, generate_ba2motifs
 from xgkn.errors import AlignmentError, MissingGroundTruthError, UndefinedMetricError
-from xgkn.explainer import Explanation, explain_graph, node_importance, threshold_explanation
+from xgkn.explainer import Explanation, node_importance, threshold_explanation
 from xgkn.graphs import Graph, NodeSet, Rng, induced_subgraph, iou_nodes
 from xgkn.kernel import GraphFilter
 from xgkn.metrics import (
@@ -22,6 +22,7 @@ from xgkn.model import ModelConfig, XgknModel, forward, init_model
 from xgkn.numkit import Tensor, spearman_abs
 
 from conftest import random_graph
+from oracles import explain_graph
 from test_explainer import make_model
 
 

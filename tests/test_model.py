@@ -26,6 +26,7 @@ from xgkn.model import (
 )
 
 from conftest import cycle_graph, path_graph, random_graph
+from oracles import finite_difference_check
 
 
 def toy_separable_dataset() -> Dataset:
@@ -228,7 +229,7 @@ class TestTrain:
 
         # step 2e-4: large enough that difference noise on near-dead
         # coordinates stays under the 1e-8 relative floor
-        assert nk.finite_difference_check(objective, params, eps=2e-4) < 1e-4
+        assert finite_difference_check(objective, params, eps=2e-4) < 1e-4
 
 
 class TestPerturbFilters:
