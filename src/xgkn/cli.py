@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -26,7 +27,7 @@ from .explainer import (
     DEFAULT_THRESHOLD_GRID,
     criterion_score,
     explanation_record,
-    node_importance,
+    node_importances,
     read_explanations,
     select_threshold,
     threshold_explanation,
@@ -86,6 +87,34 @@ def merge_config(user: dict) -> dict:
         else:
             merged[key] = value
     return merged
+
+
+def validate_config(config: dict) -> None:
+    """Refuse a merged config with a key no command reads, before any stage
+    runs; the ValueError names the key. ``train.seed`` is refused too: each
+    model trains under its entry in ``seeds``."""
+    def fields(cls) -> set:
+        return {f.name for f in dataclasses.fields(cls)}
+    known = {"model": fields(ModelConfig), "train": fields(TrainConfig) - {"seed"},
+             "aim": fields(AimConfig)}
+    for key, value in config.items():
+        if key not in DEFAULT_CONFIG:
+            raise ValueError(f"unknown config key {key!r}")
+        if not isinstance(DEFAULT_CONFIG[key], dict):
+            continue
+        if not isinstance(value, dict):
+            raise ValueError(f"config key {key!r} must be an object, "
+                             f"got {type(value).__name__}")
+        for name in value:
+            if name not in known.get(key, DEFAULT_CONFIG[key]):
+                hint = " (each model trains under its entry in 'seeds')" \
+                    if (key, name) == ("train", "seed") else ""
+                raise ValueError(f"unknown config key '{key}.{name}'{hint}")
+    seeds = config["seeds"]
+    if not isinstance(seeds, list) or not all(type(seed) is int for seed in seeds):
+        raise ValueError(f"config key 'seeds' must be a list of integers, got {seeds!r}")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds must be distinct, got {seeds}")
 
 
 def canonical_hash(payload: dict) -> str:
@@ -293,7 +322,7 @@ def cmd_explain(config: dict) -> int:
     for seed, split in zip(config["seeds"], splits):
         model, _ = _load_model(out_dir, seed, h)
         eval_ds = ds.subset(split.test_ids)
-        importances = [node_importance(model, g) for g in eval_ds.graphs]
+        importances = node_importances(model, eval_ds.graphs)
         selection = select_threshold(model, eval_ds, criterion, grid=grid,
                                      cfg=aim_cfg, rng=Rng(seed).derive("threshold"),
                                      importances=importances)
@@ -548,8 +577,7 @@ def main(argv=None) -> int:
         config = _apply_overrides(config, args.set)
         if args.out:
             config["out_dir"] = args.out
-        if len(set(config["seeds"])) != len(config["seeds"]):
-            raise ValueError(f"seeds must be distinct, got {config['seeds']}")
+        validate_config(config)
         if args.command == "prepare":
             return cmd_prepare(config)
         if args.command == "train":

@@ -19,7 +19,7 @@ import numpy as np
 from .data import Dataset
 from .errors import CapacityError, ShapeError
 from .graphs import Graph, NodeSet, Rng, induced_subgraph
-from .model import ForwardTrace, XgknModel, forward
+from .model import ForwardTrace, XgknModel, forward_batch
 from .numkit import Tensor, softmax
 
 MAX_EXACT_PLAYERS = 20
@@ -110,13 +110,21 @@ def propagate_to_nodes(attr: Attribution, trace: ForwardTrace, agg_mode: str,
     return w, inactive
 
 
+def node_importances(model: XgknModel, graphs) -> list[np.ndarray]:
+    """Softmax importance map over the nodes of each graph for the model's own
+    prediction, from one batched forward pass; deterministic for a frozen
+    model."""
+    maps = []
+    for trace in forward_batch(model, graphs):
+        attr = exact_shapley(model, trace.z, model.z_baseline, trace.predicted_class)
+        weights, _ = propagate_to_nodes(attr, trace, model.config.agg_mode)
+        maps.append(softmax(weights))
+    return maps
+
+
 def node_importance(model: XgknModel, g: Graph) -> np.ndarray:
-    """Softmax importance map over the nodes of ``g`` for the model's own
-    prediction; deterministic for a frozen model."""
-    trace = forward(model, g)
-    attr = exact_shapley(model, trace.z, model.z_baseline, trace.predicted_class)
-    weights, _ = propagate_to_nodes(attr, trace, model.config.agg_mode)
-    return softmax(weights)
+    """The importance map of one graph: ``node_importances`` of a batch of one."""
+    return node_importances(model, [g])[0]
 
 
 def threshold_explanation(g: Graph, importance: np.ndarray, p: float) -> Explanation:
@@ -181,10 +189,13 @@ def criterion_score(model: XgknModel, ds: Dataset, importances: list[np.ndarray]
             cfg = metrics.AimConfig()
         if rng is None:
             rng = Rng(0)
+        # round, not int: int(0.29 * 100) is 28, which would give 0.28 and 0.29
+        # the same samples
+        key = round(p * 100)
         i1 = metrics.metric_sufficiency_necessity(
-            model, ds, explanations, "I1", cfg, rng.derive("i1", int(p * 100)))
+            model, ds, explanations, "I1", cfg, rng.derive("i1", key))
         i2 = metrics.metric_sufficiency_necessity(
-            model, ds, explanations, "I2", cfg, rng.derive("i2", int(p * 100)))
+            model, ds, explanations, "I2", cfg, rng.derive("i2", key))
         return i1.value + i2.value
     raise ValueError(f"unknown threshold criterion {criterion!r}")
 
@@ -201,7 +212,7 @@ def select_threshold(model: XgknModel, ds: Dataset, criterion: str,
     if not grid:
         raise ValueError("threshold grid must be nonempty")
     if importances is None:
-        importances = [node_importance(model, g) for g in ds.graphs]
+        importances = node_importances(model, ds.graphs)
     scores = {}
     for p in sorted(grid):
         scores[p] = criterion_score(model, ds, importances, p, criterion, cfg, rng)

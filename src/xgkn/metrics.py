@@ -21,7 +21,7 @@ from .errors import (
     MissingGroundTruthError,
     UndefinedMetricError,
 )
-from .explainer import Explanation, node_importance, threshold_explanation
+from .explainer import Explanation, node_importances, threshold_explanation
 from .ged import binarize_filter, ged_normalized
 from .graphs import (
     Graph,
@@ -32,7 +32,7 @@ from .graphs import (
     perturb_edges,
     perturb_features,
 )
-from .model import XgknModel, forward, perturb_filters
+from .model import XgknModel, forward_batch, perturb_filters
 from .numkit import spearman_abs, welch_ttest
 
 AIM_METRIC_ORDER = ("A1", "A2", "I1", "I2", "I3", "I4", "I5", "M1", "M2", "M3")
@@ -156,44 +156,64 @@ def metric_a2(model: XgknModel, ds: Dataset, edge_threshold: float = 0.5) -> Met
 # ---------------------------------------------------------------------------
 # instance-level metrics
 
+def _draw_samples(g: Graph, explanation: Explanation, mode: str, cfg: AimConfig,
+                  rng: Rng) -> tuple[list[Graph], int]:
+    """The I1 supergraphs or I2 subgraphs of one graph, and how many of its
+    samples drew an empty node set ``max_retries`` times and were skipped."""
+    explanation_ids = set(explanation.selected.ids)
+    others = [int(i) for i in g.node_ids if int(i) not in explanation_ids]
+    samples = []
+    skipped = 0
+    for _ in range(cfg.samples_per_graph):
+        chosen = None
+        for _ in range(cfg.max_retries):
+            include = rng.random(len(others)) < cfg.inclusion_probability
+            picked = [v for v, keep in zip(others, include) if keep]
+            if mode == "I1":
+                candidate = sorted(explanation_ids) + picked
+            else:
+                candidate = picked
+            if candidate:
+                chosen = sorted(candidate)
+                break
+        if chosen is None:
+            skipped += 1
+        else:
+            samples.append(induced_subgraph(g, NodeSet(tuple(chosen))))
+    return samples, skipped
+
+
 def metric_sufficiency_necessity(model: XgknModel, ds: Dataset,
                                  explanations: list[Explanation], mode: str,
                                  cfg: AimConfig, rng: Rng) -> MetricResult:
     """I1: prediction preserved on random supergraphs of the explanation.
-    I2: prediction changed on random subgraphs that exclude the explanation."""
+    I2: prediction changed on random subgraphs that exclude the explanation.
+
+    Every sample is drawn first, from its graph's own stream, and then the
+    graphs and all their samples go through one batched forward pass."""
     if mode not in ("I1", "I2"):
         raise ValueError("mode must be 'I1' or 'I2'")
     _check_alignment(explanations, ds)
-    values = []
+    per_graph = []
     skipped = 0
-    intended = len(ds.graphs) * cfg.samples_per_graph
     for gi, g in enumerate(ds.graphs):
-        g_rng = rng.derive(mode, gi)
-        predicted = forward(model, g).predicted_class
-        explanation_ids = set(explanations[gi].selected.ids)
-        others = [int(i) for i in g.node_ids if int(i) not in explanation_ids]
+        samples, n_skipped = _draw_samples(g, explanations[gi], mode, cfg,
+                                           rng.derive(mode, gi))
+        per_graph.append(samples)
+        skipped += n_skipped
+    flat = [sub for samples in per_graph for sub in samples]
+    classes = [t.predicted_class for t in forward_batch(model, list(ds.graphs) + flat)]
+    sample_classes = iter(classes[len(ds.graphs):])
+    values = []
+    for predicted, samples in zip(classes, per_graph):
         hits = []
-        for s in range(cfg.samples_per_graph):
-            chosen = None
-            for _ in range(cfg.max_retries):
-                include = g_rng.random(len(others)) < cfg.inclusion_probability
-                picked = [v for v, keep in zip(others, include) if keep]
-                if mode == "I1":
-                    candidate = sorted(explanation_ids) + picked
-                else:
-                    candidate = picked
-                if candidate:
-                    chosen = sorted(candidate)
-                    break
-            if chosen is None:
-                skipped += 1
-                continue
-            sub = induced_subgraph(g, NodeSet(tuple(chosen)))
-            sub_predicted = forward(model, sub).predicted_class
+        for _ in samples:
+            sub_predicted = next(sample_classes)
             hits.append(float(sub_predicted == predicted) if mode == "I1"
                         else float(sub_predicted != predicted))
         if hits:
             values.append(float(np.mean(hits)))
+    intended = len(ds.graphs) * cfg.samples_per_graph
     return _result(mode, values, n_skipped=skipped, intended=intended)
 
 
@@ -210,38 +230,46 @@ def metric_robustness(model: XgknModel, ds: Dataset, explanations: list[Explanat
     outside it. Scores IoU(h(perturbed), h(original)) under identity node
     mapping (perturbations preserve node ids).
 
-    ``feature_pool`` defaults to the rows of ``ds``; callers evaluating on a
-    subset pass the configured pool (full dataset or training split).
+    Retries run in rounds: each graph whose prediction no perturbation has
+    kept yet draws its next one from its own stream, and each round is one
+    batched forward pass. ``feature_pool`` defaults to the rows of ``ds``;
+    callers evaluating on a subset pass the configured pool (full dataset or
+    training split).
     """
     if mode not in ("I3", "I4"):
         raise ValueError("mode must be 'I3' or 'I4'")
     _check_alignment(explanations, ds)
     pool = ds.feature_pool() if feature_pool is None else feature_pool
     delta_add = cfg.resolve_edge_add(ds)
+    graphs = ds.graphs
+    streams = [rng.derive(mode, gi) for gi in range(len(graphs))]
+
+    def perturb(gi: int) -> Graph:
+        g, expl = graphs[gi], explanations[gi]
+        if mode == "I3":
+            return perturb_features(g, cfg.delta_feature_robustness, pool,
+                                    streams[gi], exclude=expl.selected)
+        return perturb_edges(g, delta_add, cfg.delta_edge_remove, streams[gi],
+                             protected=_explanation_edges(g, expl.selected))
+
+    predicted = [t.predicted_class for t in forward_batch(model, graphs)]
+    accepted: dict[int, Graph] = {}
+    pending = list(range(len(graphs)))
+    for _ in range(cfg.max_retries):
+        if not pending:
+            break
+        candidates = [perturb(gi) for gi in pending]
+        traces = forward_batch(model, candidates)
+        for gi, candidate, trace in zip(pending, candidates, traces):
+            if trace.predicted_class == predicted[gi]:
+                accepted[gi] = candidate
+        pending = [gi for gi in pending if gi not in accepted]
+    kept = sorted(accepted)
     values = []
-    skipped = 0
-    for gi, g in enumerate(ds.graphs):
-        g_rng = rng.derive(mode, gi)
-        predicted = forward(model, g).predicted_class
-        expl = explanations[gi]
-        accepted = None
-        for _ in range(cfg.max_retries):
-            if mode == "I3":
-                perturbed = perturb_features(g, cfg.delta_feature_robustness, pool,
-                                             g_rng, exclude=expl.selected)
-            else:
-                perturbed = perturb_edges(g, delta_add, cfg.delta_edge_remove, g_rng,
-                                          protected=_explanation_edges(g, expl.selected))
-            if forward(model, perturbed).predicted_class == predicted:
-                accepted = perturbed
-                break
-        if accepted is None:
-            skipped += 1
-            continue
-        new_importance = node_importance(model, accepted)
-        new_expl = threshold_explanation(accepted, new_importance, expl.threshold)
-        values.append(iou_nodes(new_expl.selected, expl.selected))
-    return _result(mode, values, n_skipped=skipped, intended=len(ds.graphs))
+    for gi, importance in zip(kept, node_importances(model, [accepted[gi] for gi in kept])):
+        new_expl = threshold_explanation(accepted[gi], importance, explanations[gi].threshold)
+        values.append(iou_nodes(new_expl.selected, explanations[gi].selected))
+    return _result(mode, values, n_skipped=len(graphs) - len(kept), intended=len(graphs))
 
 
 def metric_consistency(run_a: list[Explanation], run_b: list[Explanation]) -> MetricResult:
@@ -272,10 +300,10 @@ def metric_correctness(model: XgknModel, ds: Dataset, explanations: list[Explana
     else:
         perturbed_model = perturb_filters(model, "edges", cfg.delta_filter_edges, rng)
     overlaps = []
-    for gi, g in enumerate(ds.graphs):
-        importance = node_importance(perturbed_model, g)
-        new_expl = threshold_explanation(g, importance, explanations[gi].threshold)
-        overlaps.append(iou_nodes(new_expl.selected, explanations[gi].selected))
+    importances = node_importances(perturbed_model, ds.graphs)
+    for g, importance, expl in zip(ds.graphs, importances, explanations):
+        new_expl = threshold_explanation(g, importance, expl.threshold)
+        overlaps.append(iou_nodes(new_expl.selected, expl.selected))
     return _result(mode, [1.0 - float(np.mean(overlaps))])
 
 
@@ -284,7 +312,7 @@ def metric_redundancy(model: XgknModel, ds: Dataset) -> MetricResult:
     m = model.num_filters
     if m < 2:
         raise UndefinedMetricError("redundancy needs at least 2 filters")
-    streams = np.vstack([forward(model, g).z for g in ds.graphs])
+    streams = np.vstack([t.z for t in forward_batch(model, ds.graphs)])
     correlations = []
     for i in range(m):
         for j in range(i + 1, m):

@@ -216,35 +216,74 @@ def _aggregate_tensor(r: Tensor, mode: str, eps: float, seg: np.ndarray, num_gra
 
 
 def _batch_logits(model: XgknModel, stacks: list[SubgraphStack], training: bool):
+    """Logits and aggregated scores of a training batch, as tensors."""
     combined, graph_seg = combine_stacks(stacks)
     r = stack_responses(combined, model.filters, model.encoder, model.config.walk_cap)
-    z, s_tilde, argrow = _aggregate_tensor(
+    z, _, _ = _aggregate_tensor(
         r, model.config.agg_mode, model.config.entropy_eps, graph_seg, len(stacks),
         model.config.norm_scope)
-    logits = model.predictor.logits(z, training=training)
-    return logits, z, r, s_tilde, argrow
+    return model.predictor.logits(z, training=training), z
 
 
-def forward(model: XgknModel, g: Graph) -> ForwardTrace:
-    """Inference pass for one graph; batch-norm statistics stay frozen."""
-    stack = build_subgraph_stack(g, model.config.hop_radius, model.config.max_subgraph_size)
-    logits, z, r, s_tilde, argrow = _batch_logits(model, [stack], training=False)
-    logit_row = logits.values.reshape(-1)
+# Graphs per inference batch. Each batch holds its own autograd graph until
+# its responses are read out, so this sets the peak memory of explain and
+# evaluate.
+INFERENCE_CHUNK = 32
+
+
+def forward_batch(model: XgknModel, graphs) -> list[ForwardTrace]:
+    """Inference pass over a list of graphs: stacks and kernel responses are
+    computed for INFERENCE_CHUNK graphs at a time, then ``forward`` makes each
+    graph's trace from its own response rows."""
+    cfg = model.config
+    graphs = list(graphs)
+    traces = []
+    for lo in range(0, len(graphs), INFERENCE_CHUNK):
+        chunk = graphs[lo:lo + INFERENCE_CHUNK]
+        combined, _ = combine_stacks([
+            build_subgraph_stack(g, cfg.hop_radius, cfg.max_subgraph_size) for g in chunk])
+        r = stack_responses(combined, model.filters, model.encoder, cfg.walk_cap).values
+        bounds = np.cumsum([0] + [g.n for g in chunk])
+        traces.extend(forward(model, g, r[bounds[i]:bounds[i + 1]])
+                      for i, g in enumerate(chunk))
+    return traces
+
+
+def forward(model: XgknModel, g: Graph, responses: np.ndarray | None = None) -> ForwardTrace:
+    """Inference pass for one graph; batch-norm statistics stay frozen.
+
+    ``responses`` are the graph's kernel response rows when ``forward_batch``
+    has computed them; without them the graph is a batch of one. Aggregation
+    and the predictor always run on one graph's rows: a row reduction over a
+    batch rounds each graph's response norm by its position in the batch,
+    which breaks exact ties between the scores of different graphs, and M3
+    ranks those scores.
+    """
+    if responses is None:
+        return forward_batch(model, [g])[0]
+    if responses.shape != (g.n, model.num_filters):
+        raise ShapeError(f"responses of shape {responses.shape} for a graph of {g.n} "
+                         f"nodes and {model.num_filters} filters")
+    cfg = model.config
+    z, s_tilde, argrow = _aggregate_tensor(
+        Tensor(responses), cfg.agg_mode, cfg.entropy_eps,
+        np.zeros(g.n, dtype=np.int64), 1, cfg.norm_scope)
+    logit_row = model.predictor.logits(z, training=False).values.reshape(-1)
     return ForwardTrace(
-        R=r.values.copy(),
+        R=responses.copy(),
         contributions=s_tilde,
         z=z.values.reshape(-1).copy(),
         logits=logit_row.copy(),
         predicted_class=int(np.argmax(logit_row)),
-        response_norm=float(np.linalg.norm(r.values)),
+        response_norm=float(np.linalg.norm(responses)),
         argmax_rows=None if argrow is None else argrow.reshape(-1).copy(),
     )
 
 
 def evaluate_accuracy(model: XgknModel, ds: Dataset, ids) -> float:
     ids = list(ids)
-    correct = sum(forward(model, ds.graphs[i]).predicted_class == ds.graphs[i].label
-                  for i in ids)
+    traces = forward_batch(model, [ds.graphs[i] for i in ids])
+    correct = sum(t.predicted_class == ds.graphs[i].label for t, i in zip(traces, ids))
     return correct / len(ids)
 
 
@@ -272,8 +311,7 @@ def train(model: XgknModel, ds: Dataset, split: Split, cfg: TrainConfig):
         epoch_correct = 0
         for lo in range(0, n, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
-            logits, _, _, _, _ = _batch_logits(model, [stacks[i] for i in batch],
-                                               training=True)
+            logits, _ = _batch_logits(model, [stacks[i] for i in batch], training=True)
             loss = nk.cross_entropy(logits, labels[batch])
             loss_value = loss.item()
             if not np.isfinite(loss_value):

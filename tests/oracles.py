@@ -10,18 +10,32 @@ stacked walk recurrence or the rank-one shortcut they are compared against.
 
 The module also holds what only the tests use: the central-difference
 gradient check, the one-call ``explain_graph`` and the ``AnchorError`` that
-``anchored_rw_kernel`` raises.
+``anchored_rw_kernel`` raises. Per-graph loops are the references for the
+package's batched code: the per-node subgraph stack builder, and the
+Monte-Carlo and model-level metrics that run one ``forward`` per graph.
 """
 
 import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from xgkn import numkit as nk
 from xgkn.errors import EmptySelectionError, NumericError, XgknError
 from xgkn.explainer import Explanation, node_importance, threshold_explanation
-from xgkn.graphs import Graph
+from xgkn.graphs import (
+    Graph,
+    NodeSet,
+    induced_subgraph,
+    iou_nodes,
+    k_hop_neighborhood,
+    perturb_edges,
+    perturb_features,
+)
+from xgkn.kernel import SubgraphStack
+from xgkn.metrics import _explanation_edges, _result
+from xgkn.model import forward, perturb_filters
 
 
 class AnchorError(XgknError, ValueError):
@@ -60,6 +74,120 @@ def finite_difference_check(f, params: list[nk.Tensor], eps: float = 1e-5) -> fl
             rel = abs(g_ad.reshape(-1)[i] - g_fd) / (abs(g_fd) + 1e-8)
             worst = max(worst, rel)
     return worst
+
+
+def subgraph_stack_loop(g: Graph, k: int, max_size: int) -> SubgraphStack:
+    """The subgraph stack built one ``k_hop_neighborhood`` at a time and
+    joined by ``scipy.sparse.block_diag``: the reference that
+    ``kernel.build_subgraph_stack`` must equal bit for bit."""
+    blocks = []
+    features = []
+    anchors = []
+    offset = 0
+    for pos in range(g.n):
+        nb = k_hop_neighborhood(g, int(g.node_ids[pos]), k, max_size)
+        blocks.append(nb.adjacency)
+        features.append(nb.features)
+        anchors.append(offset)
+        offset += nb.n
+    return SubgraphStack(
+        raw_features=np.vstack(features),
+        block_adjacency=sp.block_diag(blocks, format="csr"),
+        anchor_rows=np.array(anchors, dtype=np.int64),
+        num_nodes=g.n,
+    )
+
+
+def combine_stacks_block_diag(stacks: list[SubgraphStack]) -> SubgraphStack:
+    """Stacks joined by ``scipy.sparse.block_diag``, the reference for
+    ``kernel.combine_stacks``."""
+    offsets = np.cumsum([0] + [s.raw_features.shape[0] for s in stacks])
+    return SubgraphStack(
+        raw_features=np.vstack([s.raw_features for s in stacks]),
+        block_adjacency=sp.block_diag([s.block_adjacency for s in stacks], format="csr"),
+        anchor_rows=np.concatenate([s.anchor_rows + offsets[i] for i, s in enumerate(stacks)]),
+        num_nodes=sum(s.num_nodes for s in stacks),
+    )
+
+
+def sufficiency_necessity_sequential(model, ds, explanations, mode, cfg, rng):
+    """I1/I2 with one ``forward`` per graph and per sample, each sample scored
+    as soon as it is drawn."""
+    values = []
+    skipped = 0
+    for gi, g in enumerate(ds.graphs):
+        g_rng = rng.derive(mode, gi)
+        predicted = forward(model, g).predicted_class
+        explanation_ids = set(explanations[gi].selected.ids)
+        others = [int(i) for i in g.node_ids if int(i) not in explanation_ids]
+        hits = []
+        for _ in range(cfg.samples_per_graph):
+            chosen = None
+            for _ in range(cfg.max_retries):
+                include = g_rng.random(len(others)) < cfg.inclusion_probability
+                picked = [v for v, keep in zip(others, include) if keep]
+                candidate = sorted(explanation_ids) + picked if mode == "I1" else picked
+                if candidate:
+                    chosen = sorted(candidate)
+                    break
+            if chosen is None:
+                skipped += 1
+                continue
+            sub_predicted = forward(model, induced_subgraph(g, NodeSet(tuple(chosen)))
+                                    ).predicted_class
+            hits.append(float(sub_predicted == predicted) if mode == "I1"
+                        else float(sub_predicted != predicted))
+        if hits:
+            values.append(float(np.mean(hits)))
+    return _result(mode, values, n_skipped=skipped,
+                   intended=len(ds.graphs) * cfg.samples_per_graph)
+
+
+def robustness_sequential(model, ds, explanations, mode, cfg, rng, feature_pool=None):
+    """I3/I4 with every retry of one graph finished before the next graph
+    starts, one ``forward`` per perturbation."""
+    pool = ds.feature_pool() if feature_pool is None else feature_pool
+    delta_add = cfg.resolve_edge_add(ds)
+    values = []
+    skipped = 0
+    for gi, g in enumerate(ds.graphs):
+        g_rng = rng.derive(mode, gi)
+        predicted = forward(model, g).predicted_class
+        expl = explanations[gi]
+        accepted = None
+        for _ in range(cfg.max_retries):
+            if mode == "I3":
+                perturbed = perturb_features(g, cfg.delta_feature_robustness, pool,
+                                             g_rng, exclude=expl.selected)
+            else:
+                perturbed = perturb_edges(g, delta_add, cfg.delta_edge_remove, g_rng,
+                                          protected=_explanation_edges(g, expl.selected))
+            if forward(model, perturbed).predicted_class == predicted:
+                accepted = perturbed
+                break
+        if accepted is None:
+            skipped += 1
+            continue
+        new_expl = threshold_explanation(accepted, node_importance(model, accepted),
+                                         expl.threshold)
+        values.append(iou_nodes(new_expl.selected, expl.selected))
+    return _result(mode, values, n_skipped=skipped, intended=len(ds.graphs))
+
+
+def correctness_sequential(model, ds, explanations, mode, cfg, rng, feature_pool=None):
+    """M1/M2 with one ``node_importance`` call per graph."""
+    if mode == "M1":
+        pool = ds.feature_pool() if feature_pool is None else feature_pool
+        perturbed_model = perturb_filters(model, "features", cfg.delta_filter_features,
+                                          rng, feature_pool=pool)
+    else:
+        perturbed_model = perturb_filters(model, "edges", cfg.delta_filter_edges, rng)
+    overlaps = []
+    for gi, g in enumerate(ds.graphs):
+        new_expl = threshold_explanation(g, node_importance(perturbed_model, g),
+                                         explanations[gi].threshold)
+        overlaps.append(iou_nodes(new_expl.selected, explanations[gi].selected))
+    return _result(mode, [1.0 - float(np.mean(overlaps))])
 
 
 def bfs_hop_distances(adjacency: np.ndarray, start: int) -> dict[int, int]:
@@ -115,47 +243,50 @@ def walk_kernel_bruteforce(product_adj: np.ndarray, s: np.ndarray, max_len: int,
     return total
 
 
-def _map_cost(a1, f1, a2, f2, assignment, tol):
+def _map_cost(adj1, adj2, edges1, edges2, mismatch, assignment) -> float:
     """Edit cost of transforming graph 1 into graph 2 under a node map.
 
     ``assignment[u]`` is the image of node u or None (deletion). Unit costs;
-    node substitution costs 1 unless the feature rows agree within ``tol``.
+    node substitution costs 1 when ``mismatch[u][v]``, i.e. unless the feature
+    rows agree within the tolerance.
     """
-    n1, n2 = a1.shape[0], a2.shape[0]
     mapped2 = {v: u for u, v in enumerate(assignment) if v is not None}
-    cost = 0.0
+    cost = 0
     for u, v in enumerate(assignment):
-        if v is None:
-            cost += 1.0
-        elif not np.allclose(f1[u], f2[v], atol=tol, rtol=0.0):
-            cost += 1.0
-    cost += float(n2 - len(mapped2))
-    for i in range(n1):
-        for j in range(i + 1, n1):
-            if a1[i, j] != 0:
-                vi, vj = assignment[i], assignment[j]
-                if vi is None or vj is None or a2[vi, vj] == 0:
-                    cost += 1.0
-    for x in range(n2):
-        for y in range(x + 1, n2):
-            if a2[x, y] != 0:
-                if x in mapped2 and y in mapped2:
-                    if a1[mapped2[x], mapped2[y]] == 0:
-                        cost += 1.0
-                else:
-                    cost += 1.0
-    return cost
+        if v is None or mismatch[u][v]:
+            cost += 1
+    cost += len(adj2) - len(mapped2)
+    for i, j in edges1:
+        vi, vj = assignment[i], assignment[j]
+        if vi is None or vj is None or not adj2[vi][vj]:
+            cost += 1
+    for x, y in edges2:
+        if x in mapped2 and y in mapped2:
+            if not adj1[mapped2[x]][mapped2[y]]:
+                cost += 1
+        else:
+            cost += 1
+    return float(cost)
 
 
 def ged_bruteforce(a1, f1, a2, f2, tol=1e-9) -> float:
-    """Exhaustive minimum over every injective partial node assignment."""
+    """Exhaustive minimum over every injective partial node assignment.
+
+    The boolean adjacencies, edge lists and feature mismatch matrix are
+    computed once per call; every assignment is then costed from scratch."""
     n1, n2 = a1.shape[0], a2.shape[0]
+    adj1 = (np.asarray(a1) != 0).tolist()
+    adj2 = (np.asarray(a2) != 0).tolist()
+    edges1 = [(i, j) for i in range(n1) for j in range(i + 1, n1) if adj1[i][j]]
+    edges2 = [(x, y) for x in range(n2) for y in range(x + 1, n2) if adj2[x][y]]
+    mismatch = [[not np.allclose(f1[u], f2[v], atol=tol, rtol=0.0) for v in range(n2)]
+                for u in range(n1)]
     best = math.inf
 
     def recurse(u, assignment, used):
         nonlocal best
         if u == n1:
-            best = min(best, _map_cost(a1, f1, a2, f2, assignment, tol))
+            best = min(best, _map_cost(adj1, adj2, edges1, edges2, mismatch, assignment))
             return
         recurse(u + 1, assignment + [None], used)
         for v in range(n2):

@@ -166,6 +166,64 @@ class TestErrors:
         assert "prepared 8 graphs" in printed
 
 
+# (section overrides merged into TINY_CONFIG, --set overrides, key the error names)
+BAD_CONFIGS = [
+    ({"model": {"nmu_filters": 2}}, [], "model.nmu_filters"),
+    ({"train": {"epoch": 3}}, [], "train.epoch"),
+    ({"train": {"seed": 3}}, [], "train.seed"),
+    ({"aim": {"sample_per_graph": 3}}, [], "aim.sample_per_graph"),
+    ({"dataset": {"n_graph": 8}}, [], "dataset.n_graph"),
+    ({"split": {"fraction": 0.5}}, [], "split.fraction"),
+    ({"threshold": {"criteria": "a1"}}, [], "threshold.criteria"),
+    ({"modle": {"num_filters": 2}}, [], "modle"),
+    ({"model": [2, 3]}, [], "model"),
+    ({}, ["aim.alpah=0.1"], "aim.alpah"),
+    ({}, ["optimizer.lr=0.1"], "optimizer"),
+    ({"seeds": 3}, [], "seeds"),
+    ({"seeds": [0, "1"]}, [], "seeds"),
+]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("sections,overrides,key", BAD_CONFIGS)
+    def test_unknown_key_is_usage_error_naming_it(self, tmp_path, capsys,
+                                                   sections, overrides, key):
+        config = json.loads(json.dumps(TINY_CONFIG))
+        for name, value in sections.items():
+            if isinstance(value, dict) and isinstance(config.get(name), dict):
+                config[name].update(value)
+            else:
+                config[name] = value
+        config["out_dir"] = str(tmp_path / "out")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["prepare", "-c", str(path)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["prepare", "train", "explain", "evaluate", "report"])
+    def test_every_command_checks_before_it_runs(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, tmp_path / "out",
+                              extra={"model": {"nmu_filters": 2}})
+        assert main([command, "-c", str(config)]) == 2
+        assert "'model.nmu_filters'" in capsys.readouterr().err
+
+    def test_valid_config_keeps_its_hash(self, tmp_path):
+        # validation reads the config and changes nothing that is hashed
+        out_dir = tmp_path / "out"
+        config = write_config(tmp_path, out_dir)
+        assert main(["prepare", "-c", str(config)]) == 0
+        merged = xgkn.cli.merge_config(json.loads(config.read_text()))
+        stored = json.loads((out_dir / "config.json").read_text())
+        assert stored["config"] == merged
+        assert stored["config_hash"] == xgkn.cli.canonical_hash(merged)
+
+
 class TestEnvRoot:
     def test_out_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XGKN_OUT_ROOT", str(tmp_path / "root"))
@@ -179,4 +237,12 @@ def test_cli_import_leaves_scipy_special_unloaded():
     # its import time to the start-up of every CLI stage
     env = {**os.environ, "PYTHONPATH": str(Path(xgkn.cli.__file__).resolve().parents[1])}
     code = "import sys, xgkn.cli; sys.exit('scipy.special' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # the kernel imports scipy.sparse inside the functions that build stacks,
+    # so prepare and report never pay its import time
+    env = {**os.environ, "PYTHONPATH": str(Path(xgkn.cli.__file__).resolve().parents[1])}
+    code = "import sys, xgkn.cli; sys.exit('scipy.sparse' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -5,9 +5,11 @@ from xgkn.data import Dataset
 from xgkn.errors import CapacityError, MissingGroundTruthError
 from xgkn.explainer import (
     Attribution,
+    criterion_score,
     exact_shapley,
     explanation_record,
     node_importance,
+    node_importances,
     propagate_to_nodes,
     read_explanations,
     select_threshold,
@@ -185,6 +187,14 @@ class TestNodeImportance:
         assert np.array_equal(a, b)
 
 
+    def test_batched_maps_equal_one_graph_maps(self, rng):
+        model = make_model(seed=6)
+        graphs = [random_graph(3 + i % 7, 0.4, rng.derive("batch", i), d=1)
+                  for i in range(40)]
+        for g, importance in zip(graphs, node_importances(model, graphs)):
+            assert np.allclose(importance, node_importance(model, g), rtol=0.0, atol=1e-15)
+
+
 class TestThresholdExplanation:
     def test_zero_threshold_selects_all(self):
         g = cycle_graph(4)
@@ -269,6 +279,28 @@ class TestSelectThreshold:
         ds = Dataset(graphs=graphs, num_classes=1)
         with pytest.raises(MissingGroundTruthError):
             select_threshold(model, ds, "a1")
+
+
+    def test_every_point_of_the_percent_lattice_gets_its_own_streams(self, rng,
+                                                                      monkeypatch):
+        # int(p * 100) mapped 0.29 to 28 and 0.57 to 56, so neighbouring grid
+        # points shared their Monte-Carlo samples
+        from xgkn import metrics
+        streams = {"I1": set(), "I2": set()}
+
+        def record(model, ds, explanations, mode, cfg, rng):
+            streams[mode].add(rng.stream)
+            return metrics.MetricResult(name=mode, value=0.5, n_used=1)
+
+        monkeypatch.setattr(metrics, "metric_sufficiency_necessity", record)
+        model = make_model(seed=9)
+        g = random_graph(5, 0.5, rng.derive("lattice")).with_features(np.ones((5, 1)))
+        ds = Dataset(graphs=(g.with_label(0),), num_classes=2)
+        importances = [node_importance(model, ds.graphs[0])]
+        lattice = [i / 100 for i in range(101)]
+        for p in lattice:
+            criterion_score(model, ds, importances, p, "i1+i2", rng=Rng(3))
+        assert len(streams["I1"]) == len(streams["I2"]) == len(lattice)
 
 
 class TestExplanationExport:

@@ -1,19 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xgkn import numkit as nk
 from xgkn.graphs import Graph, k_hop_neighborhood
-from xgkn.kernel import FeatureEncoder, GraphFilter, build_subgraph_stack, stack_responses
+from xgkn.kernel import (
+    FeatureEncoder,
+    GraphFilter,
+    build_subgraph_stack,
+    combine_stacks,
+    stack_responses,
+)
 
 from conftest import cycle_graph, path_graph, random_graph
 from oracles import (
     AnchorError,
     anchored_rw_kernel,
+    combine_stacks_block_diag,
     direct_product,
     filter_as_graph,
     finite_difference_check,
     node_pair_similarity,
     rw_kernel,
+    subgraph_stack_loop,
     walk_kernel_bruteforce,
 )
 
@@ -268,3 +277,60 @@ class TestKernelResponses:
             return nk.tsum(r * r)
 
         assert finite_difference_check(objective, params) < 1e-4
+
+
+@st.composite
+def shuffled_graphs(draw, max_nodes=12):
+    """Random graph whose node ids are a shuffled sample of 0..99, with a
+    chance of isolated nodes (every edge of a node may be absent)."""
+    n = draw(st.integers(1, max_nodes))
+    density = draw(st.sampled_from([0.0, 0.15, 0.35, 0.7]))
+    draws = draw(st.lists(st.floats(0.0, 1.0), min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    adj = np.zeros((n, n))
+    adj[np.triu_indices(n, 1)] = np.array(draws) < density
+    ids = draw(st.permutations(range(100)))[:n]
+    features = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    return Graph(adj + adj.T, np.array(features).reshape(n, 1), np.array(ids))
+
+
+def assert_same_stack(got, expected):
+    assert got.num_nodes == expected.num_nodes
+    for field in ("raw_features", "anchor_rows"):
+        a, b = getattr(got, field), getattr(expected, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got.block_adjacency.shape == expected.block_adjacency.shape
+    for field in ("indptr", "indices", "data"):
+        a = getattr(got.block_adjacency, field)
+        b = getattr(expected.block_adjacency, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+class TestVectorisedStackBuilder:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(shuffled_graphs(), st.integers(1, 3), st.integers(1, 10))
+    def test_equals_per_node_loop(self, g, k, max_size):
+        assert_same_stack(build_subgraph_stack(g, k, max_size),
+                          subgraph_stack_loop(g, k, max_size))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(st.lists(shuffled_graphs(max_nodes=8), min_size=1, max_size=6),
+           st.integers(1, 3), st.integers(1, 10))
+    def test_combine_equals_block_diag(self, graphs, k, max_size):
+        stacks = [build_subgraph_stack(g, k, max_size) for g in graphs]
+        combined, seg = combine_stacks(stacks)
+        assert_same_stack(combined, combine_stacks_block_diag(stacks))
+        assert seg.tolist() == [i for i, g in enumerate(graphs) for _ in range(g.n)]
+
+    def test_isolated_nodes_get_one_row_blocks(self):
+        g = Graph.from_edges(4, [(1, 2)])
+        stack = build_subgraph_stack(g, 2, 5)
+        assert stack.anchor_rows.tolist() == [0, 1, 3, 5]
+        assert stack.block_adjacency.toarray()[0].tolist() == [0.0] * 6
+
+    def test_bad_radius_or_size_rejected(self):
+        g = path_graph(3)
+        with pytest.raises(ValueError, match="hop radius"):
+            build_subgraph_stack(g, 0, 5)
+        with pytest.raises(ValueError, match="max_size"):
+            build_subgraph_stack(g, 1, 0)

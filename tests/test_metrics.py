@@ -22,7 +22,12 @@ from xgkn.model import ModelConfig, XgknModel, forward, init_model
 from xgkn.numkit import Tensor, spearman_abs
 
 from conftest import random_graph
-from oracles import explain_graph
+from oracles import (
+    correctness_sequential,
+    explain_graph,
+    robustness_sequential,
+    sufficiency_necessity_sequential,
+)
 from test_explainer import make_model
 
 
@@ -343,3 +348,58 @@ class TestAimReport:
         report = aim_report({"A1": [0.5, 0.5]},
                             comparisons={"other": {"A1": [0.5, 0.5]}})
         assert report.ttests[0]["p_value"] == 1.0
+
+
+class TestBatchedMatchesSequential:
+    """The batched metrics against the per-graph loops they replaced; 30
+    graphs and their samples span several inference chunks."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        rng = Rng(2024)
+        graphs = []
+        for i in range(30):
+            g = random_graph(4 + i % 6, 0.45, rng.derive("g", i), d=1)
+            if i % 2:
+                g = g.with_features(np.ones((g.n, 1)))
+            graphs.append(g.with_label(i % 2))
+        ds = Dataset(graphs=tuple(graphs), num_classes=2)
+        # this model predicts both classes here, and with the configs below some
+        # graphs need a second or third perturbation and one is skipped
+        model = make_model(seed=20)
+        return model, ds, [explain_graph(model, g, 0.5) for g in ds.graphs]
+
+    @pytest.mark.parametrize("mode", ["I1", "I2"])
+    @pytest.mark.parametrize("cfg", [AimConfig(samples_per_graph=4),
+                                     AimConfig(samples_per_graph=3, max_retries=1,
+                                               inclusion_probability=0.1)])
+    def test_sufficiency_necessity(self, setup, mode, cfg):
+        model, ds, expl = setup
+        assert (metric_sufficiency_necessity(model, ds, expl, mode, cfg, Rng(31))
+                == sufficiency_necessity_sequential(model, ds, expl, mode, cfg, Rng(31)))
+
+    @pytest.mark.parametrize("mode", ["I3", "I4"])
+    @pytest.mark.parametrize("cfg", [
+        AimConfig(),
+        AimConfig(delta_feature_robustness=0.6, delta_edge_remove=0.6,
+                  delta_edge_add=0.4, max_retries=3)])
+    def test_robustness(self, setup, mode, cfg):
+        model, ds, expl = setup
+        pool = np.array([[0.5], [1.0], [-1.5]])
+        assert (metric_robustness(model, ds, expl, mode, cfg, Rng(32), feature_pool=pool)
+                == robustness_sequential(model, ds, expl, mode, cfg, Rng(32),
+                                         feature_pool=pool))
+
+    @pytest.mark.parametrize("mode", ["M1", "M2"])
+    def test_correctness(self, setup, mode):
+        model, ds, expl = setup
+        cfg = AimConfig(delta_filter_features=0.3, delta_filter_edges=0.3)
+        assert (metric_correctness(model, ds, expl, mode, cfg, Rng(33))
+                == correctness_sequential(model, ds, expl, mode, cfg, Rng(33)))
+
+    def test_redundancy(self, setup):
+        model, ds, _ = setup
+        streams = np.vstack([forward(model, g).z for g in ds.graphs])
+        pairs = [spearman_abs(streams[:, i], streams[:, j])
+                 for i in range(model.num_filters) for j in range(i + 1, model.num_filters)]
+        assert metric_redundancy(model, ds).value == 1.0 - float(np.mean(pairs))

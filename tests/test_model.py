@@ -6,7 +6,7 @@ import pytest
 
 from xgkn import numkit as nk
 from xgkn.data import Dataset, stratified_split
-from xgkn.errors import TrainingDivergedError
+from xgkn.errors import ShapeError, TrainingDivergedError
 from xgkn.graphs import Graph, Rng
 from xgkn.kernel import build_subgraph_stack
 from xgkn.model import (
@@ -16,8 +16,10 @@ from xgkn.model import (
     XgknModel,
     _aggregate_tensor,
     _batch_logits,
+    INFERENCE_CHUNK,
     evaluate_accuracy,
     forward,
+    forward_batch,
     init_model,
     model_from_dict,
     model_to_dict,
@@ -164,6 +166,61 @@ class TestForward:
         assert np.allclose(t2.R, t1.R[order], atol=1e-9)
 
 
+def mixed_graphs(rng, count: int, onehot: bool) -> list[Graph]:
+    """Random graphs of 1-9 nodes with constant features, or one-hot degree
+    features (4 columns, capped), which are uniform on regular graphs."""
+    graphs = []
+    for i in range(count):
+        n = 1 + i % 9
+        g = random_graph(n, 0.45, rng.derive("mixed", i)) if i % 5 else cycle_graph(max(n, 3))
+        if onehot:
+            features = np.eye(4)[np.minimum(g.degrees(), 3)]
+        else:
+            features = np.ones((g.n, 1))
+        graphs.append(g.with_features(features).with_label(i % 2))
+    return graphs
+
+
+class TestForwardBatch:
+    @pytest.mark.parametrize("onehot", [False, True])
+    @pytest.mark.parametrize("mode", ["sum", "negative_entropy", "max"])
+    def test_matches_one_graph_forward_across_chunks(self, rng, onehot, mode):
+        graphs = mixed_graphs(rng, 70, onehot)
+        assert len(graphs) > 2 * INFERENCE_CHUNK
+        model = small_model(feature_dim=4 if onehot else 1, agg_mode=mode)
+        batched = forward_batch(model, graphs)
+        assert len(batched) == len(graphs)
+        for g, got in zip(graphs, batched):
+            want = forward(model, g)
+            assert got.predicted_class == want.predicted_class
+            assert np.allclose(got.logits, want.logits, rtol=0.0, atol=1e-12)
+            assert np.allclose(got.z, want.z, rtol=0.0, atol=1e-12)
+            assert np.allclose(got.R, want.R, rtol=0.0, atol=1e-12)
+            assert np.allclose(got.contributions, want.contributions, rtol=0.0, atol=1e-12)
+            assert got.R.shape == (g.n, model.num_filters)
+            if mode == "max":
+                assert np.array_equal(got.argmax_rows, want.argmax_rows)
+                assert got.argmax_rows.max() < g.n
+            else:
+                assert got.argmax_rows is None and want.argmax_rows is None
+
+    def test_empty_list(self):
+        assert forward_batch(small_model(), []) == []
+
+    def test_responses_of_another_shape_rejected(self):
+        with pytest.raises(ShapeError):
+            forward(small_model(), path_graph(4), np.zeros((3, 2)))
+
+    def test_accuracy_matches_one_graph_forward(self, rng):
+        graphs = mixed_graphs(rng, 40, onehot=False)
+        ds = Dataset(graphs=tuple(graphs), num_classes=2)
+        model = small_model(seed=3)
+        ids = range(1, 40, 2)
+        correct = sum(forward(model, graphs[i]).predicted_class == graphs[i].label
+                      for i in ids)
+        assert evaluate_accuracy(model, ds, ids) == correct / len(ids)
+
+
 class TestTrain:
     def test_lr_zero_keeps_parameters(self):
         ds = toy_separable_dataset()
@@ -224,7 +281,7 @@ class TestTrain:
         params = model.parameters()
 
         def objective():
-            logits, _, _, _, _ = _batch_logits(model, stacks, training=True)
+            logits, _ = _batch_logits(model, stacks, training=True)
             return nk.cross_entropy(logits, labels)
 
         # step 2e-4: large enough that difference noise on near-dead
