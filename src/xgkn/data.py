@@ -302,30 +302,6 @@ def parse_tu_dataset(directory: str, name: str) -> Dataset:
     )
 
 
-def write_tu_dataset(ds: Dataset, directory: str, name: str) -> None:
-    """Write ``ds`` in the TU flat-file layout (round-trip counterpart of
-    ``parse_tu_dataset``; node features are not persisted)."""
-    os.makedirs(directory, exist_ok=True)
-    def p(suffix):
-        return os.path.join(directory, f"{name}_{suffix}.txt")
-    offset = 1
-    a_lines, ind_lines, lab_lines = [], [], []
-    for gi, g in enumerate(ds.graphs):
-        for _ in range(g.n):
-            ind_lines.append(str(gi + 1))
-        rows, cols = np.nonzero(g.adjacency)
-        for i, j in zip(rows, cols):
-            a_lines.append(f"{offset + i}, {offset + j}")
-        lab_lines.append(str(g.label))
-        offset += g.n
-    with open(p("A"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(a_lines) + "\n")
-    with open(p("graph_indicator"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(ind_lines) + "\n")
-    with open(p("graph_labels"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lab_lines) + "\n")
-
-
 def load_ground_truth_masks(ds: Dataset, sidecar_path: str) -> Dataset:
     """Attach per-graph ground-truth node masks from a sidecar text file:
     one line per graph with whitespace-separated node ids, blank line for

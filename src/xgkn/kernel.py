@@ -1,9 +1,15 @@
 """Random-walk kernels on product graphs, differentiable in the filters.
 
-The anchored variant counts only walks whose starting product node has the
-anchor as its first coordinate; with the similarity matrix S and walk cap P it
-evaluates sum_p of the anchor row of S .* (A^p S W^p), computed by the
-recurrence M <- A M W so no product-graph power is ever materialized.
+The anchored kernel of node v's neighbourhood (adjacency A_v, node x
+filter-node similarity rows S_v) against a filter with adjacency W sums the
+product-graph walks of length p <= P whose first product node has the anchor
+as its first coordinate, each weighted by the similarities at its two ends:
+
+    k(v, f) = sum_{p=0..P} (u_p^T S_v) W^p S_v[anchor]^T,   u_p = A_v^p e_anchor.
+
+The anchor walk weights u_p depend on the graph alone; the similarity rows
+are computed once per node, not once per neighbourhood copy. Neither the
+product graph nor any power of it is ever built.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit as nk
+from .errors import CapacityError
 from .graphs import Graph, Rng
 from .numkit import Tensor
 
@@ -81,31 +88,29 @@ class GraphFilter:
         return [self.adjacency_logits, self.features]
 
 
+# Most entries the neighbourhood blocks of one graph may hold (n x width^2
+# float64 values, 128 MiB); build_subgraph_stack checks it before allocating.
+MAX_BLOCK_ENTRIES = 1 << 24
+
+
 @dataclass(frozen=True)
 class SubgraphStack:
-    """All k-hop neighborhoods of one graph stacked block-diagonally, so the
-    walk recurrence runs for every anchor at once."""
+    """The k-hop neighbourhoods of every node of a graph, or of a batch of
+    graphs. Row v of ``members`` lists the nodes of v's neighbourhood, anchor
+    first, as rows of ``raw_features``; ``blocks[v]`` is their induced
+    adjacency. Both are zero-padded to the widest neighbourhood."""
 
     raw_features: np.ndarray
-    block_adjacency: "scipy.sparse.csr_matrix"
-    anchor_rows: np.ndarray
+    members: np.ndarray
+    blocks: np.ndarray
     num_nodes: int
 
 
 def build_subgraph_stack(g: Graph, k: int, max_size: int) -> SubgraphStack:
-    """Stack the ``graphs.k_hop_neighborhood`` of every node of ``g``, in node
-    order, with whole-graph array operations.
-
-    Hop distances come from ``k`` boolean matmuls; each row keeps its nearest
-    ``max_size`` nodes by (distance, node id), the anchor first. Every block is
-    stored densely, explicit zeros included, exactly as ``scipy.sparse.
-    block_diag`` stores dense blocks; tests/oracles.py keeps that per-node loop
-    as the reference.
-    """
-    # scipy.sparse takes about 0.17 s to import; only the stages that build
-    # stacks pay for it
-    import scipy.sparse as sp
-
+    """The ``graphs.k_hop_neighborhood`` of every node of ``g``, in node
+    order: hop distances from ``k`` boolean matmuls, then each row keeps its
+    nearest ``max_size`` nodes by (distance, node id), the anchor first.
+    tests/oracles.py keeps the per-node loop as the reference."""
     if k < 1:
         raise ValueError("hop radius k must be >= 1")
     if max_size < 1:
@@ -121,97 +126,88 @@ def build_subgraph_stack(g: Graph, k: int, max_size: int) -> SubgraphStack:
     order = np.lexsort((np.broadcast_to(g.node_ids, (n, n)), dist), axis=-1)
     sizes = np.minimum(reached.sum(axis=1), max_size)
     width = int(sizes.max(initial=0))
-    kept = order[:, :width]
+    if n * width * width > MAX_BLOCK_ENTRIES:
+        raise CapacityError(f"the neighbourhoods of a {n}-node graph need {n} x {width}^2 "
+                            f"entries, above the cap of {MAX_BLOCK_ENTRIES}; lower "
+                            f"max_subgraph_size (now {max_size})")
+    members = order[:, :width].copy()
     valid = np.arange(width) < sizes[:, None]
-    in_block = valid[:, :, None] & valid[:, None, :]
-    anchor_rows = (np.cumsum(sizes) - sizes).astype(np.int64)
-    columns = np.broadcast_to(anchor_rows[:, None, None] + np.arange(width), in_block.shape)
-    rows = int(sizes.sum())
-    block_adjacency = sp.csr_matrix(
-        (g.adjacency[kept[:, :, None], kept[:, None, :]][in_block],
-         columns[in_block],
-         np.concatenate(([0], np.cumsum(np.repeat(sizes, sizes))))),
-        shape=(rows, rows))
-    return SubgraphStack(
-        raw_features=g.features[kept[valid]],
-        block_adjacency=block_adjacency,
-        anchor_rows=anchor_rows,
-        num_nodes=n,
-    )
+    blocks = np.where(valid[:, :, None] & valid[:, None, :],
+                      g.adjacency[members[:, :, None], members[:, None, :]], 0.0)
+    return SubgraphStack(raw_features=g.features, members=members, blocks=blocks,
+                         num_nodes=n)
 
 
 def combine_stacks(stacks: list[SubgraphStack]) -> tuple[SubgraphStack, np.ndarray]:
     """Concatenate per-graph stacks; returns the combined stack and the graph
-    index of each anchor row. The block matrix is the one
-    ``scipy.sparse.block_diag`` gives, built by offsetting the CSR arrays."""
+    index of each node."""
+    counts = [s.num_nodes for s in stacks]
+    graph_seg = np.repeat(np.arange(len(stacks)), counts)
     if len(stacks) == 1:
-        return stacks[0], np.zeros(stacks[0].num_nodes, dtype=np.int64)
-    import scipy.sparse as sp
-
-    mats = [s.block_adjacency for s in stacks]
-    row_offsets = np.cumsum([0] + [m.shape[0] for m in mats])
-    nnz_offsets = np.cumsum([0] + [m.nnz for m in mats])
-    block_adjacency = sp.csr_matrix(
-        (np.concatenate([m.data for m in mats]),
-         np.concatenate([m.indices + row_offsets[i] for i, m in enumerate(mats)]),
-         np.concatenate([[0]] + [m.indptr[1:] + nnz_offsets[i] for i, m in enumerate(mats)])),
-        shape=(row_offsets[-1], row_offsets[-1]))
-    combined = SubgraphStack(
-        raw_features=np.vstack([s.raw_features for s in stacks]),
-        block_adjacency=block_adjacency,
-        anchor_rows=np.concatenate([s.anchor_rows + row_offsets[i]
-                                    for i, s in enumerate(stacks)]),
-        num_nodes=sum(s.num_nodes for s in stacks),
-    )
-    graph_seg = np.concatenate([np.full(s.num_nodes, i, dtype=np.int64)
-                                for i, s in enumerate(stacks)])
+        return stacks[0], graph_seg
+    offsets = np.cumsum([0] + counts)
+    width = max(s.members.shape[1] for s in stacks)
+    members = np.zeros((offsets[-1], width), dtype=np.int64)
+    blocks = np.zeros((offsets[-1], width, width))
+    for s, lo, hi in zip(stacks, offsets, offsets[1:]):
+        w = s.members.shape[1]
+        members[lo:hi, :w] = s.members + lo
+        blocks[lo:hi, :w, :w] = s.blocks
+    combined = SubgraphStack(raw_features=np.vstack([s.raw_features for s in stacks]),
+                             members=members, blocks=blocks, num_nodes=int(offsets[-1]))
     return combined, graph_seg
+
+
+def anchor_walks(blocks: np.ndarray, steps: int) -> np.ndarray:
+    """The walk table: ``out[p, v] = A_v^p e_anchor`` for p = 0..steps, the
+    weighted counts of the length-p walks from v to each member of its
+    neighbourhood (zero at padding)."""
+    n, width = blocks.shape[:2]
+    walks = np.zeros((steps + 1, n, width))
+    walks[0, :, :1] = 1.0
+    for p in range(steps):
+        walks[p + 1] = (blocks @ walks[p][:, :, None])[:, :, 0]
+    return walks
 
 
 def stack_responses(stack: SubgraphStack, filters: list[GraphFilter],
                     encoder: FeatureEncoder, walk_cap: int | None = None) -> Tensor:
-    """Response matrix (one row per anchor, one column per filter) for a
-    combined subgraph stack. Entry (v, i) is the anchored walk kernel of v's
-    neighbourhood against filter i; tests/oracles.py holds the per-pair
-    reference it is checked against."""
-    if stack.raw_features.shape[0] and np.all(stack.raw_features == stack.raw_features[0]):
-        return _uniform_feature_responses(stack, filters, encoder, walk_cap)
-    embedded = encoder.encode(stack.raw_features)
+    """Response matrix (one row per node, one column per filter): entry
+    (v, f) is the anchored walk kernel of v's neighbourhood against filter f,
+    sum over f's columns of S[v] * sum_p Y_p W^p (by Horner's rule), where
+    Y_p = u_p^T S[members of v] and W is the block-diagonal filter adjacency.
+    tests/oracles.py holds the per-pair reference."""
+    caps = [filt.size if walk_cap is None else walk_cap for filt in filters]
+    walks = anchor_walks(stack.blocks, max(caps))
+    raw = stack.raw_features
+    if raw.shape[0] and np.all(raw == raw[0]):
+        counts = np.ascontiguousarray(walks.sum(axis=2).T)
+        return _uniform_feature_responses(counts, raw[:1], filters, encoder, caps)
+    sizes = [filt.size for filt in filters]
+    filter_rows = nk.row_unit_normalize(nk.vstack([filt.features for filt in filters]))
+    s = encoder.encode(raw) @ nk.transpose(filter_rows)
+    gathered = nk.gather_rows(s, stack.members.reshape(-1))
+    w = nk.block_diag([filt.effective_adjacency() for filt in filters])
+    h = None
+    for p in range(max(caps), -1, -1):
+        y = s if p == 0 else nk.group_weighted_sum(gathered, walks[p])
+        if min(caps) < p:
+            y = y * Tensor(np.repeat(np.array(caps) >= p, sizes).astype(np.float64))
+        h = y if h is None else y + h @ w
+    owner = np.repeat(np.arange(len(filters)), sizes)
+    return (s * h) @ Tensor((owner[:, None] == np.arange(len(filters))).astype(np.float64))
+
+
+def _uniform_feature_responses(anchor_counts: np.ndarray, shared_raw: np.ndarray,
+                               filters: list[GraphFilter], encoder: FeatureEncoder,
+                               caps: list[int]) -> Tensor:
+    """Exact shortcut when every node carries the same raw feature row: S
+    has rank one, and the response is sum_p anchor_counts[v, p] * s^T W^p s,
+    with the length-p walk counts from v (row sums of the walk table) as
+    constants; only the tiny scalar chain carries gradients."""
+    shared_row = encoder.encode(shared_raw)
     columns = []
-    for filt in filters:
-        cap = filt.size if walk_cap is None else walk_cap
-        s = embedded @ nk.transpose(nk.row_unit_normalize(filt.features))
-        w = filt.effective_adjacency()
-        m = s
-        acc = s
-        for _ in range(cap):
-            m = nk.sparse_matmul(stack.block_adjacency, nk.matmul(m, w))
-            acc = acc + m
-        row_sums = (s * acc) @ Tensor(np.ones((filt.size, 1)))
-        columns.append(nk.gather_rows(row_sums, stack.anchor_rows))
-    return nk.hstack(columns)
-
-
-def _uniform_feature_responses(stack: SubgraphStack, filters: list[GraphFilter],
-                               encoder: FeatureEncoder, walk_cap: int | None) -> Tensor:
-    """Exact shortcut when every node carries the same raw feature row.
-
-    All rows of S coincide with one vector s per filter, so S has rank one,
-    A^p S W^p = (A^p 1)(s^T W^p), and the anchored row sum collapses to
-    walks_p(anchor) * (s^T W^p s). The per-anchor walk counts are constants;
-    only the tiny scalar chain c_p carries gradients.
-    """
-    max_cap = max(filt.size if walk_cap is None else walk_cap for filt in filters)
-    counts = np.ones((stack.raw_features.shape[0], 1))
-    walk_columns = [counts[stack.anchor_rows, 0]]
-    for _ in range(max_cap):
-        counts = stack.block_adjacency @ counts
-        walk_columns.append(counts[stack.anchor_rows, 0])
-    anchor_walks = np.column_stack(walk_columns)
-    shared_row = encoder.encode(stack.raw_features[:1])
-    columns = []
-    for filt in filters:
-        cap = filt.size if walk_cap is None else walk_cap
+    for filt, cap in zip(filters, caps):
         s = nk.row_unit_normalize(filt.features) @ nk.transpose(shared_row)
         w = filt.effective_adjacency()
         vec = s
@@ -219,5 +215,5 @@ def _uniform_feature_responses(stack: SubgraphStack, filters: list[GraphFilter],
         for _ in range(cap):
             vec = nk.matmul(w, vec)
             coeffs.append(nk.transpose(s) @ vec)
-        columns.append(Tensor(anchor_walks[:, :cap + 1]) @ nk.vstack(coeffs))
+        columns.append(Tensor(anchor_counts[:, :cap + 1]) @ nk.vstack(coeffs))
     return nk.hstack(columns)

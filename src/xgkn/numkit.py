@@ -260,9 +260,30 @@ def vstack(parts: list[Tensor]) -> Tensor:
     return _op(np.vstack([p.values for p in parts]), tuple(parts), backward)
 
 
-def sparse_matmul(a_sparse, b: Tensor) -> Tensor:
-    """Multiply a constant scipy.sparse matrix by a dense tensor."""
-    return _op(a_sparse @ b.values, (b,), lambda g: (a_sparse.T @ g,))
+def block_diag(parts: list[Tensor]) -> Tensor:
+    """Block-diagonal matrix of ``parts``, zeros elsewhere."""
+    rows = np.cumsum([0] + [p.shape[0] for p in parts])
+    cols = np.cumsum([0] + [p.shape[1] for p in parts])
+    values = np.zeros((rows[-1], cols[-1]))
+    for i, p in enumerate(parts):
+        values[rows[i]:rows[i + 1], cols[i]:cols[i + 1]] = p.values
+
+    def backward(g):
+        return tuple(g[rows[i]:rows[i + 1], cols[i]:cols[i + 1]] for i in range(len(parts)))
+
+    return _op(values, tuple(parts), backward)
+
+
+def group_weighted_sum(a: Tensor, weights: np.ndarray) -> Tensor:
+    """Row v of the output is ``sum_j weights[v, j] * a[v * width + j]``: the
+    rows of ``a`` taken in consecutive groups of ``width``, each group summed
+    under its row of the constant (n, width) ``weights``."""
+    n, width = weights.shape
+    if a.shape[0] != n * width:
+        raise ShapeError(f"{a.shape[0]} rows do not form {n} groups of {width}")
+    groups = a.values.reshape(n, width, a.shape[1])
+    return _op(np.einsum("vj,vjc->vc", weights, groups), (a,),
+               lambda g: ((weights[:, :, None] * g[:, None, :]).reshape(a.shape),))
 
 
 def row_unit_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:

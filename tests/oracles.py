@@ -1,25 +1,32 @@
 """Independent reference implementations used to pin expected values.
 
 Most of them are deliberately naive (enumeration, BFS, permutations) and share
-no code with the library paths they check. The walk-kernel references
-(``rw_kernel``, ``anchored_rw_kernel``) evaluate one graph pair at a time what
-``kernel.stack_responses`` computes for a whole stack. They reuse the
-package's ``Graph``, its numkit ops and the filter and encoder
-parameterisation, so that their gradients can be checked too, but not the
-stacked walk recurrence or the rank-one shortcut they are compared against.
+no code with the library paths they check.
+
+The walk-kernel references evaluate one graph pair at a time what
+``kernel.stack_responses`` computes for a whole stack. ``rw_kernel`` and
+``anchored_rw_kernel`` run the dense matrix recurrence M <- A M W over one
+neighbourhood and read the anchor row of S * sum_p A^p S W^p; the package
+instead computes the same number from the anchor walk weights,
+sum_p (u_p^T S) W^p S[anchor]^T with u_p = A^p e_anchor (equal because A is
+symmetric). The references reuse the package's ``Graph``, its numkit ops and
+the filter and encoder parameterisation, so that their gradients can be
+checked too, but not the walk table, the Horner recurrence or the rank-one
+shortcut they are compared against. ``neighbourhood_walks_loop`` builds the
+walk weights themselves one ``k_hop_neighborhood`` at a time.
 
 The module also holds what only the tests use: the central-difference
-gradient check, the one-call ``explain_graph`` and the ``AnchorError`` that
-``anchored_rw_kernel`` raises. Per-graph loops are the references for the
-package's batched code: the per-node subgraph stack builder, and the
-Monte-Carlo and model-level metrics that run one ``forward`` per graph.
+gradient check, the one-call ``explain_graph``, the ``AnchorError`` that
+``anchored_rw_kernel`` raises and the TU writer. Per-graph loops are the
+references for the package's batched code: the per-node neighbourhoods, and
+the Monte-Carlo and model-level metrics that run one ``forward`` per graph.
 """
 
 import itertools
 import math
+import os
 
 import numpy as np
-import scipy.sparse as sp
 
 from xgkn import numkit as nk
 from xgkn.errors import EmptySelectionError, NumericError, XgknError
@@ -33,7 +40,6 @@ from xgkn.graphs import (
     perturb_edges,
     perturb_features,
 )
-from xgkn.kernel import SubgraphStack
 from xgkn.metrics import _explanation_edges, _result
 from xgkn.model import forward, perturb_filters
 
@@ -76,38 +82,54 @@ def finite_difference_check(f, params: list[nk.Tensor], eps: float = 1e-5) -> fl
     return worst
 
 
-def subgraph_stack_loop(g: Graph, k: int, max_size: int) -> SubgraphStack:
-    """The subgraph stack built one ``k_hop_neighborhood`` at a time and
-    joined by ``scipy.sparse.block_diag``: the reference that
-    ``kernel.build_subgraph_stack`` must equal bit for bit."""
-    blocks = []
-    features = []
-    anchors = []
-    offset = 0
+def neighbourhood_walks_loop(g: Graph, k: int, max_size: int, steps: int) -> list:
+    """Per node of ``g``, in node order: the positions in ``g`` of the nodes
+    of its ``k_hop_neighborhood`` (anchor first), their induced adjacency A_v
+    and the anchor walks ``A_v^p e_anchor`` for p = 0..steps, one neighbourhood
+    and one matrix-vector product at a time. The reference that
+    ``kernel.build_subgraph_stack``, ``kernel.combine_stacks`` and
+    ``kernel.anchor_walks`` must equal."""
+    position = {int(v): i for i, v in enumerate(g.node_ids)}
+    out = []
     for pos in range(g.n):
         nb = k_hop_neighborhood(g, int(g.node_ids[pos]), k, max_size)
-        blocks.append(nb.adjacency)
-        features.append(nb.features)
-        anchors.append(offset)
-        offset += nb.n
-    return SubgraphStack(
-        raw_features=np.vstack(features),
-        block_adjacency=sp.block_diag(blocks, format="csr"),
-        anchor_rows=np.array(anchors, dtype=np.int64),
-        num_nodes=g.n,
-    )
+        walk = np.zeros(nb.n)
+        walk[0] = 1.0
+        walks = [walk]
+        for _ in range(steps):
+            walk = nb.adjacency @ walk
+            walks.append(walk)
+        out.append(([position[int(v)] for v in nb.node_ids], nb.adjacency, np.array(walks)))
+    return out
 
 
-def combine_stacks_block_diag(stacks: list[SubgraphStack]) -> SubgraphStack:
-    """Stacks joined by ``scipy.sparse.block_diag``, the reference for
-    ``kernel.combine_stacks``."""
-    offsets = np.cumsum([0] + [s.raw_features.shape[0] for s in stacks])
-    return SubgraphStack(
-        raw_features=np.vstack([s.raw_features for s in stacks]),
-        block_adjacency=sp.block_diag([s.block_adjacency for s in stacks], format="csr"),
-        anchor_rows=np.concatenate([s.anchor_rows + offsets[i] for i, s in enumerate(stacks)]),
-        num_nodes=sum(s.num_nodes for s in stacks),
-    )
+def write_tu_dataset(ds, directory: str, name: str) -> None:
+    """Write ``ds`` in the TU flat-file layout, the counterpart of
+    ``data.parse_tu_dataset``. Feature rows must be one-hot; the index of
+    each row's one becomes the node label in ``<name>_node_labels.txt``."""
+    os.makedirs(directory, exist_ok=True)
+
+    def p(suffix):
+        return os.path.join(directory, f"{name}_{suffix}.txt")
+
+    offset = 1
+    a_lines, ind_lines, lab_lines, node_lines = [], [], [], []
+    for gi, g in enumerate(ds.graphs):
+        if not (np.all((g.features == 0) | (g.features == 1))
+                and np.all(g.features.sum(axis=1) == 1)):
+            raise ValueError(f"graph {gi} has feature rows that are not one-hot")
+        for _ in range(g.n):
+            ind_lines.append(str(gi + 1))
+        node_lines.extend(str(int(label)) for label in np.argmax(g.features, axis=1))
+        rows, cols = np.nonzero(g.adjacency)
+        for i, j in zip(rows, cols):
+            a_lines.append(f"{offset + i}, {offset + j}")
+        lab_lines.append(str(g.label))
+        offset += g.n
+    for suffix, lines in (("A", a_lines), ("graph_indicator", ind_lines),
+                          ("graph_labels", lab_lines), ("node_labels", node_lines)):
+        with open(p(suffix), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 def sufficiency_necessity_sequential(model, ds, explanations, mode, cfg, rng):

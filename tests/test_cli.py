@@ -1,13 +1,20 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import xgkn.cli
+import xgkn.kernel
 from xgkn.cli import main
+from xgkn.data import generate_ba2motifs
+from xgkn.graphs import Rng
+
+from oracles import write_tu_dataset
 
 TINY_CONFIG = {
     "dataset": {"kind": "ba2motifs", "n_graphs": 16, "seed": 3},
@@ -240,9 +247,51 @@ def test_cli_import_leaves_scipy_special_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    # the kernel imports scipy.sparse inside the functions that build stacks,
-    # so prepare and report never pay its import time
+def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path):
+    # the kernel works on dense walk weights: no stage that builds
+    # neighbourhoods may pay the import time and memory of scipy.sparse
     env = {**os.environ, "PYTHONPATH": str(Path(xgkn.cli.__file__).resolve().parents[1])}
-    code = "import sys, xgkn.cli; sys.exit('scipy.sparse' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    config = write_config(tmp_path, tmp_path / "out", extra={
+        "train": {"epochs": 1, "batch_size": 16}, "seeds": [0]})
+    code = ("import sys; from xgkn.cli import main; "
+            "codes = [main([stage, '-c', sys.argv[1]]) for stage in "
+            "('prepare', 'train', 'explain')]; "
+            "sys.exit(codes != [0, 0, 0] or 'scipy.sparse' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code, str(config)], env=env,
+                          stdout=subprocess.DEVNULL).returncode == 0
+
+
+def test_block_cap_exits_1_naming_max_subgraph_size(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(xgkn.kernel, "MAX_BLOCK_ENTRIES", 100)
+    config = write_config(tmp_path, tmp_path / "out")
+    assert main(["prepare", "-c", str(config)]) == 0
+    assert main(["train", "-c", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "max_subgraph_size (now 5)" in err and "Traceback" not in err
+
+
+def test_labelled_tu_pipeline_with_sidecar_masks(tmp_path, capsys):
+    # node labels give non-uniform features, so training and inference take
+    # the general kernel path, and the sidecar masks select by a1
+    ds = generate_ba2motifs(16, Rng(3))
+    ds = dataclasses.replace(ds, graphs=tuple(
+        g.with_features(np.eye(3)[np.minimum(g.degrees(), 3) - 1]) for g in ds.graphs))
+    write_tu_dataset(ds, str(tmp_path / "tu"), "LAB")
+    sidecar = tmp_path / "masks.txt"
+    sidecar.write_text("".join(" ".join(map(str, m.ids)) + "\n"
+                               for m in ds.gt_instance_masks))
+    out_dir = tmp_path / "run"
+    config = write_config(tmp_path, out_dir, extra={"dataset": {
+        "kind": "tu", "path": str(tmp_path / "tu"), "name": "LAB",
+        "gt_sidecar": str(sidecar)}})
+    for command in ("prepare", "train", "explain", "evaluate", "report"):
+        assert main([command, "-c", str(config)]) == 0, command
+    prepared = json.loads((out_dir / "dataset.json").read_text())["dataset"]
+    assert prepared["feature_policy"] == "node_labels"
+    assert {len(set(map(tuple, g["features"]))) for g in prepared["graphs"]} == {3}
+    thresholds = json.loads((out_dir / "thresholds.json").read_text())["thresholds"]
+    assert {entry["criterion"] for entry in thresholds.values()} == {"a1"}
+    report = json.loads((out_dir / "report.json").read_text())
+    for name in ("accuracy", "A1", "I1", "I2", "I3", "I4", "M1", "M2", "M3"):
+        assert name in report["metrics"], name
+    assert "A1" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +17,12 @@ from xgkn.data import (
     parse_tu_dataset,
     stratified_split,
     wheel_motif,
-    write_tu_dataset,
 )
 from xgkn.errors import DatasetFormatError, SplitError
 from xgkn.graphs import Rng, induced_subgraph
 
 from conftest import path_graph, star_graph
-from oracles import bfs_hop_distances, is_isomorphic_bruteforce
+from oracles import bfs_hop_distances, is_isomorphic_bruteforce, write_tu_dataset
 
 
 TU_FIXTURE = {
@@ -85,13 +85,19 @@ class TestParseTu:
         assert ds.num_classes == 2
 
     def test_round_trip(self, tmp_path):
+        # every graph uses all three labels, so the parser's one-hot columns
+        # are the written ones
         ds = generate_ba2motifs(6, Rng(5))
+        ds = replace(ds, graphs=tuple(g.with_features(np.eye(3)[np.arange(g.n) % 3])
+                                      for g in ds.graphs))
         write_tu_dataset(ds, str(tmp_path), "GEN")
         back = parse_tu_dataset(str(tmp_path), "GEN")
         assert len(back) == len(ds)
+        assert back.feature_policy == "node_labels"
         for a, b in zip(ds.graphs, back.graphs):
             assert a.label == b.label
             assert np.array_equal(a.adjacency, b.adjacency)
+            assert np.array_equal(a.features, b.features)
 
 
 class TestBa2Motifs:

@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from xgkn import numkit as nk
+from xgkn.errors import CapacityError
 from xgkn.graphs import Graph, k_hop_neighborhood
 from xgkn.kernel import (
+    MAX_BLOCK_ENTRIES,
     FeatureEncoder,
     GraphFilter,
+    anchor_walks,
     build_subgraph_stack,
     combine_stacks,
     stack_responses,
@@ -16,13 +21,12 @@ from conftest import cycle_graph, path_graph, random_graph
 from oracles import (
     AnchorError,
     anchored_rw_kernel,
-    combine_stacks_block_diag,
     direct_product,
     filter_as_graph,
     finite_difference_check,
+    neighbourhood_walks_loop,
     node_pair_similarity,
     rw_kernel,
-    subgraph_stack_loop,
     walk_kernel_bruteforce,
 )
 
@@ -214,8 +218,9 @@ class TestKernelResponses:
         assert r.shape == (1, 1)
 
     def test_entries_match_single_call_recomputation(self, rng):
+        # filters of two sizes walk to two caps
         g = random_graph(6, 0.4, rng.derive(5), d=2)
-        filters = [GraphFilter.init(3, 4, rng.derive("f", i)) for i in range(2)]
+        filters = [GraphFilter.init(3 + i, 4, rng.derive("f", i)) for i in range(2)]
         enc = FeatureEncoder.init(2, 4, rng.derive(6))
         r = stack_responses(build_subgraph_stack(g, 2, 4), filters, enc).values
         for v in range(6):
@@ -236,6 +241,22 @@ class TestKernelResponses:
             for i, filt in enumerate(filters):
                 expected = anchored_rw_kernel(nb, filt, enc).item()
                 assert r[v, i] == pytest.approx(expected, abs=1e-9)
+
+    def test_general_path_equals_shortcut_on_uniform_features(self, rng):
+        # rows of 1 and 2 encode to bitwise the same unit embedding, as the
+        # scale cancels in the row normalisation, but they are not all equal,
+        # so the second stack takes the general path
+        g = random_graph(9, 0.4, rng.derive(15))
+        scaled = 1.0 + (rng.derive(16).random((9, 1)) < 0.5)
+        assert np.unique(scaled).tolist() == [1.0, 2.0]
+        filters = [GraphFilter.init(3 + i % 2, 3, rng.derive("gs", i)) for i in range(3)]
+        enc = FeatureEncoder.init(1, 3, rng.derive(17))
+        for walk_cap in (None, 0, 2):
+            shortcut, general = (
+                stack_responses(build_subgraph_stack(g.with_features(x), 2, 6),
+                                filters, enc, walk_cap).values
+                for x in (np.ones((9, 1)), scaled))
+            assert np.allclose(general, shortcut, rtol=0.0, atol=1e-12)
 
     def test_constant_feature_shortcut_gradients(self, rng):
         g = random_graph(6, 0.5, rng.derive(13)).with_features(np.ones((6, 1)))
@@ -294,39 +315,54 @@ def shuffled_graphs(draw, max_nodes=12):
     return Graph(adj + adj.T, np.array(features).reshape(n, 1), np.array(ids))
 
 
-def assert_same_stack(got, expected):
-    assert got.num_nodes == expected.num_nodes
-    for field in ("raw_features", "anchor_rows"):
-        a, b = getattr(got, field), getattr(expected, field)
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert got.block_adjacency.shape == expected.block_adjacency.shape
-    for field in ("indptr", "indices", "data"):
-        a = getattr(got.block_adjacency, field)
-        b = getattr(expected.block_adjacency, field)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+def assert_matches_loop(stack, expected, steps, offset=0):
+    """``stack`` rows ``offset`` onward hold the neighbourhoods ``expected``
+    (from ``neighbourhood_walks_loop``), zero-padded, with the oracle's walk
+    weights bit for bit."""
+    walks = anchor_walks(stack.blocks, steps)
+    for v, (members, adjacency, want) in enumerate(expected, start=offset):
+        size = len(members)
+        assert (stack.members[v, :size] - offset).tolist() == members
+        assert stack.blocks[v, :size, :size].tobytes() == adjacency.tobytes()
+        assert walks[:, v, :size].tobytes() == want.tobytes()
+        assert not stack.blocks[v, size:].any() and not stack.blocks[v, :, size:].any()
+        assert not walks[:, v, size:].any()
 
 
 class TestVectorisedStackBuilder:
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-    @given(shuffled_graphs(), st.integers(1, 3), st.integers(1, 10))
-    def test_equals_per_node_loop(self, g, k, max_size):
-        assert_same_stack(build_subgraph_stack(g, k, max_size),
-                          subgraph_stack_loop(g, k, max_size))
+    @given(shuffled_graphs(), st.integers(1, 3), st.integers(1, 10), st.integers(0, 6))
+    def test_equals_per_node_loop(self, g, k, max_size, steps):
+        stack = build_subgraph_stack(g, k, max_size)
+        expected = neighbourhood_walks_loop(g, k, max_size, steps)
+        assert stack.num_nodes == g.n
+        assert stack.raw_features is g.features
+        # as wide as the widest neighbourhood, not as max_size
+        assert stack.members.shape == (g.n, max(len(m) for m, _, _ in expected))
+        assert_matches_loop(stack, expected, steps)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=30)
     @given(st.lists(shuffled_graphs(max_nodes=8), min_size=1, max_size=6),
-           st.integers(1, 3), st.integers(1, 10))
-    def test_combine_equals_block_diag(self, graphs, k, max_size):
+           st.integers(1, 3), st.integers(1, 10), st.integers(0, 6))
+    def test_combine_equals_per_graph_stacks(self, graphs, k, max_size, steps):
         stacks = [build_subgraph_stack(g, k, max_size) for g in graphs]
         combined, seg = combine_stacks(stacks)
-        assert_same_stack(combined, combine_stacks_block_diag(stacks))
+        offsets = np.cumsum([0] + [g.n for g in graphs])
+        assert combined.num_nodes == offsets[-1]
+        assert np.array_equal(combined.raw_features, np.vstack([g.features for g in graphs]))
+        assert combined.members.shape[1] == max(s.members.shape[1] for s in stacks)
+        for g, lo in zip(graphs, offsets):
+            assert_matches_loop(combined, neighbourhood_walks_loop(g, k, max_size, steps),
+                                steps, offset=lo)
         assert seg.tolist() == [i for i, g in enumerate(graphs) for _ in range(g.n)]
 
     def test_isolated_nodes_get_one_row_blocks(self):
         g = Graph.from_edges(4, [(1, 2)])
         stack = build_subgraph_stack(g, 2, 5)
-        assert stack.anchor_rows.tolist() == [0, 1, 3, 5]
-        assert stack.block_adjacency.toarray()[0].tolist() == [0.0] * 6
+        assert stack.members[:, 0].tolist() == [0, 1, 2, 3]
+        walks = anchor_walks(stack.blocks, 2)
+        assert walks[:, 0].tolist() == walks[:, 3].tolist() == [[1, 0], [0, 0], [0, 0]]
+        assert walks[:, 1].tolist() == [[1, 0], [0, 1], [1, 0]]
 
     def test_bad_radius_or_size_rejected(self):
         g = path_graph(3)
@@ -334,3 +370,18 @@ class TestVectorisedStackBuilder:
             build_subgraph_stack(g, 0, 5)
         with pytest.raises(ValueError, match="max_size"):
             build_subgraph_stack(g, 1, 0)
+
+    def test_block_size_checked_before_allocating(self):
+        # 300 x 300^2 blocks would take 216 MB
+        n = 300
+        g = Graph(np.ones((n, n)) - np.eye(n), np.ones((n, 1)), np.arange(n))
+        assert n ** 3 > MAX_BLOCK_ENTRIES
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=r"300-node graph.*max_subgraph_size "
+                                                    r"\(now 1000\)"):
+                build_subgraph_stack(g, 1, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20

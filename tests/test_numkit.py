@@ -99,13 +99,26 @@ class TestOpGradients:
                 nk.tsum(nk.hstack([nk.transpose(a), nk.transpose(b)]))
         self.params_and_check(build, [(2, 3), (4, 3)], seed=5)
 
-    def test_sparse_matmul(self):
-        import scipy.sparse as sp
-        mat = sp.csr_matrix(np.array([[1.0, 0.0], [2.0, 3.0], [0.0, 4.0]]))
+    def test_block_diag(self):
+        out = nk.block_diag([nk.Tensor(np.ones((2, 1))), nk.Tensor(np.full((1, 2), 2.0))])
+        assert out.values.tolist() == [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 2.0]]
+        weights = nk.Tensor(Rng(31).normal(size=(5, 5)))
+        self.params_and_check(
+            lambda a, b: nk.tsum(nk.mul(nk.block_diag([a, b]), weights)),
+            [(2, 3), (3, 2)], seed=6)
 
-        def build(x):
-            return nk.tsum(nk.mul(nk.sparse_matmul(mat, x), nk.sparse_matmul(mat, x)))
-        self.params_and_check(build, [(2, 3)], seed=6)
+    def test_group_weighted_sum(self):
+        weights = Rng(32).normal(size=(3, 2))
+        a = nk.Tensor(np.arange(12.0).reshape(6, 2))
+        expected = [weights[v] @ a.values[2 * v:2 * v + 2] for v in range(3)]
+        assert np.allclose(nk.group_weighted_sum(a, weights).values, expected)
+        with pytest.raises(ShapeError):
+            nk.group_weighted_sum(a, weights[:2])
+
+        def build(a):
+            out = nk.group_weighted_sum(a, weights)
+            return nk.tsum(nk.mul(out, out))
+        self.params_and_check(build, [(6, 4)], seed=8)
 
     def test_clip_min_blocks_gradient_below(self):
         a = nk.Tensor(np.array([[0.5, 2.0]]), requires_grad=True)
