@@ -27,7 +27,7 @@ from .explainer import (
     DEFAULT_THRESHOLD_GRID,
     criterion_score,
     explanation_record,
-    node_importances,
+    importance_map,
     read_explanations,
     select_threshold,
     threshold_explanation,
@@ -50,6 +50,7 @@ from .model import (
     ModelConfig,
     TrainConfig,
     evaluate_accuracy,
+    forward_batch,
     init_model,
     model_from_dict,
     model_to_dict,
@@ -57,6 +58,8 @@ from .model import (
 )
 
 OUT_ROOT_ENV = "XGKN_OUT_ROOT"
+
+THRESHOLD_CRITERIA = ("auto", "a1", "i1+i2")
 
 DEFAULT_CONFIG = {
     "dataset": {
@@ -90,9 +93,10 @@ def merge_config(user: dict) -> dict:
 
 
 def validate_config(config: dict) -> None:
-    """Refuse a merged config with a key no command reads, before any stage
-    runs; the ValueError names the key. ``train.seed`` is refused too: each
-    model trains under its entry in ``seeds``."""
+    """Refuse a merged config with a key no command reads, or with a seed list
+    or threshold setting no command can run, before any stage runs; the
+    ValueError names the key. ``train.seed`` is refused too: each model
+    trains under its entry in ``seeds``."""
     def fields(cls) -> set:
         return {f.name for f in dataclasses.fields(cls)}
     known = {"model": fields(ModelConfig), "train": fields(TrainConfig) - {"seed"},
@@ -115,6 +119,18 @@ def validate_config(config: dict) -> None:
         raise ValueError(f"config key 'seeds' must be a list of integers, got {seeds!r}")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds must be distinct, got {seeds}")
+    criterion = config["threshold"]["criterion"]
+    if criterion not in THRESHOLD_CRITERIA:
+        raise ValueError(f"config key 'threshold.criterion' must be one of "
+                         f"{THRESHOLD_CRITERIA}, got {criterion!r}")
+    grid = config["threshold"]["grid"]
+    # i1+i2 draws the samples of threshold p from stream round(100 p), so two
+    # grid points off the 0.01 lattice could share one stream
+    if not (isinstance(grid, list) and grid and all(
+            type(p) in (int, float) and 0 <= p <= 1 and abs(p * 100 - round(p * 100)) < 1e-9
+            for p in grid)):
+        raise ValueError(f"config key 'threshold.grid' must be a non-empty list of "
+                         f"multiples of 0.01 in [0, 1], got {grid!r}")
 
 
 def canonical_hash(payload: dict) -> str:
@@ -322,10 +338,12 @@ def cmd_explain(config: dict) -> int:
     for seed, split in zip(config["seeds"], splits):
         model, _ = _load_model(out_dir, seed, h)
         eval_ds = ds.subset(split.test_ids)
-        importances = node_importances(model, eval_ds.graphs)
+        traces = forward_batch(model, eval_ds.graphs)
+        importances = [importance_map(model, trace) for trace in traces]
+        predicted = [trace.predicted_class for trace in traces]
         selection = select_threshold(model, eval_ds, criterion, grid=grid,
                                      cfg=aim_cfg, rng=Rng(seed).derive("threshold"),
-                                     importances=importances)
+                                     importances=importances, predicted=predicted)
         records = []
         for graph_id, g, importance in zip(split.test_ids, eval_ds.graphs, importances):
             expl = threshold_explanation(g, importance, selection.p)
@@ -336,7 +354,7 @@ def cmd_explain(config: dict) -> int:
             shifted = round(min(max(shifted, 0.0), 1.0), 3)
             sensitivity[str(shifted)] = criterion_score(
                 model, eval_ds, importances, shifted, criterion,
-                cfg=aim_cfg, rng=Rng(seed).derive("sensitivity"))
+                cfg=aim_cfg, rng=Rng(seed).derive("sensitivity"), predicted=predicted)
         thresholds[str(seed)] = {
             "p": selection.p,
             "criterion": criterion,
@@ -389,6 +407,7 @@ def cmd_evaluate(config: dict, compare_dir: str | None = None) -> int:
             test_acc if test_acc is not None
             else evaluate_accuracy(model, ds, split.test_ids))
         rng = Rng(seed).derive("aim")
+        predicted = [trace.predicted_class for trace in forward_batch(model, eval_ds.graphs)]
         try:
             res = metric_a1(explanations, eval_ds)
             values["A1"].append(res.value)
@@ -402,11 +421,12 @@ def cmd_evaluate(config: dict, compare_dir: str | None = None) -> int:
             skipped_metrics.add("A2")
         for mode in ("I1", "I2"):
             res = metric_sufficiency_necessity(model, eval_ds, explanations, mode,
-                                               aim_cfg, rng.derive(mode))
+                                               aim_cfg, rng.derive(mode), predicted)
             _collect(values, counts, invalid, mode, res)
         for mode in ("I3", "I4"):
-            res = metric_robustness(model, eval_ds, explanations, mode,
-                                    aim_cfg, rng.derive(mode), feature_pool=feature_pool)
+            res = metric_robustness(model, eval_ds, explanations, mode, aim_cfg,
+                                    rng.derive(mode), feature_pool=feature_pool,
+                                    predicted=predicted)
             _collect(values, counts, invalid, mode, res)
         for mode in ("M1", "M2"):
             res = metric_correctness(model, eval_ds, explanations, mode,

@@ -110,16 +110,18 @@ def propagate_to_nodes(attr: Attribution, trace: ForwardTrace, agg_mode: str,
     return w, inactive
 
 
-def node_importances(model: XgknModel, graphs) -> list[np.ndarray]:
-    """Softmax importance map over the nodes of each graph for the model's own
-    prediction, from one batched forward pass; deterministic for a frozen
+def importance_map(model: XgknModel, trace: ForwardTrace) -> np.ndarray:
+    """Softmax importance map over the nodes of a graph for the model's own
+    prediction, from the graph's forward trace; deterministic for a frozen
     model."""
-    maps = []
-    for trace in forward_batch(model, graphs):
-        attr = exact_shapley(model, trace.z, model.z_baseline, trace.predicted_class)
-        weights, _ = propagate_to_nodes(attr, trace, model.config.agg_mode)
-        maps.append(softmax(weights))
-    return maps
+    attr = exact_shapley(model, trace.z, model.z_baseline, trace.predicted_class)
+    weights, _ = propagate_to_nodes(attr, trace, model.config.agg_mode)
+    return softmax(weights)
+
+
+def node_importances(model: XgknModel, graphs) -> list[np.ndarray]:
+    """The ``importance_map`` of each graph, from one batched forward pass."""
+    return [importance_map(model, trace) for trace in forward_batch(model, graphs)]
 
 
 def node_importance(model: XgknModel, g: Graph) -> np.ndarray:
@@ -177,8 +179,11 @@ class ThresholdSelection:
 
 
 def criterion_score(model: XgknModel, ds: Dataset, importances: list[np.ndarray],
-                    p: float, criterion: str, cfg=None, rng: Rng | None = None) -> float:
-    """Score one candidate threshold under the selection criterion."""
+                    p: float, criterion: str, cfg=None, rng: Rng | None = None,
+                    predicted: list[int] | None = None) -> float:
+    """Score one candidate threshold under the selection criterion.
+    ``predicted`` may carry the graphs' predicted classes, which ``i1+i2``
+    otherwise scores anew."""
     explanations = [threshold_explanation(g, imp, p)
                     for g, imp in zip(ds.graphs, importances)]
     from . import metrics  # deferred: metrics builds on this module
@@ -193,9 +198,9 @@ def criterion_score(model: XgknModel, ds: Dataset, importances: list[np.ndarray]
         # the same samples
         key = round(p * 100)
         i1 = metrics.metric_sufficiency_necessity(
-            model, ds, explanations, "I1", cfg, rng.derive("i1", key))
+            model, ds, explanations, "I1", cfg, rng.derive("i1", key), predicted)
         i2 = metrics.metric_sufficiency_necessity(
-            model, ds, explanations, "I2", cfg, rng.derive("i2", key))
+            model, ds, explanations, "I2", cfg, rng.derive("i2", key), predicted)
         return i1.value + i2.value
     raise ValueError(f"unknown threshold criterion {criterion!r}")
 
@@ -203,11 +208,13 @@ def criterion_score(model: XgknModel, ds: Dataset, importances: list[np.ndarray]
 def select_threshold(model: XgknModel, ds: Dataset, criterion: str,
                      grid=DEFAULT_THRESHOLD_GRID, cfg=None,
                      rng: Rng | None = None,
-                     importances: list[np.ndarray] | None = None) -> ThresholdSelection:
+                     importances: list[np.ndarray] | None = None,
+                     predicted: list[int] | None = None) -> ThresholdSelection:
     """Pick the grid threshold maximizing the criterion (ties -> smallest p).
 
     ``importances`` may carry precomputed maps (the map itself is
-    threshold-independent); they are recomputed otherwise.
+    threshold-independent); they are recomputed otherwise. ``predicted`` is
+    passed on to ``criterion_score``.
     """
     if not grid:
         raise ValueError("threshold grid must be nonempty")
@@ -215,7 +222,8 @@ def select_threshold(model: XgknModel, ds: Dataset, criterion: str,
         importances = node_importances(model, ds.graphs)
     scores = {}
     for p in sorted(grid):
-        scores[p] = criterion_score(model, ds, importances, p, criterion, cfg, rng)
+        scores[p] = criterion_score(model, ds, importances, p, criterion, cfg, rng,
+                                    predicted)
     best_score = max(scores.values())
     best_p = min(p for p in scores if scores[p] >= best_score)
     return ThresholdSelection(p=best_p, criterion=criterion, scores=scores)

@@ -36,10 +36,6 @@ class FeatureEncoder:
         return FeatureEncoder(Tensor(rng.normal(scale=scale, size=(feature_dim, embed_dim)),
                                      requires_grad=True))
 
-    @property
-    def embed_dim(self) -> int:
-        return self.weight.shape[1]
-
     def encode(self, raw_features: np.ndarray) -> Tensor:
         return nk.row_unit_normalize(Tensor(raw_features) @ self.weight)
 
@@ -70,10 +66,6 @@ class GraphFilter:
     @property
     def size(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.features.shape[1]
 
     def effective_adjacency(self) -> Tensor:
         squashed = nk.sigmoid(self.adjacency_logits)
@@ -174,9 +166,12 @@ def stack_responses(stack: SubgraphStack, filters: list[GraphFilter],
                     encoder: FeatureEncoder, walk_cap: int | None = None) -> Tensor:
     """Response matrix (one row per node, one column per filter): entry
     (v, f) is the anchored walk kernel of v's neighbourhood against filter f,
-    sum over f's columns of S[v] * sum_p Y_p W^p (by Horner's rule), where
-    Y_p = u_p^T S[members of v] and W is the block-diagonal filter adjacency.
-    tests/oracles.py holds the per-pair reference."""
+    sum over f's columns of S[v] * sum_p Y_p W^p, where Y_p = u_p^T S[members
+    of v] (zero in the columns of filters that walk fewer than p steps) and W
+    is the block-diagonal filter adjacency. The walk sum is one
+    ``numkit.walk_horner`` node with a hand-written backward.
+    tests/oracles.py holds the per-pair reference and the per-step autograd
+    composition."""
     caps = [filt.size if walk_cap is None else walk_cap for filt in filters]
     walks = anchor_walks(stack.blocks, max(caps))
     raw = stack.raw_features
@@ -186,14 +181,9 @@ def stack_responses(stack: SubgraphStack, filters: list[GraphFilter],
     sizes = [filt.size for filt in filters]
     filter_rows = nk.row_unit_normalize(nk.vstack([filt.features for filt in filters]))
     s = encoder.encode(raw) @ nk.transpose(filter_rows)
-    gathered = nk.gather_rows(s, stack.members.reshape(-1))
     w = nk.block_diag([filt.effective_adjacency() for filt in filters])
-    h = None
-    for p in range(max(caps), -1, -1):
-        y = s if p == 0 else nk.group_weighted_sum(gathered, walks[p])
-        if min(caps) < p:
-            y = y * Tensor(np.repeat(np.array(caps) >= p, sizes).astype(np.float64))
-        h = y if h is None else y + h @ w
+    masks = np.repeat(np.array(caps) >= np.arange(max(caps) + 1)[:, None], sizes, axis=1)
+    h = nk.walk_horner(s, w, stack.members, walks, masks)
     owner = np.repeat(np.arange(len(filters)), sizes)
     return (s * h) @ Tensor((owner[:, None] == np.arange(len(filters))).astype(np.float64))
 

@@ -183,17 +183,26 @@ def _draw_samples(g: Graph, explanation: Explanation, mode: str, cfg: AimConfig,
     return samples, skipped
 
 
+def _check_predicted(predicted: list[int] | None, ds: Dataset) -> None:
+    if predicted is not None and len(predicted) != len(ds.graphs):
+        raise AlignmentError(
+            f"{len(predicted)} predicted classes for {len(ds.graphs)} graphs")
+
+
 def metric_sufficiency_necessity(model: XgknModel, ds: Dataset,
                                  explanations: list[Explanation], mode: str,
-                                 cfg: AimConfig, rng: Rng) -> MetricResult:
+                                 cfg: AimConfig, rng: Rng,
+                                 predicted: list[int] | None = None) -> MetricResult:
     """I1: prediction preserved on random supergraphs of the explanation.
     I2: prediction changed on random subgraphs that exclude the explanation.
 
-    Every sample is drawn first, from its graph's own stream, and then the
-    graphs and all their samples go through one batched forward pass."""
+    Every sample is drawn first, from its graph's own stream, and then all
+    samples go through one batched forward pass. ``predicted`` holds the
+    graphs' predicted classes when the caller has scored them already."""
     if mode not in ("I1", "I2"):
         raise ValueError("mode must be 'I1' or 'I2'")
     _check_alignment(explanations, ds)
+    _check_predicted(predicted, ds)
     per_graph = []
     skipped = 0
     for gi, g in enumerate(ds.graphs):
@@ -201,16 +210,17 @@ def metric_sufficiency_necessity(model: XgknModel, ds: Dataset,
                                            rng.derive(mode, gi))
         per_graph.append(samples)
         skipped += n_skipped
+    if predicted is None:
+        predicted = [t.predicted_class for t in forward_batch(model, ds.graphs)]
     flat = [sub for samples in per_graph for sub in samples]
-    classes = [t.predicted_class for t in forward_batch(model, list(ds.graphs) + flat)]
-    sample_classes = iter(classes[len(ds.graphs):])
+    sample_classes = iter([t.predicted_class for t in forward_batch(model, flat)])
     values = []
-    for predicted, samples in zip(classes, per_graph):
+    for graph_class, samples in zip(predicted, per_graph):
         hits = []
         for _ in samples:
             sub_predicted = next(sample_classes)
-            hits.append(float(sub_predicted == predicted) if mode == "I1"
-                        else float(sub_predicted != predicted))
+            hits.append(float(sub_predicted == graph_class) if mode == "I1"
+                        else float(sub_predicted != graph_class))
         if hits:
             values.append(float(np.mean(hits)))
     intended = len(ds.graphs) * cfg.samples_per_graph
@@ -224,7 +234,8 @@ def _explanation_edges(g: Graph, selected: NodeSet) -> set[tuple[int, int]]:
 
 def metric_robustness(model: XgknModel, ds: Dataset, explanations: list[Explanation],
                       mode: str, cfg: AimConfig, rng: Rng,
-                      feature_pool: np.ndarray | None = None) -> MetricResult:
+                      feature_pool: np.ndarray | None = None,
+                      predicted: list[int] | None = None) -> MetricResult:
     """Explanation stability under input edits that keep the prediction:
     I3 resamples node features outside the explanation, I4 rewires edges
     outside it. Scores IoU(h(perturbed), h(original)) under identity node
@@ -234,11 +245,13 @@ def metric_robustness(model: XgknModel, ds: Dataset, explanations: list[Explanat
     kept yet draws its next one from its own stream, and each round is one
     batched forward pass. ``feature_pool`` defaults to the rows of ``ds``;
     callers evaluating on a subset pass the configured pool (full dataset or
-    training split).
+    training split). ``predicted`` holds the graphs' predicted classes when
+    the caller has scored them already.
     """
     if mode not in ("I3", "I4"):
         raise ValueError("mode must be 'I3' or 'I4'")
     _check_alignment(explanations, ds)
+    _check_predicted(predicted, ds)
     pool = ds.feature_pool() if feature_pool is None else feature_pool
     delta_add = cfg.resolve_edge_add(ds)
     graphs = ds.graphs
@@ -252,7 +265,8 @@ def metric_robustness(model: XgknModel, ds: Dataset, explanations: list[Explanat
         return perturb_edges(g, delta_add, cfg.delta_edge_remove, streams[gi],
                              protected=_explanation_edges(g, expl.selected))
 
-    predicted = [t.predicted_class for t in forward_batch(model, graphs)]
+    if predicted is None:
+        predicted = [t.predicted_class for t in forward_batch(model, graphs)]
     accepted: dict[int, Graph] = {}
     pending = list(range(len(graphs)))
     for _ in range(cfg.max_retries):

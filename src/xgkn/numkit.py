@@ -25,8 +25,8 @@ class Tensor:
     """A 2-D value in the computation graph.
 
     ``requires_grad`` marks trainable leaves; op outputs inherit the flag from
-    their parents. ``backward`` accumulates into ``grad`` (zero it between
-    optimization steps; ``adam_step`` does this for you).
+    their parents. ``backward`` accumulates into the ``grad`` of leaves only
+    (zero it between optimization steps; ``adam_step`` does this for you).
     """
 
     __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward_fn")
@@ -274,16 +274,53 @@ def block_diag(parts: list[Tensor]) -> Tensor:
     return _op(values, tuple(parts), backward)
 
 
-def group_weighted_sum(a: Tensor, weights: np.ndarray) -> Tensor:
-    """Row v of the output is ``sum_j weights[v, j] * a[v * width + j]``: the
-    rows of ``a`` taken in consecutive groups of ``width``, each group summed
-    under its row of the constant (n, width) ``weights``."""
-    n, width = weights.shape
-    if a.shape[0] != n * width:
-        raise ShapeError(f"{a.shape[0]} rows do not form {n} groups of {width}")
-    groups = a.values.reshape(n, width, a.shape[1])
-    return _op(np.einsum("vj,vjc->vc", weights, groups), (a,),
-               lambda g: ((weights[:, :, None] * g[:, None, :]).reshape(a.shape),))
+def walk_horner(s: Tensor, w: Tensor, members: np.ndarray, walks: np.ndarray,
+                masks: np.ndarray) -> Tensor:
+    """Row v of the output is ``sum_p Y_p[v] W^p``, with
+    ``Y_p[v] = masks[p] * sum_j walks[p, v, j] * s[members[v, j]]`` for
+    p >= 1 and ``Y_0 = masks[0] * s`` (step 0 of an anchor walk table is the
+    anchor itself), evaluated by Horner's rule: ``H_P = Y_P``,
+    ``H_p = Y_p + H_{p+1} W``. ``masks`` is a boolean (P + 1, cols) array
+    that zeroes the columns of Y_p whose filter walks fewer than p steps; an
+    all-true row is skipped.
+
+    One node for the whole walk sum. Its backward runs the recurrence in
+    reverse, dH_{p+1} = dH_p W^T and dW += H_{p+1}^T dH_p, and sends every
+    dY_p (p >= 1) back to the gathered rows of ``s`` in a single bincount."""
+    n, width = members.shape
+    steps = walks.shape[0] - 1
+    if s.shape[0] != n or w.shape != (s.shape[1], s.shape[1]) \
+            or walks.shape[1:] != (n, width) or masks.shape != (steps + 1, s.shape[1]):
+        raise ShapeError(f"walk_horner: s {s.shape}, w {w.shape}, members {members.shape}, "
+                         f"walks {walks.shape}, masks {masks.shape} do not fit")
+    masked = [not row.all() for row in masks]
+    gathered = s.values[members]
+    horner = [None] * (steps + 1)
+    h = None
+    for p in range(steps, -1, -1):
+        y = s.values if p == 0 else np.einsum("vj,vjc->vc", walks[p], gathered)
+        if masked[p]:
+            y = y * masks[p]
+        h = y if h is None else y + h @ w.values
+        horner[p] = h
+
+    def backward(g):
+        cols = g.shape[1]
+        dy = np.empty((steps + 1, n, cols))
+        dw = np.zeros(w.shape)
+        dh = g
+        for p in range(steps + 1):
+            dy[p] = dh * masks[p] if masked[p] else dh
+            if p < steps:
+                dw += horner[p + 1].T @ dh
+                dh = dh @ w.values.T
+        # (n, width, cols): sum over p >= 1 of walks[p, v, j] * dY_p[v]
+        spread = np.matmul(walks[1:].transpose(1, 2, 0), dy[1:].transpose(1, 0, 2))
+        targets = (members[:, :, None] * cols + np.arange(cols)).reshape(-1)
+        ds = np.bincount(targets, weights=spread.reshape(-1), minlength=n * cols)
+        return dy[0] + ds.reshape(n, cols), dw
+
+    return _op(h, (s, w), backward)
 
 
 def row_unit_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
@@ -321,8 +358,10 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def backward(output: Tensor) -> None:
-    """Accumulate d(output)/d(leaf) into ``grad`` of every requires_grad tensor
-    reachable from ``output``. ``output`` must be scalar."""
+    """Accumulate d(output)/d(leaf) into ``grad`` of every requires_grad leaf
+    reachable from ``output``; op outputs keep no ``grad``. Every gradient,
+    intermediate ones included, is checked for non-finite entries.
+    ``output`` must be scalar."""
     if output.values.shape != (1, 1):
         raise ShapeError(f"backward needs a scalar output, got shape {output.shape}")
     order = []
@@ -345,11 +384,11 @@ def backward(output: Tensor) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            if not np.all(np.isfinite(g)):
-                raise NumericError("non-finite gradient encountered")
-            node.grad = g.copy() if node.grad is None else node.grad + g
+        if not np.all(np.isfinite(g)):
+            raise NumericError("non-finite gradient encountered")
         if node._backward_fn is None:
+            if node.requires_grad:
+                node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         parent_grads = node._backward_fn(g)
         for parent, pg in zip(node._parents, parent_grads):

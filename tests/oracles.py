@@ -13,7 +13,9 @@ symmetric). The references reuse the package's ``Graph``, its numkit ops and
 the filter and encoder parameterisation, so that their gradients can be
 checked too, but not the walk table, the Horner recurrence or the rank-one
 shortcut they are compared against. ``neighbourhood_walks_loop`` builds the
-walk weights themselves one ``k_hop_neighborhood`` at a time.
+walk weights themselves one ``k_hop_neighborhood`` at a time, and
+``walk_horner_per_step`` is the per-step autograd chain that the single
+``numkit.walk_horner`` node must reproduce.
 
 The module also holds what only the tests use: the central-difference
 gradient check, the one-call ``explain_graph``, the ``AnchorError`` that
@@ -101,6 +103,33 @@ def neighbourhood_walks_loop(g: Graph, k: int, max_size: int, steps: int) -> lis
             walks.append(walk)
         out.append(([position[int(v)] for v in nb.node_ids], nb.adjacency, np.array(walks)))
     return out
+
+
+def _group_weighted_sum(a: nk.Tensor, weights: np.ndarray) -> nk.Tensor:
+    """Row v is ``sum_j weights[v, j] * a[v * width + j]``: the rows of ``a``
+    in consecutive groups of ``width``, each summed under its row of the
+    constant (n, width) ``weights``."""
+    n, width = weights.shape
+    groups = a.values.reshape(n, width, a.shape[1])
+    return nk._op(np.einsum("vj,vjc->vc", weights, groups), (a,),
+                  lambda g: ((weights[:, :, None] * g[:, None, :]).reshape(a.shape),))
+
+
+def walk_horner_per_step(s: nk.Tensor, w: nk.Tensor, members: np.ndarray,
+                         walks: np.ndarray, masks: np.ndarray) -> nk.Tensor:
+    """``numkit.walk_horner`` as a chain of autograd nodes: one gather of the
+    member rows of ``s``, then per walk step p a group-weighted sum, a cap-mask
+    product where some filter walks fewer than p steps, and a Horner matmul
+    and add. The op must equal its values bit for bit and its gradients to
+    rounding."""
+    gathered = nk.gather_rows(s, members.reshape(-1))
+    h = None
+    for p in range(walks.shape[0] - 1, -1, -1):
+        y = s if p == 0 else _group_weighted_sum(gathered, walks[p])
+        if not masks[p].all():
+            y = y * nk.Tensor(masks[p].astype(np.float64))
+        h = y if h is None else y + h @ w
+    return h
 
 
 def write_tu_dataset(ds, directory: str, name: str) -> None:

@@ -213,6 +213,30 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("threshold,key", [
+        ({"grid": "abc"}, "threshold.grid"),
+        ({"grid": []}, "threshold.grid"),
+        ({"grid": [1.5]}, "threshold.grid"),
+        ({"grid": [-0.1]}, "threshold.grid"),
+        ({"grid": [0.555, 0.56]}, "threshold.grid"),
+        ({"grid": [0.5, "0.7"]}, "threshold.grid"),
+        ({"grid": [True]}, "threshold.grid"),
+        ({"criterion": "a2"}, "threshold.criterion"),
+    ])
+    def test_bad_threshold_is_usage_error_naming_it(self, tmp_path, capsys, threshold, key):
+        config = write_config(tmp_path, tmp_path / "out",
+                              extra={"threshold": {**TINY_CONFIG["threshold"], **threshold}})
+        assert main(["prepare", "-c", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_on_the_lattice_accepted(self, tmp_path):
+        config = write_config(tmp_path, tmp_path / "out", extra={
+            "threshold": {"criterion": "i1+i2", "grid": [0, 0.07, 0.29, 0.5, 1]}})
+        assert main(["prepare", "-c", str(config)]) == 0
+
     @pytest.mark.parametrize("command", ["prepare", "train", "explain", "evaluate", "report"])
     def test_every_command_checks_before_it_runs(self, tmp_path, capsys, command):
         config = write_config(tmp_path, tmp_path / "out",

@@ -17,7 +17,7 @@ from xgkn.explainer import (
     write_explanations,
 )
 from xgkn.graphs import Graph, NodeSet, Rng
-from xgkn.model import ForwardTrace, ModelConfig, init_model
+from xgkn.model import ForwardTrace, ModelConfig, forward, init_model
 from xgkn.numkit import Tensor
 
 from conftest import cycle_graph, random_graph
@@ -280,6 +280,17 @@ class TestSelectThreshold:
         with pytest.raises(MissingGroundTruthError):
             select_threshold(model, ds, "a1")
 
+    def test_precomputed_classes_leave_i1_i2_scores_unchanged(self, rng):
+        model = make_model(seed=10)
+        graphs = tuple(random_graph(5 + i % 3, 0.5, rng.derive("pc", i)).with_label(i % 2)
+                       for i in range(6))
+        ds = Dataset(graphs=graphs, num_classes=2)
+        importances = node_importances(model, ds.graphs)
+        predicted = [forward(model, g).predicted_class for g in ds.graphs]
+        sel = select_threshold(model, ds, "i1+i2", grid=(0.3, 0.7), rng=Rng(4),
+                               importances=importances)
+        assert select_threshold(model, ds, "i1+i2", grid=(0.3, 0.7), rng=Rng(4),
+                                importances=importances, predicted=predicted) == sel
 
     def test_every_point_of_the_percent_lattice_gets_its_own_streams(self, rng,
                                                                       monkeypatch):
@@ -288,7 +299,7 @@ class TestSelectThreshold:
         from xgkn import metrics
         streams = {"I1": set(), "I2": set()}
 
-        def record(model, ds, explanations, mode, cfg, rng):
+        def record(model, ds, explanations, mode, cfg, rng, predicted=None):
             streams[mode].add(rng.stream)
             return metrics.MetricResult(name=mode, value=0.5, n_used=1)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xgkn import numkit as nk
-from xgkn.errors import CapacityError
+from xgkn.errors import CapacityError, ShapeError
 from xgkn.graphs import Graph, k_hop_neighborhood
 from xgkn.kernel import (
     MAX_BLOCK_ENTRIES,
@@ -27,6 +27,7 @@ from oracles import (
     neighbourhood_walks_loop,
     node_pair_similarity,
     rw_kernel,
+    walk_horner_per_step,
     walk_kernel_bruteforce,
 )
 
@@ -385,3 +386,64 @@ class TestVectorisedStackBuilder:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+
+def horner_inputs(g: Graph, k: int, max_size: int, sizes, caps, seed: int):
+    """Leaves ``s`` and ``w``, a fixed cotangent and the members, walk table
+    and cap masks that ``stack_responses`` would hand ``numkit.walk_horner``
+    for filters of ``sizes`` walking ``caps`` steps."""
+    stack = build_subgraph_stack(g, k, max_size)
+    walks = anchor_walks(stack.blocks, max(caps))
+    masks = np.repeat(np.array(caps) >= np.arange(max(caps) + 1)[:, None], sizes, axis=1)
+    draws = np.random.default_rng(seed)
+    cols = sum(sizes)
+    s = nk.Tensor(draws.normal(size=(g.n, cols)), requires_grad=True)
+    w = nk.Tensor(draws.normal(size=(cols, cols)) / cols, requires_grad=True)
+    cotangent = nk.Tensor(draws.normal(size=(g.n, cols)))
+    return s, w, cotangent, stack.members, walks, masks
+
+
+class TestWalkHorner:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(shuffled_graphs(), st.integers(1, 3), st.integers(1, 10),
+           st.lists(st.tuples(st.integers(1, 5), st.one_of(st.none(), st.integers(0, 4))),
+                    min_size=1, max_size=3),
+           st.integers(0, 2 ** 32 - 1))
+    def test_equals_per_step_composition(self, g, k, max_size, filters, seed):
+        # a filter of None cap walks as many steps as it has nodes; unequal
+        # caps mask the columns of the shorter filters at the longer steps
+        sizes = [size for size, _ in filters]
+        caps = [size if cap is None else cap for size, cap in filters]
+        s, w, cotangent, members, walks, masks = horner_inputs(g, k, max_size, sizes,
+                                                               caps, seed)
+        results = []
+        for op in (nk.walk_horner, walk_horner_per_step):
+            s.zero_grad()
+            w.zero_grad()
+            h = op(s, w, members, walks, masks)
+            nk.backward(nk.tsum(h * cotangent))
+            # at cap 0 the composition never uses w and leaves it no gradient
+            results.append((h.values, s.grad,
+                            np.zeros(w.shape) if w.grad is None else w.grad))
+        (h, ds, dw), (h_ref, ds_ref, dw_ref) = results
+        assert h.tobytes() == h_ref.tobytes()
+        assert np.abs(ds - ds_ref).max() <= 1e-12 * np.abs(ds_ref).max()
+        assert np.abs(dw - dw_ref).max() <= 1e-12 * np.abs(dw_ref).max()
+
+    def test_gradients_match_finite_differences(self, rng):
+        g = random_graph(7, 0.4, rng.derive(40))
+        s, w, cotangent, members, walks, masks = horner_inputs(g, 2, 5, [3, 2], [3, 1], 41)
+        assert not masks.all() and members.shape[1] > 1
+
+        def objective():
+            return nk.tsum(nk.walk_horner(s, w, members, walks, masks) * cotangent)
+
+        assert finite_difference_check(objective, [s, w]) < 1e-6
+
+    def test_shapes_checked(self, rng):
+        g = random_graph(5, 0.5, rng.derive(42))
+        s, w, _, members, walks, masks = horner_inputs(g, 1, 4, [2], [2], 43)
+        with pytest.raises(ShapeError):
+            nk.walk_horner(s, w, members[:4], walks, masks)
+        with pytest.raises(ShapeError):
+            nk.walk_horner(s, w, members, walks, masks[:2])

@@ -377,6 +377,10 @@ class TestBatchedMatchesSequential:
         model, ds, expl = setup
         assert (metric_sufficiency_necessity(model, ds, expl, mode, cfg, Rng(31))
                 == sufficiency_necessity_sequential(model, ds, expl, mode, cfg, Rng(31)))
+        # the graphs' classes scored beforehand, as explain and evaluate pass them
+        predicted = [forward(model, g).predicted_class for g in ds.graphs]
+        assert (metric_sufficiency_necessity(model, ds, expl, mode, cfg, Rng(31), predicted)
+                == sufficiency_necessity_sequential(model, ds, expl, mode, cfg, Rng(31)))
 
     @pytest.mark.parametrize("mode", ["I3", "I4"])
     @pytest.mark.parametrize("cfg", [
@@ -389,6 +393,18 @@ class TestBatchedMatchesSequential:
         assert (metric_robustness(model, ds, expl, mode, cfg, Rng(32), feature_pool=pool)
                 == robustness_sequential(model, ds, expl, mode, cfg, Rng(32),
                                          feature_pool=pool))
+        predicted = [forward(model, g).predicted_class for g in ds.graphs]
+        assert (metric_robustness(model, ds, expl, mode, cfg, Rng(32), feature_pool=pool,
+                                  predicted=predicted)
+                == robustness_sequential(model, ds, expl, mode, cfg, Rng(32),
+                                         feature_pool=pool))
+
+    def test_predicted_classes_must_cover_every_graph(self, setup):
+        model, ds, expl = setup
+        with pytest.raises(AlignmentError):
+            metric_sufficiency_necessity(model, ds, expl, "I1", AimConfig(), Rng(34), [0])
+        with pytest.raises(AlignmentError):
+            metric_robustness(model, ds, expl, "I3", AimConfig(), Rng(34), predicted=[0])
 
     @pytest.mark.parametrize("mode", ["M1", "M2"])
     def test_correctness(self, setup, mode):

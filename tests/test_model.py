@@ -221,7 +221,34 @@ class TestForwardBatch:
         assert evaluate_accuracy(model, ds, ids) == correct / len(ids)
 
 
+def autograd_nodes(out: nk.Tensor) -> int:
+    """Number of tensors in the autograd graph that ends at ``out``."""
+    seen = set()
+    pending = [out]
+    while pending:
+        node = pending.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            pending.extend(node._parents)
+    return len(seen)
+
+
 class TestTrain:
+    def test_general_path_graph_size_does_not_grow_with_walk_cap(self, rng):
+        # the walk sum is one node however many steps it takes; a per-step
+        # chain would add nodes with every step
+        graphs = mixed_graphs(rng, 12, onehot=True)
+        stacks = [build_subgraph_stack(g, 1, 6) for g in graphs]
+        raw = np.vstack([g.features for g in graphs])
+        assert not np.all(raw == raw[0])
+        labels = np.array([g.label for g in graphs])
+        counts = []
+        for walk_cap in (2, 6):
+            model = small_model(feature_dim=4, walk_cap=walk_cap)
+            logits, _ = _batch_logits(model, stacks, training=True)
+            counts.append(autograd_nodes(nk.cross_entropy(logits, labels)))
+        assert counts[0] == counts[1]
+
     def test_lr_zero_keeps_parameters(self):
         ds = toy_separable_dataset()
         split = stratified_split(ds, 0.2, 1, seed=0)[0]
