@@ -407,7 +407,8 @@ def cmd_evaluate(config: dict, compare_dir: str | None = None) -> int:
             test_acc if test_acc is not None
             else evaluate_accuracy(model, ds, split.test_ids))
         rng = Rng(seed).derive("aim")
-        predicted = [trace.predicted_class for trace in forward_batch(model, eval_ds.graphs)]
+        traces = forward_batch(model, eval_ds.graphs)
+        predicted = [trace.predicted_class for trace in traces]
         try:
             res = metric_a1(explanations, eval_ds)
             values["A1"].append(res.value)
@@ -433,7 +434,7 @@ def cmd_evaluate(config: dict, compare_dir: str | None = None) -> int:
                                      aim_cfg, rng.derive(mode), feature_pool=feature_pool)
             _collect(values, counts, invalid, mode, res)
         try:
-            res = metric_redundancy(model, eval_ds)
+            res = metric_redundancy(np.vstack([trace.z for trace in traces]))
             _collect(values, counts, invalid, "M3", res)
         except XgknError:
             skipped_metrics.add("M3")

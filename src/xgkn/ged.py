@@ -89,18 +89,15 @@ def ged_normalized(g1: Graph, g2: Graph) -> float:
     return ged_exact(g1, g2) / worst
 
 
-def binarize_filter(filt: GraphFilter, edge_threshold: float = 0.5,
-                    feature_rows: np.ndarray | None = None, encoder=None) -> Graph:
-    """Discretize a continuous filter: keep edges with weight >= threshold.
+def binarize_filter(filt: GraphFilter, feature_rows: np.ndarray | None = None,
+                    encoder=None) -> Graph:
+    """Discretize a continuous filter: keep edges with weight >= 0.5.
 
     When ``feature_rows`` (raw dataset rows) and an encoder are given, each
     filter node takes the raw row whose encoding is nearest to the node's
     embedding; otherwise nodes drop to a constant unlabeled feature.
     """
-    if not (0.0 < edge_threshold < 1.0):
-        raise ValueError("edge_threshold must lie in (0, 1)")
-    weights = filt.adjacency_values()
-    adjacency = (weights >= edge_threshold).astype(np.float64)
+    adjacency = (filt.adjacency_values() >= 0.5).astype(np.float64)
     np.fill_diagonal(adjacency, 0.0)
     if feature_rows is None:
         features = np.ones((filt.size, 1))

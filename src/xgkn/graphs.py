@@ -61,9 +61,6 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def choice(self, a, size=None, replace=True):
-        return self._gen.choice(a, size=size, replace=replace)
-
     def __repr__(self):
         return f"Rng(algorithm={self.algorithm!r}, seed={self.seed}, stream={self.stream})"
 

@@ -111,22 +111,16 @@ def _check_alignment(explanations, ds: Dataset) -> None:
 # ---------------------------------------------------------------------------
 # accuracy metrics
 
-def metric_a1(explanations: list[Explanation], ds: Dataset,
-              count_empty_masks: bool = False) -> MetricResult:
-    """Mean IoU between selected explanation nodes and ground-truth masks.
-
-    Graphs with empty masks are excluded unless ``count_empty_masks`` is set
-    (then a nonempty explanation against an empty mask scores 0).
-    """
+def metric_a1(explanations: list[Explanation], ds: Dataset) -> MetricResult:
+    """Mean IoU between selected explanation nodes and ground-truth masks;
+    graphs without a mask or with an empty one are excluded."""
     _check_alignment(explanations, ds)
     if ds.gt_instance_masks is None:
         raise MissingGroundTruthError("A1 needs per-graph ground-truth masks")
     values = []
     for i, expl in enumerate(explanations):
         mask = ds.gt_instance_masks[i]
-        if mask is None:
-            continue
-        if len(mask) == 0 and not count_empty_masks:
+        if mask is None or len(mask) == 0:
             continue
         values.append(iou_nodes(expl.selected, NodeSet(mask.ids)))
     if not values:
@@ -134,7 +128,7 @@ def metric_a1(explanations: list[Explanation], ds: Dataset,
     return _result("A1", values)
 
 
-def metric_a2(model: XgknModel, ds: Dataset, edge_threshold: float = 0.5) -> MetricResult:
+def metric_a2(model: XgknModel, ds: Dataset) -> MetricResult:
     """1 - mean over ground-truth motifs of the best (minimum) normalized edit
     distance achieved by any binarized filter."""
     if not ds.gt_motifs:
@@ -145,7 +139,7 @@ def metric_a2(model: XgknModel, ds: Dataset, edge_threshold: float = 0.5) -> Met
         pool = ds.feature_pool()
         if np.unique(pool, axis=0).shape[0] > 1:
             feature_rows = pool
-    discrete = [binarize_filter(f, edge_threshold, feature_rows, model.encoder)
+    discrete = [binarize_filter(f, feature_rows, model.encoder)
                 for f in model.filters]
     gammas = []
     for motif in ds.gt_motifs:
@@ -321,12 +315,12 @@ def metric_correctness(model: XgknModel, ds: Dataset, explanations: list[Explana
     return _result(mode, [1.0 - float(np.mean(overlaps))])
 
 
-def metric_redundancy(model: XgknModel, ds: Dataset) -> MetricResult:
-    """1 - mean absolute rank correlation between per-filter score streams."""
-    m = model.num_filters
+def metric_redundancy(streams: np.ndarray) -> MetricResult:
+    """1 - mean absolute rank correlation between per-filter score streams,
+    the columns of the graphs x filters score matrix ``streams``."""
+    m = streams.shape[1]
     if m < 2:
         raise UndefinedMetricError("redundancy needs at least 2 filters")
-    streams = np.vstack([t.z for t in forward_batch(model, ds.graphs)])
     correlations = []
     for i in range(m):
         for j in range(i + 1, m):

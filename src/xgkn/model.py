@@ -16,7 +16,7 @@ import numpy as np
 from . import numkit as nk
 from .data import Dataset, Split
 from .errors import ShapeError, TrainingDivergedError
-from .graphs import Graph, Rng
+from .graphs import Rng
 from .kernel import (
     FeatureEncoder,
     GraphFilter,
@@ -97,6 +97,9 @@ class Predictor:
         return self.gamma.shape[1]
 
     def logits(self, z: Tensor, training: bool) -> Tensor:
+        """Logits of the rows of ``z``. Training normalizes by the batch's
+        statistics; inference uses the frozen ones and row-local products, so
+        each row's logits do not depend on the rows scored with it."""
         if z.shape[1] != self.in_dim:
             raise ShapeError(f"predictor expects width {self.in_dim}, got {z.shape[1]}")
         if training:
@@ -113,7 +116,7 @@ class Predictor:
             normed = (z - Tensor(self.running_mean)) * Tensor(scale)
         out = normed * self.gamma + self.beta
         for i, (w, b) in enumerate(self.layers):
-            out = out @ w + b
+            out = (out @ w if training else nk.row_matmul(out, w)) + b
             if i + 1 < len(self.layers):
                 out = nk.relu(out)
         return out
@@ -134,7 +137,6 @@ class ForwardTrace:
     z: np.ndarray
     logits: np.ndarray
     predicted_class: int
-    response_norm: float
     argmax_rows: np.ndarray | None = None
 
 
@@ -187,8 +189,11 @@ def init_model(config: ModelConfig, feature_dim: int, num_classes: int, rng: Rng
 
 
 def _aggregate_tensor(r: Tensor, mode: str, eps: float, seg: np.ndarray, num_graphs: int,
-                      norm_scope: str = "global") -> tuple[Tensor, np.ndarray, np.ndarray | None]:
-    """Batched aggregation; returns (z, contribution values, argmax rows)."""
+                      norm_scope: str = "global", training: bool = False
+                      ) -> tuple[Tensor, np.ndarray, np.ndarray | None]:
+    """Batched aggregation; returns (z, contribution values, argmax rows).
+    Outside training every graph's outputs are computed from its own rows
+    alone, bit for bit as in a batch of one."""
     m = r.shape[1]
     if mode == "sum":
         z = nk.segment_sum_rows(r, seg, num_graphs)
@@ -197,8 +202,10 @@ def _aggregate_tensor(r: Tensor, mode: str, eps: float, seg: np.ndarray, num_gra
         clamped = nk.clip_min(r, eps)
         squares = clamped * clamped
         col_sums = nk.segment_sum_rows(squares, seg, num_graphs)
-        if norm_scope == "global":
+        if norm_scope == "global" and training:
             norm = nk.sqrt(col_sums @ Tensor(np.ones((m, 1))))
+        elif norm_scope == "global":
+            norm = nk.sqrt(nk.tsum(col_sums, axis=1))
         else:
             norm = nk.sqrt(col_sums)
         q = clamped / nk.gather_rows(norm, seg)
@@ -215,14 +222,17 @@ def _aggregate_tensor(r: Tensor, mode: str, eps: float, seg: np.ndarray, num_gra
     raise ValueError(f"unknown aggregation mode {mode!r}")
 
 
-def _batch_logits(model: XgknModel, stacks: list[SubgraphStack], training: bool):
-    """Logits and aggregated scores of a training batch, as tensors."""
+def _batch_forward(model: XgknModel, stacks: list[SubgraphStack], training: bool):
+    """Scores a batch of graphs: (logits, z, responses, contribution values,
+    argmax rows). Row i of logits and z is graph i; responses and
+    contributions hold the graphs' node rows in order, and argmax rows index
+    them."""
+    cfg = model.config
     combined, graph_seg = combine_stacks(stacks)
-    r = stack_responses(combined, model.filters, model.encoder, model.config.walk_cap)
-    z, _, _ = _aggregate_tensor(
-        r, model.config.agg_mode, model.config.entropy_eps, graph_seg, len(stacks),
-        model.config.norm_scope)
-    return model.predictor.logits(z, training=training), z
+    r = stack_responses(combined, model.filters, model.encoder, cfg.walk_cap)
+    z, contributions, argrow = _aggregate_tensor(
+        r, cfg.agg_mode, cfg.entropy_eps, graph_seg, len(stacks), cfg.norm_scope, training)
+    return model.predictor.logits(z, training=training), z, r, contributions, argrow
 
 
 # Graphs per inference batch. Each batch holds its own autograd graph until
@@ -231,53 +241,37 @@ def _batch_logits(model: XgknModel, stacks: list[SubgraphStack], training: bool)
 INFERENCE_CHUNK = 32
 
 
-def forward_batch(model: XgknModel, graphs) -> list[ForwardTrace]:
-    """Inference pass over a list of graphs: stacks and kernel responses are
-    computed for INFERENCE_CHUNK graphs at a time, then ``forward`` makes each
-    graph's trace from its own response rows."""
+def forward(model: XgknModel, graphs) -> list[ForwardTrace]:
+    """One inference pass, ``_batch_forward`` over all of ``graphs`` at once,
+    sliced into one trace per graph; batch-norm statistics stay frozen.
+    Aggregation and the predictor are row-local, so a graph's trace equals
+    its batch of one up to the kernel responses of the batch (see README)."""
     cfg = model.config
-    graphs = list(graphs)
+    stacks = [build_subgraph_stack(g, cfg.hop_radius, cfg.max_subgraph_size) for g in graphs]
+    logits, z, r, contributions, argrow = _batch_forward(model, stacks, training=False)
+    # keep values only: the batch's autograd graph is freed here
+    logits, z, r = logits.values, z.values, r.values
+    bounds = np.cumsum([0] + [s.num_nodes for s in stacks])
     traces = []
-    for lo in range(0, len(graphs), INFERENCE_CHUNK):
-        chunk = graphs[lo:lo + INFERENCE_CHUNK]
-        combined, _ = combine_stacks([
-            build_subgraph_stack(g, cfg.hop_radius, cfg.max_subgraph_size) for g in chunk])
-        r = stack_responses(combined, model.filters, model.encoder, cfg.walk_cap).values
-        bounds = np.cumsum([0] + [g.n for g in chunk])
-        traces.extend(forward(model, g, r[bounds[i]:bounds[i + 1]])
-                      for i, g in enumerate(chunk))
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        logit_row = logits[i].copy()
+        traces.append(ForwardTrace(
+            R=r[a:b].copy(),
+            contributions=contributions[a:b].copy(),
+            z=z[i].copy(),
+            logits=logit_row,
+            predicted_class=int(np.argmax(logit_row)),
+            argmax_rows=None if argrow is None else argrow[i] - a,
+        ))
     return traces
 
 
-def forward(model: XgknModel, g: Graph, responses: np.ndarray | None = None) -> ForwardTrace:
-    """Inference pass for one graph; batch-norm statistics stay frozen.
-
-    ``responses`` are the graph's kernel response rows when ``forward_batch``
-    has computed them; without them the graph is a batch of one. Aggregation
-    and the predictor always run on one graph's rows: a row reduction over a
-    batch rounds each graph's response norm by its position in the batch,
-    which breaks exact ties between the scores of different graphs, and M3
-    ranks those scores.
-    """
-    if responses is None:
-        return forward_batch(model, [g])[0]
-    if responses.shape != (g.n, model.num_filters):
-        raise ShapeError(f"responses of shape {responses.shape} for a graph of {g.n} "
-                         f"nodes and {model.num_filters} filters")
-    cfg = model.config
-    z, s_tilde, argrow = _aggregate_tensor(
-        Tensor(responses), cfg.agg_mode, cfg.entropy_eps,
-        np.zeros(g.n, dtype=np.int64), 1, cfg.norm_scope)
-    logit_row = model.predictor.logits(z, training=False).values.reshape(-1)
-    return ForwardTrace(
-        R=responses.copy(),
-        contributions=s_tilde,
-        z=z.values.reshape(-1).copy(),
-        logits=logit_row.copy(),
-        predicted_class=int(np.argmax(logit_row)),
-        response_norm=float(np.linalg.norm(responses)),
-        argmax_rows=None if argrow is None else argrow.reshape(-1).copy(),
-    )
+def forward_batch(model: XgknModel, graphs) -> list[ForwardTrace]:
+    """Inference over a list of graphs, one ``forward`` per INFERENCE_CHUNK
+    graphs."""
+    graphs = list(graphs)
+    return [trace for lo in range(0, len(graphs), INFERENCE_CHUNK)
+            for trace in forward(model, graphs[lo:lo + INFERENCE_CHUNK])]
 
 
 def evaluate_accuracy(model: XgknModel, ds: Dataset, ids) -> float:
@@ -311,7 +305,7 @@ def train(model: XgknModel, ds: Dataset, split: Split, cfg: TrainConfig):
         epoch_correct = 0
         for lo in range(0, n, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
-            logits, _ = _batch_logits(model, [stacks[i] for i in batch], training=True)
+            logits = _batch_forward(model, [stacks[i] for i in batch], training=True)[0]
             loss = nk.cross_entropy(logits, labels[batch])
             loss_value = loss.item()
             if not np.isfinite(loss_value):
@@ -329,31 +323,12 @@ def train(model: XgknModel, ds: Dataset, split: Split, cfg: TrainConfig):
     model.restore(best["snap"])
     # recalibrate frozen batch-norm statistics on the training split so the
     # inference normalization matches the restored parameters exactly
-    scores = np.vstack([_batch_logits(model, stacks[lo:lo + 128], training=False)[1].values
+    scores = np.vstack([_batch_forward(model, stacks[lo:lo + 128], training=False)[1].values
                         for lo in range(0, n, 128)])
     model.predictor.running_mean = scores.mean(axis=0, keepdims=True)
     model.predictor.running_var = scores.var(axis=0, keepdims=True)
     model.z_baseline = scores.mean(axis=0)
     return model, history
-
-
-def clone_model(model: XgknModel) -> XgknModel:
-    encoder = FeatureEncoder(Tensor(model.encoder.weight.values.copy(), requires_grad=True))
-    filters = [GraphFilter(Tensor(f.adjacency_logits.values.copy(), requires_grad=True),
-                           Tensor(f.features.values.copy(), requires_grad=True))
-               for f in model.filters]
-    predictor = Predictor(model.predictor.in_dim, model.num_classes,
-                          1 if len(model.predictor.layers) == 1 else 2,
-                          model.config.hidden_dim, Rng(0),
-                          bn_eps=model.predictor.bn_eps,
-                          bn_momentum=model.predictor.bn_momentum)
-    for target, source in zip(predictor.parameters(), model.predictor.parameters()):
-        target.values = source.values.copy()
-    predictor.running_mean = model.predictor.running_mean.copy()
-    predictor.running_var = model.predictor.running_var.copy()
-    out = XgknModel(model.config, encoder, filters, predictor, model.num_classes)
-    out.z_baseline = model.z_baseline.copy()
-    return out
 
 
 _SATURATED_LOGIT = 40.0
@@ -368,7 +343,7 @@ def perturb_filters(model: XgknModel, mode: str, delta: float, rng: Rng,
     ``feature_pool``. ``edges``: each node pair toggles (edge <-> no edge, at
     the 0.5 weight threshold) with probability ``delta``.
     """
-    out = clone_model(model)
+    out = model_from_dict(model_to_dict(model))
     if mode == "features":
         if feature_pool is None or len(feature_pool) == 0:
             raise ValueError("feature mode needs a nonempty feature pool")

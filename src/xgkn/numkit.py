@@ -148,13 +148,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                lambda g: (g @ b.values.T, a.values.T @ g))
 
 
+def row_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` with every output row computed from its own row of ``a``
+    alone, so a row rounds the same alone or inside any batch; BLAS blocks
+    the rows of a product by the batch size. The forward is ``np.einsum``;
+    the backward is ``matmul``'s."""
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"row_matmul mismatch: {a.shape} @ {b.shape}")
+    return _op(np.einsum("ij,jk->ik", a.values, b.values), (a, b),
+               lambda g: (g @ b.values.T, a.values.T @ g))
+
+
 def transpose(a: Tensor) -> Tensor:
     return _op(a.values.T, (a,), lambda g: (g.T,))
-
-
-def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
-    shape = a.shape
-    return _op(a.values.reshape(rows, cols), (a,), lambda g: (g.reshape(shape),))
 
 
 def log(a: Tensor) -> Tensor:

@@ -21,7 +21,8 @@ The module also holds what only the tests use: the central-difference
 gradient check, the one-call ``explain_graph``, the ``AnchorError`` that
 ``anchored_rw_kernel`` raises and the TU writer. Per-graph loops are the
 references for the package's batched code: the per-node neighbourhoods, and
-the Monte-Carlo and model-level metrics that run one ``forward`` per graph.
+the Monte-Carlo and model-level metrics that score one graph per
+``forward_batch`` call.
 """
 
 import itertools
@@ -43,7 +44,7 @@ from xgkn.graphs import (
     perturb_features,
 )
 from xgkn.metrics import _explanation_edges, _result
-from xgkn.model import forward, perturb_filters
+from xgkn.model import forward_batch, perturb_filters
 
 
 class AnchorError(XgknError, ValueError):
@@ -162,13 +163,13 @@ def write_tu_dataset(ds, directory: str, name: str) -> None:
 
 
 def sufficiency_necessity_sequential(model, ds, explanations, mode, cfg, rng):
-    """I1/I2 with one ``forward`` per graph and per sample, each sample scored
-    as soon as it is drawn."""
+    """I1/I2 with one graph per ``forward_batch`` call, each sample scored as
+    soon as it is drawn."""
     values = []
     skipped = 0
     for gi, g in enumerate(ds.graphs):
         g_rng = rng.derive(mode, gi)
-        predicted = forward(model, g).predicted_class
+        predicted = forward_batch(model, [g])[0].predicted_class
         explanation_ids = set(explanations[gi].selected.ids)
         others = [int(i) for i in g.node_ids if int(i) not in explanation_ids]
         hits = []
@@ -184,8 +185,8 @@ def sufficiency_necessity_sequential(model, ds, explanations, mode, cfg, rng):
             if chosen is None:
                 skipped += 1
                 continue
-            sub_predicted = forward(model, induced_subgraph(g, NodeSet(tuple(chosen)))
-                                    ).predicted_class
+            sub = induced_subgraph(g, NodeSet(tuple(chosen)))
+            sub_predicted = forward_batch(model, [sub])[0].predicted_class
             hits.append(float(sub_predicted == predicted) if mode == "I1"
                         else float(sub_predicted != predicted))
         if hits:
@@ -196,14 +197,14 @@ def sufficiency_necessity_sequential(model, ds, explanations, mode, cfg, rng):
 
 def robustness_sequential(model, ds, explanations, mode, cfg, rng, feature_pool=None):
     """I3/I4 with every retry of one graph finished before the next graph
-    starts, one ``forward`` per perturbation."""
+    starts, one graph per ``forward_batch`` call."""
     pool = ds.feature_pool() if feature_pool is None else feature_pool
     delta_add = cfg.resolve_edge_add(ds)
     values = []
     skipped = 0
     for gi, g in enumerate(ds.graphs):
         g_rng = rng.derive(mode, gi)
-        predicted = forward(model, g).predicted_class
+        predicted = forward_batch(model, [g])[0].predicted_class
         expl = explanations[gi]
         accepted = None
         for _ in range(cfg.max_retries):
@@ -213,7 +214,7 @@ def robustness_sequential(model, ds, explanations, mode, cfg, rng, feature_pool=
             else:
                 perturbed = perturb_edges(g, delta_add, cfg.delta_edge_remove, g_rng,
                                           protected=_explanation_edges(g, expl.selected))
-            if forward(model, perturbed).predicted_class == predicted:
+            if forward_batch(model, [perturbed])[0].predicted_class == predicted:
                 accepted = perturbed
                 break
         if accepted is None:

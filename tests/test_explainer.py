@@ -17,7 +17,7 @@ from xgkn.explainer import (
     write_explanations,
 )
 from xgkn.graphs import Graph, NodeSet, Rng
-from xgkn.model import ForwardTrace, ModelConfig, forward, init_model
+from xgkn.model import ForwardTrace, ModelConfig, forward_batch, init_model
 from xgkn.numkit import Tensor
 
 from conftest import cycle_graph, random_graph
@@ -95,12 +95,23 @@ class TestExactShapley:
         attr = exact_shapley(model, z, baseline, target_class=0)
         assert attr.phi[1] == 0.0
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_target_logit_is_the_trace_logit(self, rng, depth):
+        # the full coalition is one row among 2^m; inference products are
+        # row-local, so it scores as the trace's batch did
+        model = make_model(m=8, depth=depth, seed=23)
+        for i in range(6):
+            g = random_graph(3 + i, 0.5, rng.derive("g", i)).with_features(np.ones((3 + i, 1)))
+            trace = forward_batch(model, [g])[0]
+            attr = exact_shapley(model, trace.z, model.z_baseline, trace.predicted_class)
+            assert attr.target_logit == trace.logits[trace.predicted_class]
+
 
 class TestPropagate:
     def trace_for(self, contributions, z, argmax_rows=None):
         return ForwardTrace(R=contributions, contributions=contributions,
                             z=z, logits=np.array([1.0, 0.0]), predicted_class=0,
-                            response_norm=1.0, argmax_rows=argmax_rows)
+                            argmax_rows=argmax_rows)
 
     def test_single_carrier(self):
         attr = Attribution(phi0=0.5, phi=np.array([0.25, 0.25]),
@@ -286,7 +297,7 @@ class TestSelectThreshold:
                        for i in range(6))
         ds = Dataset(graphs=graphs, num_classes=2)
         importances = node_importances(model, ds.graphs)
-        predicted = [forward(model, g).predicted_class for g in ds.graphs]
+        predicted = [forward_batch(model, [g])[0].predicted_class for g in ds.graphs]
         sel = select_threshold(model, ds, "i1+i2", grid=(0.3, 0.7), rng=Rng(4),
                                importances=importances)
         assert select_threshold(model, ds, "i1+i2", grid=(0.3, 0.7), rng=Rng(4),

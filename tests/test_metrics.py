@@ -18,7 +18,7 @@ from xgkn.metrics import (
     metric_robustness,
     metric_sufficiency_necessity,
 )
-from xgkn.model import ModelConfig, XgknModel, forward, init_model
+from xgkn.model import ModelConfig, XgknModel, forward_batch, init_model
 from xgkn.numkit import Tensor, spearman_abs
 
 from conftest import random_graph
@@ -38,6 +38,12 @@ def explanation_for(g, selected_ids, n=None):
                        selected=NodeSet(tuple(selected_ids)),
                        threshold=0.5,
                        subgraph=induced_subgraph(g, NodeSet(tuple(selected_ids))))
+
+
+def score_matrix(model: XgknModel, ds: Dataset) -> np.ndarray:
+    """The graphs x filters score matrix of one batched pass, as evaluate
+    passes it to M3."""
+    return np.vstack([t.z for t in forward_batch(model, ds.graphs)])
 
 
 def tiny_dataset(rng, n_graphs=4, n=6):
@@ -200,12 +206,12 @@ class TestRobustness:
         values, skipped = [], 0
         for gi, g in enumerate(ds.graphs):
             g_rng = Rng(11).derive("I4", gi)
-            predicted = forward(model, g).predicted_class
+            predicted = forward_batch(model, [g])[0].predicted_class
             accepted = None
             for _ in range(cfg.max_retries):
                 cand = perturb_edges(g, delta_add, cfg.delta_edge_remove, g_rng,
                                      protected=_explanation_edges(g, expl[gi].selected))
-                if forward(model, cand).predicted_class == predicted:
+                if forward_batch(model, [cand])[0].predicted_class == predicted:
                     accepted = cand
                     break
             if accepted is None:
@@ -290,14 +296,14 @@ class TestRedundancy:
             filt.adjacency_logits.values = model.filters[0].adjacency_logits.values.copy()
             filt.features.values = model.filters[0].features.values.copy()
         ds = tiny_dataset(rng, n_graphs=6)
-        res = metric_redundancy(model, ds)
+        res = metric_redundancy(score_matrix(model, ds))
         assert res.value == 0.0
 
     def test_mixed_fixture_matches_hand_computation(self, rng):
         model = make_model(m=3, seed=13)
         ds = tiny_dataset(rng, n_graphs=6)
-        res = metric_redundancy(model, ds)
-        streams = np.vstack([forward(model, g).z for g in ds.graphs])
+        res = metric_redundancy(score_matrix(model, ds))
+        streams = np.vstack([forward_batch(model, [g])[0].z for g in ds.graphs])
         pairs = [spearman_abs(streams[:, i], streams[:, j])
                  for i in range(3) for j in range(i + 1, 3)]
         assert res.value == pytest.approx(1.0 - float(np.mean(pairs)))
@@ -305,7 +311,7 @@ class TestRedundancy:
     def test_single_filter_rejected(self, rng):
         model = make_model(m=1, seed=14)
         with pytest.raises(UndefinedMetricError):
-            metric_redundancy(model, tiny_dataset(rng, n_graphs=3))
+            metric_redundancy(score_matrix(model, tiny_dataset(rng, n_graphs=3)))
 
 
 class TestMetricResult:
@@ -378,7 +384,7 @@ class TestBatchedMatchesSequential:
         assert (metric_sufficiency_necessity(model, ds, expl, mode, cfg, Rng(31))
                 == sufficiency_necessity_sequential(model, ds, expl, mode, cfg, Rng(31)))
         # the graphs' classes scored beforehand, as explain and evaluate pass them
-        predicted = [forward(model, g).predicted_class for g in ds.graphs]
+        predicted = [forward_batch(model, [g])[0].predicted_class for g in ds.graphs]
         assert (metric_sufficiency_necessity(model, ds, expl, mode, cfg, Rng(31), predicted)
                 == sufficiency_necessity_sequential(model, ds, expl, mode, cfg, Rng(31)))
 
@@ -393,7 +399,7 @@ class TestBatchedMatchesSequential:
         assert (metric_robustness(model, ds, expl, mode, cfg, Rng(32), feature_pool=pool)
                 == robustness_sequential(model, ds, expl, mode, cfg, Rng(32),
                                          feature_pool=pool))
-        predicted = [forward(model, g).predicted_class for g in ds.graphs]
+        predicted = [forward_batch(model, [g])[0].predicted_class for g in ds.graphs]
         assert (metric_robustness(model, ds, expl, mode, cfg, Rng(32), feature_pool=pool,
                                   predicted=predicted)
                 == robustness_sequential(model, ds, expl, mode, cfg, Rng(32),
@@ -415,7 +421,7 @@ class TestBatchedMatchesSequential:
 
     def test_redundancy(self, setup):
         model, ds, _ = setup
-        streams = np.vstack([forward(model, g).z for g in ds.graphs])
+        streams = np.vstack([forward_batch(model, [g])[0].z for g in ds.graphs])
         pairs = [spearman_abs(streams[:, i], streams[:, j])
                  for i in range(model.num_filters) for j in range(i + 1, model.num_filters)]
-        assert metric_redundancy(model, ds).value == 1.0 - float(np.mean(pairs))
+        assert metric_redundancy(score_matrix(model, ds)).value == 1.0 - float(np.mean(pairs))

@@ -6,7 +6,7 @@ import pytest
 
 from xgkn import numkit as nk
 from xgkn.data import Dataset, stratified_split
-from xgkn.errors import ShapeError, TrainingDivergedError
+from xgkn.errors import TrainingDivergedError
 from xgkn.graphs import Graph, Rng
 from xgkn.kernel import build_subgraph_stack
 from xgkn.model import (
@@ -15,10 +15,9 @@ from xgkn.model import (
     TrainConfig,
     XgknModel,
     _aggregate_tensor,
-    _batch_logits,
+    _batch_forward,
     INFERENCE_CHUNK,
     evaluate_accuracy,
-    forward,
     forward_batch,
     init_model,
     model_from_dict,
@@ -141,15 +140,14 @@ class TestForward:
             model = small_model(agg_mode=mode)
             g = random_graph(7, 0.4, rng.derive(mode), d=1, binary_features=False)
             g = g.with_features(np.ones((7, 1))).with_label(0)
-            trace = forward(model, g)
+            trace = forward_batch(model, [g])[0]
             assert np.allclose(trace.contributions.sum(axis=0), trace.z, atol=1e-9)
             assert trace.predicted_class == int(np.argmax(trace.logits))
-            assert trace.response_norm == pytest.approx(np.linalg.norm(trace.R))
 
     def test_single_node_graph(self):
         model = small_model()
         g = Graph(np.zeros((1, 1)), np.ones((1, 1)), np.arange(1), label=0)
-        trace = forward(model, g)
+        trace = forward_batch(model, [g])[0]
         assert trace.R.shape == (1, 2)
         assert trace.logits.shape == (2,)
 
@@ -160,8 +158,8 @@ class TestForward:
         order = rng.permutation(8)
         permuted = Graph(g.adjacency[np.ix_(order, order)], g.features[order],
                          np.arange(8), label=g.label)
-        t1 = forward(model, g)
-        t2 = forward(model, permuted)
+        t1 = forward_batch(model, [g])[0]
+        t2 = forward_batch(model, [permuted])[0]
         assert np.allclose(t1.logits, t2.logits, atol=1e-9)
         assert np.allclose(t2.R, t1.R[order], atol=1e-9)
 
@@ -191,7 +189,7 @@ class TestForwardBatch:
         batched = forward_batch(model, graphs)
         assert len(batched) == len(graphs)
         for g, got in zip(graphs, batched):
-            want = forward(model, g)
+            want = forward_batch(model, [g])[0]
             assert got.predicted_class == want.predicted_class
             assert np.allclose(got.logits, want.logits, rtol=0.0, atol=1e-12)
             assert np.allclose(got.z, want.z, rtol=0.0, atol=1e-12)
@@ -207,18 +205,75 @@ class TestForwardBatch:
     def test_empty_list(self):
         assert forward_batch(small_model(), []) == []
 
-    def test_responses_of_another_shape_rejected(self):
-        with pytest.raises(ShapeError):
-            forward(small_model(), path_graph(4), np.zeros((3, 2)))
-
     def test_accuracy_matches_one_graph_forward(self, rng):
         graphs = mixed_graphs(rng, 40, onehot=False)
         ds = Dataset(graphs=tuple(graphs), num_classes=2)
         model = small_model(seed=3)
         ids = range(1, 40, 2)
-        correct = sum(forward(model, graphs[i]).predicted_class == graphs[i].label
+        correct = sum(forward_batch(model, [graphs[i]])[0].predicted_class == graphs[i].label
                       for i in ids)
         assert evaluate_accuracy(model, ds, ids) == correct / len(ids)
+
+
+class TestRowLocalInference:
+    """Aggregation and the predictor outside training, fed response rows
+    directly so that no kernel product enters: every graph of a batch scores
+    bit for bit as its batch of one."""
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("norm_scope", ["global", "per_column"])
+    @pytest.mark.parametrize("mode", ["sum", "negative_entropy", "max"])
+    def test_each_graph_equals_its_batch_of_one(self, mode, norm_scope, depth):
+        rng = Rng(9).derive(mode, norm_scope, depth)
+        model = small_model(num_filters=8, agg_mode=mode, norm_scope=norm_scope,
+                            predictor_depth=depth)
+        model.predictor.running_mean = rng.normal(size=(1, 8))
+        model.predictor.running_var = rng.random((1, 8)) + 0.5
+        sizes = rng.permutation(np.array([1, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9] * 6))
+        rows = [rng.random((n, 8)) * (rng.random((n, 8)) > 0.1) for n in sizes]
+        seg = np.repeat(np.arange(len(sizes)), sizes)
+        bounds = np.cumsum([0] + list(sizes))
+
+        def score(r, seg, count):
+            z, contributions, argrow = _aggregate_tensor(
+                nk.Tensor(r), mode, model.config.entropy_eps, seg, count, norm_scope)
+            return z.values, contributions, argrow, model.predictor.logits(z, False).values
+
+        z, contributions, argrow, logits = score(np.vstack(rows), seg, len(sizes))
+        for i, (r, lo, hi) in enumerate(zip(rows, bounds, bounds[1:])):
+            z1, contributions1, argrow1, logits1 = score(r, np.zeros(len(r), np.int64), 1)
+            assert np.array_equal(z[i], z1[0])
+            assert np.array_equal(logits[i], logits1[0])
+            assert np.array_equal(contributions[lo:hi], contributions1)
+            if mode == "max":
+                assert np.array_equal(argrow[i] - lo, argrow1[0])
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_training_keeps_the_batch_products(self, rng, depth):
+        # bit for bit the arithmetic of an explicit ``@`` pass: the global
+        # entropy norm as a product with a ones column, the layers as products
+        graphs = mixed_graphs(rng, 24, onehot=True)
+        stacks = [build_subgraph_stack(g, 1, 6) for g in graphs]
+        model = small_model(feature_dim=4, num_filters=8, predictor_depth=depth)
+        logits, z, r, _, _ = _batch_forward(model, stacks, training=True)
+        seg = np.repeat(np.arange(len(stacks)), [s.num_nodes for s in stacks])
+        clamped = np.maximum(r.values, model.config.entropy_eps)
+        col_sums = np.zeros((len(stacks), 8))
+        np.add.at(col_sums, seg, clamped * clamped)
+        q = clamped / np.sqrt(col_sums @ np.ones((8, 1)))[seg]
+        want_z = np.zeros((len(stacks), 8))
+        np.add.at(want_z, seg, q * np.log(q))
+        assert np.array_equal(z.values, want_z)
+        pred = model.predictor
+        batch = np.full((1, 1), 1.0 / len(stacks))
+        centered = want_z - want_z.sum(axis=0, keepdims=True) * batch
+        var = (centered * centered).sum(axis=0, keepdims=True) * batch
+        out = centered / np.sqrt(var + pred.bn_eps) * pred.gamma.values + pred.beta.values
+        for i, (w, b) in enumerate(pred.layers):
+            out = out @ w.values + b.values
+            if i + 1 < len(pred.layers):
+                out = out * (out > 0.0)
+        assert np.array_equal(logits.values, out)
 
 
 def autograd_nodes(out: nk.Tensor) -> int:
@@ -245,7 +300,7 @@ class TestTrain:
         counts = []
         for walk_cap in (2, 6):
             model = small_model(feature_dim=4, walk_cap=walk_cap)
-            logits, _ = _batch_logits(model, stacks, training=True)
+            logits = _batch_forward(model, stacks, training=True)[0]
             counts.append(autograd_nodes(nk.cross_entropy(logits, labels)))
         assert counts[0] == counts[1]
 
@@ -308,7 +363,7 @@ class TestTrain:
         params = model.parameters()
 
         def objective():
-            logits, _ = _batch_logits(model, stacks, training=True)
+            logits = _batch_forward(model, stacks, training=True)[0]
             return nk.cross_entropy(logits, labels)
 
         # step 2e-4: large enough that difference noise on near-dead
@@ -368,7 +423,7 @@ class TestCheckpoint:
         payload = json.loads(json.dumps(model_to_dict(model)))
         restored = model_from_dict(payload)
         g = ds.graphs[0]
-        t1, t2 = forward(model, g), forward(restored, g)
+        t1, t2 = forward_batch(model, [g])[0], forward_batch(restored, [g])[0]
         assert np.array_equal(t1.logits, t2.logits)
         assert np.array_equal(t1.R, t2.R)
         assert np.array_equal(model.z_baseline, restored.z_baseline)

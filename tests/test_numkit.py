@@ -150,6 +150,37 @@ class TestOpGradients:
         assert np.allclose(a.grad, [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 
 
+class TestRowMatmul:
+    SHAPES = [(n, k, o) for n in (1, 2, 7, 60, 130) for k, o in ((8, 2), (8, 1), (16, 3))]
+
+    @pytest.mark.parametrize("n,k,o", SHAPES)
+    def test_close_to_matmul(self, n, k, o):
+        rng = Rng(n * 100 + k * 10 + o)
+        a, b = rng.normal(size=(n, k)), rng.normal(size=(k, o))
+        got = nk.row_matmul(nk.Tensor(a), nk.Tensor(b)).values
+        want = a @ b
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n,k,o", SHAPES)
+    def test_each_row_equals_the_row_alone(self, n, k, o):
+        rng = Rng(n * 100 + k * 10 + o + 1)
+        a, b = rng.normal(size=(n, k)), nk.Tensor(rng.normal(size=(k, o)))
+        batch = nk.row_matmul(nk.Tensor(a), b).values
+        for i in range(n):
+            assert np.array_equal(batch[i], nk.row_matmul(nk.Tensor(a[i]), b).values[0])
+
+    def test_gradients_match_finite_differences(self):
+        weights = nk.Tensor(Rng(32).normal(size=(4, 2)))
+        params = [nk.Tensor(Rng(33).normal(size=s), requires_grad=True)
+                  for s in ((4, 3), (3, 2))]
+        assert finite_difference_check(
+            lambda: nk.tsum(nk.mul(nk.row_matmul(*params), weights)), params) < 1e-4
+
+    def test_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            nk.row_matmul(nk.Tensor(np.ones((2, 3))), nk.Tensor(np.ones((2, 3))))
+
+
 class TestAdam:
     def test_zero_gradient_no_decay_keeps_params(self):
         p = nk.Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
