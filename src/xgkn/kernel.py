@@ -194,16 +194,10 @@ def _uniform_feature_responses(anchor_counts: np.ndarray, shared_raw: np.ndarray
     """Exact shortcut when every node carries the same raw feature row: S
     has rank one, and the response is sum_p anchor_counts[v, p] * s^T W^p s,
     with the length-p walk counts from v (row sums of the walk table) as
-    constants; only the tiny scalar chain carries gradients."""
-    shared_row = encoder.encode(shared_raw)
-    columns = []
-    for filt, cap in zip(filters, caps):
-        s = nk.row_unit_normalize(filt.features) @ nk.transpose(shared_row)
-        w = filt.effective_adjacency()
-        vec = s
-        coeffs = [nk.transpose(s) @ vec]
-        for _ in range(cap):
-            vec = nk.matmul(w, vec)
-            coeffs.append(nk.transpose(s) @ vec)
-        columns.append(Tensor(anchor_counts[:, :cap + 1]) @ nk.vstack(coeffs))
-    return nk.hstack(columns)
+    constants. The scalars s^T W^p s of every filter come from one
+    ``numkit.rank_one_walks`` node with a hand-written backward;
+    tests/oracles.py holds the per-filter autograd chain it reproduces."""
+    return nk.rank_one_walks([nk.row_unit_normalize(filt.features) for filt in filters],
+                             encoder.encode(shared_raw),
+                             [filt.effective_adjacency() for filt in filters],
+                             anchor_counts, caps)

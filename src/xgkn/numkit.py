@@ -7,6 +7,7 @@ Everything is float64 and strictly two-dimensional; scalars are (1, 1).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -329,6 +330,75 @@ def walk_horner(s: Tensor, w: Tensor, members: np.ndarray, walks: np.ndarray,
     return _op(h, (s, w), backward)
 
 
+def rank_one_walks(rows: list[Tensor], shared: Tensor, adjacencies: list[Tensor],
+                   counts: np.ndarray, caps: list[int]) -> Tensor:
+    """Column f of the output is ``sum_p counts[:, p] * c_{f,p}`` over
+    p <= caps[f], with ``c_{f,p} = s_f^T W_f^p s_f`` and
+    ``s_f = rows[f] @ shared^T``: the walk sum when every node has the same
+    feature row ``shared``. ``counts`` is the constant (n, max(caps) + 1)
+    table of walk counts and ``adjacencies[f]`` is W_f.
+
+    One node for all filters. Each run of consecutive filters of one size
+    and cap is stacked, and each product is one ``np.matmul`` over the stack,
+    which calls the same BLAS routine on every filter's slice as the
+    per-filter matmul chain does. The backward adds the gradients in the
+    order autograd adds them along that chain: dv_P = s g_P,
+    dv_p = s g_p + W^T dv_{p+1}, dW = sum_{p=P..1} dv_p v_{p-1}^T,
+    ds = s g_0 + s g_0 + sum_{p=1..P} v_p g_p + W^T dv_1 (v_p = W^p s,
+    g = dc), and the shared row's gradient sums the filters in order. So
+    values and gradients equal the chain's bit for bit. At cap 0 W gets a
+    zero gradient."""
+    num, dim = len(rows), shared.shape[1]
+    if not rows or len(adjacencies) != num or len(caps) != num or shared.shape[0] != 1 \
+            or counts.shape[1:] != (max(caps) + 1,) \
+            or any(r.shape[1] != dim or a.shape != (r.shape[0],) * 2
+                   for r, a in zip(rows, adjacencies)):
+        raise ShapeError(f"rank_one_walks: rows {[r.shape for r in rows]}, shared "
+                         f"{shared.shape}, adjacencies {[a.shape for a in adjacencies]}, "
+                         f"counts {counts.shape}, caps {caps} do not fit")
+    out = np.empty((counts.shape[0], num))
+    runs, lo = [], 0
+    for (_, cap), run in itertools.groupby(zip((r.shape[0] for r in rows), caps)):
+        hi = lo + len(list(run))
+        r = np.stack([t.values for t in rows[lo:hi]])
+        w = np.stack([t.values for t in adjacencies[lo:hi]])
+        v = [np.matmul(r, shared.values.T)]
+        for _ in range(cap):
+            v.append(np.matmul(w, v[-1]))
+        s_t = v[0].transpose(0, 2, 1)
+        c = np.concatenate([np.matmul(s_t, vp) for vp in v], axis=1)
+        out[:, lo:hi] = np.matmul(counts[:, :cap + 1], c)[:, :, 0].T
+        runs.append((lo, hi, cap, r, w, v))
+        lo = hi
+
+    def backward(g):
+        drows, dadj = [], []
+        dshared = np.empty((num, dim))
+        for lo, hi, cap, r, w, v in runs:
+            s, w_t = v[0], w.transpose(0, 2, 1)
+            dc = np.matmul(counts[:, :cap + 1].T, g.T[lo:hi, :, None])
+            ds = s * dc[:, :1] + s * dc[:, :1]
+            for p in range(1, cap + 1):
+                ds = ds + v[p] * dc[:, p:p + 1]
+            dw = np.zeros(w.shape)
+            if cap:
+                dv = s * dc[:, cap:]
+                dw = np.matmul(dv, v[cap - 1].transpose(0, 2, 1))
+                for p in range(cap - 1, 0, -1):
+                    dv = s * dc[:, p:p + 1] + np.matmul(w_t, dv)
+                    dw = dw + np.matmul(dv, v[p - 1].transpose(0, 2, 1))
+                ds = ds + np.matmul(w_t, dv)
+            dshared[lo:hi] = np.matmul(r.transpose(0, 2, 1), ds)[:, :, 0]
+            drows.extend(np.matmul(ds, shared.values))
+            dadj.extend(dw)
+        total = dshared[:1]
+        for f in range(1, num):
+            total = total + dshared[f:f + 1]
+        return (*drows, total, *dadj)
+
+    return _op(out, (*rows, shared, *adjacencies), backward)
+
+
 def row_unit_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
     """L2-normalize each row; rows with norm <= eps become zero rows (guard)."""
     norms = np.sqrt((a.values * a.values).sum(axis=1, keepdims=True))
@@ -390,7 +460,7 @@ def backward(output: Tensor) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError("non-finite gradient encountered")
         if node._backward_fn is None:
             if node.requires_grad:

@@ -15,7 +15,8 @@ checked too, but not the walk table, the Horner recurrence or the rank-one
 shortcut they are compared against. ``neighbourhood_walks_loop`` builds the
 walk weights themselves one ``k_hop_neighborhood`` at a time, and
 ``walk_horner_per_step`` is the per-step autograd chain that the single
-``numkit.walk_horner`` node must reproduce.
+``numkit.walk_horner`` node must reproduce, as ``rank_one_walks_chain`` is
+the per-filter chain for ``numkit.rank_one_walks``.
 
 The module also holds what only the tests use: the central-difference
 gradient check, the one-call ``explain_graph``, the ``AnchorError`` that
@@ -131,6 +132,25 @@ def walk_horner_per_step(s: nk.Tensor, w: nk.Tensor, members: np.ndarray,
             y = y * nk.Tensor(masks[p].astype(np.float64))
         h = y if h is None else y + h @ w
     return h
+
+
+def rank_one_walks_chain(rows: list[nk.Tensor], shared: nk.Tensor,
+                         adjacencies: list[nk.Tensor], counts: np.ndarray,
+                         caps: list[int]) -> nk.Tensor:
+    """``numkit.rank_one_walks`` as a chain of autograd nodes, one filter at
+    a time: s = rows_f @ shared^T, the scalars s^T W^p s from repeated
+    matrix-vector products, and the walk counts times those scalars as one
+    column. At cap 0 the chain never uses W and leaves it no gradient."""
+    columns = []
+    for r, w, cap in zip(rows, adjacencies, caps):
+        s = r @ nk.transpose(shared)
+        vec = s
+        coeffs = [nk.transpose(s) @ vec]
+        for _ in range(cap):
+            vec = nk.matmul(w, vec)
+            coeffs.append(nk.transpose(s) @ vec)
+        columns.append(nk.Tensor(counts[:, :cap + 1]) @ nk.vstack(coeffs))
+    return nk.hstack(columns)
 
 
 def write_tu_dataset(ds, directory: str, name: str) -> None:

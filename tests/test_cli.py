@@ -294,6 +294,16 @@ def test_block_cap_exits_1_naming_max_subgraph_size(tmp_path, capsys, monkeypatc
     assert "max_subgraph_size (now 5)" in err and "Traceback" not in err
 
 
+def test_constant_features_train_at_walk_cap_zero(tmp_path):
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path, out_dir)
+    for command in ("prepare", "train"):
+        assert main([command, "-c", str(config), "--set", "model.walk_cap=0"]) == 0, command
+    checkpoint = json.loads((out_dir / "checkpoint_seed0.json").read_text())["model"]
+    assert checkpoint["config"]["walk_cap"] == 0
+    assert all(np.isfinite(f["adjacency_logits"]).all() for f in checkpoint["filters"])
+
+
 def test_labelled_tu_pipeline_with_sidecar_masks(tmp_path, capsys):
     # node labels give non-uniform features, so training and inference take
     # the general kernel path, and the sidecar masks select by a1

@@ -26,6 +26,7 @@ from oracles import (
     finite_difference_check,
     neighbourhood_walks_loop,
     node_pair_similarity,
+    rank_one_walks_chain,
     rw_kernel,
     walk_horner_per_step,
     walk_kernel_bruteforce,
@@ -447,3 +448,84 @@ class TestWalkHorner:
             nk.walk_horner(s, w, members[:4], walks, masks)
         with pytest.raises(ShapeError):
             nk.walk_horner(s, w, members, walks, masks[:2])
+
+
+def rank_one_inputs(g: Graph, k: int, max_size: int, sizes, caps, seed: int):
+    """Leaves for the filter rows, the shared row and the filter
+    adjacencies, a fixed cotangent, and the walk counts of ``g``'s
+    neighbourhoods that ``stack_responses`` would hand
+    ``numkit.rank_one_walks`` for filters of ``sizes`` walking ``caps``
+    steps."""
+    walks = anchor_walks(build_subgraph_stack(g, k, max_size).blocks, max(caps))
+    counts = np.ascontiguousarray(walks.sum(axis=2).T)
+    draws = np.random.default_rng(seed)
+    rows = [nk.Tensor(draws.normal(size=(size, 3)), requires_grad=True) for size in sizes]
+    shared = nk.Tensor(draws.normal(size=(1, 3)), requires_grad=True)
+    adjacencies = [nk.Tensor(draws.random((size, size)), requires_grad=True)
+                   for size in sizes]
+    cotangent = nk.Tensor(draws.normal(size=(g.n, len(sizes))))
+    return rows, shared, adjacencies, cotangent, counts
+
+
+class TestRankOneWalks:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(shuffled_graphs(), st.integers(1, 3), st.integers(1, 10),
+           st.lists(st.tuples(st.integers(1, 5), st.one_of(st.none(), st.integers(0, 4))),
+                    min_size=1, max_size=4),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_equals_per_filter_chain(self, g, k, max_size, filters, alike, seed):
+        # a filter of None cap walks as many steps as it has nodes; ``alike``
+        # gives every filter the first one's size and cap, as init_model does
+        if alike:
+            filters = [filters[0]] * len(filters)
+        sizes = [size for size, _ in filters]
+        caps = [size if cap is None else cap for size, cap in filters]
+        rows, shared, adjacencies, cotangent, counts = rank_one_inputs(
+            g, k, max_size, sizes, caps, seed)
+        leaves = [*rows, shared, *adjacencies]
+        results = []
+        for op in (nk.rank_one_walks, rank_one_walks_chain):
+            for leaf in leaves:
+                leaf.zero_grad()
+            out = op(rows, shared, adjacencies, counts, caps)
+            nk.backward(nk.tsum(out * cotangent))
+            # at cap 0 the chain never uses W and leaves it no gradient
+            results.append([out.values] + [np.zeros(leaf.shape) if leaf.grad is None
+                                           else leaf.grad for leaf in leaves])
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_gradients_match_finite_differences(self, rng):
+        g = random_graph(7, 0.4, rng.derive(44))
+        rows, shared, adjacencies, cotangent, counts = rank_one_inputs(
+            g, 2, 5, [3, 3, 2], [3, 1, 2], 45)
+
+        def objective():
+            out = nk.rank_one_walks(rows, shared, adjacencies, counts, [3, 1, 2])
+            return nk.tsum(out * cotangent)
+
+        assert finite_difference_check(objective, [*rows, shared, *adjacencies]) < 1e-6
+
+    def test_zero_steps_give_zero_adjacency_gradient(self, rng):
+        g = random_graph(5, 0.5, rng.derive(46))
+        rows, shared, adjacencies, cotangent, counts = rank_one_inputs(
+            g, 1, 4, [3, 3], [0, 0], 47)
+        out = nk.rank_one_walks(rows, shared, adjacencies, counts, [0, 0])
+        nk.backward(nk.tsum(out * cotangent))
+        for w in adjacencies:
+            assert w.grad is not None and not w.grad.any()
+        assert np.abs(shared.grad).max() > 0.0
+
+    def test_shapes_checked(self, rng):
+        g = random_graph(5, 0.5, rng.derive(48))
+        rows, shared, adjacencies, _, counts = rank_one_inputs(g, 1, 4, [2, 2], [2, 2], 49)
+        with pytest.raises(ShapeError):
+            nk.rank_one_walks(rows, shared, adjacencies, counts, [2, 3])
+        with pytest.raises(ShapeError):
+            nk.rank_one_walks(rows, shared, adjacencies[:1], counts, [2, 2])
+        with pytest.raises(ShapeError):
+            nk.rank_one_walks(rows, nk.Tensor(np.ones((1, 4))), adjacencies, counts, [2, 2])
+        with pytest.raises(ShapeError):
+            nk.rank_one_walks(rows, shared, [adjacencies[0], nk.Tensor(np.ones((3, 3)))],
+                              counts, [2, 2])

@@ -27,7 +27,7 @@ from xgkn.model import (
 )
 
 from conftest import cycle_graph, path_graph, random_graph
-from oracles import finite_difference_check
+from oracles import finite_difference_check, rank_one_walks_chain
 
 
 def toy_separable_dataset() -> Dataset:
@@ -303,6 +303,54 @@ class TestTrain:
             logits = _batch_forward(model, stacks, training=True)[0]
             counts.append(autograd_nodes(nk.cross_entropy(logits, labels)))
         assert counts[0] == counts[1]
+
+    def test_rank_one_path_graph_size_does_not_grow_with_walk_cap(self, rng):
+        # constant features take the rank-one shortcut, whose walk sum is one
+        # node as well
+        graphs = mixed_graphs(rng, 12, onehot=False)
+        stacks = [build_subgraph_stack(g, 1, 6) for g in graphs]
+        labels = np.array([g.label for g in graphs])
+        counts = []
+        for walk_cap in (2, 6):
+            model = small_model(walk_cap=walk_cap)
+            logits = _batch_forward(model, stacks, training=True)[0]
+            counts.append(autograd_nodes(nk.cross_entropy(logits, labels)))
+        assert counts[0] == counts[1]
+
+    def test_rank_one_training_steps_equal_the_per_filter_chain(self, rng, monkeypatch):
+        # five Adam steps through the rank-one op and through the per-filter
+        # autograd chain end at the same parameters bit for bit: training
+        # outcomes such as acceptance criterion 4 move when training's
+        # floating-point order does
+        graphs = mixed_graphs(rng, 24, onehot=False)
+        stacks = [build_subgraph_stack(g, 2, 6) for g in graphs]
+        labels = np.array([g.label for g in graphs])
+        initial = [p.values for p in small_model(num_filters=4, filter_size=4).parameters()]
+        finals = []
+        for op in (nk.rank_one_walks, rank_one_walks_chain):
+            monkeypatch.setattr(nk, "rank_one_walks", op)
+            model = small_model(num_filters=4, filter_size=4)
+            params = model.parameters()
+            state = nk.adam_init(params, lr=0.05, weight_decay=1e-4)
+            for step in range(5):
+                batch = slice(step % 2 * 12, step % 2 * 12 + 12)
+                logits = _batch_forward(model, stacks[batch], training=True)[0]
+                nk.backward(nk.cross_entropy(logits, labels[batch]))
+                nk.adam_step(params, state)
+            finals.append([p.values for p in params])
+        for got, want, start in zip(*finals, initial):
+            assert got.tobytes() == want.tobytes()
+            assert not np.array_equal(got, start)
+
+    def test_constant_features_train_at_walk_cap_zero(self):
+        # no walk step uses the filter adjacencies: they get zero gradients,
+        # not none
+        ds = toy_separable_dataset()
+        split = stratified_split(ds, 0.2, 1, seed=5)[0]
+        model, history = train(small_model(walk_cap=0), ds, split,
+                               TrainConfig(epochs=3, seed=0))
+        assert len(history) == 3
+        assert all(np.isfinite(p.values).all() for p in model.parameters())
 
     def test_lr_zero_keeps_parameters(self):
         ds = toy_separable_dataset()
