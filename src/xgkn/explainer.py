@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import CapacityError, ShapeError
-from .graphs import Graph, NodeSet, Rng, induced_subgraph
+from .graphs import Graph, NodeSet, Rng
 from .model import ForwardTrace, XgknModel, forward_batch
 from .numkit import Tensor, softmax
 
@@ -40,12 +40,11 @@ class Attribution:
 
 @dataclass(frozen=True)
 class Explanation:
-    """Importance map plus the thresholded induced subgraph for one input."""
+    """Importance map plus the thresholded node selection for one input."""
 
     importance: np.ndarray
     selected: NodeSet
     threshold: float
-    subgraph: Graph
 
 
 def exact_shapley(model: XgknModel, z: np.ndarray, baseline: np.ndarray,
@@ -141,31 +140,23 @@ def threshold_explanation(g: Graph, importance: np.ndarray, p: float) -> Explana
     importance = np.asarray(importance, dtype=np.float64).reshape(-1)
     if importance.shape[0] != g.n:
         raise ShapeError(f"importance length {importance.shape[0]} != {g.n} nodes")
-    order = sorted(range(g.n), key=lambda pos: (importance[pos], pos))
-    prefix_len = 0
-    cumulative = 0.0
-    for pos in order:
-        if cumulative + importance[pos] <= p + 1e-12:
-            cumulative += importance[pos]
-            prefix_len += 1
-        else:
-            break
-    excluded = order[:prefix_len]
+    order = np.lexsort((np.arange(g.n), importance))
+    # exclude the longest ascending prefix whose running sum stays <= p;
+    # cumsum adds left to right, so it is that running sum bit for bit
+    fits = np.cumsum(importance[order]) <= p + 1e-12
+    prefix_len = int(np.argmin(np.append(fits, False)))
     if 0 < prefix_len < g.n:
         # never split a tie group across the boundary: nodes tied with the
         # lowest selected value are all selected
         boundary = importance[order[prefix_len]]
-        excluded = [pos for pos in excluded if importance[pos] < boundary - 1e-12]
-    selected_pos = sorted(set(range(g.n)) - set(excluded))
-    if not selected_pos:
+        prefix_len = int(np.count_nonzero(importance[order[:prefix_len]] < boundary - 1e-12))
+    keep = np.ones(g.n, dtype=bool)
+    keep[order[:prefix_len]] = False
+    selected_pos = np.nonzero(keep)[0]
+    if not selected_pos.size:
         selected_pos = [int(np.argmax(importance))]
     selected = NodeSet(tuple(int(g.node_ids[pos]) for pos in selected_pos))
-    return Explanation(
-        importance=importance.copy(),
-        selected=selected,
-        threshold=float(p),
-        subgraph=induced_subgraph(g, selected),
-    )
+    return Explanation(importance=importance.copy(), selected=selected, threshold=float(p))
 
 
 DEFAULT_THRESHOLD_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))

@@ -14,12 +14,20 @@ or edge is either matched one-to-one or deleted or inserted at cost 1. Once
 all of ``g1`` is mapped (``r1 = open1 = 0``) the bound is exactly the cost of
 inserting the leftover nodes and open edges of ``g2``, so a state's priority
 is its full cost, and the first complete state popped is optimal.
+
+Node sets are bitmasks: bit ``w`` of ``adj2[v]`` is the ``g2`` edge ``v-w``
+and ``used`` holds the ``g2`` nodes already taken. Mapping the next ``g1``
+node ``u`` to ``v`` costs, for the edges back to the mapped prefix, one
+popcount of ``image ^ (adj2[v] & used)``, where ``image`` holds the ``g2``
+nodes that ``u``'s mapped prefix neighbours went to, plus the number of
+``u``'s prefix neighbours that were deleted.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 
 import numpy as np
 
@@ -31,8 +39,13 @@ MAX_EXACT_NODES = 12
 FEATURE_TOL = 1e-9
 
 
-def ged_exact(g1: Graph, g2: Graph) -> float:
-    """Minimal unit edit cost transforming ``g1`` into ``g2`` (A* search)."""
+def ged_exact(g1: Graph, g2: Graph, cutoff: float = math.inf) -> float:
+    """Minimal unit edit cost transforming ``g1`` into ``g2`` (A* search).
+
+    The search stops once the smallest open priority reaches ``cutoff`` and
+    returns that priority, a lower bound on the distance that is at least
+    ``cutoff``. A value below ``cutoff`` is the exact distance.
+    """
     if g1.n > MAX_EXACT_NODES or g2.n > MAX_EXACT_NODES:
         raise CapacityError(
             f"exact edit distance is capped at {MAX_EXACT_NODES} nodes per graph")
@@ -49,35 +62,42 @@ def ged_exact(g1: Graph, g2: Graph) -> float:
     last = np.maximum(rank[rows], rank[cols])
     closed1 = [0] + np.cumsum(np.bincount(last, minlength=n1)).tolist()
     e1, e2 = len(rows), int(np.count_nonzero(np.triu(b2, 1)))
-    order, a1, a2, mismatch = order.tolist(), b1.tolist(), b2.tolist(), mismatch.tolist()
-
-    def bound(depth: int, used: int, closed2: int) -> int:
-        return (abs((n1 - depth) - (n2 - used))
-                + abs((e1 - closed1[depth]) - (e2 - closed2)))
+    # back[d]: prefix positions j < d whose node is adjacent to order[d]
+    back = [np.nonzero(row[:d])[0].tolist()
+            for d, row in enumerate(b1[np.ix_(order, order)])]
+    adj2 = (b2.astype(np.int64) @ (1 << np.arange(n2, dtype=np.int64))).tolist()
+    order, mismatch = order.tolist(), mismatch.tolist()
 
     counter = itertools.count()
-    heap = [(bound(0, 0, 0), next(counter), 0, 0, (), frozenset(), 0)]
+    heap = [(abs(n1 - n2) + abs(e1 - e2), next(counter), 0, 0, (), 0, 0)]
     while True:
-        f, _, depth, g, assignment, used2, closed2 = heapq.heappop(heap)
-        if depth == n1:
+        f, _, depth, g, assignment, used, closed2 = heapq.heappop(heap)
+        if depth == n1 or f >= cutoff:
             return float(f)
-        u = order[depth]
-        for v in [None] + [v for v in range(n2) if v not in used2]:
-            # node cost plus the edges from u to the already-mapped prefix
-            step = 1 if v is None else mismatch[u][v]
-            for u_prev, v_prev in zip(order, assignment):
-                if v is None or v_prev is None:
-                    step += a1[u][u_prev]
-                else:
-                    step += a1[u][u_prev] != a2[v][v_prev]
-            new_used, new_closed = used2, closed2
-            if v is not None:
-                new_used = used2 | {v}
-                new_closed += sum(a2[v][w] for w in used2)
-            new_g = g + step
+        u_cost, edges = mismatch[order[depth]], back[depth]
+        image = deleted = 0
+        for j in edges:
+            v_prev = assignment[j]
+            if v_prev is None:
+                deleted += 1
+            else:
+                image |= 1 << v_prev
+        # the children's bound terms: nodes and edges of g1 left unmapped
+        r1, open1 = n1 - depth - 1, e1 - closed1[depth + 1]
+        r2 = n2 - used.bit_count()
+        g_del = g + 1 + len(edges)
+        heapq.heappush(heap, (
+            g_del + abs(r1 - r2) + abs(open1 - (e2 - closed2)), next(counter),
+            depth + 1, g_del, assignment + (None,), used, closed2))
+        for v in range(n2):
+            if used >> v & 1:
+                continue
+            common = adj2[v] & used
+            new_g = g + u_cost[v] + deleted + (image ^ common).bit_count()
+            new_closed = closed2 + common.bit_count()
             heapq.heappush(heap, (
-                new_g + bound(depth + 1, len(new_used), new_closed), next(counter),
-                depth + 1, new_g, assignment + (v,), new_used, new_closed))
+                new_g + abs(r1 - r2 + 1) + abs(open1 - (e2 - new_closed)), next(counter),
+                depth + 1, new_g, assignment + (v,), used | 1 << v, new_closed))
 
 
 def ged_normalized(g1: Graph, g2: Graph) -> float:
@@ -87,6 +107,16 @@ def ged_normalized(g1: Graph, g2: Graph) -> float:
     if worst == 0:
         return 0.0
     return ged_exact(g1, g2) / worst
+
+
+def unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array in lexicographic order, as
+    ``np.unique(rows, axis=0)`` gives them, without the ``numpy.ma`` import
+    that its first call costs."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    distinct = np.ones(rows.shape[0], dtype=bool)
+    distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[distinct]
 
 
 def binarize_filter(filt: GraphFilter, feature_rows: np.ndarray | None = None,
@@ -104,7 +134,7 @@ def binarize_filter(filt: GraphFilter, feature_rows: np.ndarray | None = None,
     else:
         if encoder is None:
             raise ValueError("snapping to dataset rows requires the encoder")
-        rows = np.unique(np.asarray(feature_rows, dtype=np.float64), axis=0)
+        rows = unique_rows(np.asarray(feature_rows, dtype=np.float64))
         encoded = encoder.encode_rows(rows)
         normalized = filt.features.values / np.maximum(
             np.linalg.norm(filt.features.values, axis=1, keepdims=True), 1e-12)

@@ -189,7 +189,11 @@ def induced_subgraph(g: Graph, s: NodeSet) -> Graph:
     """Restrict ``g`` to the nodes of ``s``; node_ids keep the original ids."""
     if len(s) == 0:
         raise EmptySelectionError("cannot induce a subgraph on an empty node set")
-    return _induced_by_positions(g, [g.position_of(i) for i in s.ids])
+    position = dict(zip(g.node_ids.tolist(), range(g.n)))
+    missing = [i for i in s.ids if i not in position]
+    if missing:
+        raise InvalidNodeError(f"node id {missing[0]} not in graph")
+    return _induced_by_positions(g, [position[i] for i in s.ids])
 
 
 def _induced_by_positions(g: Graph, positions: list[int], anchor: int | None = None) -> Graph:
@@ -295,19 +299,17 @@ def perturb_edges(
     """
     _check_probability("delta_add", delta_add)
     _check_probability("delta_remove", delta_remove)
-    prot = set()
-    if protected:
-        prot = {(min(a, b), max(a, b)) for a, b in protected}
+    position = dict(zip(g.node_ids.tolist(), range(g.n)))
+    guarded = np.zeros((g.n, g.n), dtype=bool)
+    for a, b in protected or ():
+        if a in position and b in position:
+            guarded[position[a], position[b]] = guarded[position[b], position[a]] = True
     adj = np.array(g.adjacency)
     draws = rng.random((g.n, g.n))
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            pair = (min(int(g.node_ids[i]), int(g.node_ids[j])),
-                    max(int(g.node_ids[i]), int(g.node_ids[j])))
-            if adj[i, j] != 0.0:
-                if pair not in prot and draws[i, j] < delta_remove:
-                    adj[i, j] = adj[j, i] = 0.0
-            else:
-                if draws[i, j] < delta_add:
-                    adj[i, j] = adj[j, i] = 1.0
+    upper = np.triu(np.ones((g.n, g.n), dtype=bool), 1)
+    present = adj != 0.0
+    remove = upper & present & ~guarded & (draws < delta_remove)
+    add = upper & ~present & (draws < delta_add)
+    adj[remove | remove.T] = 0.0
+    adj[add | add.T] = 1.0
     return g.with_adjacency(adj)

@@ -11,6 +11,7 @@ silently averaged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .explainer import Explanation, node_importances, threshold_explanation
-from .ged import binarize_filter, ged_normalized
+from .ged import binarize_filter, ged_exact
 from .graphs import (
     Graph,
     NodeSet,
@@ -137,14 +138,37 @@ def metric_a2(model: XgknModel, ds: Dataset) -> MetricResult:
     dims = {m.feature_dim for m in ds.gt_motifs}
     if dims == {ds.feature_dim}:
         pool = ds.feature_pool()
-        if np.unique(pool, axis=0).shape[0] > 1:
+        if (pool != pool[:1]).any():
             feature_rows = pool
     discrete = [binarize_filter(f, feature_rows, model.encoder)
                 for f in model.filters]
-    gammas = []
-    for motif in ds.gt_motifs:
-        gammas.append(min(ged_normalized(d, motif) for d in discrete))
-    return _result("A2", [1.0 - float(np.mean(gammas))])
+    return _result("A2", [1.0 - float(np.mean(
+        [_nearest_filter_distance(discrete, motif) for motif in ds.gt_motifs]))])
+
+
+def _nearest_filter_distance(filters: list[Graph], motif: Graph) -> float:
+    """``min(ged_normalized(d, motif) for d in filters)``, exactly.
+
+    Filters are searched in ascending order of the root bound, and each search
+    stops once it cannot beat the best normalised distance ``best / best_worst``
+    found so far. Distances are integers, so the comparison stays in integers.
+    """
+    sizes = [(d.n, d.num_edges()) for d in filters]
+    n2, e2 = motif.n, motif.num_edges()
+    worsts = [n1 + e1 + n2 + e2 for n1, e1 in sizes]
+    if 0 in worsts:
+        return 0.0
+    visits = sorted(range(len(filters)), key=lambda i: (
+        abs(sizes[i][0] - n2) + abs(sizes[i][1] - e2)) / worsts[i])
+    best, best_worst = math.inf, 1
+    for i in visits:
+        worst = worsts[i]
+        # the least integer distance d with d / worst >= best / best_worst
+        cutoff = math.inf if best == math.inf else -(-best * worst // best_worst)
+        distance = int(ged_exact(filters[i], motif, cutoff))
+        if distance < cutoff:
+            best, best_worst = distance, worst
+    return best / best_worst
 
 
 # ---------------------------------------------------------------------------

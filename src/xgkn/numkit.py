@@ -203,24 +203,25 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     return _op(values, (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
+def _scatter_rows(rows: np.ndarray, seg: np.ndarray, num_segments: int) -> np.ndarray:
+    """``out[seg[k]] += rows[k]`` for k in order, from zeros: ``np.add.at``'s
+    sums in its order, as one ``np.bincount`` over (segment, column) cells."""
+    cols = rows.shape[1]
+    cells = (seg[:, None] * cols + np.arange(cols)).reshape(-1)
+    return np.bincount(cells, weights=rows.reshape(-1),
+                       minlength=num_segments * cols).reshape(num_segments, cols)
+
+
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Select rows by index (duplicates allowed); backward scatter-adds."""
     idx = np.asarray(idx, dtype=np.int64)
-
-    def backward(g):
-        out = np.zeros_like(a.values)
-        np.add.at(out, idx, g)
-        return (out,)
-
-    return _op(a.values[idx], (a,), backward)
+    return _op(a.values[idx], (a,), lambda g: (_scatter_rows(g, idx, a.shape[0]),))
 
 
 def segment_sum_rows(a: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
     """Sum rows that share a segment id into one output row per segment."""
     seg = np.asarray(seg, dtype=np.int64)
-    values = np.zeros((num_segments, a.shape[1]))
-    np.add.at(values, seg, a.values)
-    return _op(values, (a,), lambda g: (g[seg],))
+    return _op(_scatter_rows(a.values, seg, num_segments), (a,), lambda g: (g[seg],))
 
 
 def segment_col_max(a: Tensor, seg: np.ndarray, num_segments: int) -> tuple[Tensor, np.ndarray]:

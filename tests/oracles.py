@@ -23,7 +23,9 @@ gradient check, the one-call ``explain_graph``, the ``AnchorError`` that
 ``anchored_rw_kernel`` raises and the TU writer. Per-graph loops are the
 references for the package's batched code: the per-node neighbourhoods, and
 the Monte-Carlo and model-level metrics that score one graph per
-``forward_batch`` call.
+``forward_batch`` call, and the pair-by-pair and running-sum loops that
+``graphs.perturb_edges`` and ``explainer.threshold_explanation`` replace with
+array operations.
 """
 
 import itertools
@@ -151,6 +153,52 @@ def rank_one_walks_chain(rows: list[nk.Tensor], shared: nk.Tensor,
             coeffs.append(nk.transpose(s) @ vec)
         columns.append(nk.Tensor(counts[:, :cap + 1]) @ nk.vstack(coeffs))
     return nk.hstack(columns)
+
+
+def perturb_edges_loop(g: Graph, delta_add: float, delta_remove: float, rng,
+                       protected=None) -> Graph:
+    """``graphs.perturb_edges`` one position pair at a time, over the same
+    single ``rng.random((n, n))`` draw."""
+    prot = set()
+    if protected:
+        prot = {(min(a, b), max(a, b)) for a, b in protected}
+    adj = np.array(g.adjacency)
+    draws = rng.random((g.n, g.n))
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            pair = (min(int(g.node_ids[i]), int(g.node_ids[j])),
+                    max(int(g.node_ids[i]), int(g.node_ids[j])))
+            if adj[i, j] != 0.0:
+                if pair not in prot and draws[i, j] < delta_remove:
+                    adj[i, j] = adj[j, i] = 0.0
+            else:
+                if draws[i, j] < delta_add:
+                    adj[i, j] = adj[j, i] = 1.0
+    return g.with_adjacency(adj)
+
+
+def threshold_selection_loop(g: Graph, importance: np.ndarray, p: float) -> tuple:
+    """The node ids ``explainer.threshold_explanation`` selects, by the
+    running-sum loop: exclude the lowest-importance nodes while their sum
+    stays <= p, keep the boundary's tie group, never select nothing."""
+    importance = np.asarray(importance, dtype=np.float64).reshape(-1)
+    order = sorted(range(g.n), key=lambda pos: (importance[pos], pos))
+    prefix_len = 0
+    cumulative = 0.0
+    for pos in order:
+        if cumulative + importance[pos] <= p + 1e-12:
+            cumulative += importance[pos]
+            prefix_len += 1
+        else:
+            break
+    excluded = order[:prefix_len]
+    if 0 < prefix_len < g.n:
+        boundary = importance[order[prefix_len]]
+        excluded = [pos for pos in excluded if importance[pos] < boundary - 1e-12]
+    selected_pos = sorted(set(range(g.n)) - set(excluded))
+    if not selected_pos:
+        selected_pos = [int(np.argmax(importance))]
+    return tuple(sorted(int(g.node_ids[pos]) for pos in selected_pos))
 
 
 def write_tu_dataset(ds, directory: str, name: str) -> None:

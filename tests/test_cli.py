@@ -273,14 +273,16 @@ def test_cli_import_leaves_scipy_special_unloaded():
 
 def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path):
     # the kernel works on dense walk weights: no stage that builds
-    # neighbourhoods may pay the import time and memory of scipy.sparse
+    # neighbourhoods may pay the import time and memory of scipy.sparse, and
+    # evaluate avoids the numpy.ma import of np.unique(..., axis=0)
     env = {**os.environ, "PYTHONPATH": str(Path(xgkn.cli.__file__).resolve().parents[1])}
     config = write_config(tmp_path, tmp_path / "out", extra={
         "train": {"epochs": 1, "batch_size": 16}, "seeds": [0]})
     code = ("import sys; from xgkn.cli import main; "
             "codes = [main([stage, '-c', sys.argv[1]]) for stage in "
-            "('prepare', 'train', 'explain')]; "
-            "sys.exit(codes != [0, 0, 0] or 'scipy.sparse' in sys.modules)")
+            "('prepare', 'train', 'explain', 'evaluate')]; "
+            "sys.exit(codes != [0, 0, 0, 0] or 'scipy.sparse' in sys.modules "
+            "or 'numpy.ma' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code, str(config)], env=env,
                           stdout=subprocess.DEVNULL).returncode == 0
 

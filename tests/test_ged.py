@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xgkn.errors import CapacityError
-from xgkn.ged import binarize_filter, ged_exact, ged_normalized
+from xgkn.ged import binarize_filter, ged_exact, ged_normalized, unique_rows
 from xgkn.graphs import Graph
 from xgkn.kernel import GraphFilter
 from xgkn import numkit as nk
@@ -53,6 +54,18 @@ class TestGedExact:
         for a, b in ((g1, g2), (filt, motif)):
             expected = ged_bruteforce(a.adjacency, a.features, b.adjacency, b.features)
             assert ged_exact(a, b) == expected
+
+    # A2 passes integer cutoffs; fractional and infinite ones are checked too
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(binary_graphs(), binary_graphs(),
+           st.one_of(st.integers(0, 14), st.floats(0.0, 14.0), st.just(math.inf)))
+    def test_cutoff_is_exact_below_and_a_lower_bound_above(self, g1, g2, cutoff):
+        expected = ged_bruteforce(g1.adjacency, g1.features, g2.adjacency, g2.features)
+        value = ged_exact(g1, g2, cutoff)
+        if expected < cutoff:
+            assert value == expected
+        else:
+            assert cutoff <= value <= expected
 
     def test_symmetry(self, rng):
         for trial in range(10):
@@ -157,6 +170,15 @@ class TestBinarizeFilter:
         encoder = FeatureEncoder(nk.Tensor(np.eye(2)))
         g = binarize_filter(filt, feature_rows=rows, encoder=encoder)
         assert np.allclose(g.features, [[1.0, 0.0], [0.0, 1.0]])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.integers(1, 4), st.data())
+    def test_unique_rows_equals_numpy_unique(self, d, data):
+        # few values per entry, so rows repeat and share prefixes
+        entries = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+                                     max_size=20 * d))
+        rows = np.array(entries[:len(entries) // d * d]).reshape(-1, d)
+        assert unique_rows(rows).tobytes() == np.unique(rows, axis=0).tobytes()
 
     def test_snapping_requires_encoder(self):
         filt = GraphFilter(nk.Tensor(np.zeros((2, 2))), nk.Tensor(np.ones((2, 2))))

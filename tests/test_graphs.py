@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xgkn.errors import (
     EmptySelectionError,
@@ -19,7 +20,13 @@ from xgkn.graphs import (
 )
 
 from conftest import cycle_graph, house_graph, path_graph, random_graph, star_graph
-from oracles import bfs_hop_distances, direct_product, product_edges_bruteforce
+from oracles import (
+    bfs_hop_distances,
+    direct_product,
+    perturb_edges_loop,
+    product_edges_bruteforce,
+)
+from test_kernel import shuffled_graphs
 
 
 class TestGraphInvariants:
@@ -75,9 +82,24 @@ class TestInducedSubgraph:
         with pytest.raises(InvalidNodeError):
             induced_subgraph(path_graph(3), NodeSet((0, 7)))
 
+    def test_unknown_id_is_named(self):
+        with pytest.raises(InvalidNodeError, match="node id 9 not"):
+            induced_subgraph(path_graph(4), NodeSet((1, 9, 12)))
+
     def test_empty_set_raises(self):
         with pytest.raises(EmptySelectionError):
             induced_subgraph(path_graph(3), NodeSet(()))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(shuffled_graphs(), st.data())
+    def test_shuffled_ids_select_their_positions(self, g, data):
+        ids = data.draw(st.lists(st.sampled_from(g.node_ids.tolist()), min_size=1,
+                                 unique=True))
+        sub = induced_subgraph(g, NodeSet(tuple(ids)))
+        positions = [g.position_of(i) for i in sorted(ids)]
+        assert sub.adjacency.tobytes() == g.adjacency[np.ix_(positions, positions)].tobytes()
+        assert sub.features.tobytes() == g.features[positions].tobytes()
+        assert sub.node_ids.tolist() == sorted(ids)
 
     def test_nested_induction_keeps_root_ids(self):
         g = path_graph(5)
@@ -273,6 +295,22 @@ class TestPerturbEdges:
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError):
             perturb_edges(cycle_graph(3), 0.0, 0.5, Rng(1))
+
+    # protected pairs name edges, non-edges and ids outside the graph, in
+    # either order
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(shuffled_graphs(), st.sampled_from([0.05, 0.3, 0.7]),
+           st.sampled_from([0.05, 0.5, 0.95]), st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.integers(0, 120), st.integers(0, 120)), max_size=30))
+    def test_equals_pair_loop(self, g, delta_add, delta_remove, seed, extra):
+        edges = g.edge_list()
+        protected = {(b, a) if k % 2 else (a, b) for k, (a, b) in enumerate(edges[::2])}
+        protected |= set(extra)
+        for prot in (None, protected):
+            out = perturb_edges(g, delta_add, delta_remove, Rng(seed), protected=prot)
+            want = perturb_edges_loop(g, delta_add, delta_remove, Rng(seed), protected=prot)
+            assert out.adjacency.tobytes() == want.adjacency.tobytes()
+            assert out.node_ids.tobytes() == g.node_ids.tobytes()
 
 
 class TestRng:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from xgkn.data import Dataset, generate_ba2motifs
+from xgkn.data import Dataset, cycle_motif, generate_ba2motifs, house_motif
 from xgkn.errors import AlignmentError, MissingGroundTruthError, UndefinedMetricError
 from xgkn.explainer import Explanation, node_importance, threshold_explanation
-from xgkn.graphs import Graph, NodeSet, Rng, induced_subgraph, iou_nodes
+from xgkn.graphs import Graph, NodeSet, Rng, iou_nodes
 from xgkn.kernel import GraphFilter
 from xgkn.metrics import (
     AimConfig,
@@ -25,6 +26,7 @@ from conftest import random_graph
 from oracles import (
     correctness_sequential,
     explain_graph,
+    ged_bruteforce,
     robustness_sequential,
     sufficiency_necessity_sequential,
 )
@@ -36,8 +38,7 @@ def explanation_for(g, selected_ids, n=None):
     importance = np.full(n, 1.0 / n)
     return Explanation(importance=importance,
                        selected=NodeSet(tuple(selected_ids)),
-                       threshold=0.5,
-                       subgraph=induced_subgraph(g, NodeSet(tuple(selected_ids))))
+                       threshold=0.5)
 
 
 def score_matrix(model: XgknModel, ds: Dataset) -> np.ndarray:
@@ -115,7 +116,6 @@ class TestMetricA1:
 
 class TestMetricA2:
     def test_filter_isomorphic_to_motif_scores_one(self):
-        from xgkn.data import house_motif
         house = house_motif()
         logits = np.where(house.adjacency > 0, 40.0, -40.0)
         np.fill_diagonal(logits, -40.0)
@@ -127,7 +127,6 @@ class TestMetricA2:
         assert metric_a2(model, ds).value == pytest.approx(1.0)
 
     def test_empty_filters_vs_cycle_hand_value(self):
-        from xgkn.data import cycle_motif
         filt = GraphFilter(Tensor(np.full((6, 6), -40.0)), Tensor(np.ones((6, 4))))
         model = make_model(m=1)
         model.filters = [filt]
@@ -142,6 +141,28 @@ class TestMetricA2:
         ds = tiny_dataset(rng)
         with pytest.raises(MissingGroundTruthError):
             metric_a2(make_model(), ds)
+
+    # A2 searches filters in bound order and cuts each search at the best
+    # distance so far; the exhaustive oracle takes about 20 ms per pair
+    @settings(derandomize=True, database=None, deadline=None, max_examples=15)
+    @given(st.lists(st.lists(st.booleans(), min_size=15, max_size=15),
+                    min_size=1, max_size=4))
+    def test_equals_bruteforce_minimum_over_filters(self, edge_sets):
+        adjacencies = []
+        for edges in edge_sets:
+            adj = np.zeros((6, 6))
+            adj[np.triu_indices(6, 1)] = edges
+            adjacencies.append(adj + adj.T)
+        model = make_model(m=len(adjacencies))
+        model.filters = [GraphFilter(Tensor(np.where(adj > 0, 40.0, -40.0)),
+                                     Tensor(np.ones((6, 4)))) for adj in adjacencies]
+        motifs = (house_motif(), cycle_motif(5))
+        ds = Dataset(graphs=generate_ba2motifs(4, Rng(0)).graphs, num_classes=2,
+                     gt_motifs=motifs)
+        gammas = [min(ged_bruteforce(adj, np.ones((6, 1)), m.adjacency, m.features)
+                      / (6 + adj.sum() / 2 + m.n + m.num_edges()) for adj in adjacencies)
+                  for m in motifs]
+        assert metric_a2(model, ds).value == 1.0 - float(np.mean(gammas))
 
 
 class TestSufficiencyNecessity:

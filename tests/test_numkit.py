@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from xgkn.errors import (
     EmptyInputError,
@@ -15,6 +16,26 @@ from xgkn import numkit as nk
 from xgkn.graphs import Rng
 
 from oracles import finite_difference_check, spearman_closed_form
+
+
+class TestScatterRows:
+    # segment ids come unordered and leave some segments empty; row scales
+    # spread over 16 decades, so any change of summation order shows
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.integers(0, 40), st.integers(1, 6), st.integers(1, 10),
+           st.integers(0, 2**32 - 1))
+    def test_byte_equal_to_add_at(self, rows, cols, num_segments, seed):
+        rng = Rng(seed)
+        seg = rng.integers(0, num_segments, size=rows)
+        values = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-8, 9, size=(rows, 1))
+        want = np.zeros((num_segments, cols))
+        np.add.at(want, seg, values)
+        summed = nk.segment_sum_rows(nk.Tensor(values), seg, num_segments)
+        assert summed.values.tobytes() == want.tobytes()
+        # gather_rows's backward scatters the upstream rows by the same ids
+        b = nk.Tensor(rng.normal(size=(num_segments, cols)), requires_grad=True)
+        nk.backward(nk.tsum(nk.mul(nk.gather_rows(b, seg), nk.Tensor(values))))
+        assert b.grad.tobytes() == want.tobytes()
 
 
 class TestBackward:
