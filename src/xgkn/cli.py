@@ -27,7 +27,7 @@ from .explainer import (
     DEFAULT_THRESHOLD_GRID,
     criterion_score,
     explanation_record,
-    importance_map,
+    importance_maps,
     read_explanations,
     select_threshold,
     threshold_explanation,
@@ -92,11 +92,33 @@ def merge_config(user: dict) -> dict:
     return merged
 
 
+# The JSON values each annotation of a config dataclass field admits.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "None": (type(None),)}
+
+
+def _check_section(config: dict, section: str, cls) -> None:
+    """Refuse a value of ``config[section]`` of the wrong JSON type (by the
+    field annotations of ``cls``; a bool is not an int) or one that ``cls``
+    itself refuses. Each check of ``cls`` names its field first."""
+    values = config[section]
+    for f in dataclasses.fields(cls):
+        if f.name in values:
+            allowed = tuple(t for name in f.type.split(" | ") for t in _JSON_TYPES[name])
+            if type(values[f.name]) not in allowed:
+                raise ValueError(f"config key '{section}.{f.name}' must be {f.type}, "
+                                 f"got {values[f.name]!r}")
+    try:
+        cls(**values)
+    except ValueError as err:
+        raise ValueError(f"config key '{section}.{str(err).split()[0]}': {err}") from None
+
+
 def validate_config(config: dict) -> None:
-    """Refuse a merged config with a key no command reads, or with a seed list
-    or threshold setting no command can run, before any stage runs; the
-    ValueError names the key. ``train.seed`` is refused too: each model
-    trains under its entry in ``seeds``."""
+    """Refuse a merged config with a key no command reads, a value of the
+    wrong type or out of range, or a seed list or threshold setting no
+    command can run, before any stage runs; the ValueError names the key.
+    ``train.seed`` is refused too: each model trains under its entry in
+    ``seeds``."""
     def fields(cls) -> set:
         return {f.name for f in dataclasses.fields(cls)}
     known = {"model": fields(ModelConfig), "train": fields(TrainConfig) - {"seed"},
@@ -114,6 +136,12 @@ def validate_config(config: dict) -> None:
                 hint = " (each model trains under its entry in 'seeds')" \
                     if (key, name) == ("train", "seed") else ""
                 raise ValueError(f"unknown config key '{key}.{name}'{hint}")
+    for section, cls in (("model", ModelConfig), ("train", TrainConfig), ("aim", AimConfig)):
+        _check_section(config, section, cls)
+    fraction = config["split"]["test_fraction"]
+    if type(fraction) not in (int, float) or not 0 < fraction < 1:
+        raise ValueError(f"config key 'split.test_fraction' must be a number in (0, 1), "
+                         f"got {fraction!r}")
     seeds = config["seeds"]
     if not isinstance(seeds, list) or not all(type(seed) is int for seed in seeds):
         raise ValueError(f"config key 'seeds' must be a list of integers, got {seeds!r}")
@@ -338,9 +366,9 @@ def cmd_explain(config: dict) -> int:
     for seed, split in zip(config["seeds"], splits):
         model, _ = _load_model(out_dir, seed, h)
         eval_ds = ds.subset(split.test_ids)
-        traces = forward_batch(model, eval_ds.graphs)
-        importances = [importance_map(model, trace) for trace in traces]
-        predicted = [trace.predicted_class for trace in traces]
+        fp = forward_batch(model, eval_ds.graphs)
+        importances = importance_maps(model, fp)
+        predicted = fp.predicted.tolist()
         selection = select_threshold(model, eval_ds, criterion, grid=grid,
                                      cfg=aim_cfg, rng=Rng(seed).derive("threshold"),
                                      importances=importances, predicted=predicted)
@@ -407,8 +435,8 @@ def cmd_evaluate(config: dict, compare_dir: str | None = None) -> int:
             test_acc if test_acc is not None
             else evaluate_accuracy(model, ds, split.test_ids))
         rng = Rng(seed).derive("aim")
-        traces = forward_batch(model, eval_ds.graphs)
-        predicted = [trace.predicted_class for trace in traces]
+        fp = forward_batch(model, eval_ds.graphs)
+        predicted = fp.predicted.tolist()
         try:
             res = metric_a1(explanations, eval_ds)
             values["A1"].append(res.value)
@@ -434,7 +462,7 @@ def cmd_evaluate(config: dict, compare_dir: str | None = None) -> int:
                                      aim_cfg, rng.derive(mode), feature_pool=feature_pool)
             _collect(values, counts, invalid, mode, res)
         try:
-            res = metric_redundancy(np.vstack([trace.z for trace in traces]))
+            res = metric_redundancy(fp.z)
             _collect(values, counts, invalid, "M3", res)
         except XgknError:
             skipped_metrics.add("M3")

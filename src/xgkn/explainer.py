@@ -2,10 +2,12 @@
 scores, propagation back onto input nodes, softmax importance maps,
 percentile thresholding and threshold selection.
 
-Shapley values are computed by full subset enumeration of the predictor's
-characteristic game (coordinates outside the coalition are reset to the
-baseline, the training-split mean score vector), so the efficiency identity
-phi_0 + sum(phi) = predicted logit holds exactly.
+Shapley values are exact for the predictor's characteristic game
+(coordinates outside the coalition are reset to the baseline, the
+training-split mean score vector), so the efficiency identity
+phi_0 + sum(phi) = predicted logit holds up to rounding. The depth-1
+predictor is affine in the scores, so its values have a closed form; the
+depth-2 MLP enumerates every coalition.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .data import Dataset
 from .errors import CapacityError, ShapeError
 from .graphs import Graph, NodeSet, Rng
-from .model import ForwardTrace, XgknModel, forward_batch
+from .model import ForwardPass, Predictor, XgknModel, forward_batch
 from .numkit import Tensor, softmax
 
 MAX_EXACT_PLAYERS = 20
@@ -27,15 +29,18 @@ MAX_EXACT_PLAYERS = 20
 
 @dataclass(frozen=True)
 class Attribution:
-    """Per-concept Shapley attribution of one prediction."""
+    """Per-concept Shapley attributions of a batch of predictions: row i of
+    ``phi`` (and entry i of the other fields) belongs to prediction i."""
 
-    phi0: float
+    phi0: np.ndarray
     phi: np.ndarray
-    target_logit: float
-    target_class: int
+    target_logit: np.ndarray
+    target_class: np.ndarray
 
     def efficiency_gap(self) -> float:
-        return abs(self.phi0 + float(self.phi.sum()) - self.target_logit)
+        """The largest |phi0 + sum(phi) - target logit| over the batch."""
+        gaps = np.abs(self.phi0 + self.phi.sum(axis=1) - self.target_logit)
+        return float(gaps.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -48,22 +53,48 @@ class Explanation:
 
 
 def exact_shapley(model: XgknModel, z: np.ndarray, baseline: np.ndarray,
-                  target_class: int) -> Attribution:
+                  target_class) -> Attribution:
     """Exact Shapley values of the predictor's target logit over the score
-    coordinates, by enumerating all 2^m coalitions."""
-    z = np.asarray(z, dtype=np.float64).reshape(-1)
+    coordinates, for each row of ``z`` and its entry of ``target_class``.
+
+    With ``predictor_depth: 1`` the game is affine, so phi_i =
+    s_i gamma_i W_ic (z_i - b_i), where s = 1 / sqrt(running_var + bn_eps)
+    (linear SHAP). The depth-2 MLP enumerates all 2^m coalitions of each row
+    (``enumerated_shapley``). phi0 and the target logits come from one
+    predictor pass over the baseline and the rows of ``z``."""
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     baseline = np.asarray(baseline, dtype=np.float64).reshape(-1)
-    m = z.size
+    target = np.asarray(target_class, dtype=np.int64).reshape(-1)
+    m = z.shape[1]
     if baseline.size != m:
         raise ShapeError(f"baseline size {baseline.size} != {m}")
-    if m > MAX_EXACT_PLAYERS:
+    if target.size != z.shape[0]:
+        raise ShapeError(f"{target.size} target classes for {z.shape[0]} score rows")
+    pred = model.predictor
+    if len(pred.layers) > 1 and m > MAX_EXACT_PLAYERS:
         raise CapacityError(
             f"{m} concepts exceed the exact enumeration cap of {MAX_EXACT_PLAYERS}")
+    logits = pred.logits(Tensor(np.vstack([baseline, z])), training=False).values
+    if len(pred.layers) == 1:
+        scale = 1.0 / np.sqrt(pred.running_var[0] + pred.bn_eps)
+        phi = (z - baseline) * scale * pred.gamma.values[0] * pred.layers[0][0].values[:, target].T
+    else:
+        phi = np.array([enumerated_shapley(pred, row, baseline, c)
+                        for row, c in zip(z, target)]).reshape(-1, m)
+    return Attribution(phi0=logits[0, target], phi=phi,
+                       target_logit=logits[1 + np.arange(target.size), target],
+                       target_class=target)
+
+
+def enumerated_shapley(predictor: Predictor, z: np.ndarray, baseline: np.ndarray,
+                       target_class: int) -> np.ndarray:
+    """The Shapley values of one score vector ``z``, by enumerating all 2^m
+    coalitions through the predictor (any depth)."""
+    m = z.size
     masks = np.arange(1 << m, dtype=np.int64)
     membership = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
     coalition_scores = np.where(membership, z, baseline)
-    logits = model.predictor.logits(Tensor(coalition_scores), training=False).values
-    game = logits[:, target_class]
+    game = predictor.logits(Tensor(coalition_scores), training=False).values[:, target_class]
     sizes = membership.sum(axis=1)
     fact = [math.factorial(i) for i in range(m + 1)]
     weight_by_size = np.array([fact[s] * fact[m - 1 - s] / fact[m] for s in range(m)])
@@ -72,55 +103,52 @@ def exact_shapley(model: XgknModel, z: np.ndarray, baseline: np.ndarray,
         without = masks[~membership[:, i]]
         w = weight_by_size[sizes[without]]
         phi[i] = float((w * (game[without | (1 << i)] - game[without])).sum())
-    return Attribution(
-        phi0=float(game[0]),
-        phi=phi,
-        target_logit=float(game[-1]),
-        target_class=int(target_class),
-    )
+    return phi
 
 
-def propagate_to_nodes(attr: Attribution, trace: ForwardTrace, agg_mode: str,
-                       eps: float = 1e-12) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Spread concept attributions onto input nodes.
+def propagate_to_nodes(attr: Attribution, fp: ForwardPass, agg_mode: str,
+                       eps: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """Spread each graph's concept attributions onto its nodes, the rows of
+    the pass ``fp``.
 
     Additive modes distribute phi_i proportionally to each node's share of the
-    concept score; max routes phi_i entirely to the argmax node. Returns the
-    node weights and the indices of concepts skipped because their score was
-    numerically zero.
+    concept score, added concept by concept; max routes phi_i entirely to the
+    argmax node. Returns the node weights and the (graph, concept) pairs
+    skipped because the concept's score was numerically zero.
     """
-    m = attr.phi.size
-    if trace.contributions.shape[1] != m:
-        raise ShapeError(
-            f"trace has {trace.contributions.shape[1]} concepts, attribution has {m}")
-    n = trace.contributions.shape[0]
-    w = np.zeros(n)
+    num_graphs, m = attr.phi.shape
+    if fp.contributions.shape[1] != m or fp.z.shape[0] != num_graphs:
+        raise ShapeError(f"pass has {fp.z.shape[0]} graphs x {fp.contributions.shape[1]} "
+                         f"concepts, attribution has {num_graphs} x {m}")
+    w = np.zeros(fp.contributions.shape[0])
     if agg_mode == "max":
-        if trace.argmax_rows is None:
-            raise ShapeError("max-mode propagation needs argmax rows in the trace")
+        if fp.argmax_rows is None:
+            raise ShapeError("max-mode propagation needs argmax rows in the pass")
         for i in range(m):
-            w[trace.argmax_rows[i]] += attr.phi[i]
-        return w, ()
-    inactive = tuple(i for i in range(m) if abs(trace.z[i]) <= eps)
+            # the graphs' argmax rows are distinct, so no update is lost
+            w[fp.argmax_rows[:, i]] += attr.phi[:, i]
+        return w, np.zeros((0, 2), dtype=np.int64)
+    inactive = np.abs(fp.z) <= eps
+    seg = np.repeat(np.arange(num_graphs), np.diff(fp.bounds))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares = np.where(inactive[seg], 0.0, attr.phi[seg] * fp.contributions / fp.z[seg])
     for i in range(m):
-        if i in inactive:
-            continue
-        w += attr.phi[i] * trace.contributions[:, i] / trace.z[i]
-    return w, inactive
+        w += shares[:, i]
+    return w, np.argwhere(inactive)
 
 
-def importance_map(model: XgknModel, trace: ForwardTrace) -> np.ndarray:
-    """Softmax importance map over the nodes of a graph for the model's own
-    prediction, from the graph's forward trace; deterministic for a frozen
+def importance_maps(model: XgknModel, fp: ForwardPass) -> list[np.ndarray]:
+    """Softmax importance map over the nodes of each graph of the pass
+    ``fp``, for the model's own predictions; deterministic for a frozen
     model."""
-    attr = exact_shapley(model, trace.z, model.z_baseline, trace.predicted_class)
-    weights, _ = propagate_to_nodes(attr, trace, model.config.agg_mode)
-    return softmax(weights)
+    attr = exact_shapley(model, fp.z, model.z_baseline, fp.predicted)
+    weights, _ = propagate_to_nodes(attr, fp, model.config.agg_mode)
+    return [softmax(weights[a:b]) for a, b in zip(fp.bounds, fp.bounds[1:])]
 
 
 def node_importances(model: XgknModel, graphs) -> list[np.ndarray]:
-    """The ``importance_map`` of each graph, from one batched forward pass."""
-    return [importance_map(model, trace) for trace in forward_batch(model, graphs)]
+    """The importance maps of ``graphs``, from one batched forward pass."""
+    return importance_maps(model, forward_batch(model, graphs))
 
 
 def node_importance(model: XgknModel, g: Graph) -> np.ndarray:

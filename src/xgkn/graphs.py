@@ -126,6 +126,12 @@ class Graph:
             features = np.ones((n, 1), dtype=np.float64)
         return Graph(adj, np.asarray(features, dtype=np.float64), np.arange(n), label=label)
 
+    def mask_of(self, ids) -> np.ndarray:
+        """True at the positions whose node id is in ``ids``."""
+        wanted = set(ids)
+        return np.fromiter((i in wanted for i in self.node_ids.tolist()), dtype=bool,
+                           count=self.n)
+
     def position_of(self, node_id: int) -> int:
         hits = np.nonzero(self.node_ids == node_id)[0]
         if hits.size == 0:
@@ -148,14 +154,22 @@ class Graph:
             return 0.0
         return 2.0 * self.num_edges() / (self.n * (self.n - 1))
 
-    def with_label(self, label: int | None) -> "Graph":
-        return Graph(self.adjacency, self.features, self.node_ids, label=label, anchor=self.anchor)
-
     def with_features(self, features: np.ndarray) -> "Graph":
         return Graph(self.adjacency, features, self.node_ids, label=self.label, anchor=self.anchor)
 
-    def with_adjacency(self, adjacency: np.ndarray) -> "Graph":
-        return Graph(adjacency, self.features, self.node_ids, label=self.label, anchor=self.anchor)
+    def _derived(self, adjacency: np.ndarray, features: np.ndarray, node_ids: np.ndarray,
+                 anchor: int | None = None) -> "Graph":
+        """A graph of this one's label over float64/int64 arrays derived from
+        this validated graph in a way that keeps every ``__post_init__`` check
+        true (a principal submatrix, a symmetric edit with zero diagonal,
+        resampled feature rows of the same width), built without re-running
+        those checks."""
+        out = object.__new__(Graph)
+        for name, value in (("adjacency", _freeze(adjacency)), ("features", _freeze(features)),
+                            ("node_ids", _freeze(node_ids)), ("label", self.label),
+                            ("anchor", anchor)):
+            object.__setattr__(out, name, value)
+        return out
 
 
 @dataclass(frozen=True)
@@ -193,18 +207,13 @@ def induced_subgraph(g: Graph, s: NodeSet) -> Graph:
     missing = [i for i in s.ids if i not in position]
     if missing:
         raise InvalidNodeError(f"node id {missing[0]} not in graph")
-    return _induced_by_positions(g, [position[i] for i in s.ids])
+    return induced_by_positions(g, [position[i] for i in s.ids])
 
 
-def _induced_by_positions(g: Graph, positions: list[int], anchor: int | None = None) -> Graph:
+def induced_by_positions(g: Graph, positions, anchor: int | None = None) -> Graph:
+    """Restrict ``g`` to the distinct node ``positions``, in that order."""
     idx = np.asarray(positions, dtype=np.int64)
-    return Graph(
-        g.adjacency[np.ix_(idx, idx)],
-        g.features[idx],
-        g.node_ids[idx],
-        label=g.label,
-        anchor=anchor,
-    )
+    return g._derived(g.adjacency[idx[:, None], idx], g.features[idx], g.node_ids[idx], anchor)
 
 
 def k_hop_neighborhood(g: Graph, v: int, k: int, max_size: int) -> Graph:
@@ -236,7 +245,7 @@ def k_hop_neighborhood(g: Graph, v: int, k: int, max_size: int) -> Graph:
     if start not in kept:  # cannot happen (distance 0 sorts first), kept for clarity
         kept = [start] + kept[: max_size - 1]
     kept.remove(start)
-    return _induced_by_positions(g, [start] + kept, anchor=0)
+    return induced_by_positions(g, [start] + kept, anchor=0)
 
 
 def iou_nodes(a: NodeSet, b: NodeSet) -> float:
@@ -275,13 +284,13 @@ def perturb_features(
         raise FeatureDimError(
             f"pool feature dim {pool.shape[1]} != graph feature dim {g.feature_dim}"
         )
-    excluded = set(exclude.ids) if exclude is not None else set()
     hit = rng.random(g.n) < delta
+    if exclude is not None:
+        hit &= ~g.mask_of(exclude.ids)
     feats = np.array(g.features)
-    for pos in range(g.n):
-        if hit[pos] and int(g.node_ids[pos]) not in excluded:
-            feats[pos] = pool[int(rng.integers(0, pool.shape[0]))]
-    return g.with_features(feats)
+    for pos in np.flatnonzero(hit):
+        feats[pos] = pool[int(rng.integers(0, pool.shape[0]))]
+    return g._derived(g.adjacency, feats, g.node_ids, g.anchor)
 
 
 def perturb_edges(
@@ -312,4 +321,4 @@ def perturb_edges(
     add = upper & ~present & (draws < delta_add)
     adj[remove | remove.T] = 0.0
     adj[add | add.T] = 1.0
-    return g.with_adjacency(adj)
+    return g._derived(adj, g.features, g.node_ids, g.anchor)

@@ -81,7 +81,8 @@ class GraphFilter:
 
 
 # Most entries the neighbourhood blocks of one graph may hold (n x width^2
-# float64 values, 128 MiB); build_subgraph_stack checks it before allocating.
+# float64 values, 128 MiB), and the most a batch's zero-padded distance arrays
+# may hold (graphs x n_max^2); build_stack checks both before allocating.
 MAX_BLOCK_ENTRIES = 1 << 24
 
 
@@ -98,36 +99,83 @@ class SubgraphStack:
     num_nodes: int
 
 
-def build_subgraph_stack(g: Graph, k: int, max_size: int) -> SubgraphStack:
-    """The ``graphs.k_hop_neighborhood`` of every node of ``g``, in node
-    order: hop distances from ``k`` boolean matmuls, then each row keeps its
-    nearest ``max_size`` nodes by (distance, node id), the anchor first.
-    tests/oracles.py keeps the per-node loop as the reference."""
+def build_stack(graphs, k: int, max_size: int) -> tuple[SubgraphStack, np.ndarray]:
+    """The combined stack of ``graphs`` and the graph index of each node:
+    ``combine_stacks`` of their ``build_subgraph_stack``s, bit for bit, in one
+    pass. The graphs are zero-padded to the largest; hop distances come from
+    ``k`` batched matmuls, then each node's row keeps its nearest
+    ``max_size`` nodes by (distance, node id), the anchor first. The padded
+    arrays are built for consecutive groups of graphs that fit
+    MAX_BLOCK_ENTRIES. tests/oracles.py keeps the per-node loop as the
+    reference."""
     if k < 1:
         raise ValueError("hop radius k must be >= 1")
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    n = g.n
-    linked = g.adjacency != 0
-    reached = np.eye(n, dtype=bool)
+    graphs = list(graphs)
+    counts = np.array([g.n for g in graphs], dtype=np.int64)
+    graph_seg = np.repeat(np.arange(len(graphs)), counts)
+    n_max = int(counts.max(initial=0))
+    group = max(1, MAX_BLOCK_ENTRIES // max(n_max * n_max, 1))
+    parts = [_nearest_nodes(graphs[lo:lo + group], n_max, k, max_size)
+             for lo in range(0, len(graphs), group)]
+    order = np.concatenate([part[0] for part in parts])
+    sizes = np.concatenate([part[1] for part in parts])
+    widths = np.concatenate([part[2] for part in parts])
+    too_big = np.flatnonzero(counts * widths * widths > MAX_BLOCK_ENTRIES)
+    if too_big.size:
+        n, width = counts[too_big[0]], widths[too_big[0]]
+        raise CapacityError(
+            f"the neighbourhoods of a {n}-node graph need {n} x {width}^2 entries, "
+            f"above the cap of {MAX_BLOCK_ENTRIES}; lower max_subgraph_size "
+            f"(now {max_size})")
+    # a graph's rows are as wide as its widest neighbourhood, zero beyond it
+    width = int(widths.max(initial=0))
+    inside = np.arange(width) < widths[graph_seg, None]
+    local = np.where(inside, order[:, :width], 0)
+    offsets = np.cumsum(counts) - counts
+    members = np.where(inside, local + offsets[graph_seg, None], 0)
+    valid = np.arange(width) < sizes[:, None]
+    # each block gathers its graph's adjacency from the graphs' flattened
+    # matrices, laid end to end
+    flat = np.concatenate([np.zeros(0)] + [g.adjacency.ravel() for g in graphs])
+    row_starts = (np.cumsum(counts * counts) - counts * counts)[graph_seg, None] \
+        + local * counts[graph_seg, None]
+    blocks = np.where(valid[:, :, None] & valid[:, None, :],
+                      flat[row_starts[:, :, None] + local[:, None, :]], 0.0)
+    raw = graphs[0].features if len(graphs) == 1 else np.vstack([g.features for g in graphs])
+    return SubgraphStack(raw_features=raw, members=members, blocks=blocks,
+                         num_nodes=int(counts.sum())), graph_seg
+
+
+def _nearest_nodes(graphs, n_max: int, k: int, max_size: int):
+    """For the node rows of ``graphs`` (zero-padded to ``n_max`` nodes): every
+    node of the row's graph in (hop distance up to k + 1, node id) order, the
+    neighbourhood sizes, and each graph's widest neighbourhood."""
+    linked = np.zeros((len(graphs), n_max, n_max))
+    ids = np.zeros((len(graphs), n_max), dtype=np.int64)
+    for i, g in enumerate(graphs):
+        linked[i, :g.n, :g.n] = g.adjacency != 0
+        ids[i, :g.n] = g.node_ids
+    real = np.arange(n_max) < np.array([g.n for g in graphs])[:, None]
+    reached = np.broadcast_to(np.eye(n_max, dtype=bool), linked.shape).copy()
     dist = np.where(reached, 0, k + 1)
     for hop in range(1, k + 1):
-        frontier = (reached @ linked) & ~reached
+        # path counts in float64 are exact, and BLAS is faster than bool matmul
+        frontier = (reached @ linked != 0) & ~reached
         dist[frontier] = hop
         reached |= frontier
-    order = np.lexsort((np.broadcast_to(g.node_ids, (n, n)), dist), axis=-1)
-    sizes = np.minimum(reached.sum(axis=1), max_size)
-    width = int(sizes.max(initial=0))
-    if n * width * width > MAX_BLOCK_ENTRIES:
-        raise CapacityError(f"the neighbourhoods of a {n}-node graph need {n} x {width}^2 "
-                            f"entries, above the cap of {MAX_BLOCK_ENTRIES}; lower "
-                            f"max_subgraph_size (now {max_size})")
-    members = order[:, :width].copy()
-    valid = np.arange(width) < sizes[:, None]
-    blocks = np.where(valid[:, :, None] & valid[:, None, :],
-                      g.adjacency[members[:, :, None], members[:, None, :]], 0.0)
-    return SubgraphStack(raw_features=g.features, members=members, blocks=blocks,
-                         num_nodes=n)
+    # padding nodes sort after every node of the graph
+    dist = np.where(real[:, None, :], dist, k + 2)
+    order = np.lexsort((np.broadcast_to(ids[:, None, :], dist.shape), dist), axis=-1)
+    sizes = np.minimum(reached.sum(axis=2), max_size)
+    return order[real], sizes[real], np.where(real, sizes, 0).max(axis=1, initial=0)
+
+
+def build_subgraph_stack(g: Graph, k: int, max_size: int) -> SubgraphStack:
+    """The ``graphs.k_hop_neighborhood`` of every node of ``g``, in node
+    order: ``build_stack`` of a batch of one."""
+    return build_stack([g], k, max_size)[0]
 
 
 def combine_stacks(stacks: list[SubgraphStack]) -> tuple[SubgraphStack, np.ndarray]:

@@ -28,7 +28,7 @@ from .graphs import (
     Graph,
     NodeSet,
     Rng,
-    induced_subgraph,
+    induced_by_positions,
     iou_nodes,
     perturb_edges,
     perturb_features,
@@ -177,27 +177,24 @@ def _nearest_filter_distance(filters: list[Graph], motif: Graph) -> float:
 def _draw_samples(g: Graph, explanation: Explanation, mode: str, cfg: AimConfig,
                   rng: Rng) -> tuple[list[Graph], int]:
     """The I1 supergraphs or I2 subgraphs of one graph, and how many of its
-    samples drew an empty node set ``max_retries`` times and were skipped."""
-    explanation_ids = set(explanation.selected.ids)
-    others = [int(i) for i in g.node_ids if int(i) not in explanation_ids]
+    samples drew an empty node set ``max_retries`` times and were skipped.
+    Each try keeps every node outside the explanation with probability
+    ``inclusion_probability``, one draw per node in position order, and I1
+    keeps the explanation too; a sample lists its nodes in id order."""
+    selected = g.mask_of(explanation.selected.ids)
+    others = np.flatnonzero(~selected)
+    by_id = np.argsort(g.node_ids)
     samples = []
     skipped = 0
     for _ in range(cfg.samples_per_graph):
-        chosen = None
         for _ in range(cfg.max_retries):
-            include = rng.random(len(others)) < cfg.inclusion_probability
-            picked = [v for v, keep in zip(others, include) if keep]
-            if mode == "I1":
-                candidate = sorted(explanation_ids) + picked
-            else:
-                candidate = picked
-            if candidate:
-                chosen = sorted(candidate)
+            keep = selected.copy() if mode == "I1" else np.zeros(g.n, dtype=bool)
+            keep[others[rng.random(others.size) < cfg.inclusion_probability]] = True
+            if keep.any():
+                samples.append(induced_by_positions(g, by_id[keep[by_id]]))
                 break
-        if chosen is None:
-            skipped += 1
         else:
-            samples.append(induced_subgraph(g, NodeSet(tuple(chosen))))
+            skipped += 1
     return samples, skipped
 
 
@@ -229,9 +226,9 @@ def metric_sufficiency_necessity(model: XgknModel, ds: Dataset,
         per_graph.append(samples)
         skipped += n_skipped
     if predicted is None:
-        predicted = [t.predicted_class for t in forward_batch(model, ds.graphs)]
+        predicted = forward_batch(model, ds.graphs).predicted.tolist()
     flat = [sub for samples in per_graph for sub in samples]
-    sample_classes = iter([t.predicted_class for t in forward_batch(model, flat)])
+    sample_classes = iter(forward_batch(model, flat).predicted.tolist())
     values = []
     for graph_class, samples in zip(predicted, per_graph):
         hits = []
@@ -284,16 +281,16 @@ def metric_robustness(model: XgknModel, ds: Dataset, explanations: list[Explanat
                              protected=_explanation_edges(g, expl.selected))
 
     if predicted is None:
-        predicted = [t.predicted_class for t in forward_batch(model, graphs)]
+        predicted = forward_batch(model, graphs).predicted.tolist()
     accepted: dict[int, Graph] = {}
     pending = list(range(len(graphs)))
     for _ in range(cfg.max_retries):
         if not pending:
             break
         candidates = [perturb(gi) for gi in pending]
-        traces = forward_batch(model, candidates)
-        for gi, candidate, trace in zip(pending, candidates, traces):
-            if trace.predicted_class == predicted[gi]:
+        classes = forward_batch(model, candidates).predicted
+        for gi, candidate, cls in zip(pending, candidates, classes):
+            if cls == predicted[gi]:
                 accepted[gi] = candidate
         pending = [gi for gi in pending if gi not in accepted]
     kept = sorted(accepted)

@@ -21,6 +21,7 @@ from .kernel import (
     FeatureEncoder,
     GraphFilter,
     SubgraphStack,
+    build_stack,
     build_subgraph_stack,
     combine_stacks,
     stack_responses,
@@ -47,6 +48,12 @@ class ModelConfig:
     bn_momentum: float = 0.1
 
     def __post_init__(self):
+        for name in ("num_filters", "filter_size", "embed_dim", "hop_radius",
+                     "max_subgraph_size", "hidden_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.walk_cap is not None and self.walk_cap < 0:
+            raise ValueError(f"walk_cap must be None or >= 0, got {self.walk_cap}")
         if self.agg_mode not in AGG_MODES:
             raise ValueError(f"agg_mode must be one of {AGG_MODES}")
         if self.norm_scope not in ("global", "per_column"):
@@ -67,10 +74,12 @@ class TrainConfig:
     def __post_init__(self):
         if not (0 < self.epochs <= 1000):
             raise ValueError("epochs must lie in 1..1000")
-        if self.lr < 0 or self.weight_decay < 0:
-            raise ValueError("lr and weight_decay must be nonnegative")
-        if self.batch_size < 1 or self.patience < 1:
-            raise ValueError("batch_size and patience must be positive")
+        for name in ("lr", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
+        for name in ("batch_size", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
 
 
 class Predictor:
@@ -128,16 +137,25 @@ class Predictor:
         return params
 
 
-@dataclass
-class ForwardTrace:
-    """Everything the explainer needs from one forward pass."""
+@dataclass(frozen=True)
+class ForwardPass:
+    """What the explainer and the metrics read from an inference pass over a
+    batch of graphs. Row i of ``z`` and ``logits`` is graph i; the responses
+    ``R`` and ``contributions`` hold the graphs' node rows in order, graph i's
+    at rows ``bounds[i]:bounds[i + 1]``, and ``argmax_rows`` (max aggregation
+    only; graphs x filters) index those rows."""
 
     R: np.ndarray
     contributions: np.ndarray
     z: np.ndarray
     logits: np.ndarray
-    predicted_class: int
+    bounds: np.ndarray
     argmax_rows: np.ndarray | None = None
+
+    @property
+    def predicted(self) -> np.ndarray:
+        """The predicted class of each graph."""
+        return np.argmax(self.logits, axis=1)
 
 
 class XgknModel:
@@ -222,16 +240,17 @@ def _aggregate_tensor(r: Tensor, mode: str, eps: float, seg: np.ndarray, num_gra
     raise ValueError(f"unknown aggregation mode {mode!r}")
 
 
-def _batch_forward(model: XgknModel, stacks: list[SubgraphStack], training: bool):
-    """Scores a batch of graphs: (logits, z, responses, contribution values,
-    argmax rows). Row i of logits and z is graph i; responses and
-    contributions hold the graphs' node rows in order, and argmax rows index
-    them."""
+def _batch_forward(model: XgknModel, stack: SubgraphStack, graph_seg: np.ndarray,
+                   num_graphs: int, training: bool):
+    """Scores the batch of ``num_graphs`` graphs whose combined stack is
+    ``stack``, ``graph_seg`` giving each node row's graph: (logits, z,
+    responses, contribution values, argmax rows). Row i of logits and z is
+    graph i; responses and contributions hold the graphs' node rows in
+    order, and argmax rows index them."""
     cfg = model.config
-    combined, graph_seg = combine_stacks(stacks)
-    r = stack_responses(combined, model.filters, model.encoder, cfg.walk_cap)
+    r = stack_responses(stack, model.filters, model.encoder, cfg.walk_cap)
     z, contributions, argrow = _aggregate_tensor(
-        r, cfg.agg_mode, cfg.entropy_eps, graph_seg, len(stacks), cfg.norm_scope, training)
+        r, cfg.agg_mode, cfg.entropy_eps, graph_seg, num_graphs, cfg.norm_scope, training)
     return model.predictor.logits(z, training=training), z, r, contributions, argrow
 
 
@@ -241,43 +260,51 @@ def _batch_forward(model: XgknModel, stacks: list[SubgraphStack], training: bool
 INFERENCE_CHUNK = 32
 
 
-def forward(model: XgknModel, graphs) -> list[ForwardTrace]:
-    """One inference pass, ``_batch_forward`` over all of ``graphs`` at once,
-    sliced into one trace per graph; batch-norm statistics stay frozen.
-    Aggregation and the predictor are row-local, so a graph's trace equals
-    its batch of one up to the kernel responses of the batch (see README)."""
+def forward(model: XgknModel, graphs) -> ForwardPass:
+    """One inference pass over all of ``graphs`` at once: their combined
+    stack from one ``build_stack``, then ``_batch_forward``; batch-norm
+    statistics stay frozen. Aggregation and the predictor are row-local, so a
+    graph's rows equal its batch of one up to the kernel responses of the
+    batch (see README)."""
     cfg = model.config
-    stacks = [build_subgraph_stack(g, cfg.hop_radius, cfg.max_subgraph_size) for g in graphs]
-    logits, z, r, contributions, argrow = _batch_forward(model, stacks, training=False)
-    # keep values only: the batch's autograd graph is freed here
-    logits, z, r = logits.values, z.values, r.values
-    bounds = np.cumsum([0] + [s.num_nodes for s in stacks])
-    traces = []
-    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        logit_row = logits[i].copy()
-        traces.append(ForwardTrace(
-            R=r[a:b].copy(),
-            contributions=contributions[a:b].copy(),
-            z=z[i].copy(),
-            logits=logit_row,
-            predicted_class=int(np.argmax(logit_row)),
-            argmax_rows=None if argrow is None else argrow[i] - a,
-        ))
-    return traces
-
-
-def forward_batch(model: XgknModel, graphs) -> list[ForwardTrace]:
-    """Inference over a list of graphs, one ``forward`` per INFERENCE_CHUNK
-    graphs."""
     graphs = list(graphs)
-    return [trace for lo in range(0, len(graphs), INFERENCE_CHUNK)
-            for trace in forward(model, graphs[lo:lo + INFERENCE_CHUNK])]
+    stack, graph_seg = build_stack(graphs, cfg.hop_radius, cfg.max_subgraph_size)
+    logits, z, r, contributions, argrow = _batch_forward(
+        model, stack, graph_seg, len(graphs), training=False)
+    # keep values only: the batch's autograd graph is freed here
+    return ForwardPass(R=r.values, contributions=contributions, z=z.values,
+                       logits=logits.values,
+                       bounds=np.concatenate(([0], np.cumsum([g.n for g in graphs]))),
+                       argmax_rows=argrow)
+
+
+def forward_batch(model: XgknModel, graphs) -> ForwardPass:
+    """Inference over a list of graphs: one ``forward`` per INFERENCE_CHUNK
+    graphs, the passes joined into one."""
+    graphs = list(graphs)
+    passes = [forward(model, graphs[lo:lo + INFERENCE_CHUNK])
+              for lo in range(0, len(graphs), INFERENCE_CHUNK)]
+    if len(passes) == 1:
+        return passes[0]
+    m = model.num_filters
+    starts = np.cumsum([0] + [p.bounds[-1] for p in passes])
+
+    def joined(field: str, width: int) -> np.ndarray:
+        return np.concatenate([np.zeros((0, width))] + [getattr(p, field) for p in passes])
+
+    return ForwardPass(
+        R=joined("R", m), contributions=joined("contributions", m), z=joined("z", m),
+        logits=joined("logits", model.num_classes),
+        bounds=np.concatenate([[0]] + [p.bounds[1:] + lo for p, lo in zip(passes, starts)]),
+        argmax_rows=None if model.config.agg_mode != "max" else np.concatenate(
+            [np.zeros((0, m), dtype=np.int64)]
+            + [p.argmax_rows + lo for p, lo in zip(passes, starts)]))
 
 
 def evaluate_accuracy(model: XgknModel, ds: Dataset, ids) -> float:
     ids = list(ids)
-    traces = forward_batch(model, [ds.graphs[i] for i in ids])
-    correct = sum(t.predicted_class == ds.graphs[i].label for t, i in zip(traces, ids))
+    predicted = forward_batch(model, [ds.graphs[i] for i in ids]).predicted
+    correct = sum(int(c) == ds.graphs[i].label for c, i in zip(predicted, ids))
     return correct / len(ids)
 
 
@@ -305,7 +332,8 @@ def train(model: XgknModel, ds: Dataset, split: Split, cfg: TrainConfig):
         epoch_correct = 0
         for lo in range(0, n, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
-            logits = _batch_forward(model, [stacks[i] for i in batch], training=True)[0]
+            batch_stack, graph_seg = combine_stacks([stacks[i] for i in batch])
+            logits = _batch_forward(model, batch_stack, graph_seg, len(batch), training=True)[0]
             loss = nk.cross_entropy(logits, labels[batch])
             loss_value = loss.item()
             if not np.isfinite(loss_value):
@@ -323,8 +351,12 @@ def train(model: XgknModel, ds: Dataset, split: Split, cfg: TrainConfig):
     model.restore(best["snap"])
     # recalibrate frozen batch-norm statistics on the training split so the
     # inference normalization matches the restored parameters exactly
-    scores = np.vstack([_batch_forward(model, stacks[lo:lo + 128], training=False)[1].values
-                        for lo in range(0, n, 128)])
+    scores = []
+    for lo in range(0, n, 128):
+        part = stacks[lo:lo + 128]
+        scores.append(_batch_forward(model, *combine_stacks(part), len(part),
+                                     training=False)[1].values)
+    scores = np.vstack(scores)
     model.predictor.running_mean = scores.mean(axis=0, keepdims=True)
     model.predictor.running_var = scores.var(axis=0, keepdims=True)
     model.z_baseline = scores.mean(axis=0)

@@ -55,9 +55,6 @@ class Tensor:
             raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.values.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def __add__(self, other):
         return add(self, _as_tensor(other))
 

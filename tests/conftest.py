@@ -41,6 +41,17 @@ def random_graph(n: int, p: float, rng: Rng, d: int = 1, binary_features: bool =
     return Graph(adj, feats, np.arange(n))
 
 
+def with_label(g: Graph, label: int | None) -> Graph:
+    """``g`` with another class label."""
+    return Graph(g.adjacency, g.features, g.node_ids, label=label, anchor=g.anchor)
+
+
+def zero_grad(*tensors) -> None:
+    """Clear the gradients that ``numkit.backward`` left on ``tensors``."""
+    for t in tensors:
+        t.grad = None
+
+
 @pytest.fixture
 def rng():
     return Rng(12345)

@@ -23,9 +23,12 @@ gradient check, the one-call ``explain_graph``, the ``AnchorError`` that
 ``anchored_rw_kernel`` raises and the TU writer. Per-graph loops are the
 references for the package's batched code: the per-node neighbourhoods, and
 the Monte-Carlo and model-level metrics that score one graph per
-``forward_batch`` call, and the pair-by-pair and running-sum loops that
+``forward_batch`` call, the id-list and node-by-node samplers that
+``metrics._draw_samples`` and ``graphs.perturb_features`` replace with
+position masks, and the pair-by-pair and running-sum loops that
 ``graphs.perturb_edges`` and ``explainer.threshold_explanation`` replace with
-array operations.
+array operations. The Shapley enumeration that checks the depth-1 closed form
+is ``explainer.enumerated_shapley``, which depth-2 predictors use.
 """
 
 import itertools
@@ -49,6 +52,8 @@ from xgkn.graphs import (
 from xgkn.metrics import _explanation_edges, _result
 from xgkn.model import forward_batch, perturb_filters
 
+from conftest import zero_grad
+
 
 class AnchorError(XgknError, ValueError):
     """A subgraph is missing the anchor node required by the kernel."""
@@ -64,8 +69,7 @@ def finite_difference_check(f, params: list[nk.Tensor], eps: float = 1e-5) -> fl
 
     ``f`` re-evaluates the scalar objective from the current parameter values.
     """
-    for p in params:
-        p.zero_grad()
+    zero_grad(*params)
     out = f()
     if not np.isfinite(out.values).all():
         raise NumericError("objective is non-finite")
@@ -174,7 +178,7 @@ def perturb_edges_loop(g: Graph, delta_add: float, delta_remove: float, rng,
             else:
                 if draws[i, j] < delta_add:
                     adj[i, j] = adj[j, i] = 1.0
-    return g.with_adjacency(adj)
+    return Graph(adj, g.features, g.node_ids, label=g.label, anchor=g.anchor)
 
 
 def threshold_selection_loop(g: Graph, importance: np.ndarray, p: float) -> tuple:
@@ -230,31 +234,53 @@ def write_tu_dataset(ds, directory: str, name: str) -> None:
             fh.write("\n".join(lines) + "\n")
 
 
+def draw_samples_loop(g: Graph, explanation, mode: str, cfg, rng):
+    """The I1/I2 samples of one graph, id list by id list: the reference for
+    ``metrics._draw_samples``."""
+    explanation_ids = set(explanation.selected.ids)
+    others = [int(i) for i in g.node_ids if int(i) not in explanation_ids]
+    samples = []
+    skipped = 0
+    for _ in range(cfg.samples_per_graph):
+        chosen = None
+        for _ in range(cfg.max_retries):
+            include = rng.random(len(others)) < cfg.inclusion_probability
+            picked = [v for v, keep in zip(others, include) if keep]
+            candidate = sorted(explanation_ids) + picked if mode == "I1" else picked
+            if candidate:
+                chosen = sorted(candidate)
+                break
+        if chosen is None:
+            skipped += 1
+        else:
+            samples.append(induced_subgraph(g, NodeSet(tuple(chosen))))
+    return samples, skipped
+
+
+def perturb_features_loop(g: Graph, delta: float, pool: np.ndarray, rng, exclude=None):
+    """``graphs.perturb_features`` node by node."""
+    excluded = set(exclude.ids) if exclude is not None else set()
+    hit = rng.random(g.n) < delta
+    feats = np.array(g.features)
+    for pos in range(g.n):
+        if hit[pos] and int(g.node_ids[pos]) not in excluded:
+            feats[pos] = pool[int(rng.integers(0, pool.shape[0]))]
+    return g.with_features(feats)
+
+
 def sufficiency_necessity_sequential(model, ds, explanations, mode, cfg, rng):
-    """I1/I2 with one graph per ``forward_batch`` call, each sample scored as
-    soon as it is drawn."""
+    """I1/I2 with one graph per ``forward_batch`` call, each sample scored
+    alone."""
     values = []
     skipped = 0
     for gi, g in enumerate(ds.graphs):
-        g_rng = rng.derive(mode, gi)
-        predicted = forward_batch(model, [g])[0].predicted_class
-        explanation_ids = set(explanations[gi].selected.ids)
-        others = [int(i) for i in g.node_ids if int(i) not in explanation_ids]
+        predicted = forward_batch(model, [g]).predicted[0]
+        samples, n_skipped = draw_samples_loop(g, explanations[gi], mode, cfg,
+                                               rng.derive(mode, gi))
+        skipped += n_skipped
         hits = []
-        for _ in range(cfg.samples_per_graph):
-            chosen = None
-            for _ in range(cfg.max_retries):
-                include = g_rng.random(len(others)) < cfg.inclusion_probability
-                picked = [v for v, keep in zip(others, include) if keep]
-                candidate = sorted(explanation_ids) + picked if mode == "I1" else picked
-                if candidate:
-                    chosen = sorted(candidate)
-                    break
-            if chosen is None:
-                skipped += 1
-                continue
-            sub = induced_subgraph(g, NodeSet(tuple(chosen)))
-            sub_predicted = forward_batch(model, [sub])[0].predicted_class
+        for sub in samples:
+            sub_predicted = forward_batch(model, [sub]).predicted[0]
             hits.append(float(sub_predicted == predicted) if mode == "I1"
                         else float(sub_predicted != predicted))
         if hits:
@@ -272,7 +298,7 @@ def robustness_sequential(model, ds, explanations, mode, cfg, rng, feature_pool=
     skipped = 0
     for gi, g in enumerate(ds.graphs):
         g_rng = rng.derive(mode, gi)
-        predicted = forward_batch(model, [g])[0].predicted_class
+        predicted = forward_batch(model, [g]).predicted[0]
         expl = explanations[gi]
         accepted = None
         for _ in range(cfg.max_retries):
@@ -282,7 +308,7 @@ def robustness_sequential(model, ds, explanations, mode, cfg, rng, feature_pool=
             else:
                 perturbed = perturb_edges(g, delta_add, cfg.delta_edge_remove, g_rng,
                                           protected=_explanation_edges(g, expl.selected))
-            if forward_batch(model, [perturbed])[0].predicted_class == predicted:
+            if forward_batch(model, [perturbed]).predicted[0] == predicted:
                 accepted = perturbed
                 break
         if accepted is None:

@@ -46,7 +46,7 @@ from xgkn.model import (
     train,
 )
 
-from conftest import random_graph
+from conftest import random_graph, with_label
 from oracles import anchored_rw_kernel, direct_product, filter_as_graph, finite_difference_check, \
     ged_bruteforce, node_pair_similarity, rw_kernel, walk_kernel_bruteforce
 from test_explainer import make_model
@@ -216,11 +216,11 @@ class TestShapleyProperties:
             model = make_model(m=m, seed=trial, agg=mode)
             n = int(rng.integers(2, 9))
             g = random_graph(n, 0.5, rng.derive("g", trial)).with_features(np.ones((n, 1)))
-            trace = forward_batch(model, [g])[0]
-            attr = exact_shapley(model, trace.z, model.z_baseline,
-                                 trace.predicted_class)
-            weights, inactive = propagate_to_nodes(attr, trace, mode)
-            active_sum = sum(attr.phi[i] for i in range(m) if i not in inactive)
+            fp = forward_batch(model, [g])
+            attr = exact_shapley(model, fp.z, model.z_baseline, fp.predicted)
+            weights, inactive = propagate_to_nodes(attr, fp, mode)
+            skipped = {int(i) for _, i in inactive}
+            active_sum = sum(attr.phi[0, i] for i in range(m) if i not in skipped)
             worst = max(worst, abs(weights.sum() - active_sum))
         report("criterion 7: propagation conservation gap < 1e-9 on 100 instances",
                worst < 1e-9, f"worst={worst:.2e}")
@@ -337,8 +337,8 @@ class TestMetricProperties:
         for trial in range(5):
             model = make_model(m=3, seed=trial)
             graphs = tuple(
-                random_graph(6, 0.5, rng.derive(trial, i)).with_features(np.ones((6, 1)))
-                .with_label(i % 2) for i in range(4))
+                with_label(random_graph(6, 0.5, rng.derive(trial, i))
+                           .with_features(np.ones((6, 1))), i % 2) for i in range(4))
             masks = tuple(NodeSet((0, 1), root=i) for i in range(4))
             ds = Dataset(graphs=graphs, num_classes=2, gt_instance_masks=masks)
             expl = [threshold_explanation(g, node_importance(model, g), 0.5)
@@ -362,8 +362,8 @@ class TestMetricProperties:
         for filt in model.filters[1:]:
             filt.adjacency_logits.values = model.filters[0].adjacency_logits.values.copy()
             filt.features.values = model.filters[0].features.values.copy()
-        graphs = tuple(random_graph(6, 0.5, rng.derive("dup", i)).with_features(
-            np.ones((6, 1))).with_label(0) for i in range(5))
+        graphs = tuple(with_label(random_graph(6, 0.5, rng.derive("dup", i)).with_features(
+            np.ones((6, 1))), 0) for i in range(5))
         ds = Dataset(graphs=graphs, num_classes=2)
         duplicated_zero = metric_redundancy(score_matrix(model, ds)).value == 0.0
 

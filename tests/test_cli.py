@@ -191,7 +191,42 @@ BAD_CONFIGS = [
 ]
 
 
+# Values refused before any stage runs. Before validate_config built the
+# config dataclasses, the first two ended train in a TypeError traceback, the
+# next two passed prepare, samples_per_graph=0 passed prepare and train, and
+# test_fraction=1.5 exited 1.
+BAD_VALUES = [
+    ('model.num_filters="8"', "model.num_filters"),
+    ("model.num_filters=true", "model.num_filters"),
+    ("train.epochs=0", "train.epochs"),
+    ("model.hop_radius=0", "model.hop_radius"),
+    ("aim.samples_per_graph=0", "aim.samples_per_graph"),
+    ("split.test_fraction=1.5", "split.test_fraction"),
+]
+
+
+def tree_bytes(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("command", ["prepare", "train"])
+    @pytest.mark.parametrize("override,key", BAD_VALUES)
+    def test_bad_value_is_usage_error_naming_it(self, tmp_path, capsys, override, key,
+                                                command):
+        out_dir = tmp_path / "out"
+        config = write_config(tmp_path, out_dir)
+        if command == "train":
+            assert main(["prepare", "-c", str(config)]) == 0
+        before = tree_bytes(tmp_path)
+        capsys.readouterr()
+        assert main([command, "-c", str(config), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err
+        assert "Traceback" not in err
+        assert tree_bytes(tmp_path) == before
+
     @pytest.mark.parametrize("sections,overrides,key", BAD_CONFIGS)
     def test_unknown_key_is_usage_error_naming_it(self, tmp_path, capsys,
                                                    sections, overrides, key):

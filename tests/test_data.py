@@ -21,7 +21,7 @@ from xgkn.data import (
 from xgkn.errors import DatasetFormatError, SplitError
 from xgkn.graphs import Rng, induced_subgraph
 
-from conftest import path_graph, star_graph
+from conftest import path_graph, star_graph, with_label
 from oracles import bfs_hop_distances, is_isomorphic_bruteforce, write_tu_dataset
 
 
@@ -183,7 +183,7 @@ class TestBaMultiShapes:
 
 class TestFeaturePolicies:
     def test_scalar_degree_on_path(self):
-        ds = Dataset(graphs=(path_graph(3).with_label(0), path_graph(3).with_label(0)),
+        ds = Dataset(graphs=(with_label(path_graph(3), 0), with_label(path_graph(3), 0)),
                      num_classes=1)
         out = apply_feature_policy(ds, "degree")
         assert np.array_equal(out.graphs[0].features.reshape(-1), [1.0, 2.0, 1.0])
@@ -195,7 +195,7 @@ class TestFeaturePolicies:
             assert np.array_equal(g.features, np.ones((g.n, 1)))
 
     def test_degree_onehot_clamps_to_cap(self):
-        ds = Dataset(graphs=(star_graph(7).with_label(0), star_graph(7).with_label(0)),
+        ds = Dataset(graphs=(with_label(star_graph(7), 0), with_label(star_graph(7), 0)),
                      num_classes=1)
         out = apply_feature_policy(ds, "degree_onehot", degree_cap=5)
         center = out.graphs[0].features[0]
@@ -241,8 +241,8 @@ class TestStratifiedSplit:
         assert len(set(test_sets)) == 10
 
     def test_tiny_class_rejected(self):
-        graphs = (path_graph(3).with_label(0), path_graph(3).with_label(0),
-                  path_graph(3).with_label(1))
+        graphs = (with_label(path_graph(3), 0), with_label(path_graph(3), 0),
+                  with_label(path_graph(3), 1))
         ds = Dataset(graphs=graphs, num_classes=2)
         with pytest.raises(SplitError):
             stratified_split(ds, 0.5, 1, seed=0)

@@ -7,6 +7,7 @@ from xgkn.errors import CapacityError, MissingGroundTruthError
 from xgkn.explainer import (
     Attribution,
     criterion_score,
+    enumerated_shapley,
     exact_shapley,
     explanation_record,
     node_importance,
@@ -18,10 +19,10 @@ from xgkn.explainer import (
     write_explanations,
 )
 from xgkn.graphs import Graph, NodeSet, Rng
-from xgkn.model import ForwardTrace, ModelConfig, forward_batch, init_model
+from xgkn.model import ForwardPass, ModelConfig, forward_batch, init_model
 from xgkn.numkit import Tensor
 
-from conftest import cycle_graph, random_graph
+from conftest import cycle_graph, random_graph, with_label
 from oracles import explain_graph, shapley_permutation_oracle, threshold_selection_loop
 from test_kernel import shuffled_graphs
 
@@ -83,9 +84,13 @@ class TestExactShapley:
             assert attr.efficiency_gap() < 1e-9
 
     def test_capacity_cap(self):
-        model = make_model(m=4)
+        # the cap holds for the depth-2 enumeration only
         with pytest.raises(CapacityError):
-            exact_shapley(model, np.zeros(21), np.zeros(21), 0)
+            exact_shapley(make_model(m=21, depth=2), np.zeros(21), np.zeros(21), 0)
+        # the depth-1 closed form needs no coalitions
+        z = Rng(8).normal(size=(3, 40))
+        attr = exact_shapley(make_model(m=40), z, np.zeros(40), [0, 1, 0])
+        assert attr.phi.shape == (3, 40) and attr.efficiency_gap() < 1e-12
 
     def test_null_concept_gets_zero_attribution(self):
         # a coordinate equal to its baseline never changes any coalition
@@ -95,40 +100,83 @@ class TestExactShapley:
         baseline = rng.normal(size=3)
         baseline[1] = z[1]
         attr = exact_shapley(model, z, baseline, target_class=0)
-        assert attr.phi[1] == 0.0
+        assert attr.phi[0, 1] == 0.0
 
     @pytest.mark.parametrize("depth", [1, 2])
     def test_target_logit_is_the_trace_logit(self, rng, depth):
         # the full coalition is one row among 2^m; inference products are
         # row-local, so it scores as the trace's batch did
         model = make_model(m=8, depth=depth, seed=23)
-        for i in range(6):
-            g = random_graph(3 + i, 0.5, rng.derive("g", i)).with_features(np.ones((3 + i, 1)))
-            trace = forward_batch(model, [g])[0]
-            attr = exact_shapley(model, trace.z, model.z_baseline, trace.predicted_class)
-            assert attr.target_logit == trace.logits[trace.predicted_class]
+        graphs = [random_graph(3 + i, 0.5, rng.derive("g", i)).with_features(np.ones((3 + i, 1)))
+                  for i in range(6)]
+        fp = forward_batch(model, graphs)
+        attr = exact_shapley(model, fp.z, model.z_baseline, fp.predicted)
+        assert np.array_equal(attr.target_logit, fp.logits[np.arange(6), fp.predicted])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.integers(1, 9), st.integers(1, 5), st.integers(2, 4), st.integers(0, 10 ** 6),
+           st.booleans())
+    def test_closed_form_equals_the_enumeration(self, m, rows, classes, seed, at_baseline):
+        # the depth-1 closed form against the 2^m enumeration it replaces, on
+        # trained-looking batch-norm statistics and some coordinates at the
+        # baseline
+        model = make_model(m=m, seed=seed % 97, num_classes=classes)
+        draws = np.random.default_rng(seed)
+        pred = model.predictor
+        pred.running_mean = draws.normal(size=(1, m))
+        pred.running_var = draws.uniform(0.01, 4.0, size=(1, m))
+        pred.gamma.values = draws.normal(size=(1, m))
+        pred.beta.values = draws.normal(size=(1, m))
+        baseline = draws.normal(size=m)
+        z = draws.normal(size=(rows, m)) * 3.0
+        if at_baseline:
+            z[:, ::2] = baseline[::2]
+        target = draws.integers(0, classes, size=rows)
+        attr = exact_shapley(model, z, baseline, target)
+        assert attr.efficiency_gap() <= 1e-12
+        for row, c, phi in zip(z, target, attr.phi):
+            want = enumerated_shapley(pred, row, baseline, int(c))
+            assert np.allclose(phi, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(initial=1.0))
+
+    def test_rows_of_a_batch_equal_their_batch_of_one(self):
+        for depth in (1, 2):
+            model = make_model(m=5, depth=depth, seed=30 + depth, num_classes=3)
+            draws = np.random.default_rng(depth)
+            z = draws.normal(size=(7, 5))
+            target = draws.integers(0, 3, size=7)
+            batch = exact_shapley(model, z, model.z_baseline, target)
+            for i in range(7):
+                one = exact_shapley(model, z[i], model.z_baseline, target[i])
+                assert batch.phi[i].tobytes() == one.phi[0].tobytes()
+                assert batch.phi0[i] == one.phi0[0]
+                assert batch.target_logit[i] == one.target_logit[0]
 
 
 class TestPropagate:
     def trace_for(self, contributions, z, argmax_rows=None):
-        return ForwardTrace(R=contributions, contributions=contributions,
-                            z=z, logits=np.array([1.0, 0.0]), predicted_class=0,
-                            argmax_rows=argmax_rows)
+        """The pass of one graph with these rows and scores."""
+        return ForwardPass(R=contributions, contributions=contributions,
+                           z=np.reshape(z, (1, -1)), logits=np.array([[1.0, 0.0]]),
+                           bounds=np.array([0, len(contributions)]),
+                           argmax_rows=None if argmax_rows is None else argmax_rows[None])
+
+    @staticmethod
+    def attribution(phi0, phi, target_logit):
+        return Attribution(phi0=np.array([phi0]), phi=np.reshape(phi, (1, -1)),
+                           target_logit=np.array([target_logit]), target_class=np.array([0]))
 
     def test_single_carrier(self):
-        attr = Attribution(phi0=0.5, phi=np.array([0.25, 0.25]),
-                           target_logit=1.0, target_class=0)
+        attr = self.attribution(0.5, np.array([0.25, 0.25]), 1.0)
         trace = self.trace_for(np.array([[2.0, 3.0]]), np.array([2.0, 3.0]))
         w, inactive = propagate_to_nodes(attr, trace, "sum")
         assert w == pytest.approx([0.5])
-        assert inactive == ()
+        assert len(inactive) == 0
 
     def test_uniform_columns_spread_evenly(self):
         n = 4
         z = np.array([2.0, -1.0])
         contributions = np.vstack([z / n] * n)
-        attr = Attribution(phi0=0.1, phi=np.array([0.6, 0.3]),
-                           target_logit=1.0, target_class=0)
+        attr = self.attribution(0.1, np.array([0.6, 0.3]), 1.0)
         w, _ = propagate_to_nodes(attr, self.trace_for(contributions, z), "sum")
         assert np.allclose(w, (attr.phi.sum()) / n)
 
@@ -137,10 +185,9 @@ class TestPropagate:
             contributions = rng.normal(size=(4, 3)) + 2.0
             z = contributions.sum(axis=0)
             phi = rng.normal(size=3)
-            attr = Attribution(phi0=0.0, phi=phi, target_logit=float(phi.sum()),
-                               target_class=0)
+            attr = self.attribution(0.0, phi, float(phi.sum()))
             w, inactive = propagate_to_nodes(attr, self.trace_for(contributions, z), "sum")
-            assert inactive == ()
+            assert len(inactive) == 0
             assert w.sum() == pytest.approx(phi.sum(), abs=1e-9)
             expected = sum(phi[i] * contributions[:, i] / z[i] for i in range(3))
             assert np.allclose(w, expected, atol=1e-12)
@@ -148,26 +195,45 @@ class TestPropagate:
     def test_zero_score_column_is_flagged_and_skipped(self):
         contributions = np.array([[1.0, 0.0], [1.0, 0.0]])
         z = np.array([2.0, 0.0])
-        attr = Attribution(phi0=0.0, phi=np.array([1.0, 5.0]),
-                           target_logit=6.0, target_class=0)
+        attr = self.attribution(0.0, np.array([1.0, 5.0]), 6.0)
         w, inactive = propagate_to_nodes(attr, self.trace_for(contributions, z), "sum")
-        assert inactive == (1,)
+        assert inactive.tolist() == [[0, 1]]
         assert w.sum() == pytest.approx(1.0)
 
     def test_max_mode_routes_to_argmax_rows(self):
         contributions = np.array([[5.0, 0.0], [0.0, 3.0]])
         z = np.array([5.0, 3.0])
-        attr = Attribution(phi0=0.0, phi=np.array([0.7, 0.2]),
-                           target_logit=0.9, target_class=0)
+        attr = self.attribution(0.0, np.array([0.7, 0.2]), 0.9)
         trace = self.trace_for(contributions, z, argmax_rows=np.array([0, 1]))
         w, _ = propagate_to_nodes(attr, trace, "max")
         assert np.allclose(w, [0.7, 0.2])
+
+    @pytest.mark.parametrize("mode", ["sum", "negative_entropy", "max"])
+    def test_a_pass_propagates_as_its_graphs_alone(self, rng, mode):
+        # one masked product over the pass's rows, bit for bit the per-graph
+        # concept-by-concept sum
+        model = make_model(m=5, seed=12, agg=mode)
+        graphs = [random_graph(1 + i % 6, 0.5, rng.derive("pp", i)) for i in range(9)]
+        fp = forward_batch(model, graphs)
+        phi = rng.normal(size=(9, 5))
+        attr = Attribution(phi0=np.zeros(9), phi=phi, target_logit=phi.sum(axis=1),
+                           target_class=np.zeros(9, dtype=np.int64))
+        w, inactive = propagate_to_nodes(attr, fp, mode)
+        for i, g in enumerate(graphs):
+            rows = slice(fp.bounds[i], fp.bounds[i + 1])
+            want = np.zeros(g.n)
+            for c in range(5):
+                if mode == "max":
+                    want[fp.argmax_rows[i, c] - fp.bounds[i]] += phi[i, c]
+                elif abs(fp.z[i, c]) > 1e-12:
+                    want += phi[i, c] * fp.contributions[rows, c] / fp.z[i, c]
+            assert w[rows].tobytes() == want.tobytes()
 
 
 class TestNodeImportance:
     def test_uniform_on_vertex_transitive_graph(self):
         model = make_model(seed=1)
-        importance = node_importance(model, cycle_graph(6).with_label(0))
+        importance = node_importance(model, with_label(cycle_graph(6), 0))
         assert np.allclose(importance, 1.0 / 6.0, atol=1e-9)
 
     def test_single_node_graph(self):
@@ -266,8 +332,8 @@ class TestThresholdExplanation:
 class TestSelectThreshold:
     def test_single_point_grid(self, rng):
         model = make_model(seed=6)
-        graphs = tuple(random_graph(6, 0.5, rng.derive(i)).with_features(np.ones((6, 1)))
-                       .with_label(0) for i in range(3))
+        graphs = tuple(with_label(random_graph(6, 0.5, rng.derive(i))
+                                  .with_features(np.ones((6, 1))), 0) for i in range(3))
         masks = tuple(NodeSet((0, 1), root=i) for i in range(3))
         ds = Dataset(graphs=graphs, num_classes=1, gt_instance_masks=masks)
         sel = select_threshold(model, ds, "a1", grid=(0.3,))
@@ -278,8 +344,8 @@ class TestSelectThreshold:
         graphs = []
         masks = []
         for i in range(4):
-            g = random_graph(6, 0.5, rng.derive("fix", i)).with_features(
-                np.ones((6, 1))).with_label(0)
+            g = with_label(random_graph(6, 0.5, rng.derive("fix", i)).with_features(
+                np.ones((6, 1))), 0)
             importance = node_importance(model, g)
             top2 = np.argsort(importance)[-2:]
             graphs.append(g)
@@ -293,19 +359,19 @@ class TestSelectThreshold:
 
     def test_missing_masks_rejected(self, rng):
         model = make_model(seed=8)
-        graphs = (random_graph(5, 0.5, rng.derive("nm")).with_features(
-            np.ones((5, 1))).with_label(0),)
+        graphs = (with_label(random_graph(5, 0.5, rng.derive("nm")).with_features(
+            np.ones((5, 1))), 0),)
         ds = Dataset(graphs=graphs, num_classes=1)
         with pytest.raises(MissingGroundTruthError):
             select_threshold(model, ds, "a1")
 
     def test_precomputed_classes_leave_i1_i2_scores_unchanged(self, rng):
         model = make_model(seed=10)
-        graphs = tuple(random_graph(5 + i % 3, 0.5, rng.derive("pc", i)).with_label(i % 2)
+        graphs = tuple(with_label(random_graph(5 + i % 3, 0.5, rng.derive("pc", i)), i % 2)
                        for i in range(6))
         ds = Dataset(graphs=graphs, num_classes=2)
         importances = node_importances(model, ds.graphs)
-        predicted = [forward_batch(model, [g])[0].predicted_class for g in ds.graphs]
+        predicted = [forward_batch(model, [g]).predicted[0] for g in ds.graphs]
         sel = select_threshold(model, ds, "i1+i2", grid=(0.3, 0.7), rng=Rng(4),
                                importances=importances)
         assert select_threshold(model, ds, "i1+i2", grid=(0.3, 0.7), rng=Rng(4),
@@ -325,7 +391,7 @@ class TestSelectThreshold:
         monkeypatch.setattr(metrics, "metric_sufficiency_necessity", record)
         model = make_model(seed=9)
         g = random_graph(5, 0.5, rng.derive("lattice")).with_features(np.ones((5, 1)))
-        ds = Dataset(graphs=(g.with_label(0),), num_classes=2)
+        ds = Dataset(graphs=(with_label(g, 0),), num_classes=2)
         importances = [node_importance(model, ds.graphs[0])]
         lattice = [i / 100 for i in range(101)]
         for p in lattice:

@@ -24,6 +24,7 @@ from oracles import (
     bfs_hop_distances,
     direct_product,
     perturb_edges_loop,
+    perturb_features_loop,
     product_edges_bruteforce,
 )
 from test_kernel import shuffled_graphs
@@ -259,6 +260,22 @@ class TestPerturbFeatures:
         assert np.array_equal(a.features, b.features)
 
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(shuffled_graphs(), st.sampled_from([0.05, 0.5, 0.95]), st.integers(0, 2**32 - 1),
+           st.none() | st.lists(st.integers(0, 120), max_size=12))
+    def test_equals_node_loop(self, g, delta, seed, exclude):
+        pool = np.arange(12.0).reshape(6, 2)[:, :1] - 3.0
+        exclude = None if exclude is None else NodeSet(tuple(set(exclude)))
+        rng, loop_rng = Rng(seed), Rng(seed)
+        out = perturb_features(g, delta, pool, rng, exclude=exclude)
+        want = perturb_features_loop(g, delta, pool, loop_rng, exclude=exclude)
+        assert out.features.tobytes() == want.features.tobytes()
+        assert out.adjacency.tobytes() == g.adjacency.tobytes()
+        assert out.node_ids.tobytes() == g.node_ids.tobytes()
+        # the same draws: both streams are left in the same state
+        assert rng.random() == loop_rng.random()
+
+
 class TestPerturbEdges:
     def test_near_certain_removal_empties_triangle(self):
         tri = cycle_graph(3)
@@ -311,6 +328,8 @@ class TestPerturbEdges:
             want = perturb_edges_loop(g, delta_add, delta_remove, Rng(seed), protected=prot)
             assert out.adjacency.tobytes() == want.adjacency.tobytes()
             assert out.node_ids.tobytes() == g.node_ids.tobytes()
+            # built unchecked, but it passes every check of a new Graph
+            Graph(out.adjacency, out.features, out.node_ids, label=out.label)
 
 
 class TestRng:

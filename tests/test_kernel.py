@@ -1,10 +1,11 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xgkn import numkit as nk
+from xgkn import kernel, numkit as nk
 from xgkn.errors import CapacityError, ShapeError
 from xgkn.graphs import Graph, k_hop_neighborhood
 from xgkn.kernel import (
@@ -12,12 +13,13 @@ from xgkn.kernel import (
     FeatureEncoder,
     GraphFilter,
     anchor_walks,
+    build_stack,
     build_subgraph_stack,
     combine_stacks,
     stack_responses,
 )
 
-from conftest import cycle_graph, path_graph, random_graph
+from conftest import cycle_graph, path_graph, random_graph, zero_grad
 from oracles import (
     AnchorError,
     anchored_rw_kernel,
@@ -358,6 +360,25 @@ class TestVectorisedStackBuilder:
                                 steps, offset=lo)
         assert seg.tolist() == [i for i, g in enumerate(graphs) for _ in range(g.n)]
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(st.lists(shuffled_graphs(max_nodes=10), min_size=1, max_size=8),
+           st.integers(1, 3), st.integers(1, 10), st.booleans())
+    def test_batch_equals_combined_per_graph_stacks(self, graphs, k, max_size, grouped):
+        want, want_seg = combine_stacks([build_subgraph_stack(g, k, max_size) for g in graphs])
+        cap = MAX_BLOCK_ENTRIES
+        if grouped:
+            # a cap that the padded arrays of the whole batch exceed, so that
+            # the batch is built in consecutive groups
+            n_max = max(g.n for g in graphs)
+            cap = max(n_max * n_max, max(g.n * min(g.n, max_size) ** 2 for g in graphs))
+        with mock.patch.object(kernel, "MAX_BLOCK_ENTRIES", cap):
+            got, seg = build_stack(graphs, k, max_size)
+        assert got.num_nodes == want.num_nodes
+        for name in ("raw_features", "members", "blocks"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert seg.tobytes() == want_seg.tobytes()
+
     def test_isolated_nodes_get_one_row_blocks(self):
         g = Graph.from_edges(4, [(1, 2)])
         stack = build_subgraph_stack(g, 2, 5)
@@ -419,8 +440,7 @@ class TestWalkHorner:
                                                                caps, seed)
         results = []
         for op in (nk.walk_horner, walk_horner_per_step):
-            s.zero_grad()
-            w.zero_grad()
+            zero_grad(s, w)
             h = op(s, w, members, walks, masks)
             nk.backward(nk.tsum(h * cotangent))
             # at cap 0 the composition never uses w and leaves it no gradient
@@ -485,8 +505,7 @@ class TestRankOneWalks:
         leaves = [*rows, shared, *adjacencies]
         results = []
         for op in (nk.rank_one_walks, rank_one_walks_chain):
-            for leaf in leaves:
-                leaf.zero_grad()
+            zero_grad(*leaves)
             out = op(rows, shared, adjacencies, counts, caps)
             nk.backward(nk.tsum(out * cotangent))
             # at cap 0 the chain never uses W and leaves it no gradient

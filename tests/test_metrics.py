@@ -10,6 +10,7 @@ from xgkn.kernel import GraphFilter
 from xgkn.metrics import (
     AimConfig,
     MetricResult,
+    _draw_samples,
     aim_report,
     metric_a1,
     metric_a2,
@@ -22,15 +23,17 @@ from xgkn.metrics import (
 from xgkn.model import ModelConfig, XgknModel, forward_batch, init_model
 from xgkn.numkit import Tensor, spearman_abs
 
-from conftest import random_graph
+from conftest import random_graph, with_label
 from oracles import (
     correctness_sequential,
+    draw_samples_loop,
     explain_graph,
     ged_bruteforce,
     robustness_sequential,
     sufficiency_necessity_sequential,
 )
 from test_explainer import make_model
+from test_kernel import shuffled_graphs
 
 
 def explanation_for(g, selected_ids, n=None):
@@ -44,13 +47,12 @@ def explanation_for(g, selected_ids, n=None):
 def score_matrix(model: XgknModel, ds: Dataset) -> np.ndarray:
     """The graphs x filters score matrix of one batched pass, as evaluate
     passes it to M3."""
-    return np.vstack([t.z for t in forward_batch(model, ds.graphs)])
+    return forward_batch(model, ds.graphs).z
 
 
 def tiny_dataset(rng, n_graphs=4, n=6):
     graphs = tuple(
-        random_graph(n, 0.5, rng.derive("g", i)).with_features(np.ones((n, 1)))
-        .with_label(i % 2)
+        with_label(random_graph(n, 0.5, rng.derive("g", i)).with_features(np.ones((n, 1))), i % 2)
         for i in range(n_graphs))
     masks = tuple(NodeSet((0, 1), root=i) for i in range(n_graphs))
     return Dataset(graphs=graphs, num_classes=2, gt_instance_masks=masks)
@@ -98,8 +100,8 @@ class TestMetricA1:
         assert metric_a1(expl, ds).value == 0.0
 
     def test_empty_masks_excluded_by_default(self, rng):
-        graphs = tuple(random_graph(5, 0.5, rng.derive(i)).with_features(
-            np.ones((5, 1))).with_label(0) for i in range(2))
+        graphs = tuple(with_label(random_graph(5, 0.5, rng.derive(i)).with_features(
+            np.ones((5, 1))), 0) for i in range(2))
         masks = (NodeSet((0, 1), root=0), NodeSet((), root=1))
         ds = Dataset(graphs=graphs, num_classes=1, gt_instance_masks=masks)
         expl = [explanation_for(g, (0, 1)) for g in ds.graphs]
@@ -108,7 +110,7 @@ class TestMetricA1:
         assert res.n_used == 1
 
     def test_no_masks_rejected(self, rng):
-        graphs = (random_graph(5, 0.5, rng).with_features(np.ones((5, 1))).with_label(0),)
+        graphs = (with_label(random_graph(5, 0.5, rng).with_features(np.ones((5, 1))), 0),)
         ds = Dataset(graphs=graphs, num_classes=1)
         with pytest.raises(MissingGroundTruthError):
             metric_a1([explanation_for(graphs[0], (0,))], ds)
@@ -227,12 +229,12 @@ class TestRobustness:
         values, skipped = [], 0
         for gi, g in enumerate(ds.graphs):
             g_rng = Rng(11).derive("I4", gi)
-            predicted = forward_batch(model, [g])[0].predicted_class
+            predicted = forward_batch(model, [g]).predicted[0]
             accepted = None
             for _ in range(cfg.max_retries):
                 cand = perturb_edges(g, delta_add, cfg.delta_edge_remove, g_rng,
                                      protected=_explanation_edges(g, expl[gi].selected))
-                if forward_batch(model, [cand])[0].predicted_class == predicted:
+                if forward_batch(model, [cand]).predicted[0] == predicted:
                     accepted = cand
                     break
             if accepted is None:
@@ -324,7 +326,7 @@ class TestRedundancy:
         model = make_model(m=3, seed=13)
         ds = tiny_dataset(rng, n_graphs=6)
         res = metric_redundancy(score_matrix(model, ds))
-        streams = np.vstack([forward_batch(model, [g])[0].z for g in ds.graphs])
+        streams = np.vstack([forward_batch(model, [g]).z[0] for g in ds.graphs])
         pairs = [spearman_abs(streams[:, i], streams[:, j])
                  for i in range(3) for j in range(i + 1, 3)]
         assert res.value == pytest.approx(1.0 - float(np.mean(pairs)))
@@ -377,6 +379,31 @@ class TestAimReport:
         assert report.ttests[0]["p_value"] == 1.0
 
 
+class TestDrawSamples:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(shuffled_graphs(), st.data(), st.sampled_from(["I1", "I2"]),
+           st.integers(1, 4), st.integers(0, 3), st.sampled_from([0.1, 0.5, 0.9]),
+           st.integers(0, 2**32 - 1))
+    def test_equals_id_loop(self, g, data, mode, samples, retries, inclusion, seed):
+        # position masks against the id lists they replace: the same samples,
+        # skips and draws, for any ids and any explanation, empty or whole
+        ids = g.node_ids.tolist()
+        selected = data.draw(st.lists(st.sampled_from(ids), max_size=len(ids)))
+        explanation = Explanation(importance=np.zeros(g.n), selected=NodeSet(tuple(set(selected))),
+                                  threshold=0.5)
+        cfg = AimConfig(samples_per_graph=samples, max_retries=retries,
+                        inclusion_probability=inclusion)
+        rng, loop_rng = Rng(seed), Rng(seed)
+        got, skipped = _draw_samples(g, explanation, mode, cfg, rng)
+        want, want_skipped = draw_samples_loop(g, explanation, mode, cfg, loop_rng)
+        assert skipped == want_skipped and len(got) == len(want)
+        for a, b in zip(got, want):
+            for name in ("adjacency", "features", "node_ids"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert a.label == b.label and a.anchor is None
+        assert rng.random() == loop_rng.random()
+
+
 class TestBatchedMatchesSequential:
     """The batched metrics against the per-graph loops they replaced; 30
     graphs and their samples span several inference chunks."""
@@ -389,7 +416,7 @@ class TestBatchedMatchesSequential:
             g = random_graph(4 + i % 6, 0.45, rng.derive("g", i), d=1)
             if i % 2:
                 g = g.with_features(np.ones((g.n, 1)))
-            graphs.append(g.with_label(i % 2))
+            graphs.append(with_label(g, i % 2))
         ds = Dataset(graphs=tuple(graphs), num_classes=2)
         # this model predicts both classes here, and with the configs below some
         # graphs need a second or third perturbation and one is skipped
@@ -405,7 +432,7 @@ class TestBatchedMatchesSequential:
         assert (metric_sufficiency_necessity(model, ds, expl, mode, cfg, Rng(31))
                 == sufficiency_necessity_sequential(model, ds, expl, mode, cfg, Rng(31)))
         # the graphs' classes scored beforehand, as explain and evaluate pass them
-        predicted = [forward_batch(model, [g])[0].predicted_class for g in ds.graphs]
+        predicted = [forward_batch(model, [g]).predicted[0] for g in ds.graphs]
         assert (metric_sufficiency_necessity(model, ds, expl, mode, cfg, Rng(31), predicted)
                 == sufficiency_necessity_sequential(model, ds, expl, mode, cfg, Rng(31)))
 
@@ -420,7 +447,7 @@ class TestBatchedMatchesSequential:
         assert (metric_robustness(model, ds, expl, mode, cfg, Rng(32), feature_pool=pool)
                 == robustness_sequential(model, ds, expl, mode, cfg, Rng(32),
                                          feature_pool=pool))
-        predicted = [forward_batch(model, [g])[0].predicted_class for g in ds.graphs]
+        predicted = [forward_batch(model, [g]).predicted[0] for g in ds.graphs]
         assert (metric_robustness(model, ds, expl, mode, cfg, Rng(32), feature_pool=pool,
                                   predicted=predicted)
                 == robustness_sequential(model, ds, expl, mode, cfg, Rng(32),
@@ -442,7 +469,7 @@ class TestBatchedMatchesSequential:
 
     def test_redundancy(self, setup):
         model, ds, _ = setup
-        streams = np.vstack([forward_batch(model, [g])[0].z for g in ds.graphs])
+        streams = np.vstack([forward_batch(model, [g]).z[0] for g in ds.graphs])
         pairs = [spearman_abs(streams[:, i], streams[:, j])
                  for i in range(model.num_filters) for j in range(i + 1, model.num_filters)]
         assert metric_redundancy(score_matrix(model, ds)).value == 1.0 - float(np.mean(pairs))

@@ -8,7 +8,7 @@ from xgkn import numkit as nk
 from xgkn.data import Dataset, stratified_split
 from xgkn.errors import TrainingDivergedError
 from xgkn.graphs import Graph, Rng
-from xgkn.kernel import build_subgraph_stack
+from xgkn.kernel import build_subgraph_stack, combine_stacks
 from xgkn.model import (
     ModelConfig,
     Predictor,
@@ -26,8 +26,14 @@ from xgkn.model import (
     train,
 )
 
-from conftest import cycle_graph, path_graph, random_graph
+from conftest import cycle_graph, path_graph, random_graph, with_label
 from oracles import finite_difference_check, rank_one_walks_chain
+
+
+def batch_forward(model, stacks, training):
+    """``_batch_forward`` over the combined per-graph ``stacks``, as ``train``
+    scores a batch."""
+    return _batch_forward(model, *combine_stacks(stacks), len(stacks), training=training)
 
 
 def toy_separable_dataset() -> Dataset:
@@ -35,8 +41,8 @@ def toy_separable_dataset() -> Dataset:
     graphs = []
     for size in (5, 6, 7, 8, 9):
         for _ in range(5):
-            graphs.append(cycle_graph(size).with_label(0))
-            graphs.append(path_graph(size).with_label(1))
+            graphs.append(with_label(cycle_graph(size), 0))
+            graphs.append(with_label(path_graph(size), 1))
     return Dataset(graphs=tuple(graphs), num_classes=2, name="toy")
 
 
@@ -139,17 +145,17 @@ class TestForward:
         for mode in ("sum", "negative_entropy"):
             model = small_model(agg_mode=mode)
             g = random_graph(7, 0.4, rng.derive(mode), d=1, binary_features=False)
-            g = g.with_features(np.ones((7, 1))).with_label(0)
-            trace = forward_batch(model, [g])[0]
-            assert np.allclose(trace.contributions.sum(axis=0), trace.z, atol=1e-9)
-            assert trace.predicted_class == int(np.argmax(trace.logits))
+            g = with_label(g.with_features(np.ones((7, 1))), 0)
+            fp = forward_batch(model, [g])
+            assert np.allclose(fp.contributions.sum(axis=0), fp.z[0], atol=1e-9)
+            assert fp.predicted[0] == int(np.argmax(fp.logits[0]))
 
     def test_single_node_graph(self):
         model = small_model()
         g = Graph(np.zeros((1, 1)), np.ones((1, 1)), np.arange(1), label=0)
-        trace = forward_batch(model, [g])[0]
-        assert trace.R.shape == (1, 2)
-        assert trace.logits.shape == (2,)
+        fp = forward_batch(model, [g])
+        assert fp.R.shape == (1, 2)
+        assert fp.logits.shape == (1, 2)
 
     def test_prediction_invariant_under_node_reordering(self, rng):
         model = small_model()
@@ -158,8 +164,8 @@ class TestForward:
         order = rng.permutation(8)
         permuted = Graph(g.adjacency[np.ix_(order, order)], g.features[order],
                          np.arange(8), label=g.label)
-        t1 = forward_batch(model, [g])[0]
-        t2 = forward_batch(model, [permuted])[0]
+        t1 = forward_batch(model, [g])
+        t2 = forward_batch(model, [permuted])
         assert np.allclose(t1.logits, t2.logits, atol=1e-9)
         assert np.allclose(t2.R, t1.R[order], atol=1e-9)
 
@@ -175,7 +181,7 @@ def mixed_graphs(rng, count: int, onehot: bool) -> list[Graph]:
             features = np.eye(4)[np.minimum(g.degrees(), 3)]
         else:
             features = np.ones((g.n, 1))
-        graphs.append(g.with_features(features).with_label(i % 2))
+        graphs.append(with_label(g.with_features(features), i % 2))
     return graphs
 
 
@@ -187,30 +193,36 @@ class TestForwardBatch:
         assert len(graphs) > 2 * INFERENCE_CHUNK
         model = small_model(feature_dim=4 if onehot else 1, agg_mode=mode)
         batched = forward_batch(model, graphs)
-        assert len(batched) == len(graphs)
-        for g, got in zip(graphs, batched):
-            want = forward_batch(model, [g])[0]
-            assert got.predicted_class == want.predicted_class
-            assert np.allclose(got.logits, want.logits, rtol=0.0, atol=1e-12)
-            assert np.allclose(got.z, want.z, rtol=0.0, atol=1e-12)
-            assert np.allclose(got.R, want.R, rtol=0.0, atol=1e-12)
-            assert np.allclose(got.contributions, want.contributions, rtol=0.0, atol=1e-12)
-            assert got.R.shape == (g.n, model.num_filters)
+        bounds = batched.bounds
+        assert bounds.tolist() == np.cumsum([0] + [g.n for g in graphs]).tolist()
+        assert batched.R.shape == (bounds[-1], model.num_filters)
+        for i, g in enumerate(graphs):
+            rows = slice(bounds[i], bounds[i + 1])
+            want = forward_batch(model, [g])
+            assert batched.predicted[i] == want.predicted[0]
+            assert np.allclose(batched.logits[i], want.logits[0], rtol=0.0, atol=1e-12)
+            assert np.allclose(batched.z[i], want.z[0], rtol=0.0, atol=1e-12)
+            assert np.allclose(batched.R[rows], want.R, rtol=0.0, atol=1e-12)
+            assert np.allclose(batched.contributions[rows], want.contributions,
+                               rtol=0.0, atol=1e-12)
             if mode == "max":
-                assert np.array_equal(got.argmax_rows, want.argmax_rows)
-                assert got.argmax_rows.max() < g.n
+                assert np.array_equal(batched.argmax_rows[i] - bounds[i], want.argmax_rows[0])
+                assert batched.argmax_rows[i].max() < bounds[i + 1]
             else:
-                assert got.argmax_rows is None and want.argmax_rows is None
+                assert batched.argmax_rows is None and want.argmax_rows is None
 
     def test_empty_list(self):
-        assert forward_batch(small_model(), []) == []
+        model = small_model()
+        fp = forward_batch(model, [])
+        assert fp.bounds.tolist() == [0]
+        assert fp.z.shape == (0, model.num_filters) and fp.predicted.shape == (0,)
 
     def test_accuracy_matches_one_graph_forward(self, rng):
         graphs = mixed_graphs(rng, 40, onehot=False)
         ds = Dataset(graphs=tuple(graphs), num_classes=2)
         model = small_model(seed=3)
         ids = range(1, 40, 2)
-        correct = sum(forward_batch(model, [graphs[i]])[0].predicted_class == graphs[i].label
+        correct = sum(forward_batch(model, [graphs[i]]).predicted[0] == graphs[i].label
                       for i in ids)
         assert evaluate_accuracy(model, ds, ids) == correct / len(ids)
 
@@ -255,7 +267,7 @@ class TestRowLocalInference:
         graphs = mixed_graphs(rng, 24, onehot=True)
         stacks = [build_subgraph_stack(g, 1, 6) for g in graphs]
         model = small_model(feature_dim=4, num_filters=8, predictor_depth=depth)
-        logits, z, r, _, _ = _batch_forward(model, stacks, training=True)
+        logits, z, r, _, _ = batch_forward(model, stacks, training=True)
         seg = np.repeat(np.arange(len(stacks)), [s.num_nodes for s in stacks])
         clamped = np.maximum(r.values, model.config.entropy_eps)
         col_sums = np.zeros((len(stacks), 8))
@@ -300,7 +312,7 @@ class TestTrain:
         counts = []
         for walk_cap in (2, 6):
             model = small_model(feature_dim=4, walk_cap=walk_cap)
-            logits = _batch_forward(model, stacks, training=True)[0]
+            logits = batch_forward(model, stacks, training=True)[0]
             counts.append(autograd_nodes(nk.cross_entropy(logits, labels)))
         assert counts[0] == counts[1]
 
@@ -313,7 +325,7 @@ class TestTrain:
         counts = []
         for walk_cap in (2, 6):
             model = small_model(walk_cap=walk_cap)
-            logits = _batch_forward(model, stacks, training=True)[0]
+            logits = batch_forward(model, stacks, training=True)[0]
             counts.append(autograd_nodes(nk.cross_entropy(logits, labels)))
         assert counts[0] == counts[1]
 
@@ -334,7 +346,7 @@ class TestTrain:
             state = nk.adam_init(params, lr=0.05, weight_decay=1e-4)
             for step in range(5):
                 batch = slice(step % 2 * 12, step % 2 * 12 + 12)
-                logits = _batch_forward(model, stacks[batch], training=True)[0]
+                logits = batch_forward(model, stacks[batch], training=True)[0]
                 nk.backward(nk.cross_entropy(logits, labels[batch]))
                 nk.adam_step(params, state)
             finals.append([p.values for p in params])
@@ -411,7 +423,7 @@ class TestTrain:
         params = model.parameters()
 
         def objective():
-            logits = _batch_forward(model, stacks, training=True)[0]
+            logits = batch_forward(model, stacks, training=True)[0]
             return nk.cross_entropy(logits, labels)
 
         # step 2e-4: large enough that difference noise on near-dead
@@ -471,7 +483,7 @@ class TestCheckpoint:
         payload = json.loads(json.dumps(model_to_dict(model)))
         restored = model_from_dict(payload)
         g = ds.graphs[0]
-        t1, t2 = forward_batch(model, [g])[0], forward_batch(restored, [g])[0]
+        t1, t2 = forward_batch(model, [g]), forward_batch(restored, [g])
         assert np.array_equal(t1.logits, t2.logits)
         assert np.array_equal(t1.R, t2.R)
         assert np.array_equal(model.z_baseline, restored.z_baseline)
