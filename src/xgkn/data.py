@@ -12,8 +12,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DatasetFormatError, SplitError
+from .errors import CapacityError, DatasetFormatError, SplitError
 from .graphs import Graph, NodeSet, Rng
+from .kernel import MAX_BLOCK_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -256,6 +257,13 @@ def parse_tu_dataset(directory: str, name: str) -> Dataset:
 
     node_graph = np.array(indicator, dtype=np.int64) - 1
     counts = np.bincount(node_graph, minlength=n_graphs)
+    # every graph becomes a dense n x n matrix; a graph above the cap could
+    # not be grouped into a neighbourhood stack either
+    if int(counts.max(initial=0)) ** 2 > MAX_BLOCK_ENTRIES:
+        largest = int(counts.argmax())
+        raise CapacityError(f"graph {largest + 1} of {name} has {counts[largest]} nodes; "
+                            f"its dense adjacency needs {counts[largest]}^2 entries, "
+                            f"above the cap of {MAX_BLOCK_ENTRIES}")
     offsets = np.concatenate([[0], np.cumsum(counts)])
 
     node_labels = None

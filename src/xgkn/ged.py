@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import CapacityError
 from .graphs import Graph
-from .kernel import GraphFilter
 
 MAX_EXACT_NODES = 12
 FEATURE_TOL = 1e-9
@@ -119,27 +118,29 @@ def unique_rows(rows: np.ndarray) -> np.ndarray:
     return rows[distinct]
 
 
-def binarize_filter(filt: GraphFilter, feature_rows: np.ndarray | None = None,
-                    encoder=None) -> Graph:
-    """Discretize a continuous filter: keep edges with weight >= 0.5.
+def binarize_filter(adjacency: np.ndarray, features: np.ndarray,
+                    feature_rows: np.ndarray | None = None, encoder=None) -> Graph:
+    """Discretize one filter of the bank, given its effective adjacency and
+    embedding rows: keep edges with weight >= 0.5.
 
     When ``feature_rows`` (raw dataset rows) and an encoder are given, each
     filter node takes the raw row whose encoding is nearest to the node's
     embedding; otherwise nodes drop to a constant unlabeled feature.
     """
-    adjacency = (filt.adjacency_values() >= 0.5).astype(np.float64)
+    size = adjacency.shape[0]
+    adjacency = (adjacency >= 0.5).astype(np.float64)
     np.fill_diagonal(adjacency, 0.0)
     if feature_rows is None:
-        features = np.ones((filt.size, 1))
+        features = np.ones((size, 1))
     else:
         if encoder is None:
             raise ValueError("snapping to dataset rows requires the encoder")
         rows = unique_rows(np.asarray(feature_rows, dtype=np.float64))
         encoded = encoder.encode_rows(rows)
-        normalized = filt.features.values / np.maximum(
-            np.linalg.norm(filt.features.values, axis=1, keepdims=True), 1e-12)
-        features = np.empty((filt.size, rows.shape[1]))
+        normalized = features / np.maximum(
+            np.linalg.norm(features, axis=1, keepdims=True), 1e-12)
+        features = np.empty((size, rows.shape[1]))
         for i, row in enumerate(normalized):
             distances = np.linalg.norm(encoded - row, axis=1)
             features[i] = rows[int(np.argmin(distances))]
-    return Graph(adjacency, features, np.arange(filt.size))
+    return Graph(adjacency, features, np.arange(size))

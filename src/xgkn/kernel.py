@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit as nk
-from .errors import CapacityError
+from .errors import CapacityError, ShapeError
 from .graphs import Graph, Rng
 from .numkit import Tensor
 
@@ -43,38 +43,56 @@ class FeatureEncoder:
         return self.encode(raw_features).values
 
 
-class GraphFilter:
-    """Trainable small graph: free adjacency logits squashed through a sigmoid
-    (symmetrized, zero diagonal, so entries stay in [0, 1]) plus an embedding
-    row per node."""
+class FilterBank:
+    """The model's F trainable graphs of ``size`` nodes each, stacked: rows
+    f·size to f·size + size - 1 of both tensors belong to filter f. Free
+    adjacency logits ([F·size, size]) are squashed through a sigmoid and
+    symmetrized with a zero diagonal, so entries stay in [0, 1]; ``features``
+    ([F·size, embed_dim]) holds an embedding row per filter node."""
 
     def __init__(self, adjacency_logits: Tensor, features: Tensor):
-        if adjacency_logits.shape[0] != adjacency_logits.shape[1]:
-            raise ValueError("adjacency logits must be square")
-        if features.shape[0] != adjacency_logits.shape[0]:
-            raise ValueError("one feature row per filter node required")
+        rows, size = adjacency_logits.shape
+        if rows % size or features.shape[0] != rows:
+            raise ShapeError(f"a filter bank needs [F·size, size] logits and a feature row "
+                             f"per node, got {adjacency_logits.shape} and {features.shape}")
         self.adjacency_logits = adjacency_logits
         self.features = features
 
     @staticmethod
-    def init(size: int, embed_dim: int, rng: Rng) -> "GraphFilter":
-        logits = rng.normal(size=(size, size))
-        feats = rng.normal(size=(size, embed_dim))
-        return GraphFilter(Tensor(logits, requires_grad=True),
-                           Tensor(feats, requires_grad=True))
+    def init(num_filters: int, size: int, embed_dim: int, rng: Rng) -> "FilterBank":
+        """Filter f draws its logits, then its embedding rows, from
+        ``rng.derive("filter", f)``."""
+        logits, features = [], []
+        for f in range(num_filters):
+            draw = rng.derive("filter", f)
+            logits.append(draw.normal(size=(size, size)))
+            features.append(draw.normal(size=(size, embed_dim)))
+        return FilterBank(Tensor(np.vstack(logits), requires_grad=True),
+                          Tensor(np.vstack(features), requires_grad=True))
 
     @property
     def size(self) -> int:
-        return self.features.shape[0]
+        return self.adjacency_logits.shape[1]
+
+    @property
+    def num_filters(self) -> int:
+        return self.adjacency_logits.shape[0] // self.size
+
+    def blocks(self, values: np.ndarray) -> np.ndarray:
+        """A bank-shaped [F·size, cols] array as its F blocks, [F, size, cols]."""
+        return values.reshape(self.num_filters, self.size, -1)
 
     def effective_adjacency(self) -> Tensor:
+        """The F filter adjacencies, stacked as the logits are."""
         squashed = nk.sigmoid(self.adjacency_logits)
-        sym = (squashed + nk.transpose(squashed)) * Tensor(np.full((1, 1), 0.5))
-        mask = np.ones((self.size, self.size)) - np.eye(self.size)
-        return sym * Tensor(mask)
+        sym = (squashed + nk.block_transpose(squashed)) * Tensor(np.full((1, 1), 0.5))
+        off_diagonal = np.tile(np.ones((self.size, self.size)) - np.eye(self.size),
+                               (self.num_filters, 1))
+        return sym * Tensor(off_diagonal)
 
     def adjacency_values(self) -> np.ndarray:
-        return self.effective_adjacency().values
+        """The F filter adjacencies as [F, size, size]."""
+        return self.blocks(self.effective_adjacency().values)
 
     def parameters(self) -> list[Tensor]:
         return [self.adjacency_logits, self.features]
@@ -210,42 +228,24 @@ def anchor_walks(blocks: np.ndarray, steps: int) -> np.ndarray:
     return walks
 
 
-def stack_responses(stack: SubgraphStack, filters: list[GraphFilter],
+def stack_responses(stack: SubgraphStack, bank: FilterBank,
                     encoder: FeatureEncoder, walk_cap: int | None = None) -> Tensor:
     """Response matrix (one row per node, one column per filter): entry
-    (v, f) is the anchored walk kernel of v's neighbourhood against filter f,
-    sum over f's columns of S[v] * sum_p Y_p W^p, where Y_p = u_p^T S[members
-    of v] (zero in the columns of filters that walk fewer than p steps) and W
-    is the block-diagonal filter adjacency. The walk sum is one
-    ``numkit.walk_horner`` node with a hand-written backward.
-    tests/oracles.py holds the per-pair reference and the per-step autograd
-    composition."""
-    caps = [filt.size if walk_cap is None else walk_cap for filt in filters]
-    walks = anchor_walks(stack.blocks, max(caps))
+    (v, f) is sum over f's columns of S[v] * sum_p Y_p W^p, p up to the walk
+    cap (the filter size unless ``walk_cap`` is given), Y_p = u_p^T S[members
+    of v], W block diagonal in the bank's adjacencies: one
+    ``numkit.walk_horner`` node. With one raw feature row for every node, S
+    has rank one and the response is sum_p counts[v, p] * s_f^T W_f^p s_f
+    (counts: row sums of the walk table), one ``numkit.rank_one_walks`` node.
+    tests/oracles.py holds the per-pair reference and the per-filter chains."""
+    cap = bank.size if walk_cap is None else walk_cap
+    walks = anchor_walks(stack.blocks, cap)
+    rows = nk.row_unit_normalize(bank.features)
+    adjacency = bank.effective_adjacency()
     raw = stack.raw_features
     if raw.shape[0] and np.all(raw == raw[0]):
         counts = np.ascontiguousarray(walks.sum(axis=2).T)
-        return _uniform_feature_responses(counts, raw[:1], filters, encoder, caps)
-    sizes = [filt.size for filt in filters]
-    filter_rows = nk.row_unit_normalize(nk.vstack([filt.features for filt in filters]))
-    s = encoder.encode(raw) @ nk.transpose(filter_rows)
-    w = nk.block_diag([filt.effective_adjacency() for filt in filters])
-    masks = np.repeat(np.array(caps) >= np.arange(max(caps) + 1)[:, None], sizes, axis=1)
-    h = nk.walk_horner(s, w, stack.members, walks, masks)
-    owner = np.repeat(np.arange(len(filters)), sizes)
-    return (s * h) @ Tensor((owner[:, None] == np.arange(len(filters))).astype(np.float64))
-
-
-def _uniform_feature_responses(anchor_counts: np.ndarray, shared_raw: np.ndarray,
-                               filters: list[GraphFilter], encoder: FeatureEncoder,
-                               caps: list[int]) -> Tensor:
-    """Exact shortcut when every node carries the same raw feature row: S
-    has rank one, and the response is sum_p anchor_counts[v, p] * s^T W^p s,
-    with the length-p walk counts from v (row sums of the walk table) as
-    constants. The scalars s^T W^p s of every filter come from one
-    ``numkit.rank_one_walks`` node with a hand-written backward;
-    tests/oracles.py holds the per-filter autograd chain it reproduces."""
-    return nk.rank_one_walks([nk.row_unit_normalize(filt.features) for filt in filters],
-                             encoder.encode(shared_raw),
-                             [filt.effective_adjacency() for filt in filters],
-                             anchor_counts, caps)
+        return nk.rank_one_walks(rows, encoder.encode(raw[:1]), adjacency, counts, cap)
+    s = encoder.encode(raw) @ nk.transpose(rows)
+    h = nk.walk_horner(s, adjacency, stack.members, walks)
+    return nk.group_col_sums(s * h, bank.size)

@@ -140,8 +140,9 @@ def metric_a2(model: XgknModel, ds: Dataset) -> MetricResult:
         pool = ds.feature_pool()
         if (pool != pool[:1]).any():
             feature_rows = pool
-    discrete = [binarize_filter(f, feature_rows, model.encoder)
-                for f in model.filters]
+    bank = model.bank
+    discrete = [binarize_filter(a, f, feature_rows, model.encoder)
+                for a, f in zip(bank.adjacency_values(), bank.blocks(bank.features.values))]
     return _result("A2", [1.0 - float(np.mean(
         [_nearest_filter_distance(discrete, motif) for motif in ds.gt_motifs]))])
 

@@ -19,7 +19,7 @@ from .errors import ShapeError, TrainingDivergedError
 from .graphs import Rng
 from .kernel import (
     FeatureEncoder,
-    GraphFilter,
+    FilterBank,
     SubgraphStack,
     build_stack,
     build_subgraph_stack,
@@ -159,25 +159,21 @@ class ForwardPass:
 
 
 class XgknModel:
-    def __init__(self, config: ModelConfig, encoder: FeatureEncoder,
-                 filters: list[GraphFilter], predictor: Predictor, num_classes: int):
+    def __init__(self, config: ModelConfig, encoder: FeatureEncoder, bank: FilterBank,
+                 predictor: Predictor, num_classes: int):
         self.config = config
         self.encoder = encoder
-        self.filters = filters
+        self.bank = bank
         self.predictor = predictor
         self.num_classes = num_classes
-        self.z_baseline = np.zeros(len(filters))
+        self.z_baseline = np.zeros(bank.num_filters)
 
     @property
     def num_filters(self) -> int:
-        return len(self.filters)
+        return self.bank.num_filters
 
     def parameters(self) -> list[Tensor]:
-        params = [self.encoder.weight]
-        for f in self.filters:
-            params.extend(f.parameters())
-        params.extend(self.predictor.parameters())
-        return params
+        return [self.encoder.weight, *self.bank.parameters(), *self.predictor.parameters()]
 
     def snapshot(self) -> dict:
         return {
@@ -198,12 +194,11 @@ class XgknModel:
 
 def init_model(config: ModelConfig, feature_dim: int, num_classes: int, rng: Rng) -> XgknModel:
     encoder = FeatureEncoder.init(feature_dim, config.embed_dim, rng.derive("encoder"))
-    filters = [GraphFilter.init(config.filter_size, config.embed_dim, rng.derive("filter", i))
-               for i in range(config.num_filters)]
+    bank = FilterBank.init(config.num_filters, config.filter_size, config.embed_dim, rng)
     predictor = Predictor(config.num_filters, num_classes, config.predictor_depth,
                           config.hidden_dim, rng.derive("predictor"),
                           bn_eps=config.bn_eps, bn_momentum=config.bn_momentum)
-    return XgknModel(config, encoder, filters, predictor, num_classes)
+    return XgknModel(config, encoder, bank, predictor, num_classes)
 
 
 def _aggregate_tensor(r: Tensor, mode: str, eps: float, seg: np.ndarray, num_graphs: int,
@@ -233,9 +228,7 @@ def _aggregate_tensor(r: Tensor, mode: str, eps: float, seg: np.ndarray, num_gra
     if mode == "max":
         z, argrow = nk.segment_col_max(r, seg, num_graphs)
         s_tilde = np.zeros_like(r.values)
-        for s in range(num_graphs):
-            for c in range(m):
-                s_tilde[argrow[s, c], c] = z.values[s, c]
+        s_tilde[argrow, np.arange(m)] = z.values
         return z, s_tilde, argrow
     raise ValueError(f"unknown aggregation mode {mode!r}")
 
@@ -248,7 +241,7 @@ def _batch_forward(model: XgknModel, stack: SubgraphStack, graph_seg: np.ndarray
     graph i; responses and contributions hold the graphs' node rows in
     order, and argmax rows index them."""
     cfg = model.config
-    r = stack_responses(stack, model.filters, model.encoder, cfg.walk_cap)
+    r = stack_responses(stack, model.bank, model.encoder, cfg.walk_cap)
     z, contributions, argrow = _aggregate_tensor(
         r, cfg.agg_mode, cfg.entropy_eps, graph_seg, num_graphs, cfg.norm_scope, training)
     return model.predictor.logits(z, training=training), z, r, contributions, argrow
@@ -376,30 +369,26 @@ def perturb_filters(model: XgknModel, mode: str, delta: float, rng: Rng,
     the 0.5 weight threshold) with probability ``delta``.
     """
     out = model_from_dict(model_to_dict(model))
+    bank = out.bank
     if mode == "features":
         if feature_pool is None or len(feature_pool) == 0:
             raise ValueError("feature mode needs a nonempty feature pool")
         pool = np.asarray(feature_pool, dtype=np.float64)
-        for filt in out.filters:
-            hit = rng.random(filt.size) < delta
-            for row in range(filt.size):
-                if hit[row]:
-                    raw = pool[int(rng.integers(0, pool.shape[0]))]
-                    encoded = out.encoder.encode_rows(raw.reshape(1, -1))[0]
-                    values = filt.features.values.copy()
-                    values[row] = encoded
-                    filt.features.values = values
+        features = bank.features.values.copy()
+        for block in bank.blocks(features):
+            for row in np.flatnonzero(rng.random(bank.size) < delta):
+                raw = pool[int(rng.integers(0, pool.shape[0]))]
+                block[row] = out.encoder.encode_rows(raw.reshape(1, -1))[0]
+        bank.features.values = features
     elif mode == "edges":
-        for filt in out.filters:
-            logits = filt.adjacency_logits.values.copy()
-            effective = filt.adjacency_values()
-            draws = rng.random((filt.size, filt.size))
-            for u in range(filt.size):
-                for v in range(u + 1, filt.size):
-                    if draws[u, v] < delta:
-                        flip = -_SATURATED_LOGIT if effective[u, v] >= 0.5 else _SATURATED_LOGIT
-                        logits[u, v] = logits[v, u] = flip
-            filt.adjacency_logits.values = logits
+        logits = bank.adjacency_logits.values.copy()
+        upper = np.triu(np.ones((bank.size, bank.size), dtype=bool), 1)
+        for block, effective in zip(bank.blocks(logits), bank.adjacency_values()):
+            toggle = upper & (rng.random((bank.size, bank.size)) < delta)
+            flip = np.where(effective >= 0.5, -_SATURATED_LOGIT, _SATURATED_LOGIT)
+            block[toggle] = flip[toggle]
+            block.T[toggle] = flip[toggle]
+        bank.adjacency_logits.values = logits
     else:
         raise ValueError(f"unknown filter perturbation mode {mode!r}")
     return out
@@ -428,9 +417,9 @@ def model_to_dict(model: XgknModel) -> dict:
         "feature_dim": model.encoder.weight.shape[0],
         "encoder_weight": model.encoder.weight.values.tolist(),
         "filters": [
-            {"adjacency_logits": f.adjacency_logits.values.tolist(),
-             "features": f.features.values.tolist()}
-            for f in model.filters
+            {"adjacency_logits": logits.tolist(), "features": features.tolist()}
+            for logits, features in zip(model.bank.blocks(model.bank.adjacency_logits.values),
+                                        model.bank.blocks(model.bank.features.values))
         ],
         "predictor": {
             "gamma": model.predictor.gamma.values.tolist(),
@@ -444,14 +433,31 @@ def model_to_dict(model: XgknModel) -> dict:
     }
 
 
+def _checked_array(field: str, value, shape: tuple) -> np.ndarray:
+    array = np.array(value, dtype=np.float64)
+    if array.shape != shape:
+        raise ShapeError(f"checkpoint field '{field}' has shape {array.shape}, "
+                         f"expected {shape}")
+    return array
+
+
 def model_from_dict(payload: dict) -> XgknModel:
+    """The model of a checkpoint, whose encoder and filter shapes are checked
+    against its config before the bank is built."""
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format {payload.get('format')!r}")
     config = ModelConfig(**payload["config"])
-    encoder = FeatureEncoder(Tensor(np.array(payload["encoder_weight"]), requires_grad=True))
-    filters = [GraphFilter(Tensor(np.array(f["adjacency_logits"]), requires_grad=True),
-                           Tensor(np.array(f["features"]), requires_grad=True))
-               for f in payload["filters"]]
+    size, dim, entries = config.filter_size, config.embed_dim, payload["filters"]
+    encoder = FeatureEncoder(Tensor(_checked_array(
+        "encoder_weight", payload["encoder_weight"], (payload["feature_dim"], dim)),
+        requires_grad=True))
+    if len(entries) != config.num_filters:
+        raise ShapeError(f"checkpoint field 'filters' has {len(entries)} entries, "
+                         f"expected num_filters = {config.num_filters}")
+    bank = FilterBank(*(
+        Tensor(np.vstack([_checked_array(f"filters[{i}].{key}", f[key], shape)
+                          for i, f in enumerate(entries)]), requires_grad=True)
+        for key, shape in (("adjacency_logits", (size, size)), ("features", (size, dim)))))
     predictor = Predictor(config.num_filters, payload["num_classes"],
                           config.predictor_depth, config.hidden_dim, Rng(0),
                           bn_eps=config.bn_eps, bn_momentum=config.bn_momentum)
@@ -463,6 +469,6 @@ def model_from_dict(payload: dict) -> XgknModel:
     for (w, b), layer in zip(predictor.layers, pred["layers"]):
         w.values = np.array(layer["w"])
         b.values = np.array(layer["b"])
-    model = XgknModel(config, encoder, filters, predictor, payload["num_classes"])
+    model = XgknModel(config, encoder, bank, predictor, payload["num_classes"])
     model.z_baseline = np.array(payload["z_baseline"])
     return model

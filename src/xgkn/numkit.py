@@ -7,7 +7,6 @@ Everything is float64 and strictly two-dimensional; scalars are (1, 1).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -236,165 +235,147 @@ def segment_col_max(a: Tensor, seg: np.ndarray, num_segments: int) -> tuple[Tens
         values[s][better] = a.values[r][better]
 
     def backward(g):
+        # adds in the (segment, column) order of the index arrays
         out = np.zeros_like(a.values)
-        for s in range(num_segments):
-            for c in range(m):
-                out[argrow[s, c], c] += g[s, c]
+        np.add.at(out, (argrow, np.arange(m)), g)
         return (out,)
 
     return _op(values, (a,), backward), argrow
 
 
-def hstack(parts: list[Tensor]) -> Tensor:
-    widths = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
+def block_transpose(a: Tensor) -> Tensor:
+    """Transpose every square block of a stack of them: ``a`` is
+    [F·size, size], and rows f·size to f·size + size - 1 hold block f. The
+    backward is the same block transpose."""
+    size = a.shape[1]
+    if a.shape[0] % size:
+        raise ShapeError(f"block_transpose needs a stack of square blocks, got {a.shape}")
 
-    def backward(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(parts)))
+    def flip(x):
+        return x.reshape(-1, size, size).transpose(0, 2, 1).reshape(x.shape)
 
-    return _op(np.hstack([p.values for p in parts]), tuple(parts), backward)
-
-
-def vstack(parts: list[Tensor]) -> Tensor:
-    heights = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0] + heights)
-
-    def backward(g):
-        return tuple(g[offsets[i]:offsets[i + 1], :] for i in range(len(parts)))
-
-    return _op(np.vstack([p.values for p in parts]), tuple(parts), backward)
+    return _op(flip(a.values), (a,), lambda g: (flip(g),))
 
 
-def block_diag(parts: list[Tensor]) -> Tensor:
-    """Block-diagonal matrix of ``parts``, zeros elsewhere."""
-    rows = np.cumsum([0] + [p.shape[0] for p in parts])
-    cols = np.cumsum([0] + [p.shape[1] for p in parts])
-    values = np.zeros((rows[-1], cols[-1]))
-    for i, p in enumerate(parts):
-        values[rows[i]:rows[i + 1], cols[i]:cols[i + 1]] = p.values
-
-    def backward(g):
-        return tuple(g[rows[i]:rows[i + 1], cols[i]:cols[i + 1]] for i in range(len(parts)))
-
-    return _op(values, tuple(parts), backward)
+def group_col_sums(a: Tensor, size: int) -> Tensor:
+    """Sum each run of ``size`` consecutive columns into one column."""
+    n, cols = a.shape
+    if cols % size:
+        raise ShapeError(f"group_col_sums: {cols} columns do not split into runs of {size}")
+    return _op(a.values.reshape(n, cols // size, size).sum(axis=2), (a,),
+               lambda g: (np.repeat(g, size, axis=1),))
 
 
-def walk_horner(s: Tensor, w: Tensor, members: np.ndarray, walks: np.ndarray,
-                masks: np.ndarray) -> Tensor:
+def walk_horner(s: Tensor, w: Tensor, members: np.ndarray, walks: np.ndarray) -> Tensor:
     """Row v of the output is ``sum_p Y_p[v] W^p``, with
-    ``Y_p[v] = masks[p] * sum_j walks[p, v, j] * s[members[v, j]]`` for
-    p >= 1 and ``Y_0 = masks[0] * s`` (step 0 of an anchor walk table is the
-    anchor itself), evaluated by Horner's rule: ``H_P = Y_P``,
-    ``H_p = Y_p + H_{p+1} W``. ``masks`` is a boolean (P + 1, cols) array
-    that zeroes the columns of Y_p whose filter walks fewer than p steps; an
-    all-true row is skipped.
+    ``Y_p[v] = sum_j walks[p, v, j] * s[members[v, j]]`` for p >= 1 and
+    ``Y_0 = s`` (step 0 of an anchor walk table is the anchor itself), by
+    Horner's rule: ``H_P = Y_P``, ``H_p = Y_p + H_{p+1} W``. W is block
+    diagonal; ``w`` stacks its square blocks ([F·size, size]), so each
+    product is one ``np.matmul`` over the [F, n, size] column blocks.
 
     One node for the whole walk sum. Its backward runs the recurrence in
-    reverse, dH_{p+1} = dH_p W^T and dW += H_{p+1}^T dH_p, and sends every
-    dY_p (p >= 1) back to the gathered rows of ``s`` in a single bincount."""
+    reverse per block, dH_{p+1} = dH_p W_f^T and dW_f += H_{p+1}^T dH_p, and
+    sends every dY_p (p >= 1) to the gathered rows of ``s`` in one bincount."""
     n, width = members.shape
+    size = w.shape[1]
     steps = walks.shape[0] - 1
-    if s.shape[0] != n or w.shape != (s.shape[1], s.shape[1]) \
-            or walks.shape[1:] != (n, width) or masks.shape != (steps + 1, s.shape[1]):
+    if s.shape[0] != n or w.shape[0] != s.shape[1] or w.shape[0] % size \
+            or walks.shape[1:] != (n, width):
         raise ShapeError(f"walk_horner: s {s.shape}, w {w.shape}, members {members.shape}, "
-                         f"walks {walks.shape}, masks {masks.shape} do not fit")
-    masked = [not row.all() for row in masks]
+                         f"walks {walks.shape} do not fit")
+    cols = s.shape[1]
+    blocks = w.values.reshape(-1, size, size)
+
+    def by_block(a):
+        # (n, F·size) as a view of shape [F, n, size]
+        return a.reshape(n, -1, size).transpose(1, 0, 2)
+
     gathered = s.values[members]
     horner = [None] * (steps + 1)
     h = None
     for p in range(steps, -1, -1):
-        y = s.values if p == 0 else np.einsum("vj,vjc->vc", walks[p], gathered)
-        if masked[p]:
-            y = y * masks[p]
-        h = y if h is None else y + h @ w.values
+        y = by_block(s.values if p == 0 else np.einsum("vj,vjc->vc", walks[p], gathered))
+        if h is None:
+            h = y
+        else:
+            h = np.matmul(h, blocks)
+            h += y
         horner[p] = h
 
     def backward(g):
-        cols = g.shape[1]
-        dy = np.empty((steps + 1, n, cols))
-        dw = np.zeros(w.shape)
-        dh = g
+        dy = np.empty((steps + 1, n, blocks.shape[0], size))
+        dw = np.zeros(blocks.shape)
+        dh = by_block(g)
+        # matmul runs twice as fast on a contiguous W^T as on the view
+        blocks_t = np.ascontiguousarray(blocks.transpose(0, 2, 1))
         for p in range(steps + 1):
-            dy[p] = dh * masks[p] if masked[p] else dh
+            dy[p] = dh.transpose(1, 0, 2)
             if p < steps:
-                dw += horner[p + 1].T @ dh
-                dh = dh @ w.values.T
+                dw += np.matmul(horner[p + 1].transpose(0, 2, 1), dh)
+                dh = np.matmul(dh, blocks_t)
+        dy = dy.reshape(steps + 1, n, cols)
         # (n, width, cols): sum over p >= 1 of walks[p, v, j] * dY_p[v]
         spread = np.matmul(walks[1:].transpose(1, 2, 0), dy[1:].transpose(1, 0, 2))
         targets = (members[:, :, None] * cols + np.arange(cols)).reshape(-1)
         ds = np.bincount(targets, weights=spread.reshape(-1), minlength=n * cols)
-        return dy[0] + ds.reshape(n, cols), dw
+        return dy[0] + ds.reshape(n, cols), dw.reshape(w.shape)
 
-    return _op(h, (s, w), backward)
+    return _op(h.transpose(1, 0, 2).reshape(n, cols), (s, w), backward)
 
 
-def rank_one_walks(rows: list[Tensor], shared: Tensor, adjacencies: list[Tensor],
-                   counts: np.ndarray, caps: list[int]) -> Tensor:
+def rank_one_walks(rows: Tensor, shared: Tensor, adjacencies: Tensor,
+                   counts: np.ndarray, cap: int) -> Tensor:
     """Column f of the output is ``sum_p counts[:, p] * c_{f,p}`` over
-    p <= caps[f], with ``c_{f,p} = s_f^T W_f^p s_f`` and
-    ``s_f = rows[f] @ shared^T``: the walk sum when every node has the same
-    feature row ``shared``. ``counts`` is the constant (n, max(caps) + 1)
-    table of walk counts and ``adjacencies[f]`` is W_f.
+    p <= cap, with ``c_{f,p} = s_f^T W_f^p s_f`` and ``s_f = rows_f @
+    shared^T``: the walk sum when every node has the same feature row
+    ``shared``. ``rows`` and ``adjacencies`` stack the filters' blocks of
+    ``size`` rows; ``counts`` is the (n, cap + 1) table of walk counts.
 
-    One node for all filters. Each run of consecutive filters of one size
-    and cap is stacked, and each product is one ``np.matmul`` over the stack,
-    which calls the same BLAS routine on every filter's slice as the
-    per-filter matmul chain does. The backward adds the gradients in the
-    order autograd adds them along that chain: dv_P = s g_P,
+    One node for all filters; each product is one ``np.matmul`` over the
+    blocks, the BLAS call a per-filter matmul chain makes per filter. The
+    backward adds in that chain's autograd order: dv_P = s g_P,
     dv_p = s g_p + W^T dv_{p+1}, dW = sum_{p=P..1} dv_p v_{p-1}^T,
     ds = s g_0 + s g_0 + sum_{p=1..P} v_p g_p + W^T dv_1 (v_p = W^p s,
-    g = dc), and the shared row's gradient sums the filters in order. So
-    values and gradients equal the chain's bit for bit. At cap 0 W gets a
-    zero gradient."""
-    num, dim = len(rows), shared.shape[1]
-    if not rows or len(adjacencies) != num or len(caps) != num or shared.shape[0] != 1 \
-            or counts.shape[1:] != (max(caps) + 1,) \
-            or any(r.shape[1] != dim or a.shape != (r.shape[0],) * 2
-                   for r, a in zip(rows, adjacencies)):
-        raise ShapeError(f"rank_one_walks: rows {[r.shape for r in rows]}, shared "
-                         f"{shared.shape}, adjacencies {[a.shape for a in adjacencies]}, "
-                         f"counts {counts.shape}, caps {caps} do not fit")
-    out = np.empty((counts.shape[0], num))
-    runs, lo = [], 0
-    for (_, cap), run in itertools.groupby(zip((r.shape[0] for r in rows), caps)):
-        hi = lo + len(list(run))
-        r = np.stack([t.values for t in rows[lo:hi]])
-        w = np.stack([t.values for t in adjacencies[lo:hi]])
-        v = [np.matmul(r, shared.values.T)]
-        for _ in range(cap):
-            v.append(np.matmul(w, v[-1]))
-        s_t = v[0].transpose(0, 2, 1)
-        c = np.concatenate([np.matmul(s_t, vp) for vp in v], axis=1)
-        out[:, lo:hi] = np.matmul(counts[:, :cap + 1], c)[:, :, 0].T
-        runs.append((lo, hi, cap, r, w, v))
-        lo = hi
+    g = dc), the shared row's gradient summing the filters in order, so it
+    equals the chain bit for bit. At cap 0 W gets a zero gradient."""
+    size, dim = adjacencies.shape[1], shared.shape[1]
+    if shared.shape[0] != 1 or rows.shape != (adjacencies.shape[0], dim) \
+            or adjacencies.shape[0] % size or counts.shape[1:] != (cap + 1,):
+        raise ShapeError(f"rank_one_walks: rows {rows.shape}, shared {shared.shape}, "
+                         f"adjacencies {adjacencies.shape}, counts {counts.shape}, "
+                         f"cap {cap} do not fit")
+    r = rows.values.reshape(-1, size, dim)
+    w = adjacencies.values.reshape(-1, size, size)
+    v = [np.matmul(r, shared.values.T)]
+    for _ in range(cap):
+        v.append(np.matmul(w, v[-1]))
+    s_t = v[0].transpose(0, 2, 1)
+    c = np.concatenate([np.matmul(s_t, vp) for vp in v], axis=1)
+    out = np.ascontiguousarray(np.matmul(counts, c)[:, :, 0].T)
 
     def backward(g):
-        drows, dadj = [], []
-        dshared = np.empty((num, dim))
-        for lo, hi, cap, r, w, v in runs:
-            s, w_t = v[0], w.transpose(0, 2, 1)
-            dc = np.matmul(counts[:, :cap + 1].T, g.T[lo:hi, :, None])
-            ds = s * dc[:, :1] + s * dc[:, :1]
-            for p in range(1, cap + 1):
-                ds = ds + v[p] * dc[:, p:p + 1]
-            dw = np.zeros(w.shape)
-            if cap:
-                dv = s * dc[:, cap:]
-                dw = np.matmul(dv, v[cap - 1].transpose(0, 2, 1))
-                for p in range(cap - 1, 0, -1):
-                    dv = s * dc[:, p:p + 1] + np.matmul(w_t, dv)
-                    dw = dw + np.matmul(dv, v[p - 1].transpose(0, 2, 1))
-                ds = ds + np.matmul(w_t, dv)
-            dshared[lo:hi] = np.matmul(r.transpose(0, 2, 1), ds)[:, :, 0]
-            drows.extend(np.matmul(ds, shared.values))
-            dadj.extend(dw)
+        s, w_t = v[0], w.transpose(0, 2, 1)
+        dc = np.matmul(counts.T, g.T[:, :, None])
+        ds = s * dc[:, :1] + s * dc[:, :1]
+        for p in range(1, cap + 1):
+            ds = ds + v[p] * dc[:, p:p + 1]
+        dw = np.zeros(w.shape)
+        if cap:
+            dv = s * dc[:, cap:]
+            dw = np.matmul(dv, v[cap - 1].transpose(0, 2, 1))
+            for p in range(cap - 1, 0, -1):
+                dv = s * dc[:, p:p + 1] + np.matmul(w_t, dv)
+                dw = dw + np.matmul(dv, v[p - 1].transpose(0, 2, 1))
+            ds = ds + np.matmul(w_t, dv)
+        dshared = np.matmul(r.transpose(0, 2, 1), ds)[:, :, 0]
         total = dshared[:1]
-        for f in range(1, num):
+        for f in range(1, dshared.shape[0]):
             total = total + dshared[f:f + 1]
-        return (*drows, total, *dadj)
+        return (np.matmul(ds, shared.values).reshape(rows.shape), total,
+                dw.reshape(adjacencies.shape))
 
-    return _op(out, (*rows, shared, *adjacencies), backward)
+    return _op(out, (rows, shared, adjacencies), backward)
 
 
 def row_unit_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:

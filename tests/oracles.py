@@ -18,6 +18,13 @@ walk weights themselves one ``k_hop_neighborhood`` at a time, and
 ``numkit.walk_horner`` node must reproduce, as ``rank_one_walks_chain`` is
 the per-filter chain for ``numkit.rank_one_walks``.
 
+``GraphFilter`` is one filter as its own pair of leaves, with its own
+parameter chain; ``stack_responses_per_filter`` composes the kernel
+responses from a list of them, with a dense block-diagonal walk on the
+general path, and is the reference that ``kernel.FilterBank`` and
+``kernel.stack_responses`` must reproduce. The stacking, slicing and
+block-diagonal ops it needs are private copies here.
+
 The module also holds what only the tests use: the central-difference
 gradient check, the one-call ``explain_graph``, the ``AnchorError`` that
 ``anchored_rw_kernel`` raises and the TU writer. Per-graph loops are the
@@ -49,6 +56,7 @@ from xgkn.graphs import (
     perturb_edges,
     perturb_features,
 )
+from xgkn.kernel import FilterBank, anchor_walks
 from xgkn.metrics import _explanation_edges, _result
 from xgkn.model import forward_batch, perturb_filters
 
@@ -123,40 +131,177 @@ def _group_weighted_sum(a: nk.Tensor, weights: np.ndarray) -> nk.Tensor:
                   lambda g: ((weights[:, :, None] * g[:, None, :]).reshape(a.shape),))
 
 
-def walk_horner_per_step(s: nk.Tensor, w: nk.Tensor, members: np.ndarray,
-                         walks: np.ndarray, masks: np.ndarray) -> nk.Tensor:
-    """``numkit.walk_horner`` as a chain of autograd nodes: one gather of the
-    member rows of ``s``, then per walk step p a group-weighted sum, a cap-mask
-    product where some filter walks fewer than p steps, and a Horner matmul
-    and add. The op must equal its values bit for bit and its gradients to
-    rounding."""
+def _vstack(parts: list[nk.Tensor]) -> nk.Tensor:
+    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
+    return nk._op(np.vstack([p.values for p in parts]), tuple(parts),
+                  lambda g: tuple(g[lo:hi] for lo, hi in zip(bounds, bounds[1:])))
+
+
+def _hstack(parts: list[nk.Tensor]) -> nk.Tensor:
+    bounds = np.cumsum([0] + [p.shape[1] for p in parts])
+    return nk._op(np.hstack([p.values for p in parts]), tuple(parts),
+                  lambda g: tuple(g[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])))
+
+
+def _block_diag(parts: list[nk.Tensor]) -> nk.Tensor:
+    """Block-diagonal matrix of ``parts``, zeros elsewhere."""
+    rows = np.cumsum([0] + [p.shape[0] for p in parts])
+    cols = np.cumsum([0] + [p.shape[1] for p in parts])
+    values = np.zeros((rows[-1], cols[-1]))
+    for i, p in enumerate(parts):
+        values[rows[i]:rows[i + 1], cols[i]:cols[i + 1]] = p.values
+    return nk._op(values, tuple(parts), lambda g: tuple(
+        g[rows[i]:rows[i + 1], cols[i]:cols[i + 1]] for i in range(len(parts))))
+
+
+def _block(a: nk.Tensor, rows: slice, cols: slice) -> nk.Tensor:
+    """The sub-matrix ``a[rows, cols]``; its gradient is zero elsewhere."""
+    def backward(g):
+        out = np.zeros(a.shape)
+        out[rows, cols] = g
+        return (out,)
+
+    return nk._op(a.values[rows, cols], (a,), backward)
+
+
+def _filter_slices(stacked: int, size: int) -> list[slice]:
+    return [slice(lo, lo + size) for lo in range(0, stacked, size)]
+
+
+class GraphFilter:
+    """One trainable filter as its own pair of leaves: adjacency logits
+    squashed through a sigmoid (symmetrized, zero diagonal) and an embedding
+    row per node. ``effective_adjacency`` is the per-filter parameter chain
+    that ``kernel.FilterBank`` runs for every filter at once."""
+
+    def __init__(self, adjacency_logits: nk.Tensor, features: nk.Tensor):
+        self.adjacency_logits = adjacency_logits
+        self.features = features
+
+    @staticmethod
+    def init(size: int, embed_dim: int, rng) -> "GraphFilter":
+        logits = rng.normal(size=(size, size))
+        feats = rng.normal(size=(size, embed_dim))
+        return GraphFilter(nk.Tensor(logits, requires_grad=True),
+                           nk.Tensor(feats, requires_grad=True))
+
+    @property
+    def size(self) -> int:
+        return self.features.shape[0]
+
+    def effective_adjacency(self) -> nk.Tensor:
+        squashed = nk.sigmoid(self.adjacency_logits)
+        sym = (squashed + nk.transpose(squashed)) * nk.Tensor(np.full((1, 1), 0.5))
+        mask = np.ones((self.size, self.size)) - np.eye(self.size)
+        return sym * nk.Tensor(mask)
+
+    def adjacency_values(self) -> np.ndarray:
+        return self.effective_adjacency().values
+
+    def parameters(self) -> list[nk.Tensor]:
+        return [self.adjacency_logits, self.features]
+
+
+def bank_of(filters: list[GraphFilter]) -> FilterBank:
+    """A filter bank with new leaves holding the values of ``filters``."""
+    return FilterBank(
+        nk.Tensor(np.vstack([f.adjacency_logits.values for f in filters]), requires_grad=True),
+        nk.Tensor(np.vstack([f.features.values for f in filters]), requires_grad=True))
+
+
+def _horner_chain(s: nk.Tensor, members: np.ndarray, walks: np.ndarray, times) -> nk.Tensor:
+    """``sum_p Y_p W^p`` by Horner's rule as a chain of autograd nodes: one
+    gather of the member rows of ``s``, then per walk step p a group-weighted
+    sum and ``y + times(h)``, ``times`` applying W."""
     gathered = nk.gather_rows(s, members.reshape(-1))
     h = None
     for p in range(walks.shape[0] - 1, -1, -1):
         y = s if p == 0 else _group_weighted_sum(gathered, walks[p])
-        if not masks[p].all():
-            y = y * nk.Tensor(masks[p].astype(np.float64))
-        h = y if h is None else y + h @ w
+        h = y if h is None else y + times(h)
     return h
 
 
-def rank_one_walks_chain(rows: list[nk.Tensor], shared: nk.Tensor,
-                         adjacencies: list[nk.Tensor], counts: np.ndarray,
-                         caps: list[int]) -> nk.Tensor:
+def walk_horner_per_step(s: nk.Tensor, w: nk.Tensor, members: np.ndarray,
+                         walks: np.ndarray) -> nk.Tensor:
+    """``numkit.walk_horner`` as a chain of autograd nodes, with H W taken
+    filter by filter: each column block of H times its block of the stacked
+    ``w``. The op must equal its values bit for bit and its gradients to
+    rounding."""
+    size = w.shape[1]
+    blocks = [(cols, _block(w, cols, slice(None)))
+              for cols in _filter_slices(w.shape[0], size)]
+    return _horner_chain(s, members, walks, lambda h: _hstack(
+        [_block(h, slice(None), cols) @ block for cols, block in blocks]))
+
+
+def _rank_one_column(r: nk.Tensor, shared: nk.Tensor, w: nk.Tensor,
+                     counts: np.ndarray, cap: int) -> nk.Tensor:
+    """One filter's rank-one response column: s = r @ shared^T, the scalars
+    s^T W^p s from repeated matrix-vector products, times the walk counts."""
+    s = r @ nk.transpose(shared)
+    vec = s
+    coeffs = [nk.transpose(s) @ vec]
+    for _ in range(cap):
+        vec = nk.matmul(w, vec)
+        coeffs.append(nk.transpose(s) @ vec)
+    return nk.Tensor(counts[:, :cap + 1]) @ _vstack(coeffs)
+
+
+def rank_one_walks_chain(rows: nk.Tensor, shared: nk.Tensor, adjacencies: nk.Tensor,
+                         counts: np.ndarray, cap: int) -> nk.Tensor:
     """``numkit.rank_one_walks`` as a chain of autograd nodes, one filter at
-    a time: s = rows_f @ shared^T, the scalars s^T W^p s from repeated
-    matrix-vector products, and the walk counts times those scalars as one
-    column. At cap 0 the chain never uses W and leaves it no gradient."""
-    columns = []
-    for r, w, cap in zip(rows, adjacencies, caps):
-        s = r @ nk.transpose(shared)
-        vec = s
-        coeffs = [nk.transpose(s) @ vec]
-        for _ in range(cap):
-            vec = nk.matmul(w, vec)
-            coeffs.append(nk.transpose(s) @ vec)
-        columns.append(nk.Tensor(counts[:, :cap + 1]) @ nk.vstack(coeffs))
-    return nk.hstack(columns)
+    a time, each reading its block of the stacked ``rows`` and
+    ``adjacencies``. At cap 0 the chain never uses W and leaves it no
+    gradient."""
+    return _hstack([_rank_one_column(_block(rows, f, slice(None)), shared,
+                                     _block(adjacencies, f, slice(None)), counts, cap)
+                    for f in _filter_slices(rows.shape[0], adjacencies.shape[1])])
+
+
+def stack_responses_per_filter(stack, filters: list[GraphFilter], encoder,
+                               walk_cap: int | None = None) -> nk.Tensor:
+    """``kernel.stack_responses`` filter by filter: each filter's own
+    parameter chain and normalized rows. Constant features take the rank-one
+    chain of each filter; other features take one per-step walk chain over
+    the dense block-diagonal W, and a 0/1 owner product sums each filter's
+    columns."""
+    cap = filters[0].size if walk_cap is None else walk_cap
+    walks = anchor_walks(stack.blocks, cap)
+    rows = [nk.row_unit_normalize(f.features) for f in filters]
+    adjacencies = [f.effective_adjacency() for f in filters]
+    raw = stack.raw_features
+    if raw.shape[0] and np.all(raw == raw[0]):
+        counts = np.ascontiguousarray(walks.sum(axis=2).T)
+        shared = encoder.encode(raw[:1])
+        return _hstack([_rank_one_column(r, shared, w, counts, cap)
+                        for r, w in zip(rows, adjacencies)])
+    s = encoder.encode(raw) @ nk.transpose(_vstack(rows))
+    w = _block_diag(adjacencies)
+    h = _horner_chain(s, stack.members, walks, lambda h: h @ w)
+    owner = np.repeat(np.arange(len(filters)), [f.size for f in filters])
+    return (s * h) @ nk.Tensor((owner[:, None] == np.arange(len(filters))).astype(np.float64))
+
+
+def segment_col_max_loop(values: np.ndarray, seg: np.ndarray, num_segments: int,
+                         upstream: np.ndarray):
+    """``numkit.segment_col_max`` and max aggregation by their loops: the
+    per-segment column maxima, the first row attaining each, the gradient
+    that ``upstream`` sends to those rows, added in (segment, column) order,
+    and the contribution matrix that holds each maximum at its row."""
+    n, m = values.shape
+    maxima = np.full((num_segments, m), -np.inf)
+    argrow = np.zeros((num_segments, m), dtype=np.int64)
+    for r in range(n):
+        better = values[r] > maxima[seg[r]]
+        argrow[seg[r]][better] = r
+        maxima[seg[r]][better] = values[r][better]
+    grad = np.zeros_like(values)
+    contributions = np.zeros_like(values)
+    for s in range(num_segments):
+        for c in range(m):
+            grad[argrow[s, c], c] += upstream[s, c]
+            contributions[argrow[s, c], c] = maxima[s, c]
+    return maxima, argrow, grad, contributions
 
 
 def perturb_edges_loop(g: Graph, delta_add: float, delta_remove: float, rng,
@@ -506,8 +651,8 @@ def direct_product(g1: Graph, g2: Graph) -> tuple[Graph, dict[tuple[int, int], i
     return product, index_map
 
 
-def filter_as_graph(filt) -> Graph:
-    """Snapshot of a GraphFilter's current continuous adjacency as a Graph."""
+def filter_as_graph(filt: GraphFilter) -> Graph:
+    """Snapshot of a filter's current continuous adjacency as a Graph."""
     return Graph(filt.adjacency_values(), filt.features.values.copy(),
                  np.arange(filt.size))
 

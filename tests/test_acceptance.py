@@ -28,7 +28,7 @@ from xgkn.explainer import (
 )
 from xgkn.ged import ged_exact, ged_normalized
 from xgkn.graphs import Graph, NodeSet, Rng
-from xgkn.kernel import FeatureEncoder, GraphFilter, build_subgraph_stack, stack_responses
+from xgkn.kernel import FeatureEncoder, build_subgraph_stack, stack_responses
 from xgkn.metrics import (
     AimConfig,
     metric_a1,
@@ -47,10 +47,11 @@ from xgkn.model import (
 )
 
 from conftest import random_graph, with_label
-from oracles import anchored_rw_kernel, direct_product, filter_as_graph, finite_difference_check, \
-    ged_bruteforce, node_pair_similarity, rw_kernel, walk_kernel_bruteforce
+from oracles import GraphFilter, anchored_rw_kernel, bank_of, direct_product, filter_as_graph, \
+    finite_difference_check, ged_bruteforce, node_pair_similarity, rw_kernel, \
+    walk_kernel_bruteforce
 from test_explainer import make_model
-from test_metrics import score_matrix
+from test_metrics import duplicate_first_filter, score_matrix
 
 
 def report(criterion: str, passed: bool, detail: str = "") -> None:
@@ -253,7 +254,7 @@ class TestKernelProperties:
             got2 = anchored_rw_kernel(gv, filt, enc, walk_cap=cap).item()
             worst_anchored = max(worst_anchored, abs(got2 - expected2))
             # the package path: node 0's neighbourhood spans all it can reach
-            stacked = stack_responses(build_subgraph_stack(g1, n1, n1), [filt], enc,
+            stacked = stack_responses(build_subgraph_stack(g1, n1, n1), bank_of([filt]), enc,
                                       walk_cap=cap).values[0, 0]
             worst_stacked = max(worst_stacked, abs(stacked - expected2))
         report("criterion 8: kernels match brute-force walk oracles within 1e-9",
@@ -274,13 +275,13 @@ class TestKernelProperties:
             n = int(rng.integers(4, 6))
             g = random_graph(n, 0.6, rng.derive("kg", trial), d=2)
             stack = build_subgraph_stack(g, 1, 6)
-            filters = [GraphFilter.init(3, 3, rng.derive("kf", trial, i))
-                       for i in range(2)]
+            bank = bank_of([GraphFilter.init(3, 3, rng.derive("kf", trial, i))
+                            for i in range(2)])
             encoder = FeatureEncoder.init(2, 3, rng.derive("ke", trial))
-            kernel_params = [p for f in filters for p in f.parameters()] + [encoder.weight]
+            kernel_params = bank.parameters() + [encoder.weight]
 
             def kernel_objective():
-                r = stack_responses(stack, filters, encoder)
+                r = stack_responses(stack, bank, encoder)
                 return nk.tsum(r * r)
 
             worst = max(worst, finite_difference_check(kernel_objective, kernel_params))
@@ -359,9 +360,7 @@ class TestMetricProperties:
 
         # duplicated filters -> redundancy exactly 0 after orientation
         model = make_model(m=3, seed=77)
-        for filt in model.filters[1:]:
-            filt.adjacency_logits.values = model.filters[0].adjacency_logits.values.copy()
-            filt.features.values = model.filters[0].features.values.copy()
+        duplicate_first_filter(model)
         graphs = tuple(with_label(random_graph(6, 0.5, rng.derive("dup", i)).with_features(
             np.ones((6, 1))), 0) for i in range(5))
         ds = Dataset(graphs=graphs, num_classes=2)

@@ -366,3 +366,28 @@ def test_labelled_tu_pipeline_with_sidecar_masks(tmp_path, capsys):
     for name in ("accuracy", "A1", "I1", "I2", "I3", "I4", "M1", "M2", "M3"):
         assert name in report["metrics"], name
     assert "A1" in capsys.readouterr().out
+
+
+def test_evaluate_refuses_a_checkpoint_of_the_wrong_shape(tmp_path, capsys):
+    # a hand-edited checkpoint with a 5-node filter, or with a filter more
+    # than num_filters, fails when it is loaded, naming the field
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path, out_dir)
+    for command in ("prepare", "train", "explain"):
+        assert main([command, "-c", str(config)]) == 0, command
+    path = out_dir / "checkpoint_seed0.json"
+    original = path.read_text()
+    edits = [
+        (lambda m: m["filters"][1].update(adjacency_logits=np.zeros((5, 5)).tolist()),
+         "'filters[1].adjacency_logits' has shape (5, 5), expected (3, 3)"),
+        (lambda m: m["filters"].append(m["filters"][0]),
+         "'filters' has 3 entries, expected num_filters = 2"),
+    ]
+    for edit, message in edits:
+        payload = json.loads(original)
+        edit(payload["model"])
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["evaluate", "-c", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err

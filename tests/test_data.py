@@ -18,8 +18,9 @@ from xgkn.data import (
     stratified_split,
     wheel_motif,
 )
-from xgkn.errors import DatasetFormatError, SplitError
-from xgkn.graphs import Rng, induced_subgraph
+from xgkn.errors import CapacityError, DatasetFormatError, SplitError
+from xgkn.graphs import Graph, Rng, induced_subgraph
+from xgkn.kernel import MAX_BLOCK_ENTRIES
 
 from conftest import path_graph, star_graph, with_label
 from oracles import bfs_hop_distances, is_isomorphic_bruteforce, write_tu_dataset
@@ -72,6 +73,20 @@ class TestParseTu:
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_tu_dataset(str(tmp_path), "NOPE")
+
+    def test_graph_above_the_dense_cap_refused_before_allocating(self, tmp_path,
+                                                                  monkeypatch):
+        # 5000^2 entries exceed MAX_BLOCK_ENTRIES; no graph is built at all
+        assert 5000 ** 2 > MAX_BLOCK_ENTRIES
+        write_fixture(tmp_path, overrides={"A": "1, 2\n", "graph_indicator": "1\n" * 5000,
+                                           "graph_labels": "0\n"})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Graph.from_edges called")
+
+        monkeypatch.setattr(Graph, "from_edges", refuse)
+        with pytest.raises(CapacityError, match="graph 1 of FIX has 5000 nodes"):
+            parse_tu_dataset(str(tmp_path), "FIX")
 
     def test_mutag_when_available(self):
         candidates = [Path("data/MUTAG")]

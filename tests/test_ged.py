@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from xgkn.errors import CapacityError
 from xgkn.ged import binarize_filter, ged_exact, ged_normalized, unique_rows
 from xgkn.graphs import Graph
-from xgkn.kernel import GraphFilter
+from xgkn.kernel import FilterBank
 from xgkn import numkit as nk
 
 from conftest import cycle_graph, house_graph, path_graph, random_graph
@@ -138,20 +138,24 @@ class TestGedNormalized:
 
 class TestBinarizeFilter:
     def make_filter(self, weights):
+        """A bank of one filter with these effective weights (up to rounding
+        of the logit round trip), as the adjacency and feature blocks that
+        A2 hands ``binarize_filter``."""
         size = weights.shape[0]
         logits = np.log(weights / (1 - weights) + 1e-300)
-        return GraphFilter(nk.Tensor(logits), nk.Tensor(np.ones((size, 2))))
+        bank = FilterBank(nk.Tensor(logits), nk.Tensor(np.ones((size, 2))))
+        return bank.adjacency_values()[0], bank.features.values
 
     def test_high_weights_give_complete_graph(self):
         w = np.full((4, 4), 0.9)
         np.fill_diagonal(w, 0.5)
-        g = binarize_filter(self.make_filter(w))
+        g = binarize_filter(*self.make_filter(w))
         assert g.num_edges() == 6
 
     def test_low_weights_give_empty_graph(self):
         w = np.full((4, 4), 0.1)
         np.fill_diagonal(w, 0.5)
-        g = binarize_filter(self.make_filter(w))
+        g = binarize_filter(*self.make_filter(w))
         assert g.num_edges() == 0
 
     def test_threshold_is_inclusive_at_half(self):
@@ -159,16 +163,16 @@ class TestBinarizeFilter:
         w = (w + w.T) / 2
         np.fill_diagonal(w, 0.5)
         filt = self.make_filter(np.array([[0.5, 0.6], [0.6, 0.5]]))
-        g = binarize_filter(filt)
+        g = binarize_filter(*filt)
         assert g.num_edges() == 1
 
     def test_features_snap_to_nearest_row(self):
         from xgkn.kernel import FeatureEncoder
-        filt = GraphFilter(nk.Tensor(np.zeros((2, 2))),
-                           nk.Tensor(np.array([[0.9, 0.1], [0.2, 0.8]])))
+        features = np.array([[0.9, 0.1], [0.2, 0.8]])
         rows = np.array([[1.0, 0.0], [0.0, 1.0]])
         encoder = FeatureEncoder(nk.Tensor(np.eye(2)))
-        g = binarize_filter(filt, feature_rows=rows, encoder=encoder)
+        g = binarize_filter(np.full((2, 2), 0.5), features, feature_rows=rows,
+                            encoder=encoder)
         assert np.allclose(g.features, [[1.0, 0.0], [0.0, 1.0]])
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -181,6 +185,6 @@ class TestBinarizeFilter:
         assert unique_rows(rows).tobytes() == np.unique(rows, axis=0).tobytes()
 
     def test_snapping_requires_encoder(self):
-        filt = GraphFilter(nk.Tensor(np.zeros((2, 2))), nk.Tensor(np.ones((2, 2))))
         with pytest.raises(ValueError):
-            binarize_filter(filt, feature_rows=np.ones((2, 2)))
+            binarize_filter(np.full((2, 2), 0.5), np.ones((2, 2)),
+                            feature_rows=np.ones((2, 2)))

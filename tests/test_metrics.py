@@ -6,7 +6,7 @@ from xgkn.data import Dataset, cycle_motif, generate_ba2motifs, house_motif
 from xgkn.errors import AlignmentError, MissingGroundTruthError, UndefinedMetricError
 from xgkn.explainer import Explanation, node_importance, threshold_explanation
 from xgkn.graphs import Graph, NodeSet, Rng, iou_nodes
-from xgkn.kernel import GraphFilter
+from xgkn.kernel import FilterBank
 from xgkn.metrics import (
     AimConfig,
     MetricResult,
@@ -58,6 +58,14 @@ def tiny_dataset(rng, n_graphs=4, n=6):
     return Dataset(graphs=graphs, num_classes=2, gt_instance_masks=masks)
 
 
+def duplicate_first_filter(model: XgknModel) -> None:
+    """Give every filter of the bank the parameters of the first."""
+    bank = model.bank
+    for tensor in bank.parameters():
+        blocks = bank.blocks(tensor.values)
+        blocks[1:] = blocks[0]
+
+
 def marked_node_model() -> XgknModel:
     """Two-class model keyed on the presence of one marked node.
 
@@ -68,7 +76,7 @@ def marked_node_model() -> XgknModel:
                       max_subgraph_size=4, agg_mode="sum", walk_cap=1)
     model = init_model(cfg, 2, 2, Rng(0))
     model.encoder.weight.values = np.eye(2)
-    model.filters[0].features.values = np.array([[0.0, 1.0]])
+    model.bank.features.values = np.array([[0.0, 1.0]])
     model.predictor.gamma.values = np.ones((1, 1))
     model.predictor.beta.values = np.zeros((1, 1))
     model.predictor.running_mean = np.array([[0.5]])
@@ -121,17 +129,15 @@ class TestMetricA2:
         house = house_motif()
         logits = np.where(house.adjacency > 0, 40.0, -40.0)
         np.fill_diagonal(logits, -40.0)
-        filt = GraphFilter(Tensor(logits), Tensor(np.ones((5, 4))))
         model = make_model(m=1)
-        model.filters = [filt]
+        model.bank = FilterBank(Tensor(logits), Tensor(np.ones((5, 4))))
         ds = generate_ba2motifs(4, Rng(0))
         ds = Dataset(graphs=ds.graphs, num_classes=2, gt_motifs=(house,))
         assert metric_a2(model, ds).value == pytest.approx(1.0)
 
     def test_empty_filters_vs_cycle_hand_value(self):
-        filt = GraphFilter(Tensor(np.full((6, 6), -40.0)), Tensor(np.ones((6, 4))))
         model = make_model(m=1)
-        model.filters = [filt]
+        model.bank = FilterBank(Tensor(np.full((6, 6), -40.0)), Tensor(np.ones((6, 4))))
         ds = generate_ba2motifs(4, Rng(0))
         ds = Dataset(graphs=ds.graphs, num_classes=2, gt_motifs=(cycle_motif(5),))
         # edit path: delete 1 spare node, insert the 5 cycle edges -> 6;
@@ -156,8 +162,9 @@ class TestMetricA2:
             adj[np.triu_indices(6, 1)] = edges
             adjacencies.append(adj + adj.T)
         model = make_model(m=len(adjacencies))
-        model.filters = [GraphFilter(Tensor(np.where(adj > 0, 40.0, -40.0)),
-                                     Tensor(np.ones((6, 4)))) for adj in adjacencies]
+        model.bank = FilterBank(
+            Tensor(np.vstack([np.where(adj > 0, 40.0, -40.0) for adj in adjacencies])),
+            Tensor(np.ones((6 * len(adjacencies), 4))))
         motifs = (house_motif(), cycle_motif(5))
         ds = Dataset(graphs=generate_ba2motifs(4, Rng(0)).graphs, num_classes=2,
                      gt_motifs=motifs)
@@ -315,9 +322,7 @@ class TestCorrectness:
 class TestRedundancy:
     def test_duplicated_filters_report_exactly_zero(self, rng):
         model = make_model(m=3, seed=12)
-        for filt in model.filters[1:]:
-            filt.adjacency_logits.values = model.filters[0].adjacency_logits.values.copy()
-            filt.features.values = model.filters[0].features.values.copy()
+        duplicate_first_filter(model)
         ds = tiny_dataset(rng, n_graphs=6)
         res = metric_redundancy(score_matrix(model, ds))
         assert res.value == 0.0

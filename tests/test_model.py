@@ -1,12 +1,14 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xgkn import numkit as nk
 from xgkn.data import Dataset, stratified_split
-from xgkn.errors import TrainingDivergedError
+from xgkn.errors import ShapeError, TrainingDivergedError
 from xgkn.graphs import Graph, Rng
 from xgkn.kernel import build_subgraph_stack, combine_stacks
 from xgkn.model import (
@@ -27,7 +29,7 @@ from xgkn.model import (
 )
 
 from conftest import cycle_graph, path_graph, random_graph, with_label
-from oracles import finite_difference_check, rank_one_walks_chain
+from oracles import finite_difference_check, rank_one_walks_chain, segment_col_max_loop
 
 
 def batch_forward(model, stacks, training):
@@ -94,6 +96,23 @@ class TestAggregate:
     def test_all_zero_entropy_guarded(self):
         z, _ = aggregate_one_graph(np.zeros((4, 2)), "negative_entropy")
         assert np.all(np.isfinite(z))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=6), st.integers(1, 4),
+           st.integers(0, 2 ** 32 - 1))
+    def test_max_mode_equals_the_loops(self, sizes, cols, seed):
+        # three values only, so columns tie within a segment; segments of
+        # one row occur
+        rng = Rng(seed)
+        values = np.array([-1.0, 0.5, 2.0])[rng.integers(0, 3, size=(sum(sizes), cols))]
+        seg = np.repeat(np.arange(len(sizes)), sizes)
+        upstream = rng.normal(size=(len(sizes), cols))
+        r = nk.Tensor(values, requires_grad=True)
+        z, contributions, argrow = _aggregate_tensor(r, "max", 1e-8, seg, len(sizes))
+        nk.backward(nk.tsum(z * nk.Tensor(upstream)))
+        want = segment_col_max_loop(values, seg, len(sizes), upstream)
+        for got, expected in zip((z.values, argrow, r.grad, contributions), want):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 class TestPredictor:
@@ -300,34 +319,39 @@ def autograd_nodes(out: nk.Tensor) -> int:
     return len(seen)
 
 
+def step_node_counts(graphs, feature_dim: int) -> set:
+    """The autograd nodes of one training step's loss over ``graphs``, for
+    walk caps 2 and 6 and for 1 and 8 filters."""
+    stacks = [build_subgraph_stack(g, 1, 6) for g in graphs]
+    labels = np.array([g.label for g in graphs])
+    counts = set()
+    for walk_cap in (2, 6):
+        for num_filters in (1, 8):
+            model = small_model(feature_dim=feature_dim, walk_cap=walk_cap,
+                                num_filters=num_filters)
+            logits = batch_forward(model, stacks, training=True)[0]
+            counts.add(autograd_nodes(nk.cross_entropy(logits, labels)))
+    return counts
+
+
 class TestTrain:
     def test_general_path_graph_size_does_not_grow_with_walk_cap(self, rng):
-        # the walk sum is one node however many steps it takes; a per-step
-        # chain would add nodes with every step
+        # the walk sum is one node however many steps it takes, and the
+        # filter bank's parameter chain one chain however many filters it
+        # holds; a per-step or per-filter chain would add nodes
         graphs = mixed_graphs(rng, 12, onehot=True)
-        stacks = [build_subgraph_stack(g, 1, 6) for g in graphs]
         raw = np.vstack([g.features for g in graphs])
         assert not np.all(raw == raw[0])
-        labels = np.array([g.label for g in graphs])
-        counts = []
-        for walk_cap in (2, 6):
-            model = small_model(feature_dim=4, walk_cap=walk_cap)
-            logits = batch_forward(model, stacks, training=True)[0]
-            counts.append(autograd_nodes(nk.cross_entropy(logits, labels)))
-        assert counts[0] == counts[1]
+        assert len(step_node_counts(graphs, 4)) == 1
 
     def test_rank_one_path_graph_size_does_not_grow_with_walk_cap(self, rng):
         # constant features take the rank-one shortcut, whose walk sum is one
         # node as well
-        graphs = mixed_graphs(rng, 12, onehot=False)
-        stacks = [build_subgraph_stack(g, 1, 6) for g in graphs]
-        labels = np.array([g.label for g in graphs])
-        counts = []
-        for walk_cap in (2, 6):
-            model = small_model(walk_cap=walk_cap)
-            logits = batch_forward(model, stacks, training=True)[0]
-            counts.append(autograd_nodes(nk.cross_entropy(logits, labels)))
-        assert counts[0] == counts[1]
+        assert len(step_node_counts(mixed_graphs(rng, 12, onehot=False), 1)) == 1
+
+    def test_adam_gets_one_tensor_per_parameter_kind(self):
+        # encoder weight, the bank's two tensors, gamma, beta, weight, bias
+        assert len(small_model(num_filters=8).parameters()) == 7
 
     def test_rank_one_training_steps_equal_the_per_filter_chain(self, rng, monkeypatch):
         # five Adam steps through the rank-one op and through the per-filter
@@ -436,20 +460,18 @@ class TestPerturbFilters:
         model = small_model()
         pool = np.ones((5, 1))
         out = perturb_filters(model, "features", 1e-9, Rng(3), feature_pool=pool)
-        for a, b in zip(out.filters, model.filters):
-            assert np.array_equal(a.features.values, b.features.values)
+        assert np.array_equal(out.bank.features.values, model.bank.features.values)
         out = perturb_filters(model, "edges", 1e-9, Rng(3))
-        for a, b in zip(out.filters, model.filters):
-            assert np.array_equal(a.adjacency_logits.values, b.adjacency_logits.values)
+        assert np.array_equal(out.bank.adjacency_logits.values,
+                              model.bank.adjacency_logits.values)
 
     def test_feature_mode_uses_encoded_pool_rows(self):
         model = small_model()
         pool = np.full((4, 1), 3.0)
         out = perturb_filters(model, "features", 0.999, Rng(5), feature_pool=pool)
         encoded = model.encoder.encode_rows(np.array([[3.0]]))[0]
-        for filt in out.filters:
-            for row in filt.features.values:
-                assert np.allclose(row, encoded)
+        for row in out.bank.features.values:
+            assert np.allclose(row, encoded)
 
     def test_theta_untouched(self):
         model = small_model()
@@ -460,14 +482,14 @@ class TestPerturbFilters:
 
     def test_edge_toggle_fraction_monte_carlo(self):
         model = small_model(filter_size=8, num_filters=1)
-        base = model.filters[0].adjacency_values() >= 0.5
+        base = model.bank.adjacency_values()[0] >= 0.5
         pairs = 8 * 7 // 2
         toggled = 0
         trials = 1000
         master = Rng(99)
         for t in range(trials):
             out = perturb_filters(model, "edges", 0.5, master.derive(t))
-            now = out.filters[0].adjacency_values() >= 0.5
+            now = out.bank.adjacency_values()[0] >= 0.5
             changed = (base != now)
             toggled += int(np.triu(changed, 1).sum())
         fraction = toggled / (trials * pairs)
@@ -491,3 +513,32 @@ class TestCheckpoint:
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError):
             model_from_dict({"format": 999})
+
+    def test_filters_written_one_entry_each(self):
+        model = small_model(num_filters=3, filter_size=4, embed_dim=5)
+        payload = model_to_dict(model)
+        assert len(payload["filters"]) == 3
+        for f, entry in enumerate(payload["filters"]):
+            rows = slice(4 * f, 4 * f + 4)
+            assert entry["adjacency_logits"] == \
+                model.bank.adjacency_logits.values[rows].tolist()
+            assert entry["features"] == model.bank.features.values[rows].tolist()
+        restored = model_from_dict(json.loads(json.dumps(payload)))
+        for a, b in zip(restored.parameters(), model.parameters()):
+            assert a.values.tobytes() == b.values.tobytes()
+
+    @pytest.mark.parametrize("edit,field,shapes", [
+        (lambda p: p["filters"][1].update(adjacency_logits=np.zeros((5, 5)).tolist()),
+         "filters[1].adjacency_logits", "(5, 5), expected (3, 3)"),
+        (lambda p: p["filters"][0].update(features=np.zeros((3, 2)).tolist()),
+         "filters[0].features", "(3, 2), expected (3, 4)"),
+        (lambda p: p["filters"].append(p["filters"][0]),
+         "filters", "has 3 entries, expected num_filters = 2"),
+        (lambda p: p.update(encoder_weight=np.zeros((2, 4)).tolist()),
+         "encoder_weight", "(2, 4), expected (1, 4)"),
+    ])
+    def test_shapes_checked_against_the_config(self, edit, field, shapes):
+        payload = model_to_dict(small_model())
+        edit(payload)
+        with pytest.raises(ShapeError, match=f"'{re.escape(field)}'.*{re.escape(shapes)}"):
+            model_from_dict(payload)

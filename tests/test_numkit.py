@@ -133,19 +133,23 @@ class TestOpGradients:
             return nk.tsum(nk.mul(summed, summed))
         self.params_and_check(build, [(3, 2)], seed=4)
 
-    def test_stacking(self):
-        def build(a, b):
-            return nk.tsum(nk.mul(nk.vstack([a, b]), nk.vstack([a, b]))) + \
-                nk.tsum(nk.hstack([nk.transpose(a), nk.transpose(b)]))
-        self.params_and_check(build, [(2, 3), (4, 3)], seed=5)
-
-    def test_block_diag(self):
-        out = nk.block_diag([nk.Tensor(np.ones((2, 1))), nk.Tensor(np.full((1, 2), 2.0))])
-        assert out.values.tolist() == [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 2.0]]
-        weights = nk.Tensor(Rng(31).normal(size=(5, 5)))
+    def test_block_transpose(self):
+        a = nk.Tensor(np.arange(8.0).reshape(4, 2))
+        assert nk.block_transpose(a).values.tolist() == [[0, 2], [1, 3], [4, 6], [5, 7]]
+        weights = nk.Tensor(Rng(31).normal(size=(6, 3)))
         self.params_and_check(
-            lambda a, b: nk.tsum(nk.mul(nk.block_diag([a, b]), weights)),
-            [(2, 3), (3, 2)], seed=6)
+            lambda a: nk.tsum(nk.mul(nk.block_transpose(a), weights)), [(6, 3)], seed=5)
+        with pytest.raises(ShapeError):
+            nk.block_transpose(nk.Tensor(np.ones((5, 2))))
+
+    def test_group_col_sums(self):
+        a = nk.Tensor(np.arange(12.0).reshape(2, 6))
+        assert nk.group_col_sums(a, 3).values.tolist() == [[3, 12], [21, 30]]
+        weights = nk.Tensor(Rng(32).normal(size=(3, 2)))
+        self.params_and_check(
+            lambda a: nk.tsum(nk.mul(nk.group_col_sums(a, 2), weights)), [(3, 4)], seed=6)
+        with pytest.raises(ShapeError):
+            nk.group_col_sums(a, 4)
 
     def test_clip_min_blocks_gradient_below(self):
         a = nk.Tensor(np.array([[0.5, 2.0]]), requires_grad=True)
