@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -30,7 +31,7 @@ from .explainer import (
     importance_maps,
     read_explanations,
     select_threshold,
-    threshold_explanation,
+    threshold_explanations,
     write_explanations,
 )
 from .graphs import Graph, NodeSet, Rng
@@ -372,10 +373,9 @@ def cmd_explain(config: dict) -> int:
         selection = select_threshold(model, eval_ds, criterion, grid=grid,
                                      cfg=aim_cfg, rng=Rng(seed).derive("threshold"),
                                      importances=importances, predicted=predicted)
-        records = []
-        for graph_id, g, importance in zip(split.test_ids, eval_ds.graphs, importances):
-            expl = threshold_explanation(g, importance, selection.p)
-            records.append(explanation_record(graph_id, expl))
+        explanations = threshold_explanations(eval_ds.graphs, importances, selection.p)
+        records = [explanation_record(graph_id, expl)
+                   for graph_id, expl in zip(split.test_ids, explanations)]
         write_explanations(str(out_dir / f"explanations_seed{seed}.jsonl"), records)
         sensitivity = {}
         for shifted in (selection.p - 0.1, selection.p, selection.p + 0.1):
@@ -397,11 +397,9 @@ def cmd_explain(config: dict) -> int:
 
 def _explanations_from_records(records: list, ds: Dataset) -> tuple[list, list]:
     ids = [r["graph_id"] for r in records]
-    explanations = []
-    for r in records:
-        g = ds.graphs[r["graph_id"]]
-        explanations.append(threshold_explanation(
-            g, np.array(r["importance"]), r["threshold"]))
+    explanations = threshold_explanations([ds.graphs[i] for i in ids],
+                                          [np.array(r["importance"]) for r in records],
+                                          [r["threshold"] for r in records])
     return ids, explanations
 
 
@@ -578,6 +576,38 @@ def cmd_report(config: dict, compare_dir: str | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
+# process set-up
+
+# glibc mallopt(3) parameters. Left to glibc's dynamic rule, the mmap
+# threshold settles near the size of the largest freed block (about 1.6 MB in
+# a one-hot training step) and the trim threshold at twice that, so every
+# training step hands its heap top back to the kernel and the next one faults
+# it in again. These fix both at the largest values the dynamic rule reaches
+# on 64-bit, keeping its 1:2 ratio.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+HEAP_MMAP_THRESHOLD = 32 << 20
+HEAP_TRIM_THRESHOLD = 64 << 20
+
+
+def keep_freed_heap() -> bool:
+    """Keep freed blocks under 32 MiB in this process's heap for reuse,
+    instead of unmapping or trimming them after every step. Returns whether
+    libc took both settings; a libc without ``mallopt`` (macOS) is left
+    alone. Called by ``main`` only, so a process that imports xgkn as a
+    library keeps its own allocator settings."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    took_mmap = mallopt(M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD) == 1
+    took_trim = mallopt(M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD) == 1
+    return took_mmap and took_trim
+
+
+# ---------------------------------------------------------------------------
 # argument handling
 
 def _apply_overrides(config: dict, overrides: list[str]) -> dict:
@@ -613,6 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

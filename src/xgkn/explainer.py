@@ -156,35 +156,73 @@ def node_importance(model: XgknModel, g: Graph) -> np.ndarray:
     return node_importances(model, [g])[0]
 
 
-def threshold_explanation(g: Graph, importance: np.ndarray, p: float) -> Explanation:
-    """Select the nodes above the percentile threshold ``p``.
+def threshold_explanations(graphs, importances, p) -> list[Explanation]:
+    """Select, in each graph, the nodes above the percentile threshold ``p``:
+    one threshold for every graph, or a sequence of one per graph.
 
-    Nodes are sorted by ascending importance; the largest prefix whose
-    cumulative mass stays <= p is excluded. Nodes tied with the boundary value
-    are all selected, and the selection is never empty (top-1 fallback).
+    Each graph's nodes are sorted by ascending importance; the largest prefix
+    whose cumulative mass stays <= p is excluded. Nodes tied with the
+    boundary value are all selected, and a selection is never empty (top-1
+    fallback). One ``lexsort`` orders every graph's nodes, and the running
+    sums are one ``cumsum`` along the rows of a zero-padded graphs x n_max
+    array; it adds each row left to right, so every graph's sums equal its
+    own ``cumsum`` bit for bit.
     """
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"threshold must lie in [0, 1], got {p}")
-    importance = np.asarray(importance, dtype=np.float64).reshape(-1)
-    if importance.shape[0] != g.n:
-        raise ShapeError(f"importance length {importance.shape[0]} != {g.n} nodes")
-    order = np.lexsort((np.arange(g.n), importance))
-    # exclude the longest ascending prefix whose running sum stays <= p;
-    # cumsum adds left to right, so it is that running sum bit for bit
-    fits = np.cumsum(importance[order]) <= p + 1e-12
-    prefix_len = int(np.argmin(np.append(fits, False)))
-    if 0 < prefix_len < g.n:
-        # never split a tie group across the boundary: nodes tied with the
-        # lowest selected value are all selected
-        boundary = importance[order[prefix_len]]
-        prefix_len = int(np.count_nonzero(importance[order[:prefix_len]] < boundary - 1e-12))
-    keep = np.ones(g.n, dtype=bool)
-    keep[order[:prefix_len]] = False
-    selected_pos = np.nonzero(keep)[0]
-    if not selected_pos.size:
-        selected_pos = [int(np.argmax(importance))]
-    selected = NodeSet(tuple(int(g.node_ids[pos]) for pos in selected_pos))
-    return Explanation(importance=importance.copy(), selected=selected, threshold=float(p))
+    thresholds = np.asarray(p, dtype=np.float64).reshape(-1)
+    outside = thresholds[~((thresholds >= 0.0) & (thresholds <= 1.0))]
+    if outside.size:
+        raise ValueError(f"threshold must lie in [0, 1], got {outside[0]}")
+    importances = [np.asarray(imp, dtype=np.float64).reshape(-1) for imp in importances]
+    if len(importances) != len(graphs):
+        raise ShapeError(f"{len(importances)} importance maps for {len(graphs)} graphs")
+    if thresholds.size == 1:
+        thresholds = np.repeat(thresholds, len(graphs))
+    if thresholds.size != len(graphs):
+        raise ShapeError(f"{thresholds.size} thresholds for {len(graphs)} graphs")
+    for g, importance in zip(graphs, importances):
+        if importance.shape[0] != g.n:
+            raise ShapeError(f"importance length {importance.shape[0]} != {g.n} nodes")
+    if not graphs:
+        return []
+    sizes = np.array([g.n for g in graphs])
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    flat = np.concatenate(importances)
+    owner = np.repeat(np.arange(len(graphs)), sizes)
+    pos = np.arange(flat.size) - bounds[owner]
+    # by graph, then importance, then position: each graph's rows keep their
+    # place in ``flat`` and hold that graph's ascending order
+    order = np.lexsort((pos, flat, owner))
+    # one zero column past the largest graph, so every boundary index exists
+    cols = np.arange(int(sizes.max()) + 1)
+    ranked = np.zeros((len(graphs), cols.size))
+    ranked[owner, pos] = flat[order]
+    # exclude the longest ascending prefix whose running sum stays <= p
+    fits = (np.cumsum(ranked, axis=1) <= thresholds[:, None] + 1e-12) & (cols < sizes[:, None])
+    prefix_len = np.argmin(fits, axis=1)
+    # never split a tie group across the boundary: nodes tied with the
+    # lowest selected value are all selected
+    boundary = ranked[np.arange(len(graphs)), prefix_len]
+    below = np.count_nonzero((ranked < boundary[:, None] - 1e-12)
+                             & (cols < prefix_len[:, None]), axis=1)
+    prefix_len = np.where((prefix_len > 0) & (prefix_len < sizes), below, prefix_len)
+    keep = np.ones(flat.size, dtype=bool)
+    keep[order[pos < prefix_len[owner]]] = False
+    out = []
+    for g, importance, a, b, threshold in zip(graphs, importances, bounds, bounds[1:],
+                                              thresholds):
+        selected_pos = np.nonzero(keep[a:b])[0]
+        if not selected_pos.size:
+            selected_pos = [int(np.argmax(importance))]
+        selected = NodeSet(tuple(int(g.node_ids[i]) for i in selected_pos))
+        out.append(Explanation(importance=importance.copy(), selected=selected,
+                               threshold=float(threshold)))
+    return out
+
+
+def threshold_explanation(g: Graph, importance: np.ndarray, p: float) -> Explanation:
+    """The explanation of one graph at threshold ``p``:
+    ``threshold_explanations`` of a batch of one."""
+    return threshold_explanations([g], [importance], p)[0]
 
 
 DEFAULT_THRESHOLD_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
@@ -203,8 +241,7 @@ def criterion_score(model: XgknModel, ds: Dataset, importances: list[np.ndarray]
     """Score one candidate threshold under the selection criterion.
     ``predicted`` may carry the graphs' predicted classes, which ``i1+i2``
     otherwise scores anew."""
-    explanations = [threshold_explanation(g, imp, p)
-                    for g, imp in zip(ds.graphs, importances)]
+    explanations = threshold_explanations(ds.graphs, importances, p)
     from . import metrics  # deferred: metrics builds on this module
     if criterion == "a1":
         return metrics.metric_a1(explanations, ds).value

@@ -22,7 +22,7 @@ from .errors import (
     MissingGroundTruthError,
     UndefinedMetricError,
 )
-from .explainer import Explanation, node_importances, threshold_explanation
+from .explainer import Explanation, node_importances, threshold_explanations
 from .ged import binarize_filter, ged_exact
 from .graphs import (
     Graph,
@@ -295,10 +295,11 @@ def metric_robustness(model: XgknModel, ds: Dataset, explanations: list[Explanat
                 accepted[gi] = candidate
         pending = [gi for gi in pending if gi not in accepted]
     kept = sorted(accepted)
-    values = []
-    for gi, importance in zip(kept, node_importances(model, [accepted[gi] for gi in kept])):
-        new_expl = threshold_explanation(accepted[gi], importance, explanations[gi].threshold)
-        values.append(iou_nodes(new_expl.selected, explanations[gi].selected))
+    kept_graphs = [accepted[gi] for gi in kept]
+    new_expls = threshold_explanations(kept_graphs, node_importances(model, kept_graphs),
+                                       [explanations[gi].threshold for gi in kept])
+    values = [iou_nodes(new_expl.selected, explanations[gi].selected)
+              for gi, new_expl in zip(kept, new_expls)]
     return _result(mode, values, n_skipped=len(graphs) - len(kept), intended=len(graphs))
 
 
@@ -329,11 +330,10 @@ def metric_correctness(model: XgknModel, ds: Dataset, explanations: list[Explana
                                           rng, feature_pool=pool)
     else:
         perturbed_model = perturb_filters(model, "edges", cfg.delta_filter_edges, rng)
-    overlaps = []
-    importances = node_importances(perturbed_model, ds.graphs)
-    for g, importance, expl in zip(ds.graphs, importances, explanations):
-        new_expl = threshold_explanation(g, importance, expl.threshold)
-        overlaps.append(iou_nodes(new_expl.selected, expl.selected))
+    new_expls = threshold_explanations(ds.graphs, node_importances(perturbed_model, ds.graphs),
+                                       [expl.threshold for expl in explanations])
+    overlaps = [iou_nodes(new_expl.selected, expl.selected)
+                for new_expl, expl in zip(new_expls, explanations)]
     return _result(mode, [1.0 - float(np.mean(overlaps))])
 
 

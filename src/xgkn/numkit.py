@@ -228,11 +228,24 @@ def segment_col_max(a: Tensor, seg: np.ndarray, num_segments: int) -> tuple[Tens
     n, m = a.shape
     values = np.full((num_segments, m), -np.inf)
     argrow = np.zeros((num_segments, m), dtype=np.int64)
-    for r in range(n):
-        s = seg[r]
-        better = a.values[r] > values[s]
-        argrow[s][better] = r
-        values[s][better] = a.values[r][better]
+    counts = np.bincount(seg, minlength=num_segments)
+    filled = np.nonzero(counts)[0]
+    if filled.size:
+        # rows grouped by segment, in row order within each; a NaN never
+        # wins, and a segment whose maximum is -inf keeps row 0
+        order = np.argsort(seg, kind="stable")
+        ranked = a.values[order]
+        ranked[np.isnan(ranked)] = -np.inf
+        starts = (np.cumsum(counts) - counts)[filled]
+        top = np.maximum.reduceat(ranked, starts, axis=0)
+        hit = (ranked == np.repeat(top, counts[filled], axis=0)) & (ranked > -np.inf)
+        first = np.minimum.reduceat(np.where(hit, np.arange(n)[:, None], n), starts, axis=0)
+        won = first < n
+        rows = np.where(won, order[np.minimum(first, n - 1)], 0)
+        argrow[filled] = rows
+        # the first attaining row's own value, so the sign of a zero maximum
+        # is that row's
+        values[filled] = np.where(won, a.values[rows, np.arange(m)], -np.inf)
 
     def backward(g):
         # adds in the (segment, column) order of the index arrays

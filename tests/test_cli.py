@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import json
 import os
@@ -320,6 +321,57 @@ def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path):
             "or 'numpy.ma' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code, str(config)], env=env,
                           stdout=subprocess.DEVNULL).returncode == 0
+
+
+def libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# Four 1.6 MB arrays, allocated and freed 50 times after one warm-up round:
+# under glibc's dynamic thresholds each round trims the heap top and faults
+# it in again, about 1600 minor faults a round.
+HEAP_PROBE = """
+import resource, sys
+import numpy as np
+from xgkn.cli import keep_freed_heap
+
+assert keep_freed_heap()
+
+def one_round():
+    arrays = [np.ones(200_000) for _ in range(4)]
+    del arrays
+
+one_round()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    one_round()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not libc_has_mallopt(), reason="libc has no mallopt")
+def test_kept_heap_reuses_freed_multi_megabyte_blocks():
+    env = {**os.environ, "PYTHONPATH": str(Path(xgkn.cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", HEAP_PROBE], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100
+
+
+def test_main_keeps_the_freed_heap_before_every_command(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(xgkn.cli, "keep_freed_heap", lambda: calls.append("heap"))
+    commands = ("prepare", "train", "explain", "evaluate", "report")
+    for command in commands:
+        monkeypatch.setattr(xgkn.cli, f"cmd_{command}",
+                            lambda *args, command=command, **kwargs: calls.append(command) or 0)
+    config = write_config(tmp_path, tmp_path / "out")
+    for command in commands:
+        assert main([command, "-c", str(config)]) == 0
+    assert calls == [entry for command in commands for entry in ("heap", command)]
 
 
 def test_block_cap_exits_1_naming_max_subgraph_size(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xgkn.data import Dataset
-from xgkn.errors import CapacityError, MissingGroundTruthError
+from xgkn.errors import CapacityError, MissingGroundTruthError, ShapeError
 from xgkn.explainer import (
     Attribution,
     criterion_score,
@@ -16,6 +16,7 @@ from xgkn.explainer import (
     read_explanations,
     select_threshold,
     threshold_explanation,
+    threshold_explanations,
     write_explanations,
 )
 from xgkn.graphs import Graph, NodeSet, Rng
@@ -308,6 +309,49 @@ class TestThresholdExplanation:
             importance = importance / importance.sum()
         expl = threshold_explanation(g, importance, p)
         assert expl.selected.ids == threshold_selection_loop(g, importance, p)
+
+    # one batch over graphs of different sizes, one-node graphs among them;
+    # tie groups (0.2 + 5e-13 ties 0.2 within the 1e-12 rule), p = 0 and
+    # p = 1, one threshold or one per graph, shuffled node ids
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.lists(shuffled_graphs(max_nodes=8), min_size=1, max_size=6), st.data(),
+           st.booleans(), st.booleans())
+    def test_batch_equals_running_sum_loop(self, graphs, data, normalise, per_graph):
+        thresholds = st.one_of(st.sampled_from([0.0, 1.0, 0.1, 0.5]), st.floats(0.0, 1.0))
+        importances = []
+        for g in graphs:
+            importance = np.array(data.draw(st.lists(
+                st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.2 + 5e-13, 0.25, 1 / 3, 0.5, 1.0]),
+                min_size=g.n, max_size=g.n)))
+            if normalise and importance.sum() > 0:
+                importance = importance / importance.sum()
+            importances.append(importance)
+        if per_graph:
+            p = data.draw(st.lists(thresholds, min_size=len(graphs), max_size=len(graphs)))
+            ps = p
+        else:
+            p = data.draw(thresholds)
+            ps = [p] * len(graphs)
+        batch = threshold_explanations(graphs, importances, p)
+        assert len(batch) == len(graphs)
+        for g, importance, p_g, expl in zip(graphs, importances, ps, batch):
+            assert expl.selected.ids == threshold_selection_loop(g, importance, p_g)
+            assert expl.importance.tobytes() == importance.tobytes()
+            assert expl.threshold == p_g
+
+    def test_batch_checks_its_arguments(self):
+        g = cycle_graph(3)
+        assert threshold_explanations([], [], 0.5) == []
+        with pytest.raises(ShapeError):
+            threshold_explanations([g, g], [np.full(3, 1 / 3)], 0.5)
+        with pytest.raises(ShapeError):
+            threshold_explanations([g], [np.full(4, 0.25)], 0.5)
+        with pytest.raises(ShapeError):
+            threshold_explanations([g, g], [np.full(3, 1 / 3)] * 2, [0.5, 0.5, 0.5])
+        with pytest.raises(ValueError):
+            threshold_explanations([g], [np.full(3, 1 / 3)], 1.5)
+        with pytest.raises(ValueError):
+            threshold_explanations([g, g], [np.full(3, 1 / 3)] * 2, [0.5, float("nan")])
 
     def test_never_empty_across_random_maps(self, rng):
         g = cycle_graph(6)

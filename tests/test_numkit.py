@@ -15,7 +15,7 @@ from xgkn.errors import (
 from xgkn import numkit as nk
 from xgkn.graphs import Rng
 
-from oracles import finite_difference_check, spearman_closed_form
+from oracles import finite_difference_check, segment_col_max_loop, spearman_closed_form
 
 
 class TestScatterRows:
@@ -173,6 +173,33 @@ class TestOpGradients:
         assert argrow.tolist() == [[1, 0], [2, 2]]
         nk.backward(nk.tsum(out))
         assert np.allclose(a.grad, [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+
+
+class TestSegmentColMax:
+    # few distinct values (signed zeros and -inf among them), so columns tie
+    # within a segment; segment ids come unordered, some segments get one
+    # row and some none
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.integers(1, 30), st.integers(1, 5), st.integers(1, 8),
+           st.integers(0, 2**32 - 1))
+    def test_byte_equal_to_the_loop(self, rows, cols, num_segments, seed):
+        rng = Rng(seed)
+        palette = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0])
+        values = palette[rng.integers(0, palette.size, size=(rows, cols))]
+        seg = rng.integers(0, num_segments, size=rows)
+        upstream = rng.normal(size=(num_segments, cols))
+        a = nk.Tensor(values, requires_grad=True)
+        out, argrow = nk.segment_col_max(a, seg, num_segments)
+        with np.errstate(invalid="ignore"):  # the loss sums -inf maxima of both signs
+            nk.backward(nk.tsum(out * nk.Tensor(upstream)))
+        maxima, want_rows, grad, _ = segment_col_max_loop(values, seg, num_segments, upstream)
+        for got, want in ((out.values, maxima), (argrow, want_rows), (a.grad, grad)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_empty_segments_hold_minus_inf_at_row_zero(self):
+        out, argrow = nk.segment_col_max(nk.Tensor(np.array([[1.0, -2.0]])), np.array([2]), 4)
+        assert out.values.tolist() == [[-np.inf, -np.inf]] * 2 + [[1.0, -2.0]] + [[-np.inf, -np.inf]]
+        assert argrow.tolist() == [[0, 0]] * 4
 
 
 class TestRowMatmul:
