@@ -228,15 +228,36 @@ def anchor_walks(blocks: np.ndarray, steps: int) -> np.ndarray:
     return walks
 
 
-def stack_responses(stack: SubgraphStack, bank: FilterBank,
-                    encoder: FeatureEncoder, walk_cap: int | None = None) -> Tensor:
+def _takes_class_walks(raw: np.ndarray, cap: int, num_filters: int) -> bool:
+    """Whether every raw feature row is one-hot (a single 1.0, zeros
+    elsewhere) and the per-filter class products of ``numkit.class_walks``,
+    F·K²·(cap + 1) entries for K feature columns, stay within
+    MAX_BLOCK_ENTRIES. Both bounds come from the model's shapes, so a graph
+    takes the same route alone and in any chunk of one-hot graphs."""
+    hot = raw == 1.0
+    return num_filters * raw.shape[1] ** 2 * (cap + 1) <= MAX_BLOCK_ENTRIES \
+        and bool(np.all(hot.sum(axis=1) == 1)) and bool(np.all(hot | (raw == 0.0)))
+
+
+def stack_responses(stack: SubgraphStack, bank: FilterBank, encoder: FeatureEncoder,
+                    walk_cap: int | None = None, training: bool = False) -> Tensor:
     """Response matrix (one row per node, one column per filter): entry
     (v, f) is sum over f's columns of S[v] * sum_p Y_p W^p, p up to the walk
     cap (the filter size unless ``walk_cap`` is given), Y_p = u_p^T S[members
-    of v], W block diagonal in the bank's adjacencies: one
-    ``numkit.walk_horner`` node. With one raw feature row for every node, S
-    has rank one and the response is sum_p counts[v, p] * s_f^T W_f^p s_f
-    (counts: row sums of the walk table), one ``numkit.rank_one_walks`` node.
+    of v], W block diagonal in the bank's adjacencies. Each stack takes one of
+    three autograd nodes:
+
+    - one raw feature row for every node: S has rank one and the response is
+      sum_p counts[v, p] * s_f^T W_f^p s_f (counts: row sums of the walk
+      table), ``numkit.rank_one_walks``;
+    - every row one-hot, with the per-filter K×K class products within
+      MAX_BLOCK_ENTRIES (F·K²·(cap + 1) entries, fixed by the model): the
+      response is sum_{b,p} table[v, b, p] * s_{f,b}^T W_f^p s_{f,class(v)}
+      over the K encoded classes, the table summing the walk table by the
+      class of each member, ``numkit.class_walks``, whose products are
+      row-local outside ``training``;
+    - any other rows: ``numkit.walk_horner``.
+
     tests/oracles.py holds the per-pair reference and the per-filter chains."""
     cap = bank.size if walk_cap is None else walk_cap
     walks = anchor_walks(stack.blocks, cap)
@@ -246,6 +267,16 @@ def stack_responses(stack: SubgraphStack, bank: FilterBank,
     if raw.shape[0] and np.all(raw == raw[0]):
         counts = np.ascontiguousarray(walks.sum(axis=2).T)
         return nk.rank_one_walks(rows, encoder.encode(raw[:1]), adjacency, counts, cap)
+    if _takes_class_walks(raw, cap, rows.shape[0] // bank.size):
+        n, k = raw.shape
+        classes = np.argmax(raw, axis=1)
+        # table[v, b, p]: one bincount over (row, member class, step) cells
+        cells = (np.arange(n)[:, None] * k + classes[stack.members])[:, :, None] * (cap + 1) \
+            + np.arange(cap + 1)
+        table = np.bincount(cells.reshape(-1), weights=walks.transpose(1, 2, 0).reshape(-1),
+                            minlength=n * k * (cap + 1)).reshape(n, k, cap + 1)
+        return nk.class_walks(rows, encoder.encode(np.eye(k)), adjacency, table, classes,
+                              cap, row_local=not training)
     s = encoder.encode(raw) @ nk.transpose(rows)
     h = nk.walk_horner(s, adjacency, stack.members, walks)
     return nk.group_col_sums(s * h, bank.size)

@@ -241,7 +241,7 @@ def _batch_forward(model: XgknModel, stack: SubgraphStack, graph_seg: np.ndarray
     graph i; responses and contributions hold the graphs' node rows in
     order, and argmax rows index them."""
     cfg = model.config
-    r = stack_responses(stack, model.bank, model.encoder, cfg.walk_cap)
+    r = stack_responses(stack, model.bank, model.encoder, cfg.walk_cap, training)
     z, contributions, argrow = _aggregate_tensor(
         r, cfg.agg_mode, cfg.entropy_eps, graph_seg, num_graphs, cfg.norm_scope, training)
     return model.predictor.logits(z, training=training), z, r, contributions, argrow

@@ -152,8 +152,13 @@ def row_matmul(a: Tensor, b: Tensor) -> Tensor:
     the backward is ``matmul``'s."""
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"row_matmul mismatch: {a.shape} @ {b.shape}")
-    return _op(np.einsum("ij,jk->ik", a.values, b.values), (a, b),
+    return _op(_row_local_product(a.values, b.values), (a, b),
                lambda g: (g @ b.values.T, a.values.T @ g))
+
+
+def _row_local_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` by ``np.einsum``, each output row from its own row of ``a``."""
+    return np.einsum("ij,jk->ik", a, b)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -337,6 +342,21 @@ def walk_horner(s: Tensor, w: Tensor, members: np.ndarray, walks: np.ndarray) ->
     return _op(h.transpose(1, 0, 2).reshape(n, cols), (s, w), backward)
 
 
+def _filter_walks(rows: Tensor, shared: Tensor, adjacencies: Tensor, cap: int):
+    """The filters' blocks r and W (``[F, size, ...]`` views), v_p = W^p s
+    for p <= cap with s = r shared^T, and the products s^T v_p: the forward
+    of ``rank_one_walks`` and ``class_walks``, one ``np.matmul`` over the
+    blocks each."""
+    size = adjacencies.shape[1]
+    r = rows.values.reshape(-1, size, shared.shape[1])
+    w = adjacencies.values.reshape(-1, size, size)
+    v = [np.matmul(r, shared.values.T)]
+    for _ in range(cap):
+        v.append(np.matmul(w, v[-1]))
+    s_t = v[0].transpose(0, 2, 1)
+    return r, w, v, [np.matmul(s_t, vp) for vp in v]
+
+
 def rank_one_walks(rows: Tensor, shared: Tensor, adjacencies: Tensor,
                    counts: np.ndarray, cap: int) -> Tensor:
     """Column f of the output is ``sum_p counts[:, p] * c_{f,p}`` over
@@ -358,13 +378,8 @@ def rank_one_walks(rows: Tensor, shared: Tensor, adjacencies: Tensor,
         raise ShapeError(f"rank_one_walks: rows {rows.shape}, shared {shared.shape}, "
                          f"adjacencies {adjacencies.shape}, counts {counts.shape}, "
                          f"cap {cap} do not fit")
-    r = rows.values.reshape(-1, size, dim)
-    w = adjacencies.values.reshape(-1, size, size)
-    v = [np.matmul(r, shared.values.T)]
-    for _ in range(cap):
-        v.append(np.matmul(w, v[-1]))
-    s_t = v[0].transpose(0, 2, 1)
-    c = np.concatenate([np.matmul(s_t, vp) for vp in v], axis=1)
+    r, w, v, products = _filter_walks(rows, shared, adjacencies, cap)
+    c = np.concatenate(products, axis=1)
     out = np.ascontiguousarray(np.matmul(counts, c)[:, :, 0].T)
 
     def backward(g):
@@ -387,6 +402,72 @@ def rank_one_walks(rows: Tensor, shared: Tensor, adjacencies: Tensor,
             total = total + dshared[f:f + 1]
         return (np.matmul(ds, shared.values).reshape(rows.shape), total,
                 dw.reshape(adjacencies.shape))
+
+    return _op(out, (rows, shared, adjacencies), backward)
+
+
+def class_walks(rows: Tensor, shared: Tensor, adjacencies: Tensor, table: np.ndarray,
+                classes: np.ndarray, cap: int, row_local: bool = False) -> Tensor:
+    """Column f of the output is ``sum_{b,p} table[v, b, p] * c_{f,p}[b, a]``
+    at row v of class ``a = classes[v]``, over p <= cap, with
+    ``c_{f,p}[b, a] = s_{f,b}^T W_f^p s_{f,a}`` and ``s_f = rows_f @
+    shared^T``: the walk sum when node v's feature row is row ``classes[v]``
+    of the K rows ``shared``. ``table`` is the (n, K, cap + 1) walk weight of
+    each class: ``table[v, b, p]`` sums the length-p anchor walks of v that
+    end at a node of class b. ``rows`` and ``adjacencies`` stack the filters'
+    blocks of ``size`` rows; ``rank_one_walks`` is the case K = 1.
+
+    One product per class present, over that class's rows: ``@``, or with
+    ``row_local`` an ``np.einsum`` whose rows round alone as in any batch.
+    The backward takes ``table^T g`` per class into dc, then runs back through
+    v_p = W v_{p-1} (v_0 = s): dv_p = s dc_p + W^T dv_{p+1},
+    dW = sum_p dv_p v_{p-1}^T, ds = dv_0 + sum_p v_p dc_p^T. At cap 0 W gets a
+    zero gradient."""
+    size, (k, dim) = adjacencies.shape[1], shared.shape
+    n = classes.shape[0]
+    if rows.shape != (adjacencies.shape[0], dim) or adjacencies.shape[0] % size \
+            or table.shape != (n, k, cap + 1) \
+            or (n and not 0 <= classes.min() <= classes.max() < k):
+        raise ShapeError(f"class_walks: rows {rows.shape}, shared {shared.shape}, "
+                         f"adjacencies {adjacencies.shape}, table {table.shape}, "
+                         f"classes {classes.shape}, cap {cap} do not fit")
+    _, w, v, products = _filter_walks(rows, shared, adjacencies, cap)
+    num_filters, steps = w.shape[0], cap + 1
+    c = np.stack(products, axis=3)
+    # coef[a] is class a's (K·steps, F) matrix, row b·steps + p
+    coef = np.ascontiguousarray(c.transpose(2, 1, 3, 0)).reshape(k, k * steps, num_filters)
+    # the table's rows sorted by class, each class's rows one slice
+    order = np.argsort(classes, kind="stable")
+    flat = table.reshape(n, k * steps)[order]
+    counts = np.bincount(classes, minlength=k)
+    ends = np.cumsum(counts)
+    groups = [(a, slice(ends[a] - counts[a], ends[a])) for a in np.flatnonzero(counts)]
+    out = np.empty((n, num_filters))
+    for a, part in groups:
+        out[order[part]] = _row_local_product(flat[part], coef[a]) if row_local \
+            else flat[part] @ coef[a]
+
+    def backward(g):
+        dcoef = np.zeros(coef.shape)
+        g = g[order]
+        for a, part in groups:
+            dcoef[a] = flat[part].T @ g[part]
+        # dc[f, b, a, p]
+        dc = dcoef.reshape(k, k, steps, num_filters).transpose(3, 1, 0, 2)
+        ds = np.zeros(v[0].shape)
+        for p in range(steps):
+            ds += np.matmul(v[p], dc[..., p].transpose(0, 2, 1))
+        dv = np.matmul(v[0], dc[..., cap])
+        dw = np.zeros(w.shape)
+        w_t = w.transpose(0, 2, 1)
+        for p in range(cap, 0, -1):
+            dw += np.matmul(dv, v[p - 1].transpose(0, 2, 1))
+            dv = np.matmul(v[0], dc[..., p - 1]) + np.matmul(w_t, dv)
+        ds += dv
+        # ds is [F, size, K]: rows get ds @ shared, shared sums the filters
+        drows = np.matmul(ds, shared.values).reshape(rows.shape)
+        dshared = ds.transpose(2, 0, 1).reshape(k, -1) @ rows.values
+        return drows, dshared, dw.reshape(adjacencies.shape)
 
     return _op(out, (rows, shared, adjacencies), backward)
 

@@ -443,3 +443,39 @@ def test_evaluate_refuses_a_checkpoint_of_the_wrong_shape(tmp_path, capsys):
         assert main(["evaluate", "-c", str(config)]) == 1
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+
+def test_class_route_leaves_metrics_and_selections_unchanged(tmp_path, monkeypatch):
+    # one-hot degree features (15 columns) take numkit.class_walks; with that
+    # route off every stack takes walk_horner, which sums in another order.
+    # Training, explain and evaluate must end at the same metric values and
+    # the same selected node sets either way
+    calls = []
+    class_walks = xgkn.numkit.class_walks
+
+    def counted(*args, **kwargs):
+        calls.append(args[3].shape[0])
+        return class_walks(*args, **kwargs)
+
+    monkeypatch.setattr(xgkn.numkit, "class_walks", counted)
+    results = []
+    for route in ("class", "walk_horner"):
+        if route == "walk_horner":
+            monkeypatch.setattr(xgkn.kernel, "_takes_class_walks", lambda *args: False)
+        (tmp_path / route).mkdir()
+        out_dir = tmp_path / route / "out"
+        config = write_config(tmp_path / route, out_dir, extra={
+            "dataset": {**TINY_CONFIG["dataset"], "feature_policy": "degree_onehot"},
+            "model": {**TINY_CONFIG["model"], "num_filters": 4}})
+        calls.clear()
+        for command in ("prepare", "train", "explain", "evaluate"):
+            assert main([command, "-c", str(config)]) == 0, command
+        report = json.loads((out_dir / "report.json").read_text())
+        selected = [[json.loads(line)["selected"] for line in
+                     (out_dir / f"explanations_seed{seed}.jsonl").read_text().splitlines()]
+                    for seed in TINY_CONFIG["seeds"]]
+        results.append((report["metrics"], selected, sum(calls)))
+    (metrics, selected, class_rows), (metrics_off, selected_off, class_rows_off) = results
+    assert class_rows > 0 and class_rows_off == 0
+    assert metrics == metrics_off
+    assert selected == selected_off

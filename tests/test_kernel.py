@@ -283,6 +283,16 @@ class TestKernelResponses:
                 for x in (np.ones((9, 1)), scaled))
             assert np.allclose(general, shortcut, rtol=0.0, atol=1e-12)
 
+    def test_class_route_needs_one_hot_rows_and_bounded_products(self):
+        # 3 classes and 3 steps: 27 entries of class products a filter
+        onehot = np.eye(3)[[0, 2, 1, 2]]
+        most = kernel.MAX_BLOCK_ENTRIES // 27
+        assert kernel._takes_class_walks(onehot, 2, most)
+        assert not kernel._takes_class_walks(onehot, 2, most + 1)
+        for rows in (onehot + np.eye(3)[[1, 0, 0, 0]], 2.0 * onehot,
+                     np.vstack([onehot[:3], np.zeros(3)]), onehot - 0.5):
+            assert not kernel._takes_class_walks(rows, 2, 1)
+
     def test_constant_feature_shortcut_gradients(self, rng):
         g = random_graph(6, 0.5, rng.derive(13)).with_features(np.ones((6, 1)))
         stack = build_subgraph_stack(g, k=2, max_size=5)
@@ -561,27 +571,159 @@ class TestRankOneWalks:
             nk.rank_one_walks(rows, shared, nk.Tensor(np.ones((4, 3))), counts, 2)
 
 
+@st.composite
+def onehot_graphs(draw, max_nodes=12, num_classes=5):
+    """A ``shuffled_graphs`` graph whose feature rows are one-hot in
+    ``num_classes`` columns. Classes are drawn per node, at most
+    ``num_classes`` - 1 of them at times, so some are often absent."""
+    g = draw(shuffled_graphs(max_nodes))
+    top = draw(st.sampled_from([num_classes - 2, num_classes - 1]))
+    hot = draw(st.lists(st.integers(0, top), min_size=g.n, max_size=g.n))
+    return g.with_features(np.eye(num_classes)[hot])
+
+
+def class_inputs(g: Graph, k: int, max_size: int, num_filters: int, size: int,
+                 cap: int, seed: int):
+    """Leaves for the stacked filter rows, the encoder weight and the stacked
+    filter adjacencies (not symmetric) of ``num_filters`` filters of ``size``
+    nodes, a fixed cotangent, ``g``'s stack with its walk table for a walk cap
+    of ``cap``, and the class table of ``g``'s one-hot rows, summed over
+    each neighbourhood by einsum."""
+    stack = build_subgraph_stack(g, k, max_size)
+    walks = anchor_walks(stack.blocks, cap)
+    table = np.einsum("pvj,vjb->vbp", walks, g.features[stack.members])
+    draws = np.random.default_rng(seed)
+    rows = nk.Tensor(draws.normal(size=(num_filters * size, 3)), requires_grad=True)
+    encoder = FeatureEncoder(nk.Tensor(draws.normal(size=(g.features.shape[1], 3)),
+                                       requires_grad=True))
+    adjacencies = nk.Tensor(draws.normal(size=(num_filters * size, size)) / size,
+                            requires_grad=True)
+    cotangent = nk.Tensor(draws.normal(size=(g.n, num_filters)))
+    return rows, encoder, adjacencies, cotangent, stack, walks, table
+
+
+def class_walks_of(rows, encoder, adjacencies, g, table, cap, row_local=False):
+    """``numkit.class_walks`` over the encoded identity rows, as
+    ``stack_responses`` calls it."""
+    return nk.class_walks(rows, encoder.encode(np.eye(g.features.shape[1])), adjacencies,
+                          table, np.argmax(g.features, axis=1), cap, row_local=row_local)
+
+
+def horner_responses(rows, encoder, adjacencies, g, stack, walks):
+    """The same responses from ``walk_horner`` over the encoded feature rows:
+    s = encode(raw) rows^T, then s * h summed over each filter's columns."""
+    s = encoder.encode(g.features) @ nk.transpose(rows)
+    h = nk.walk_horner(s, adjacencies, stack.members, walks)
+    return nk.group_col_sums(s * h, adjacencies.shape[1])
+
+
+class TestClassWalks:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(onehot_graphs(), st.integers(1, 3), st.integers(1, 10), banks, st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_equals_walk_horner(self, g, k, max_size, bank, row_local, seed):
+        num_filters, size, cap = bank
+        cap = size if cap is None else cap
+        rows, encoder, adjacencies, cotangent, stack, walks, table = class_inputs(
+            g, k, max_size, num_filters, size, cap, seed)
+        leaves = [rows, encoder.weight, adjacencies]
+        results = []
+        for op in (lambda: class_walks_of(rows, encoder, adjacencies, g, table, cap, row_local),
+                   lambda: horner_responses(rows, encoder, adjacencies, g, stack, walks)):
+            zero_grad(*leaves)
+            out = op()
+            nk.backward(nk.tsum(out * cotangent))
+            results.append([out.values] + [leaf.grad for leaf in leaves])
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        if cap == 0:
+            assert not results[0][3].any()
+
+    def test_row_local_rows_round_as_alone(self, rng):
+        # each row of a stack equals the same row of a stack of its own
+        g = random_graph(9, 0.4, rng.derive(50)).with_features(
+            np.eye(4)[rng.derive(51).integers(0, 4, size=9)])
+        rows, encoder, adjacencies, _, _, _, table = class_inputs(g, 2, 6, 3, 4, 4, 52)
+        shared = encoder.encode(np.eye(4))
+        classes = np.argmax(g.features, axis=1)
+        out = nk.class_walks(rows, shared, adjacencies, table, classes, 4, row_local=True)
+        for v in range(9):
+            alone = nk.class_walks(rows, shared, adjacencies, table[v:v + 1],
+                                   classes[v:v + 1], 4, row_local=True)
+            assert alone.values.tobytes() == out.values[v:v + 1].tobytes()
+
+    def test_gradients_match_finite_differences(self, rng):
+        g = random_graph(7, 0.4, rng.derive(53)).with_features(
+            np.eye(4)[[0, 1, 1, 3, 0, 1, 3]])
+        rows, encoder, adjacencies, cotangent, _, _, table = class_inputs(
+            g, 2, 5, 3, 3, 2, 54)
+        assert not table[:, 2].any()
+
+        def objective():
+            return nk.tsum(class_walks_of(rows, encoder, adjacencies, g, table, 2) * cotangent)
+
+        assert finite_difference_check(
+            objective, [rows, encoder.weight, adjacencies]) < 1e-6
+
+    def test_zero_steps_give_zero_adjacency_gradient(self, rng):
+        g = random_graph(5, 0.5, rng.derive(55)).with_features(np.eye(3)[[0, 2, 2, 1, 0]])
+        rows, encoder, adjacencies, cotangent, _, _, table = class_inputs(
+            g, 1, 4, 2, 3, 0, 56)
+        out = class_walks_of(rows, encoder, adjacencies, g, table, 0)
+        nk.backward(nk.tsum(out * cotangent))
+        assert adjacencies.grad is not None and not adjacencies.grad.any()
+        assert np.abs(encoder.weight.grad).max() > 0.0
+
+    def test_shapes_checked(self, rng):
+        g = random_graph(5, 0.5, rng.derive(57)).with_features(np.eye(3)[[0, 2, 2, 1, 0]])
+        rows, encoder, adjacencies, _, _, _, table = class_inputs(g, 1, 4, 2, 2, 2, 58)
+        shared = encoder.encode(np.eye(3))
+        classes = np.array([0, 2, 2, 1, 0])
+        with pytest.raises(ShapeError):
+            nk.class_walks(rows, shared, adjacencies, table, classes, 3)
+        with pytest.raises(ShapeError):
+            nk.class_walks(rows, shared, adjacencies, table, classes[:4], 2)
+        with pytest.raises(ShapeError):
+            nk.class_walks(rows, shared, adjacencies, table, classes + 1, 2)
+        with pytest.raises(ShapeError):
+            nk.class_walks(rows, shared, adjacencies, table, classes - 1, 2)
+        with pytest.raises(ShapeError):
+            nk.class_walks(rows, encoder.encode(np.eye(2)), adjacencies, table[:, :2],
+                           classes, 2)
+        with pytest.raises(ShapeError):
+            nk.class_walks(rows, nk.Tensor(np.ones((3, 4))), adjacencies, table, classes, 2)
+        with pytest.raises(ShapeError):
+            nk.class_walks(rows, shared, nk.Tensor(np.ones((4, 3))), table, classes, 2)
+
+
 class TestFilterBank:
     """The bank's responses against ``stack_responses_per_filter``, the
     per-filter chain: byte-equal on the rank-one path, where every stacked
     op is elementwise, per row or per block; within 1e-12 relative on the
-    general path, where each filter's columns are summed over its own block
-    rather than over the dense block-diagonal product."""
+    walk_horner and class paths (one-hot rows), where each filter's columns
+    are summed over its own block, or walked in class space, rather than over
+    the dense block-diagonal product."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(st.lists(shuffled_graphs(max_nodes=8), min_size=1, max_size=3),
            st.integers(1, 2), st.integers(1, 6), banks, st.integers(1, 4),
-           st.booleans(), st.integers(0, 2 ** 32 - 1))
+           st.sampled_from(["constant", "onehot", "continuous"]),
+           st.integers(0, 2 ** 32 - 1))
     def test_equals_per_filter_chain(self, graphs, k, max_size, shape, embed_dim,
-                                     constant, seed):
+                                     features, seed):
         num_filters, size, walk_cap = shape
         draws = Rng(seed)
+        constant = features == "constant"
         if constant:
             graphs = [g.with_features(np.ones((g.n, 1))) for g in graphs]
+        elif features == "onehot":
+            graphs = [g.with_features(np.eye(3)[draws.derive("x", i).integers(0, 3, size=g.n)])
+                      for i, g in enumerate(graphs)]
         stack = build_stack(graphs, k, max_size)[0]
         filters = [GraphFilter.init(size, embed_dim, draws.derive("f", f))
                    for f in range(num_filters)]
-        encoder = FeatureEncoder.init(1, embed_dim, draws.derive("e"))
+        encoder = FeatureEncoder.init(graphs[0].features.shape[1], embed_dim, draws.derive("e"))
         cotangent = nk.Tensor(draws.normal(size=(stack.num_nodes, num_filters)))
         bank = bank_of(filters)
         out = stack_responses(stack, bank, encoder, walk_cap)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xgkn import numkit as nk
+from xgkn import kernel, numkit as nk
 from xgkn.data import Dataset, stratified_split
 from xgkn.errors import ShapeError, TrainingDivergedError
 from xgkn.graphs import Graph, Rng
@@ -204,6 +204,22 @@ def mixed_graphs(rng, count: int, onehot: bool) -> list[Graph]:
     return graphs
 
 
+@pytest.fixture
+def op_calls(monkeypatch):
+    """How often each of the three walk ops of ``kernel.stack_responses``
+    runs, counted by name."""
+    calls = {}
+    for name in ("rank_one_walks", "class_walks", "walk_horner"):
+        calls[name] = 0
+
+        def counted(*args, _op=getattr(nk, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _op(*args, **kwargs)
+
+        monkeypatch.setattr(nk, name, counted)
+    return calls
+
+
 class TestForwardBatch:
     @pytest.mark.parametrize("onehot", [False, True])
     @pytest.mark.parametrize("mode", ["sum", "negative_entropy", "max"])
@@ -229,6 +245,46 @@ class TestForwardBatch:
                 assert batched.argmax_rows[i].max() < bounds[i + 1]
             else:
                 assert batched.argmax_rows is None and want.argmax_rows is None
+
+    @pytest.mark.parametrize("mode", ["sum", "negative_entropy", "max"])
+    def test_one_hot_graphs_equal_their_batch_of_one(self, rng, mode, op_calls):
+        # one-hot graphs whose rows are not all equal take class_walks alone
+        # and in every chunk, its route fixed by the model's shapes and its
+        # products row-local outside training; edgeless graphs, whose
+        # neighbourhoods hold only their anchor, share chunks with wider ones
+        graphs = [g for g in mixed_graphs(rng, 140, onehot=True)
+                  if np.any(g.features != g.features[0])]
+        for i in range(0, len(graphs), 23):
+            graphs.insert(i, Graph(np.zeros((3, 3)), np.eye(4)[[2, 0, 2]], np.arange(3),
+                                   label=i % 2))
+        assert len(graphs) > 2 * INFERENCE_CHUNK
+        model = small_model(feature_dim=4, num_filters=2, agg_mode=mode)
+        batched = forward_batch(model, graphs)
+        bounds = batched.bounds
+        for i, g in enumerate(graphs):
+            want = forward_batch(model, [g])
+            assert batched.R[bounds[i]:bounds[i + 1]].tobytes() == want.R.tobytes()
+            assert batched.contributions[bounds[i]:bounds[i + 1]].tobytes() \
+                == want.contributions.tobytes()
+            assert batched.z[i].tobytes() == want.z[0].tobytes()
+            assert batched.logits[i].tobytes() == want.logits[0].tobytes()
+        chunks = -(-len(graphs) // INFERENCE_CHUNK)
+        assert op_calls == {"rank_one_walks": 0, "class_walks": chunks + len(graphs),
+                            "walk_horner": 0}
+
+    def test_one_hot_products_over_the_bound_take_walk_horner(self, rng, op_calls):
+        # 2 filters x 1500 classes x 1500 classes x 4 steps of class products
+        # exceed MAX_BLOCK_ENTRIES, so one-hot rows in 1500 columns take
+        # walk_horner alone and in a chunk
+        graphs = [g.with_features(np.pad(g.features, ((0, 0), (0, 1496))))
+                  for g in mixed_graphs(rng, 12, onehot=True)
+                  if np.any(g.features != g.features[0])]
+        assert 2 * 1500 ** 2 * 4 > kernel.MAX_BLOCK_ENTRIES
+        model = small_model(feature_dim=1500)
+        batched = forward_batch(model, graphs)
+        alone = forward_batch(model, graphs[:1])
+        assert np.allclose(batched.logits[:1], alone.logits, rtol=0.0, atol=1e-12)
+        assert op_calls == {"rank_one_walks": 0, "class_walks": 0, "walk_horner": 2}
 
     def test_empty_list(self):
         model = small_model()
@@ -335,19 +391,28 @@ def step_node_counts(graphs, feature_dim: int) -> set:
 
 
 class TestTrain:
-    def test_general_path_graph_size_does_not_grow_with_walk_cap(self, rng):
+    def test_general_path_graph_size_does_not_grow_with_walk_cap(self, rng, op_calls):
+        # features that are neither constant nor one-hot take walk_horner:
         # the walk sum is one node however many steps it takes, and the
         # filter bank's parameter chain one chain however many filters it
         # holds; a per-step or per-filter chain would add nodes
+        graphs = [g.with_features(g.features + 0.25) for g in mixed_graphs(rng, 12, onehot=True)]
+        assert len(step_node_counts(graphs, 4)) == 1
+        assert op_calls == {"rank_one_walks": 0, "class_walks": 0, "walk_horner": 4}
+
+    def test_class_path_graph_size_does_not_grow_with_walk_cap(self, rng, op_calls):
+        # one-hot features take class_walks, one node as well
         graphs = mixed_graphs(rng, 12, onehot=True)
         raw = np.vstack([g.features for g in graphs])
         assert not np.all(raw == raw[0])
         assert len(step_node_counts(graphs, 4)) == 1
+        assert op_calls == {"rank_one_walks": 0, "class_walks": 4, "walk_horner": 0}
 
-    def test_rank_one_path_graph_size_does_not_grow_with_walk_cap(self, rng):
+    def test_rank_one_path_graph_size_does_not_grow_with_walk_cap(self, rng, op_calls):
         # constant features take the rank-one shortcut, whose walk sum is one
         # node as well
         assert len(step_node_counts(mixed_graphs(rng, 12, onehot=False), 1)) == 1
+        assert op_calls == {"rank_one_walks": 4, "class_walks": 0, "walk_horner": 0}
 
     def test_adam_gets_one_tensor_per_parameter_kind(self):
         # encoder weight, the bank's two tensors, gamma, beta, weight, bias
