@@ -139,13 +139,24 @@ def validate_config(config: dict) -> None:
                 raise ValueError(f"unknown config key '{key}.{name}'{hint}")
     for section, cls in (("model", ModelConfig), ("train", TrainConfig), ("aim", AimConfig)):
         _check_section(config, section, cls)
+    dataset = config["dataset"]
+    for name, least, none_ok in (("n_graphs", 1, False), ("seed", 0, False),
+                                 ("degree_cap", 0, True)):
+        value = dataset[name]
+        if not (none_ok and value is None) and (type(value) is not int or value < least):
+            kind = f"null or an integer >= {least}" if none_ok else f"an integer >= {least}"
+            raise ValueError(f"config key 'dataset.{name}' must be {kind}, got {value!r}")
+    if not isinstance(config["out_dir"], str):
+        raise ValueError(f"config key 'out_dir' must be a string, got {config['out_dir']!r}")
     fraction = config["split"]["test_fraction"]
     if type(fraction) not in (int, float) or not 0 < fraction < 1:
         raise ValueError(f"config key 'split.test_fraction' must be a number in (0, 1), "
                          f"got {fraction!r}")
     seeds = config["seeds"]
-    if not isinstance(seeds, list) or not all(type(seed) is int for seed in seeds):
-        raise ValueError(f"config key 'seeds' must be a list of integers, got {seeds!r}")
+    if not (isinstance(seeds, list) and seeds
+            and all(type(seed) is int and seed >= 0 for seed in seeds)):
+        raise ValueError(f"config key 'seeds' must be a non-empty list of integers >= 0, "
+                         f"got {seeds!r}")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds must be distinct, got {seeds}")
     criterion = config["threshold"]["criterion"]
@@ -670,7 +681,9 @@ def main(argv=None) -> int:
     except XgknError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, ValueError) as err:
+    except (OSError, ValueError) as err:
+        # an OSError of an artifact path (missing, a file where a directory
+        # belongs, or the reverse) names the path in its message
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -20,11 +20,12 @@ from .graphs import Rng
 from .kernel import (
     FeatureEncoder,
     FilterBank,
-    SubgraphStack,
+    SplitWalks,
+    WalkInputs,
     build_stack,
     build_subgraph_stack,
-    combine_stacks,
     stack_responses,
+    walk_inputs,
 )
 from .numkit import Tensor
 
@@ -172,6 +173,13 @@ class XgknModel:
     def num_filters(self) -> int:
         return self.bank.num_filters
 
+    @property
+    def walk_cap(self) -> int:
+        """The steps of every anchor walk: the filter size unless the config
+        caps them."""
+        cap = self.config.walk_cap
+        return self.bank.size if cap is None else cap
+
     def parameters(self) -> list[Tensor]:
         return [self.encoder.weight, *self.bank.parameters(), *self.predictor.parameters()]
 
@@ -233,15 +241,15 @@ def _aggregate_tensor(r: Tensor, mode: str, eps: float, seg: np.ndarray, num_gra
     raise ValueError(f"unknown aggregation mode {mode!r}")
 
 
-def _batch_forward(model: XgknModel, stack: SubgraphStack, graph_seg: np.ndarray,
+def _batch_forward(model: XgknModel, inputs: WalkInputs, graph_seg: np.ndarray,
                    num_graphs: int, training: bool):
-    """Scores the batch of ``num_graphs`` graphs whose combined stack is
-    ``stack``, ``graph_seg`` giving each node row's graph: (logits, z,
+    """Scores the batch of ``num_graphs`` graphs whose node rows have the
+    graph side ``inputs``, ``graph_seg`` giving each row's graph: (logits, z,
     responses, contribution values, argmax rows). Row i of logits and z is
     graph i; responses and contributions hold the graphs' node rows in
     order, and argmax rows index them."""
     cfg = model.config
-    r = stack_responses(stack, model.bank, model.encoder, cfg.walk_cap, training)
+    r = stack_responses(inputs, model.bank, model.encoder, training)
     z, contributions, argrow = _aggregate_tensor(
         r, cfg.agg_mode, cfg.entropy_eps, graph_seg, num_graphs, cfg.norm_scope, training)
     return model.predictor.logits(z, training=training), z, r, contributions, argrow
@@ -255,15 +263,16 @@ INFERENCE_CHUNK = 32
 
 def forward(model: XgknModel, graphs) -> ForwardPass:
     """One inference pass over all of ``graphs`` at once: their combined
-    stack from one ``build_stack``, then ``_batch_forward``; batch-norm
-    statistics stay frozen. Aggregation and the predictor are row-local, so a
-    graph's rows equal its batch of one up to the kernel responses of the
-    batch (see README)."""
+    stack from one ``build_stack`` and its ``walk_inputs``, then
+    ``_batch_forward``; batch-norm statistics stay frozen. Aggregation and the
+    predictor are row-local, so a graph's rows equal its batch of one up to
+    the kernel responses of the batch (see README)."""
     cfg = model.config
     graphs = list(graphs)
     stack, graph_seg = build_stack(graphs, cfg.hop_radius, cfg.max_subgraph_size)
+    inputs = walk_inputs(stack, model.walk_cap, model.num_filters)
     logits, z, r, contributions, argrow = _batch_forward(
-        model, stack, graph_seg, len(graphs), training=False)
+        model, inputs, graph_seg, len(graphs), training=False)
     # keep values only: the batch's autograd graph is freed here
     return ForwardPass(R=r.values, contributions=contributions, z=z.values,
                        logits=logits.values,
@@ -305,10 +314,13 @@ def train(model: XgknModel, ds: Dataset, split: Split, cfg: TrainConfig):
     """Mini-batch Adam on the cross-entropy loss. Deterministic under
     ``cfg.seed``; early-stops on a training-loss plateau and returns the
     best-loss parameter snapshot. Also sets the explainer baseline (mean
-    aggregated scores over the training split)."""
+    aggregated scores over the training split). The graph side of the kernel
+    responses is built once for the split; every batch, and every part of
+    the batch-norm recalibration, takes its rows from it."""
     train_ids = list(split.train_ids)
-    stacks = [build_subgraph_stack(ds.graphs[i], model.config.hop_radius,
-                                   model.config.max_subgraph_size) for i in train_ids]
+    split_walks = SplitWalks([build_subgraph_stack(ds.graphs[i], model.config.hop_radius,
+                                                   model.config.max_subgraph_size)
+                              for i in train_ids], model.walk_cap, model.num_filters)
     labels = np.array([ds.graphs[i].label for i in train_ids], dtype=np.int64)
     params = model.parameters()
     state = nk.adam_init(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
@@ -325,8 +337,8 @@ def train(model: XgknModel, ds: Dataset, split: Split, cfg: TrainConfig):
         epoch_correct = 0
         for lo in range(0, n, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
-            batch_stack, graph_seg = combine_stacks([stacks[i] for i in batch])
-            logits = _batch_forward(model, batch_stack, graph_seg, len(batch), training=True)[0]
+            inputs, graph_seg = split_walks.batch(batch)
+            logits = _batch_forward(model, inputs, graph_seg, len(batch), training=True)[0]
             loss = nk.cross_entropy(logits, labels[batch])
             loss_value = loss.item()
             if not np.isfinite(loss_value):
@@ -346,8 +358,8 @@ def train(model: XgknModel, ds: Dataset, split: Split, cfg: TrainConfig):
     # inference normalization matches the restored parameters exactly
     scores = []
     for lo in range(0, n, 128):
-        part = stacks[lo:lo + 128]
-        scores.append(_batch_forward(model, *combine_stacks(part), len(part),
+        part = np.arange(lo, min(lo + 128, n))
+        scores.append(_batch_forward(model, *split_walks.batch(part), len(part),
                                      training=False)[1].values)
     scores = np.vstack(scores)
     model.predictor.running_mean = scores.mean(axis=0, keepdims=True)

@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from xgkn.graphs import Graph, Rng
+from xgkn.kernel import stack_responses, walk_inputs
 
 
 def path_graph(n: int, features=None) -> Graph:
@@ -44,6 +45,14 @@ def random_graph(n: int, p: float, rng: Rng, d: int = 1, binary_features: bool =
 def with_label(g: Graph, label: int | None) -> Graph:
     """``g`` with another class label."""
     return Graph(g.adjacency, g.features, g.node_ids, label=label, anchor=g.anchor)
+
+
+def stack_responses_of(stack, bank, encoder, walk_cap=None, training=False):
+    """``kernel.stack_responses`` over ``stack``'s own ``walk_inputs``, as
+    ``model.forward`` scores a chunk; the walks take the bank's filter size
+    in steps unless ``walk_cap`` is given."""
+    cap = bank.size if walk_cap is None else walk_cap
+    return stack_responses(walk_inputs(stack, cap, bank.num_filters), bank, encoder, training)
 
 
 def zero_grad(*tensors) -> None:

@@ -24,6 +24,8 @@ responses from a list of them, with a dense block-diagonal walk on the
 general path, and is the reference that ``kernel.FilterBank`` and
 ``kernel.stack_responses`` must reproduce. The stacking, slicing and
 block-diagonal ops it needs are private copies here.
+``walk_inputs_per_batch`` is the graph side of a training batch built from
+the batch's own stacks, which ``kernel.SplitWalks`` takes from the split's.
 
 The module also holds what only the tests use: the central-difference
 gradient check, the one-call ``explain_graph``, the ``AnchorError`` that
@@ -44,7 +46,7 @@ import os
 
 import numpy as np
 
-from xgkn import numkit as nk
+from xgkn import kernel, numkit as nk
 from xgkn.errors import EmptySelectionError, NumericError, XgknError
 from xgkn.explainer import Explanation, node_importance, threshold_explanation
 from xgkn.graphs import (
@@ -56,7 +58,7 @@ from xgkn.graphs import (
     perturb_edges,
     perturb_features,
 )
-from xgkn.kernel import FilterBank, anchor_walks
+from xgkn.kernel import FilterBank, anchor_walks, combine_stacks
 from xgkn.metrics import _explanation_edges, _result
 from xgkn.model import forward_batch, perturb_filters
 
@@ -280,6 +282,29 @@ def stack_responses_per_filter(stack, filters: list[GraphFilter], encoder,
     h = _horner_chain(s, stack.members, walks, lambda h: h @ w)
     owner = np.repeat(np.arange(len(filters)), [f.size for f in filters])
     return (s * h) @ nk.Tensor((owner[:, None] == np.arange(len(filters))).astype(np.float64))
+
+
+def walk_inputs_per_batch(stacks, cap: int, num_filters: int):
+    """The graph side of one training batch as ``model.train`` built it for
+    every batch of every epoch before ``kernel.SplitWalks``: ``combine_stacks``
+    of the batch's per-graph ``stacks``, a walk table of its own, the route
+    picked from its raw rows and that route's arrays derived from its table.
+    Returns (route, arrays, raw rows, graph index of each row); the reference
+    that ``SplitWalks.batch`` must equal byte for byte."""
+    stack, graph_seg = combine_stacks(stacks)
+    walks = anchor_walks(stack.blocks, cap)
+    raw = stack.raw_features
+    if raw.shape[0] and np.all(raw == raw[0]):
+        return "rank_one", (np.ascontiguousarray(walks.sum(axis=2).T),), raw, graph_seg
+    if kernel._takes_class_walks(raw, cap, num_filters):
+        n, k = raw.shape
+        classes = np.argmax(raw, axis=1)
+        cells = (np.arange(n)[:, None] * k + classes[stack.members])[:, :, None] * (cap + 1) \
+            + np.arange(cap + 1)
+        table = np.bincount(cells.reshape(-1), weights=walks.transpose(1, 2, 0).reshape(-1),
+                            minlength=n * k * (cap + 1)).reshape(n, k, cap + 1)
+        return "class_walks", (table, classes), raw, graph_seg
+    return "general", (stack.members, walks), raw, graph_seg
 
 
 def segment_col_max_loop(values: np.ndarray, seg: np.ndarray, num_segments: int,

@@ -28,7 +28,7 @@ from xgkn.explainer import (
 )
 from xgkn.ged import ged_exact, ged_normalized
 from xgkn.graphs import Graph, NodeSet, Rng
-from xgkn.kernel import FeatureEncoder, build_subgraph_stack, stack_responses
+from xgkn.kernel import FeatureEncoder, build_subgraph_stack
 from xgkn.metrics import (
     AimConfig,
     metric_a1,
@@ -46,7 +46,7 @@ from xgkn.model import (
     train,
 )
 
-from conftest import random_graph, with_label
+from conftest import random_graph, stack_responses_of, with_label
 from oracles import GraphFilter, anchored_rw_kernel, bank_of, direct_product, filter_as_graph, \
     finite_difference_check, ged_bruteforce, node_pair_similarity, rw_kernel, \
     walk_kernel_bruteforce
@@ -254,8 +254,8 @@ class TestKernelProperties:
             got2 = anchored_rw_kernel(gv, filt, enc, walk_cap=cap).item()
             worst_anchored = max(worst_anchored, abs(got2 - expected2))
             # the package path: node 0's neighbourhood spans all it can reach
-            stacked = stack_responses(build_subgraph_stack(g1, n1, n1), bank_of([filt]), enc,
-                                      walk_cap=cap).values[0, 0]
+            stacked = stack_responses_of(build_subgraph_stack(g1, n1, n1), bank_of([filt]),
+                                         enc, walk_cap=cap).values[0, 0]
             worst_stacked = max(worst_stacked, abs(stacked - expected2))
         report("criterion 8: kernels match brute-force walk oracles within 1e-9",
                worst_plain < 1e-9 and worst_anchored < 1e-9 and worst_stacked < 1e-9,
@@ -281,7 +281,7 @@ class TestKernelProperties:
             kernel_params = bank.parameters() + [encoder.weight]
 
             def kernel_objective():
-                r = stack_responses(stack, bank, encoder)
+                r = stack_responses_of(stack, bank, encoder)
                 return nk.tsum(r * r)
 
             worst = max(worst, finite_difference_check(kernel_objective, kernel_params))

@@ -165,6 +165,24 @@ class TestErrors:
         assert hashes[0][0] != hashes[1][0]
         assert hashes[0][1] == hashes[1][1]
 
+    def test_out_dir_that_is_a_file_is_usage_error_naming_it(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        config = write_config(tmp_path, taken)
+        assert main(["prepare", "-c", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert str(taken) in err and "Traceback" not in err
+        assert taken.read_text() == "not a directory"
+
+    def test_compare_with_a_file_is_usage_error_naming_it(self, pipeline, tmp_path, capsys):
+        _, _, config = pipeline
+        other = tmp_path / "report.json"
+        other.write_text("{}")
+        capsys.readouterr()
+        assert main(["report", "-c", str(config), "--compare", str(other)]) == 2
+        err = capsys.readouterr().err
+        assert str(other) in err and "Traceback" not in err
+
     def test_override_changes_dataset(self, tmp_path, capsys):
         out_dir = tmp_path / "run2"
         config = write_config(tmp_path, out_dir)
@@ -203,6 +221,19 @@ BAD_VALUES = [
     ("model.hop_radius=0", "model.hop_radius"),
     ("aim.samples_per_graph=0", "aim.samples_per_graph"),
     ("split.test_fraction=1.5", "split.test_fraction"),
+    # these ended in a traceback (the first five) or ran every stage on no
+    # model (the last) before validate_config checked the dataset section,
+    # out_dir and the seed list
+    ('dataset.n_graphs="abc"', "dataset.n_graphs"),
+    ("dataset.n_graphs=0", "dataset.n_graphs"),
+    ("dataset.n_graphs=-4", "dataset.n_graphs"),
+    ("dataset.degree_cap=-1", "dataset.degree_cap"),
+    ('dataset.degree_cap="x"', "dataset.degree_cap"),
+    ("out_dir=5", "out_dir"),
+    ("seeds=[]", "seeds"),
+    ("dataset.seed=1.5", "dataset.seed"),
+    ("dataset.seed=-1", "dataset.seed"),
+    ("seeds=[0, -1]", "seeds"),
 ]
 
 

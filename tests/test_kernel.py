@@ -12,14 +12,14 @@ from xgkn.kernel import (
     MAX_BLOCK_ENTRIES,
     FeatureEncoder,
     FilterBank,
+    SplitWalks,
     anchor_walks,
     build_stack,
     build_subgraph_stack,
     combine_stacks,
-    stack_responses,
 )
 
-from conftest import cycle_graph, path_graph, random_graph, zero_grad
+from conftest import cycle_graph, path_graph, random_graph, stack_responses_of, zero_grad
 from oracles import (
     AnchorError,
     GraphFilter,
@@ -34,6 +34,7 @@ from oracles import (
     rw_kernel,
     stack_responses_per_filter,
     walk_horner_per_step,
+    walk_inputs_per_batch,
     walk_kernel_bruteforce,
 )
 
@@ -232,7 +233,7 @@ class TestKernelResponses:
         g = cycle_graph(6)
         filt = GraphFilter.init(3, 4, rng.derive(1))
         enc = FeatureEncoder.init(1, 4, rng.derive(2))
-        r = stack_responses(build_subgraph_stack(g, 1, 10), bank_of([filt]), enc).values
+        r = stack_responses_of(build_subgraph_stack(g, 1, 10), bank_of([filt]), enc).values
         assert r.shape == (6, 1)
         assert np.allclose(r, r[0, 0])
 
@@ -240,14 +241,14 @@ class TestKernelResponses:
         g = Graph(np.zeros((1, 1)), np.ones((1, 1)), np.arange(1))
         filt = GraphFilter.init(3, 4, rng.derive(3))
         enc = FeatureEncoder.init(1, 4, rng.derive(4))
-        r = stack_responses(build_subgraph_stack(g, 2, 5), bank_of([filt]), enc).values
+        r = stack_responses_of(build_subgraph_stack(g, 2, 5), bank_of([filt]), enc).values
         assert r.shape == (1, 1)
 
     def test_entries_match_single_call_recomputation(self, rng):
         g = random_graph(6, 0.4, rng.derive(5), d=2)
         filters = [GraphFilter.init(4, 4, rng.derive("f", i)) for i in range(2)]
         enc = FeatureEncoder.init(2, 4, rng.derive(6))
-        r = stack_responses(build_subgraph_stack(g, 2, 4), bank_of(filters), enc).values
+        r = stack_responses_of(build_subgraph_stack(g, 2, 4), bank_of(filters), enc).values
         for v in range(6):
             nb = k_hop_neighborhood(g, v, 2, 4)
             for i, filt in enumerate(filters):
@@ -260,7 +261,7 @@ class TestKernelResponses:
         g = random_graph(7, 0.4, rng.derive(11)).with_features(np.ones((7, 1)))
         filters = [GraphFilter.init(4, 3, rng.derive("cf", i)) for i in range(2)]
         enc = FeatureEncoder.init(1, 3, rng.derive(12))
-        r = stack_responses(build_subgraph_stack(g, 2, 5), bank_of(filters), enc).values
+        r = stack_responses_of(build_subgraph_stack(g, 2, 5), bank_of(filters), enc).values
         for v in range(7):
             nb = k_hop_neighborhood(g, v, 2, 5)
             for i, filt in enumerate(filters):
@@ -278,8 +279,8 @@ class TestKernelResponses:
         enc = FeatureEncoder.init(1, 3, rng.derive(17))
         for walk_cap in (None, 0, 2):
             shortcut, general = (
-                stack_responses(build_subgraph_stack(g.with_features(x), 2, 6),
-                                bank, enc, walk_cap).values
+                stack_responses_of(build_subgraph_stack(g.with_features(x), 2, 6),
+                                   bank, enc, walk_cap).values
                 for x in (np.ones((9, 1)), scaled))
             assert np.allclose(general, shortcut, rtol=0.0, atol=1e-12)
 
@@ -301,7 +302,7 @@ class TestKernelResponses:
         params = bank.parameters() + [enc.weight]
 
         def objective():
-            r = stack_responses(stack, bank, enc)
+            r = stack_responses_of(stack, bank, enc)
             return nk.tsum(r * r)
 
         assert finite_difference_check(objective, params) < 1e-4
@@ -315,7 +316,7 @@ class TestKernelResponses:
         bank.features.values = np.abs(bank.features.values) + 0.1
         enc = FeatureEncoder.init(2, 4, rng.derive(10))
         enc.weight.values = np.abs(enc.weight.values) + 0.1
-        r = stack_responses(build_subgraph_stack(g, 2, 5), bank, enc).values
+        r = stack_responses_of(build_subgraph_stack(g, 2, 5), bank, enc).values
         assert r.min() >= 0.0
 
     def test_stack_responses_gradients_match_finite_differences(self, rng):
@@ -326,7 +327,7 @@ class TestKernelResponses:
         params = bank.parameters() + [enc.weight]
 
         def objective():
-            r = stack_responses(stack, bank, enc)
+            r = stack_responses_of(stack, bank, enc)
             return nk.tsum(r * r)
 
         assert finite_difference_check(objective, params) < 1e-4
@@ -436,6 +437,74 @@ class TestVectorisedStackBuilder:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+
+def featured(g: Graph, kind: str, draws) -> Graph:
+    """``g`` with three feature columns: the first one-hot row for every
+    node (``uniform``, which is one-hot too), a one-hot row drawn per node
+    (``onehot``) or real-valued rows (``real``)."""
+    if kind == "uniform":
+        return g.with_features(np.tile(np.eye(3)[0], (g.n, 1)))
+    if kind == "onehot":
+        return g.with_features(np.eye(3)[draws.integers(0, 3, size=g.n)])
+    return g.with_features(draws.normal(size=(g.n, 3)))
+
+
+def batch_route(split: SplitWalks, stacks, ids, num_filters: int = 2) -> str:
+    """The route of the split's batch ``ids``, whose walk inputs and row
+    graphs are asserted to equal, byte for byte, those built from the
+    batch's own stacks."""
+    got, seg = split.batch(ids)
+    route, arrays, raw, want_seg = walk_inputs_per_batch(
+        [stacks[i] for i in ids], split.cap, num_filters)
+    assert (got.route, got.cap, len(got.arrays)) == (route, split.cap, len(arrays))
+    for a, b in zip((seg, got.raw_features, *got.arrays), (want_seg, raw, *arrays)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return route
+
+
+class TestSplitWalks:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.lists(st.tuples(shuffled_graphs(max_nodes=8), st.sampled_from(
+               ["uniform", "onehot", "real"])), min_size=1, max_size=8),
+           st.integers(1, 3), st.integers(1, 8), st.integers(0, 4), st.integers(1, 4),
+           st.integers(0, 2 ** 32 - 1))
+    def test_batches_equal_their_own_stacks(self, drawn, k, max_size, cap, batch_size, seed):
+        # shuffled batches of graphs of mixed widths and feature kinds, and
+        # each graph alone, so that every kind takes its own route
+        draws = np.random.default_rng(seed)
+        stacks = [build_subgraph_stack(featured(g, kind, draws), k, max_size)
+                  for g, kind in drawn]
+        split = SplitWalks(stacks, cap, 2)
+        order = draws.permutation(len(stacks))
+        batches = [order[lo:lo + batch_size] for lo in range(0, len(order), batch_size)]
+        for ids in batches + [[i] for i in range(len(stacks))]:
+            batch_route(split, stacks, ids)
+
+    def test_each_batch_picks_its_own_route(self, monkeypatch):
+        # a uniform batch inside a one-hot split takes rank one; a one-hot
+        # batch inside a split that is not one-hot takes class walks; each
+        # route's split arrays are derived once, however many batches take it
+        derived = []
+        route_arrays = kernel._route_arrays
+        monkeypatch.setattr(kernel, "_route_arrays",
+                            lambda route, *args: derived.append(route)
+                            or route_arrays(route, *args))
+        draws = np.random.default_rng(3)
+        graphs = [featured(cycle_graph(5), "uniform", draws),
+                  featured(path_graph(7), "uniform", draws),
+                  featured(random_graph(9, 0.5, Rng(4)), "onehot", draws),
+                  featured(Graph.from_edges(4, [(0, i) for i in (1, 2, 3)]), "real", draws),
+                  featured(random_graph(6, 0.3, Rng(5)), "onehot", draws)]
+        stacks = [build_subgraph_stack(g, 2, 6) for g in graphs]
+        assert len({s.members.shape[1] for s in stacks}) > 1
+        onehot = SplitWalks(stacks[:3], 3, 2)
+        assert [batch_route(onehot, stacks, ids) for ids in ([1, 0], [2, 0], [0, 1, 2], [1])] \
+            == ["rank_one", "class_walks", "class_walks", "rank_one"]
+        assert derived == ["rank_one", "class_walks"]
+        mixed = SplitWalks(stacks, 3, 2)
+        assert [batch_route(mixed, stacks, ids) for ids in ([4, 2], [3, 0], [2], [0])] \
+            == ["class_walks", "general", "class_walks", "rank_one"]
 
 
 def horner_inputs(g: Graph, k: int, max_size: int, num_filters: int, size: int,
@@ -726,7 +795,7 @@ class TestFilterBank:
         encoder = FeatureEncoder.init(graphs[0].features.shape[1], embed_dim, draws.derive("e"))
         cotangent = nk.Tensor(draws.normal(size=(stack.num_nodes, num_filters)))
         bank = bank_of(filters)
-        out = stack_responses(stack, bank, encoder, walk_cap)
+        out = stack_responses_of(stack, bank, encoder, walk_cap)
         nk.backward(nk.tsum(out * cotangent))
         got = [out.values, grad(encoder.weight)] + [grad(p) for p in bank.parameters()]
         zero_grad(encoder.weight)

@@ -10,7 +10,7 @@ from xgkn import kernel, numkit as nk
 from xgkn.data import Dataset, stratified_split
 from xgkn.errors import ShapeError, TrainingDivergedError
 from xgkn.graphs import Graph, Rng
-from xgkn.kernel import build_subgraph_stack, combine_stacks
+from xgkn.kernel import SplitWalks, build_subgraph_stack
 from xgkn.model import (
     ModelConfig,
     Predictor,
@@ -33,9 +33,11 @@ from oracles import finite_difference_check, rank_one_walks_chain, segment_col_m
 
 
 def batch_forward(model, stacks, training):
-    """``_batch_forward`` over the combined per-graph ``stacks``, as ``train``
-    scores a batch."""
-    return _batch_forward(model, *combine_stacks(stacks), len(stacks), training=training)
+    """``_batch_forward`` over the per-graph ``stacks`` as one batch, as
+    ``train`` scores a batch."""
+    split = SplitWalks(stacks, model.walk_cap, model.num_filters)
+    return _batch_forward(model, *split.batch(range(len(stacks))), len(stacks),
+                          training=training)
 
 
 def toy_separable_dataset() -> Dataset:
@@ -452,6 +454,27 @@ class TestTrain:
                                TrainConfig(epochs=3, seed=0))
         assert len(history) == 3
         assert all(np.isfinite(p.values).all() for p in model.parameters())
+
+    @pytest.mark.parametrize("epochs", [1, 5])
+    def test_walk_table_is_built_once_per_split(self, monkeypatch, op_calls, epochs):
+        # one walk table over the training split's rows, however many epochs
+        # and batches; every batch and the recalibration still take a walk op
+        tables = []
+        anchor_walks = kernel.anchor_walks
+
+        def counted(blocks, steps):
+            tables.append(blocks.shape[0])
+            return anchor_walks(blocks, steps)
+
+        monkeypatch.setattr(kernel, "anchor_walks", counted)
+        ds = toy_separable_dataset()
+        split = stratified_split(ds, 0.2, 1, seed=0)[0]
+        train(small_model(), ds, split, TrainConfig(epochs=epochs, batch_size=8, seed=0))
+        assert tables == [sum(ds.graphs[i].n for i in split.train_ids)]
+        batches = -(-len(split.train_ids) // 8)
+        assert batches > 1
+        assert op_calls == {"rank_one_walks": epochs * batches + 1, "class_walks": 0,
+                            "walk_horner": 0}
 
     def test_lr_zero_keeps_parameters(self):
         ds = toy_separable_dataset()

@@ -125,3 +125,9 @@ def test_layer_metrics_of_a_real_run_are_finite(tmp_path, monkeypatch, capsys, f
     for name, value in values.items():
         assert isinstance(value, (int, float)) and math.isfinite(value), f"{name} = {value}"
     json.dumps(values, allow_nan=False)
+    # training batches hand stack_responses their own rows: every one is
+    # uniform on constant features and none is on one-hot degrees
+    train_only = spans.layer_metrics({"train": stage_spans["train"]},
+                                     {"train": stage_walls["train"]}, set())
+    share = train_only["kernel.stack_responses.uniform_share"]
+    assert share == (1.0 if features == "constant" else 0.0)
