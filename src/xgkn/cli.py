@@ -355,12 +355,9 @@ def _load_model(out_dir: Path, seed: int, expected_hash: str):
 
 
 def _aim_config(config: dict, ds: Dataset) -> AimConfig:
-    fields = dict(config["aim"])
-    cfg = AimConfig(**fields)
-    if cfg.delta_edge_add is None:
-        fields["delta_edge_add"] = cfg.edge_add_scale * ds.average_density()
-        cfg = AimConfig(**fields)
-    return cfg
+    """The aim config with ``delta_edge_add`` resolved on the whole dataset."""
+    cfg = AimConfig(**config["aim"])
+    return dataclasses.replace(cfg, delta_edge_add=cfg.resolve_edge_add(ds))
 
 
 def cmd_explain(config: dict) -> int:

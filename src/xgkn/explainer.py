@@ -207,16 +207,13 @@ def threshold_explanations(graphs, importances, p) -> list[Explanation]:
     prefix_len = np.where((prefix_len > 0) & (prefix_len < sizes), below, prefix_len)
     keep = np.ones(flat.size, dtype=bool)
     keep[order[pos < prefix_len[owner]]] = False
-    out = []
-    for g, importance, a, b, threshold in zip(graphs, importances, bounds, bounds[1:],
-                                              thresholds):
-        selected_pos = np.nonzero(keep[a:b])[0]
-        if not selected_pos.size:
-            selected_pos = [int(np.argmax(importance))]
-        selected = NodeSet(tuple(int(g.node_ids[i]) for i in selected_pos))
-        out.append(Explanation(importance=importance.copy(), selected=selected,
-                               threshold=float(threshold)))
-    return out
+    for gi in np.flatnonzero(np.bincount(owner, weights=keep, minlength=len(graphs)) == 0):
+        keep[bounds[gi] + np.argmax(importances[gi])] = True  # the top-1 fallback
+    selected = np.split(np.concatenate([g.node_ids for g in graphs])[keep],
+                        np.cumsum(np.bincount(owner[keep], minlength=len(graphs)))[:-1])
+    return [Explanation(importance=importance.copy(), selected=NodeSet(tuple(ids.tolist())),
+                        threshold=float(threshold))
+            for importance, ids, threshold in zip(importances, selected, thresholds)]
 
 
 def threshold_explanation(g: Graph, importance: np.ndarray, p: float) -> Explanation:

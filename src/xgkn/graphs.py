@@ -35,7 +35,9 @@ class Rng:
 
     Identical seed and call sequence reproduce identical outputs bit-exactly.
     ``derive`` creates an independent stream, so parallel workers can each own
-    one stream derived from the master seed.
+    one stream derived from the master seed. It is seeded from the uint32
+    words of (seed, *stream), low word first and one word for 0: the pool
+    that ``np.random.SeedSequence`` makes of the ints themselves.
     """
 
     algorithm = "pcg64"
@@ -43,8 +45,12 @@ class Rng:
     def __init__(self, seed: int, _stream: tuple = ()):
         self.seed = int(seed)
         self.stream = tuple(_stream)
-        entropy = (self.seed,) + self.stream
-        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        words = [(key >> shift) & 0xFFFFFFFF for key in (self.seed,) + self.stream
+                 for shift in range(0, max(key.bit_length(), 1), 32)]
+        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            np.array(words, dtype=np.uint32))))
 
     def derive(self, *keys) -> "Rng":
         return Rng(self.seed, self.stream + tuple(_key_to_int(k) for k in keys))
@@ -125,12 +131,6 @@ class Graph:
         if features is None:
             features = np.ones((n, 1), dtype=np.float64)
         return Graph(adj, np.asarray(features, dtype=np.float64), np.arange(n), label=label)
-
-    def mask_of(self, ids) -> np.ndarray:
-        """True at the positions whose node id is in ``ids``."""
-        wanted = set(ids)
-        return np.fromiter((i in wanted for i in self.node_ids.tolist()), dtype=bool,
-                           count=self.n)
 
     def position_of(self, node_id: int) -> int:
         hits = np.nonzero(self.node_ids == node_id)[0]
@@ -286,7 +286,8 @@ def perturb_features(
         )
     hit = rng.random(g.n) < delta
     if exclude is not None:
-        hit &= ~g.mask_of(exclude.ids)
+        excluded = set(exclude.ids)
+        hit &= ~np.fromiter(map(excluded.__contains__, g.node_ids.tolist()), bool, count=g.n)
     feats = np.array(g.features)
     for pos in np.flatnonzero(hit):
         feats[pos] = pool[int(rng.integers(0, pool.shape[0]))]

@@ -14,7 +14,7 @@ product graph nor any power of it is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,26 +117,72 @@ class SubgraphStack:
     num_nodes: int
 
 
+@dataclass(frozen=True)
+class Subgraphs:
+    """Induced subgraphs of parent graphs, never built as graphs: subgraph i
+    keeps the positions ``positions[bounds[i]:bounds[i + 1]]`` of parent
+    ``parent_of[i]``, in that order. The parents' flattened adjacencies (and
+    a zero tail as long as the largest, so that a padded read stays in
+    bounds), node ids and feature rows are laid end to end once."""
+
+    adjacency: np.ndarray
+    parent_sizes: np.ndarray
+    node_ids: np.ndarray
+    features: np.ndarray
+    parent_of: np.ndarray
+    positions: np.ndarray
+    bounds: np.ndarray
+
+    @staticmethod
+    def whole(graphs) -> "Subgraphs":
+        """``graphs`` as subgraphs of themselves, each keeping every position."""
+        sizes = np.array([g.n for g in graphs], dtype=np.int64)
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        return Subgraphs(
+            np.concatenate([g.adjacency.ravel() for g in graphs]
+                           + [np.zeros(sizes.max(initial=0))]), sizes,
+            np.concatenate([np.zeros(0, dtype=np.int64)] + [g.node_ids for g in graphs]),
+            graphs[0].features if len(graphs) == 1
+            else np.vstack([g.features for g in graphs] or [np.zeros((0, 0))]),
+            np.arange(len(graphs)), np.arange(bounds[-1]) - np.repeat(bounds[:-1], sizes), bounds)
+
+    def __len__(self) -> int:
+        return self.bounds.size - 1
+
+    def __getitem__(self, part: slice) -> "Subgraphs":
+        lo, hi, _ = part.indices(len(self))
+        return replace(self, parent_of=self.parent_of[lo:hi],
+                       positions=self.positions[self.bounds[lo]:self.bounds[hi]],
+                       bounds=self.bounds[lo:hi + 1] - self.bounds[lo])
+
+
 def build_stack(graphs, k: int, max_size: int) -> tuple[SubgraphStack, np.ndarray]:
-    """The combined stack of ``graphs`` and the graph index of each node:
-    ``combine_stacks`` of their ``build_subgraph_stack``s, bit for bit, in one
-    pass. The graphs are zero-padded to the largest; hop distances come from
-    ``k`` batched matmuls, then each node's row keeps its nearest
-    ``max_size`` nodes by (distance, node id), the anchor first. The padded
-    arrays are built for consecutive groups of graphs that fit
-    MAX_BLOCK_ENTRIES. tests/oracles.py keeps the per-node loop as the
-    reference."""
+    """The combined stack of ``graphs`` (a list of graphs or ``Subgraphs``)
+    and the graph index of each node: ``combine_stacks`` of their
+    ``build_subgraph_stack``s, bit for bit, in one pass. The graphs are
+    zero-padded to the largest, each gathering its adjacency from its
+    parent's; hop distances come from ``k`` batched matmuls over them, then
+    each node's row keeps its nearest ``max_size`` nodes by (distance, node
+    id), the anchor first. The padded arrays are built for consecutive groups
+    of graphs that fit MAX_BLOCK_ENTRIES. tests/oracles.py keeps the
+    per-node loop as the reference."""
     if k < 1:
         raise ValueError("hop radius k must be >= 1")
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    graphs = list(graphs)
-    counts = np.array([g.n for g in graphs], dtype=np.int64)
-    graph_seg = np.repeat(np.arange(len(graphs)), counts)
+    whole = not isinstance(graphs, Subgraphs)
+    items = Subgraphs.whole(list(graphs)) if whole else graphs
+    counts, offsets = np.diff(items.bounds), items.bounds[:-1]
+    graph_seg = np.repeat(np.arange(counts.size), counts)
+    parent, pos, spans = items.parent_of[graph_seg], items.positions, items.parent_sizes
+    rows = (np.cumsum(spans) - spans)[parent] + pos
+    # entry (a, b) of a graph's adjacency is adjacency[row_base[a] + pos[b]]
+    row_base = (np.cumsum(spans * spans) - spans * spans)[parent] + pos * spans[parent]
     n_max = int(counts.max(initial=0))
     group = max(1, MAX_BLOCK_ENTRIES // max(n_max * n_max, 1))
-    parts = [_nearest_nodes(graphs[lo:lo + group], n_max, k, max_size)
-             for lo in range(0, len(graphs), group)]
+    parts = [_nearest_nodes(items.adjacency, row_base, pos, items.node_ids[rows],
+                            offsets[lo:lo + group], counts[lo:lo + group], n_max, k, max_size)
+             for lo in range(0, counts.size, group)]
     order = np.concatenate([part[0] for part in parts])
     sizes = np.concatenate([part[1] for part in parts])
     widths = np.concatenate([part[2] for part in parts])
@@ -150,42 +196,37 @@ def build_stack(graphs, k: int, max_size: int) -> tuple[SubgraphStack, np.ndarra
     # a graph's rows are as wide as its widest neighbourhood, zero beyond it
     width = int(widths.max(initial=0))
     inside = np.arange(width) < widths[graph_seg, None]
-    local = np.where(inside, order[:, :width], 0)
-    offsets = np.cumsum(counts) - counts
-    members = np.where(inside, local + offsets[graph_seg, None], 0)
+    members = np.where(inside, order[:, :width] + offsets[graph_seg, None], 0)
     valid = np.arange(width) < sizes[:, None]
-    # each block gathers its graph's adjacency from the graphs' flattened
-    # matrices, laid end to end
-    flat = np.concatenate([np.zeros(0)] + [g.adjacency.ravel() for g in graphs])
-    row_starts = (np.cumsum(counts * counts) - counts * counts)[graph_seg, None] \
-        + local * counts[graph_seg, None]
     blocks = np.where(valid[:, :, None] & valid[:, None, :],
-                      flat[row_starts[:, :, None] + local[:, None, :]], 0.0)
-    raw = graphs[0].features if len(graphs) == 1 else np.vstack([g.features for g in graphs])
-    return SubgraphStack(raw_features=raw, members=members, blocks=blocks,
-                         num_nodes=int(counts.sum())), graph_seg
+                      items.adjacency[row_base[members][:, :, None] + pos[members][:, None, :]],
+                      0.0)
+    return SubgraphStack(raw_features=items.features if whole else items.features[rows],
+                         members=members, blocks=blocks, num_nodes=int(counts.sum())), graph_seg
 
 
-def _nearest_nodes(graphs, n_max: int, k: int, max_size: int):
-    """For the node rows of ``graphs`` (zero-padded to ``n_max`` nodes): every
-    node of the row's graph in (hop distance up to k + 1, node id) order, the
-    neighbourhood sizes, and each graph's widest neighbourhood."""
-    linked = np.zeros((len(graphs), n_max, n_max))
-    ids = np.zeros((len(graphs), n_max), dtype=np.int64)
-    for i, g in enumerate(graphs):
-        linked[i, :g.n, :g.n] = g.adjacency != 0
-        ids[i, :g.n] = g.node_ids
-    real = np.arange(n_max) < np.array([g.n for g in graphs])[:, None]
-    reached = np.broadcast_to(np.eye(n_max, dtype=bool), linked.shape).copy()
-    dist = np.where(reached, 0, k + 1)
-    for hop in range(1, k + 1):
+def _nearest_nodes(adjacency, row_base, pos, ids, offsets, counts, n_max: int, k: int,
+                   max_size: int):
+    """For the node rows of ``build_stack``'s graphs ``offsets``, zero-padded
+    to ``n_max`` nodes: the row's nearest ``max_size`` nodes in (hop distance,
+    node id) order, the neighbourhood sizes, and each graph's widest one."""
+    real = np.arange(n_max) < counts[:, None]
+    node = np.where(real, offsets[:, None] + np.arange(n_max), 0)
+    linked = real[:, :, None] & real[:, None, :] \
+        & (adjacency[row_base[node][:, :, None] + pos[node][:, None, :]] != 0)
+    dist = np.where(linked, 1, k + 1)
+    dist[:, np.arange(n_max), np.arange(n_max)] = 0
+    reached = dist <= 1
+    for hop in range(2, k + 1):
         # path counts in float64 are exact, and BLAS is faster than bool matmul
-        frontier = (reached @ linked != 0) & ~reached
+        frontier = (reached @ linked.astype(np.float64) != 0) & ~reached
         dist[frontier] = hop
         reached |= frontier
-    # padding nodes sort after every node of the graph
-    dist = np.where(real[:, None, :], dist, k + 2)
-    order = np.lexsort((np.broadcast_to(ids[:, None, :], dist.shape), dist), axis=-1)
+    # one key per (distance, node id) pair, unique within a graph: the id's
+    # rank in its graph breaks distance ties, and padding ranks last
+    rank = np.argsort(np.argsort(np.where(real, ids[node], ids.max(initial=0) + 1), axis=1),
+                      axis=1)
+    order = np.argsort(dist * n_max + rank[:, None, :], axis=-1)[:, :, :max_size]
     sizes = np.minimum(reached.sum(axis=2), max_size)
     return order[real], sizes[real], np.where(real, sizes, 0).max(axis=1, initial=0)
 
@@ -224,7 +265,8 @@ def anchor_walks(blocks: np.ndarray, steps: int) -> np.ndarray:
     walks = np.zeros((steps + 1, n, width))
     walks[0, :, :1] = 1.0
     for p in range(steps):
-        walks[p + 1] = (blocks @ walks[p][:, :, None])[:, :, 0]
+        # binary blocks give integer counts, exact in any summation order
+        walks[p + 1] = np.einsum("vab,vb->va", blocks, walks[p])
     return walks
 
 

@@ -11,8 +11,9 @@ silently averaged.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,11 +29,11 @@ from .graphs import (
     Graph,
     NodeSet,
     Rng,
-    induced_by_positions,
     iou_nodes,
     perturb_edges,
     perturb_features,
 )
+from .kernel import Subgraphs
 from .model import XgknModel, forward_batch, perturb_filters
 from .numkit import spearman_abs, welch_ttest
 
@@ -64,12 +65,14 @@ class AimConfig:
 
     def __post_init__(self):
         for name in ("inclusion_probability", "delta_feature_robustness",
-                     "delta_edge_remove", "delta_filter_features", "delta_filter_edges"):
+                     "delta_edge_remove", "delta_filter_features", "delta_filter_edges",
+                     "alpha", "delta_edge_add"):
             p = getattr(self, name)
-            if not (0.0 < p < 1.0):
+            if p is not None and not (0.0 < p < 1.0):
                 raise ValueError(f"{name} must lie in (0, 1), got {p}")
-        if self.samples_per_graph < 1:
-            raise ValueError("samples_per_graph must be >= 1")
+        for name in ("samples_per_graph", "max_retries", "edge_add_scale"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.feature_pool_scope not in ("dataset", "train"):
             raise ValueError("feature_pool_scope must be 'dataset' or 'train'")
 
@@ -175,28 +178,57 @@ def _nearest_filter_distance(filters: list[Graph], motif: Graph) -> float:
 # ---------------------------------------------------------------------------
 # instance-level metrics
 
-def _draw_samples(g: Graph, explanation: Explanation, mode: str, cfg: AimConfig,
-                  rng: Rng) -> tuple[list[Graph], int]:
-    """The I1 supergraphs or I2 subgraphs of one graph, and how many of its
-    samples drew an empty node set ``max_retries`` times and were skipped.
-    Each try keeps every node outside the explanation with probability
+def _draw_samples(graphs, explanations: list[Explanation], mode: str, cfg: AimConfig,
+                  streams: list[Rng]) -> tuple[Subgraphs, int]:
+    """The I1 supergraphs or I2 subgraphs of ``graphs``, each listing its
+    positions in node-id order, and how many samples drew an empty node set
+    ``max_retries`` times and were skipped. Graph g draws from ``streams[g]``:
+    each try keeps every node outside its explanation with probability
     ``inclusion_probability``, one draw per node in position order, and I1
-    keeps the explanation too; a sample lists its nodes in id order."""
-    selected = g.mask_of(explanation.selected.ids)
-    others = np.flatnonzero(~selected)
-    by_id = np.argsort(g.node_ids)
-    samples = []
-    skipped = 0
-    for _ in range(cfg.samples_per_graph):
-        for _ in range(cfg.max_retries):
-            keep = selected.copy() if mode == "I1" else np.zeros(g.n, dtype=bool)
-            keep[others[rng.random(others.size) < cfg.inclusion_probability]] = True
-            if keep.any():
-                samples.append(induced_by_positions(g, by_id[keep[by_id]]))
-                break
-        else:
-            skipped += 1
-    return samples, skipped
+    keeps the explanation too. The first tries of all samples are read as one
+    block per graph; a graph with an empty try replays them in stream order."""
+    parents, count = Subgraphs.whole(graphs), cfg.samples_per_graph
+    starts = parents.bounds[:-1]
+    owner = np.repeat(np.arange(len(graphs)), parents.parent_sizes)
+    selected = np.concatenate([np.zeros(0, dtype=bool)] + [np.fromiter(
+        map(set(e.selected.ids).__contains__, g.node_ids.tolist()), dtype=bool, count=g.n)
+        for g, e in zip(graphs, explanations)])
+    # one entry per (sample, node) pair, graph by graph and sample by sample
+    sample_parent = np.repeat(np.arange(len(graphs)), count)
+    width = parents.parent_sizes[sample_parent]
+    sample = np.repeat(np.arange(sample_parent.size), width)
+    node = starts[sample_parent][sample] + np.arange(sample.size) \
+        - np.repeat(np.cumsum(width) - width, width)
+    others = np.bincount(owner, weights=~selected, minlength=len(graphs)).astype(np.int64)
+
+    def fresh(gi: int) -> np.ndarray:
+        """One more try of graph gi, over its positions."""
+        fixed = selected[starts[gi]:][:parents.parent_sizes[gi]]
+        row = fixed & (mode == "I1")
+        row[~fixed] = streams[gi].random(others[gi]) < cfg.inclusion_probability
+        return row
+
+    keep = selected[node] & (mode == "I1")
+    keep[~selected[node]] = np.concatenate([np.zeros(0)] + [
+        stream.random(count * m) for stream, m in zip(streams, others)]) \
+        < cfg.inclusion_probability
+    full = np.bincount(sample, weights=keep, minlength=sample_parent.size) > 0
+    # an empty try moves every later sample of its graph on by one try (a
+    # graph with no node to draw repeats the same empty try: all skipped)
+    for gi in np.flatnonzero(~full.reshape(-1, count).all(axis=1) & (others > 0)):
+        block = keep[count * starts[gi]:][
+            :count * parents.parent_sizes[gi]].reshape(count, -1)
+        rows = itertools.chain(block.copy(), map(fresh, itertools.repeat(gi)))
+        for i in range(count):
+            row = next((row for _, row in zip(range(cfg.max_retries), rows) if row.any()), None)
+            block[i] = False if row is None else row
+    full = np.bincount(sample, weights=keep, minlength=sample_parent.size) > 0
+    kept = np.flatnonzero(keep)
+    kept = kept[np.lexsort((parents.node_ids[node[kept]], sample[kept]))]
+    sizes = np.bincount(sample[kept], minlength=sample_parent.size)[full]
+    return replace(parents, parent_of=sample_parent[full],
+                   positions=node[kept] - starts[sample_parent[sample[kept]]],
+                   bounds=np.concatenate(([0], np.cumsum(sizes)))), int((~full).sum())
 
 
 def _check_predicted(predicted: list[int] | None, ds: Dataset) -> None:
@@ -212,33 +244,24 @@ def metric_sufficiency_necessity(model: XgknModel, ds: Dataset,
     """I1: prediction preserved on random supergraphs of the explanation.
     I2: prediction changed on random subgraphs that exclude the explanation.
 
-    Every sample is drawn first, from its graph's own stream, and then all
-    samples go through one batched forward pass. ``predicted`` holds the
+    Every sample is drawn first, from its graph's own stream, as a mask over
+    its graph's positions, and then all samples go through one batched
+    forward pass without being built as graphs. ``predicted`` holds the
     graphs' predicted classes when the caller has scored them already."""
     if mode not in ("I1", "I2"):
         raise ValueError("mode must be 'I1' or 'I2'")
     _check_alignment(explanations, ds)
     _check_predicted(predicted, ds)
-    per_graph = []
-    skipped = 0
-    for gi, g in enumerate(ds.graphs):
-        samples, n_skipped = _draw_samples(g, explanations[gi], mode, cfg,
-                                           rng.derive(mode, gi))
-        per_graph.append(samples)
-        skipped += n_skipped
+    samples, skipped = _draw_samples(ds.graphs, explanations, mode, cfg,
+                                     [rng.derive(mode, gi) for gi in range(len(ds.graphs))])
     if predicted is None:
         predicted = forward_batch(model, ds.graphs).predicted.tolist()
-    flat = [sub for samples in per_graph for sub in samples]
-    sample_classes = iter(forward_batch(model, flat).predicted.tolist())
-    values = []
-    for graph_class, samples in zip(predicted, per_graph):
-        hits = []
-        for _ in samples:
-            sub_predicted = next(sample_classes)
-            hits.append(float(sub_predicted == graph_class) if mode == "I1"
-                        else float(sub_predicted != graph_class))
-        if hits:
-            values.append(float(np.mean(hits)))
+    same = forward_batch(model, samples).predicted == np.asarray(predicted)[samples.parent_of]
+    # each graph with samples scores its hits over its sample count
+    counts = np.bincount(samples.parent_of, minlength=len(ds.graphs))
+    hits = np.bincount(samples.parent_of, weights=same if mode == "I1" else ~same,
+                       minlength=len(ds.graphs))
+    values = (hits[counts > 0] / counts[counts > 0]).tolist()
     intended = len(ds.graphs) * cfg.samples_per_graph
     return _result(mode, values, n_skipped=skipped, intended=intended)
 

@@ -262,13 +262,12 @@ INFERENCE_CHUNK = 32
 
 
 def forward(model: XgknModel, graphs) -> ForwardPass:
-    """One inference pass over all of ``graphs`` at once: their combined
-    stack from one ``build_stack`` and its ``walk_inputs``, then
+    """One inference pass over all of ``graphs`` (or ``kernel.Subgraphs``) at
+    once: their stack from one ``build_stack`` and its ``walk_inputs``, then
     ``_batch_forward``; batch-norm statistics stay frozen. Aggregation and the
     predictor are row-local, so a graph's rows equal its batch of one up to
     the kernel responses of the batch (see README)."""
     cfg = model.config
-    graphs = list(graphs)
     stack, graph_seg = build_stack(graphs, cfg.hop_radius, cfg.max_subgraph_size)
     inputs = walk_inputs(stack, model.walk_cap, model.num_filters)
     logits, z, r, contributions, argrow = _batch_forward(
@@ -276,14 +275,13 @@ def forward(model: XgknModel, graphs) -> ForwardPass:
     # keep values only: the batch's autograd graph is freed here
     return ForwardPass(R=r.values, contributions=contributions, z=z.values,
                        logits=logits.values,
-                       bounds=np.concatenate(([0], np.cumsum([g.n for g in graphs]))),
+                       bounds=np.searchsorted(graph_seg, np.arange(len(graphs) + 1)),
                        argmax_rows=argrow)
 
 
 def forward_batch(model: XgknModel, graphs) -> ForwardPass:
-    """Inference over a list of graphs: one ``forward`` per INFERENCE_CHUNK
-    graphs, the passes joined into one."""
-    graphs = list(graphs)
+    """Inference over graphs or ``kernel.Subgraphs``: one ``forward`` per
+    INFERENCE_CHUNK graphs, the passes joined into one."""
     passes = [forward(model, graphs[lo:lo + INFERENCE_CHUNK])
               for lo in range(0, len(graphs), INFERENCE_CHUNK)]
     if len(passes) == 1:

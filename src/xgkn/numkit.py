@@ -169,11 +169,6 @@ def log(a: Tensor) -> Tensor:
     return _op(np.log(a.values), (a,), lambda g: (g / a.values,))
 
 
-def exp(a: Tensor) -> Tensor:
-    out_values = np.exp(a.values)
-    return _op(out_values, (a,), lambda g: (g * out_values,))
-
-
 def sqrt(a: Tensor) -> Tensor:
     out_values = np.sqrt(a.values)
     return _op(out_values, (a,), lambda g: (g * 0.5 / out_values,))

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from xgkn.graphs import Graph, Rng
-from xgkn.kernel import stack_responses, walk_inputs
+from xgkn.graphs import Graph, NodeSet, Rng, induced_subgraph
+from xgkn.kernel import Subgraphs, stack_responses, walk_inputs
 
 
 def path_graph(n: int, features=None) -> Graph:
@@ -45,6 +46,19 @@ def random_graph(n: int, p: float, rng: Rng, d: int = 1, binary_features: bool =
 def with_label(g: Graph, label: int | None) -> Graph:
     """``g`` with another class label."""
     return Graph(g.adjacency, g.features, g.node_ids, label=label, anchor=g.anchor)
+
+
+def subgraphs_of(parents, picks) -> tuple[Subgraphs, list[Graph]]:
+    """The subgraphs that each ``(parent index, positions)`` of ``picks``
+    keeps of ``parents``: as a ``kernel.Subgraphs``, which lists the kept
+    positions in node-id order, and built by ``induced_subgraph``."""
+    positions = [sorted(kept, key=lambda pos: parents[pi].node_ids[pos]) for pi, kept in picks]
+    masked = replace(Subgraphs.whole(parents), parent_of=np.array([pi for pi, _ in picks]),
+                     positions=np.array(sum(positions, []), dtype=np.int64),
+                     bounds=np.cumsum([0] + [len(kept) for kept in positions]))
+    built = [induced_subgraph(parents[pi], NodeSet(tuple(parents[pi].node_ids[kept].tolist())))
+             for pi, kept in picks]
+    return masked, built
 
 
 def stack_responses_of(stack, bank, encoder, walk_cap=None, training=False):

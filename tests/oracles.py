@@ -28,8 +28,9 @@ block-diagonal ops it needs are private copies here.
 the batch's own stacks, which ``kernel.SplitWalks`` takes from the split's.
 
 The module also holds what only the tests use: the central-difference
-gradient check, the one-call ``explain_graph``, the ``AnchorError`` that
-``anchored_rw_kernel`` raises and the TU writer. Per-graph loops are the
+gradient check and the ``exp`` op it is run on, the one-call
+``explain_graph``, the ``AnchorError`` that ``anchored_rw_kernel`` raises
+and the TU writer. Per-graph loops are the
 references for the package's batched code: the per-node neighbourhoods, and
 the Monte-Carlo and model-level metrics that score one graph per
 ``forward_batch`` call, the id-list and node-by-node samplers that
@@ -72,6 +73,13 @@ class AnchorError(XgknError, ValueError):
 def explain_graph(model, g: Graph, p: float) -> Explanation:
     """Importance map and thresholded explanation of one graph in one call."""
     return threshold_explanation(g, node_importance(model, g), p)
+
+
+def exp(a: nk.Tensor) -> nk.Tensor:
+    """Elementwise exp as an autograd op: the package has no use for it, the
+    gradient tests chain it with the ops it has."""
+    out_values = np.exp(a.values)
+    return nk._op(out_values, (a,), lambda g: (g * out_values,))
 
 
 def finite_difference_check(f, params: list[nk.Tensor], eps: float = 1e-5) -> float:

@@ -234,6 +234,17 @@ BAD_VALUES = [
     ("dataset.seed=1.5", "dataset.seed"),
     ("dataset.seed=-1", "dataset.seed"),
     ("seeds=[0, -1]", "seeds"),
+    # these passed validation: no retry skips every I1-I4 sample, an alpha
+    # outside (0, 1) marks every t-test significant or none, and the edge
+    # values failed only in evaluate
+    ("aim.max_retries=0", "aim.max_retries"),
+    ("aim.max_retries=-2", "aim.max_retries"),
+    ("aim.alpha=0", "aim.alpha"),
+    ("aim.alpha=1.5", "aim.alpha"),
+    ("aim.delta_edge_add=0", "aim.delta_edge_add"),
+    ("aim.delta_edge_add=1.0", "aim.delta_edge_add"),
+    ("aim.edge_add_scale=0", "aim.edge_add_scale"),
+    ("aim.edge_add_scale=-0.1", "aim.edge_add_scale"),
 ]
 
 

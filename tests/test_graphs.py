@@ -344,3 +344,23 @@ class TestRng:
         b = master.derive("beta").random(5)
         assert not np.array_equal(a, b)
         assert np.array_equal(a, Rng(7).derive("alpha").random(5))
+
+    # SeedSequence splits every int into uint32 words, low word first; these
+    # values sit on the word boundaries
+    EDGE_KEYS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(EDGE_KEYS | st.integers(2**64, 2**96), st.lists(EDGE_KEYS, max_size=4),
+           st.lists(st.text(max_size=3), max_size=2))
+    def test_entropy_words_give_the_pool_of_the_ints(self, seed, keys, names):
+        # the word-list seeding against SeedSequence of the int tuple it replaced
+        rng = Rng(seed).derive(*names).derive(*keys)
+        want = np.random.SeedSequence((seed, *rng.stream))
+        assert rng.stream[len(names):] == tuple(keys)
+        assert rng._gen.bit_generator.seed_seq.pool.tobytes() == want.pool.tobytes()
+        assert rng.random(3).tobytes() == \
+            np.random.Generator(np.random.PCG64(want)).random(3).tobytes()
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            Rng(-1)

@@ -19,7 +19,14 @@ from xgkn.kernel import (
     combine_stacks,
 )
 
-from conftest import cycle_graph, path_graph, random_graph, stack_responses_of, zero_grad
+from conftest import (
+    cycle_graph,
+    path_graph,
+    random_graph,
+    stack_responses_of,
+    subgraphs_of,
+    zero_grad,
+)
 from oracles import (
     AnchorError,
     GraphFilter,
@@ -433,6 +440,67 @@ class TestVectorisedStackBuilder:
             with pytest.raises(CapacityError, match=r"300-node graph.*max_subgraph_size "
                                                     r"\(now 1000\)"):
                 build_subgraph_stack(g, 1, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+
+class TestSubgraphStacks:
+    """Stacks of ``kernel.Subgraphs``, never built as graphs, against
+    ``build_stack`` of the same subgraphs built by ``induced_subgraph``."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.lists(shuffled_graphs(max_nodes=10), min_size=1, max_size=4), st.data(),
+           st.integers(1, 3), st.integers(1, 10), st.booleans())
+    def test_equal_build_stack_of_induced_subgraphs(self, parents, data, k, max_size,
+                                                    grouped):
+        # any nonempty subset of a parent's nodes, one node included, from any
+        # of several parents with shuffled ids, byte for byte
+        picks = data.draw(st.lists(st.integers(0, len(parents) - 1).flatmap(
+            lambda pi: st.tuples(st.just(pi), st.lists(
+                st.integers(0, parents[pi].n - 1), min_size=1, unique=True))),
+            min_size=1, max_size=8))
+        masked, built = subgraphs_of(parents, picks)
+        cap = MAX_BLOCK_ENTRIES
+        if grouped:
+            # a cap that the padded arrays of the whole batch exceed
+            n_max = max(g.n for g in built)
+            cap = max(n_max * n_max, max(g.n * min(g.n, max_size) ** 2 for g in built))
+        with mock.patch.object(kernel, "MAX_BLOCK_ENTRIES", cap):
+            got, seg = build_stack(masked, k, max_size)
+        want, want_seg = build_stack(built, k, max_size)
+        assert got.num_nodes == want.num_nodes
+        for name in ("raw_features", "members", "blocks"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert seg.tobytes() == want_seg.tobytes()
+        lo = data.draw(st.integers(0, len(built) - 1))
+        assert build_stack(masked[lo:], k, max_size)[0].blocks.tobytes() \
+            == build_stack(built[lo:], k, max_size)[0].blocks.tobytes()
+
+    def test_hops_run_on_the_subgraph(self):
+        # dropping node 5 of a 6-cycle leaves node 4 four hops from node 0,
+        # though two hops away in the parent
+        parent = cycle_graph(6)
+        masked, _ = subgraphs_of([parent], [(0, [0, 1, 2, 3, 4])])
+        stack, _ = build_stack(masked, 2, 10)
+        assert 4 in k_hop_neighborhood(parent, 0, 2, 10).node_ids
+        walks = anchor_walks(stack.blocks, 4)
+        assert stack.members[0, :3].tolist() == [0, 1, 2]
+        assert walks[2, 0, 2] == 1.0 and not walks[:, 0, 3:].any()
+
+    def test_block_size_checked_before_allocating(self):
+        # 299 x 299^2 blocks of a 300-node parent would take 214 MB
+        n = 300
+        parent = Graph(np.ones((n, n)) - np.eye(n), np.ones((n, 1)), np.arange(n))
+        masked, _ = subgraphs_of([parent], [(0, list(range(n - 1)))])
+        assert (n - 1) ** 3 > MAX_BLOCK_ENTRIES
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=r"299-node graph.*max_subgraph_size "
+                                                    r"\(now 1000\)"):
+                build_stack(masked, 1, 1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -192,6 +192,12 @@ class TestSufficiencyNecessity:
         res = metric_sufficiency_necessity(model, ds, expl, "I2", AimConfig(), Rng(6))
         assert res.value == 0.0
 
+    @pytest.mark.parametrize("mode", ["I1", "I2"])
+    def test_no_graphs_give_an_invalid_result(self, mode):
+        res = metric_sufficiency_necessity(make_model(), Dataset(graphs=(), num_classes=2), [],
+                                           mode, AimConfig(), Rng(9))
+        assert (res.valid, res.n_used, res.n_skipped) == (False, 0, 0)
+
     def test_marked_node_model_exhaustive(self):
         model = marked_node_model()
         graphs = tuple(marked_graph(True, seed=i) for i in range(3))
@@ -386,27 +392,35 @@ class TestAimReport:
 
 class TestDrawSamples:
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-    @given(shuffled_graphs(), st.data(), st.sampled_from(["I1", "I2"]),
-           st.integers(1, 4), st.integers(0, 3), st.sampled_from([0.1, 0.5, 0.9]),
-           st.integers(0, 2**32 - 1))
-    def test_equals_id_loop(self, g, data, mode, samples, retries, inclusion, seed):
+    @given(st.lists(shuffled_graphs(), min_size=1, max_size=3), st.data(),
+           st.sampled_from(["I1", "I2"]), st.integers(1, 4), st.integers(1, 3),
+           st.sampled_from([0.1, 0.5, 0.9]), st.integers(0, 2**32 - 1))
+    def test_equals_id_loop(self, graphs, data, mode, samples, retries, inclusion, seed):
         # position masks against the id lists they replace: the same samples,
         # skips and draws, for any ids and any explanation, empty or whole
-        ids = g.node_ids.tolist()
-        selected = data.draw(st.lists(st.sampled_from(ids), max_size=len(ids)))
-        explanation = Explanation(importance=np.zeros(g.n), selected=NodeSet(tuple(set(selected))),
-                                  threshold=0.5)
+        # (retries start at 1: AimConfig refuses max_retries 0)
+        explanations = []
+        for g in graphs:
+            ids = g.node_ids.tolist()
+            selected = data.draw(st.lists(st.sampled_from(ids), max_size=len(ids)))
+            explanations.append(Explanation(importance=np.zeros(g.n),
+                                            selected=NodeSet(tuple(set(selected))),
+                                            threshold=0.5))
         cfg = AimConfig(samples_per_graph=samples, max_retries=retries,
                         inclusion_probability=inclusion)
-        rng, loop_rng = Rng(seed), Rng(seed)
-        got, skipped = _draw_samples(g, explanation, mode, cfg, rng)
-        want, want_skipped = draw_samples_loop(g, explanation, mode, cfg, loop_rng)
-        assert skipped == want_skipped and len(got) == len(want)
-        for a, b in zip(got, want):
-            for name in ("adjacency", "features", "node_ids"):
-                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-            assert a.label == b.label and a.anchor is None
-        assert rng.random() == loop_rng.random()
+        streams = [Rng(seed).derive(gi) for gi in range(len(graphs))]
+        got, skipped = _draw_samples(graphs, explanations, mode, cfg, streams)
+        want, want_skipped, parent_of = [], 0, []
+        for gi, (g, explanation) in enumerate(zip(graphs, explanations)):
+            loop_rng = Rng(seed).derive(gi)
+            subgraphs, n_skipped = draw_samples_loop(g, explanation, mode, cfg, loop_rng)
+            want += [sub.node_ids.tolist() for sub in subgraphs]
+            want_skipped += n_skipped
+            parent_of += [gi] * len(subgraphs)
+            assert streams[gi].random() == loop_rng.random()
+        assert skipped == want_skipped and got.parent_of.tolist() == parent_of
+        assert [graphs[gi].node_ids[got.positions[lo:hi]].tolist()
+                for gi, lo, hi in zip(parent_of, got.bounds, got.bounds[1:])] == want
 
 
 class TestBatchedMatchesSequential:
@@ -457,6 +471,21 @@ class TestBatchedMatchesSequential:
                                   predicted=predicted)
                 == robustness_sequential(model, ds, expl, mode, cfg, Rng(32),
                                          feature_pool=pool))
+
+    @pytest.mark.parametrize("mode", ["I1", "I2"])
+    def test_samples_are_never_built_as_graphs(self, setup, mode, monkeypatch):
+        # the samples reach the forward pass as positions of their graphs: no
+        # Graph is constructed, checked or derived for any of them
+        model, ds, expl = setup
+        predicted = forward_batch(model, ds.graphs).predicted.tolist()
+        built = []
+        for name in ("__post_init__", "_derived"):
+            original = getattr(Graph, name)
+            monkeypatch.setattr(Graph, name, lambda self, *args, _original=original, **kwargs:
+                                built.append(self) or _original(self, *args, **kwargs))
+        result = metric_sufficiency_necessity(model, ds, expl, mode,
+                                              AimConfig(samples_per_graph=4), Rng(35), predicted)
+        assert result.n_used == len(ds.graphs) and built == []
 
     def test_predicted_classes_must_cover_every_graph(self, setup):
         model, ds, expl = setup

@@ -28,7 +28,7 @@ from xgkn.model import (
     train,
 )
 
-from conftest import cycle_graph, path_graph, random_graph, with_label
+from conftest import cycle_graph, path_graph, random_graph, subgraphs_of, with_label
 from oracles import finite_difference_check, rank_one_walks_chain, segment_col_max_loop
 
 
@@ -287,6 +287,20 @@ class TestForwardBatch:
         alone = forward_batch(model, graphs[:1])
         assert np.allclose(batched.logits[:1], alone.logits, rtol=0.0, atol=1e-12)
         assert op_calls == {"rank_one_walks": 0, "class_walks": 0, "walk_horner": 2}
+
+    @pytest.mark.parametrize("onehot", [False, True])
+    def test_subgraphs_equal_their_induced_graphs(self, rng, onehot):
+        # subgraphs of six parents, kept as positions, against the same
+        # subgraphs built as graphs, across chunks, byte for byte
+        parents = mixed_graphs(rng, 6, onehot)
+        picks = [(i % 6, rng.permutation(parents[i % 6].n)[:1 + i % parents[i % 6].n].tolist())
+                 for i in range(70)]
+        masked, built = subgraphs_of(parents, picks)
+        assert len(masked) > 2 * INFERENCE_CHUNK
+        model = small_model(feature_dim=4 if onehot else 1)
+        got, want = forward_batch(model, masked), forward_batch(model, built)
+        for name in ("R", "contributions", "z", "logits", "bounds"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_empty_list(self):
         model = small_model()
