@@ -62,6 +62,17 @@ OUT_ROOT_ENV = "XGKN_OUT_ROOT"
 
 THRESHOLD_CRITERIA = ("auto", "a1", "i1+i2")
 
+# The feature policies of each dataset kind (generated graphs have no node
+# labels), and why some other values are refused.
+FEATURE_POLICIES = {"ba2motifs": (None, "constant", "degree_onehot"),
+                    "bamultishapes": (None, "constant", "degree_onehot"),
+                    "tu": (None, "constant", "degree_onehot", "node_labels")}
+POLICY_HINTS = {
+    "degree": "; scalar degree rows encode to the one unit row that 'constant' gives, and "
+              "the kernel takes rows that are all equal or all one-hot: use 'constant' or "
+              "'degree_onehot'",
+    "none": "; null keeps the dataset's own features, 'constant' replaces them"}
+
 DEFAULT_CONFIG = {
     "dataset": {
         "kind": "ba2motifs",
@@ -116,8 +127,9 @@ def _check_section(config: dict, section: str, cls) -> None:
 
 def validate_config(config: dict) -> None:
     """Refuse a merged config with a key no command reads, a value of the
-    wrong type or out of range, or a seed list or threshold setting no
-    command can run, before any stage runs; the ValueError names the key.
+    wrong type or out of range, a dataset setting that does nothing, or a
+    seed list or threshold setting no command can run, before any stage
+    runs; the ValueError names the key.
     ``train.seed`` is refused too: each model trains under its entry in
     ``seeds``."""
     def fields(cls) -> set:
@@ -144,8 +156,21 @@ def validate_config(config: dict) -> None:
                                  ("degree_cap", 0, True)):
         value = dataset[name]
         if not (none_ok and value is None) and (type(value) is not int or value < least):
-            kind = f"null or an integer >= {least}" if none_ok else f"an integer >= {least}"
-            raise ValueError(f"config key 'dataset.{name}' must be {kind}, got {value!r}")
+            wanted = f"null or an integer >= {least}" if none_ok else f"an integer >= {least}"
+            raise ValueError(f"config key 'dataset.{name}' must be {wanted}, got {value!r}")
+    kind, policy = dataset["kind"], dataset["feature_policy"]
+    if not isinstance(kind, str) or kind not in FEATURE_POLICIES:
+        raise ValueError(f"config key 'dataset.kind' must be one of "
+                         f"{tuple(FEATURE_POLICIES)}, got {kind!r}")
+    if policy not in FEATURE_POLICIES[kind]:
+        allowed = ", ".join("null" if name is None else repr(name)
+                            for name in FEATURE_POLICIES[kind])
+        raise ValueError(f"config key 'dataset.feature_policy' must be one of {allowed} for "
+                         f"a {kind} dataset, got {policy!r}" + POLICY_HINTS.get(str(policy), ""))
+    if dataset["degree_cap"] is not None and policy != "degree_onehot":
+        raise ValueError(f"config key 'dataset.degree_cap' must be null unless "
+                         f"dataset.feature_policy is 'degree_onehot', got "
+                         f"{dataset['degree_cap']!r} with feature_policy {policy!r}")
     if not isinstance(config["out_dir"], str):
         raise ValueError(f"config key 'out_dir' must be a string, got {config['out_dir']!r}")
     fraction = config["split"]["test_fraction"]
@@ -263,14 +288,12 @@ def build_dataset(config: dict) -> Dataset:
         ds = data_mod.generate_ba2motifs(spec["n_graphs"], Rng(spec["seed"]))
     elif kind == "bamultishapes":
         ds = data_mod.generate_bamultishapes(spec["n_graphs"], Rng(spec["seed"]))
-    elif kind == "tu":
+    else:  # "tu", the one other kind that validate_config admits
         if not spec.get("path") or not spec.get("name"):
             raise FileNotFoundError("tu datasets need dataset.path and dataset.name")
         ds = data_mod.parse_tu_dataset(spec["path"], spec["name"])
         if spec.get("gt_sidecar"):
             ds = load_ground_truth_masks(ds, spec["gt_sidecar"])
-    else:
-        raise ValueError(f"unknown dataset kind {kind!r}")
     if spec.get("feature_policy"):
         ds = apply_feature_policy(ds, spec["feature_policy"], spec.get("degree_cap"))
     return ds
@@ -293,10 +316,10 @@ def load_prepared(out_dir: Path, expected_hash: str) -> tuple[Dataset, list]:
 # commands
 
 def cmd_prepare(config: dict) -> int:
+    ds = build_dataset(config)
     out_dir = resolve_out_dir(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     h = canonical_hash(config)
-    ds = build_dataset(config)
     seeds = config["seeds"]
     splits = []
     for seed in seeds:

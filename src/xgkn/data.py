@@ -196,13 +196,12 @@ def generate_bamultishapes(n_graphs: int, rng: Rng) -> Dataset:
 # feature policies
 
 def apply_feature_policy(ds: Dataset, policy: str, degree_cap: int | None = None) -> Dataset:
-    """Re-derive node features. ``constant`` sets a scalar 1; ``degree`` the
-    scalar node degree; ``degree_onehot`` one-hot of degree clamped at
-    ``degree_cap`` (defaults to the max degree observed in ``ds``)."""
-    if policy in ("none", "constant"):
+    """Re-derive node features. ``constant`` sets a scalar 1;
+    ``degree_onehot`` one-hot of degree clamped at ``degree_cap`` (defaults
+    to the max degree observed in ``ds``); ``node_labels`` keeps the
+    features a TU dataset was parsed with."""
+    if policy == "constant":
         transform = lambda g: np.ones((g.n, 1))
-    elif policy == "degree":
-        transform = lambda g: g.degrees().astype(np.float64).reshape(-1, 1)
     elif policy == "degree_onehot":
         cap = degree_cap
         if cap is None:

@@ -21,6 +21,10 @@ class FeatureDimError(XgknError, ValueError):
     """Feature matrices disagree on dimensionality."""
 
 
+class FeatureRowError(XgknError, ValueError):
+    """Node feature rows are neither all equal nor all one-hot."""
+
+
 class ShapeError(XgknError, ValueError):
     """Tensor shapes are incompatible with the requested operation."""
 

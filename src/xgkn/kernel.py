@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numkit as nk
-from .errors import CapacityError, ShapeError
+from .errors import CapacityError, FeatureRowError, ShapeError
 from .graphs import Graph, Rng
 from .numkit import Tensor
 
@@ -270,54 +270,48 @@ def anchor_walks(blocks: np.ndarray, steps: int) -> np.ndarray:
     return walks
 
 
-def _takes_class_walks(raw: np.ndarray, cap: int, num_filters: int) -> bool:
-    """Whether every raw feature row is one-hot (a single 1.0, zeros
-    elsewhere) and the per-filter class products of ``numkit.class_walks``,
-    F·K²·(cap + 1) entries for K feature columns, stay within
-    MAX_BLOCK_ENTRIES. Both bounds come from the model's shapes, so a graph
-    takes the same route alone and in any chunk of one-hot graphs."""
-    hot = raw == 1.0
-    return num_filters * raw.shape[1] ** 2 * (cap + 1) <= MAX_BLOCK_ENTRIES \
-        and bool(np.all(hot.sum(axis=1) == 1)) and bool(np.all(hot | (raw == 0.0)))
+RANK_ONE, CLASS_WALKS = "rank_one", "class_walks"
 
 
-RANK_ONE, CLASS_WALKS, GENERAL = "rank_one", "class_walks", "general"
-
-
-def _route(raw: np.ndarray, cap: int, num_filters: int) -> str:
-    """The walk op that rows ``raw`` take (see ``stack_responses``)."""
+def _route(raw: np.ndarray) -> str:
+    """The walk op that rows ``raw`` take (see ``stack_responses``): rank one
+    when every row is equal, class walks when every row is one-hot (a single
+    1.0, zeros elsewhere). Any other rows are refused."""
     if raw.shape[0] and np.all(raw == raw[0]):
         return RANK_ONE
-    if _takes_class_walks(raw, cap, num_filters):
-        return CLASS_WALKS
-    return GENERAL
+    hot = raw == 1.0
+    one_hot = (hot.sum(axis=1) == 1) & np.all(hot | (raw == 0.0), axis=1)
+    if not np.all(one_hot):
+        row = int(np.argmin(one_hot))
+        entries = {int(c): float(raw[row, c]) for c in np.flatnonzero(raw[row])}
+        raise FeatureRowError(
+            f"node feature rows must be all equal or all one-hot (a single 1.0, zeros "
+            f"elsewhere); row {row} of {raw.shape[0]} has nonzero entries {entries}")
+    return CLASS_WALKS
 
 
 def _route_arrays(route: str, stack: SubgraphStack, walks: np.ndarray) -> tuple:
     """The arrays that ``route`` reads, over every row of ``stack``, whose
     walk table is ``walks``: the walk counts (row sums of the table) for
-    rank one; the class table and each row's class for class walks; the
-    members and the table itself otherwise."""
-    cap = walks.shape[0] - 1
+    rank one; the class table and each row's class for class walks."""
     if route == RANK_ONE:
         return (np.ascontiguousarray(walks.sum(axis=2).T),)
-    if route == CLASS_WALKS:
-        n, k = stack.raw_features.shape
-        classes = np.argmax(stack.raw_features, axis=1)
-        # table[v, b, p]: one bincount over (row, member class, step) cells
-        cells = (np.arange(n)[:, None] * k + classes[stack.members])[:, :, None] * (cap + 1) \
-            + np.arange(cap + 1)
-        table = np.bincount(cells.reshape(-1), weights=walks.transpose(1, 2, 0).reshape(-1),
-                            minlength=n * k * (cap + 1)).reshape(n, k, cap + 1)
-        return table, classes
-    return stack.members, walks
+    cap = walks.shape[0] - 1
+    n, k = stack.raw_features.shape
+    classes = np.argmax(stack.raw_features, axis=1)
+    # table[v, b, p]: one bincount over (row, member class, step) cells
+    cells = (np.arange(n)[:, None] * k + classes[stack.members])[:, :, None] * (cap + 1) \
+        + np.arange(cap + 1)
+    table = np.bincount(cells.reshape(-1), weights=walks.transpose(1, 2, 0).reshape(-1),
+                        minlength=n * k * (cap + 1)).reshape(n, k, cap + 1)
+    return table, classes
 
 
 @dataclass(frozen=True)
 class WalkInputs:
     """The graph side of the kernel responses of a batch of node rows: their
-    raw features, the walk cap, the route they take (RANK_ONE, CLASS_WALKS or
-    GENERAL) and the arrays that route reads (see ``_route_arrays``)."""
+    raw features, the walk cap, the route they take (RANK_ONE or CLASS_WALKS)
+    and the arrays that route reads (see ``_route_arrays``)."""
 
     raw_features: np.ndarray
     cap: int
@@ -325,12 +319,12 @@ class WalkInputs:
     arrays: tuple
 
 
-def walk_inputs(stack: SubgraphStack, cap: int, num_filters: int) -> WalkInputs:
-    """The graph side of ``stack``'s responses under a bank of
-    ``num_filters`` filters walking ``cap`` steps: its walk table, its route
-    and that route's arrays, built for this stack alone."""
+def walk_inputs(stack: SubgraphStack, cap: int) -> WalkInputs:
+    """The graph side of ``stack``'s responses to filters walking ``cap``
+    steps: its walk table, its route and that route's arrays, built for this
+    stack alone."""
     walks = anchor_walks(stack.blocks, cap)
-    route = _route(stack.raw_features, cap, num_filters)
+    route = _route(stack.raw_features)
     return WalkInputs(stack.raw_features, cap, route, _route_arrays(route, stack, walks))
 
 
@@ -342,19 +336,17 @@ class SplitWalks:
 
     A batch takes the same route and the same arrays, bit for bit, as
     ``walk_inputs`` of ``combine_stacks`` of its graphs' stacks: the route is
-    picked from the batch's own rows, members are re-offset into the batch's
-    rows and the arrays are cut to the batch's widest neighbourhood. Data
+    picked from the batch's own rows, and every array a route reads holds one
+    entry per row, which no other row and no padding width changes. Data
     graphs have binary adjacency, so a walk table holds exact integer walk
-    counts, and no entry depends on the width a row is padded to."""
+    counts."""
 
-    def __init__(self, stacks: list[SubgraphStack], cap: int, num_filters: int):
+    def __init__(self, stacks: list[SubgraphStack], cap: int):
         self.stack = combine_stacks(stacks)[0]
         self.cap = cap
-        self.num_filters = num_filters
         self.walks = anchor_walks(self.stack.blocks, cap)
         self.sizes = np.array([s.num_nodes for s in stacks], dtype=np.int64)
         self.starts = np.cumsum(self.sizes) - self.sizes
-        self.widths = np.array([s.members.shape[1] for s in stacks], dtype=np.int64)
         self._arrays: dict[str, tuple] = {}
 
     def batch(self, graph_ids) -> tuple[WalkInputs, np.ndarray]:
@@ -368,18 +360,10 @@ class SplitWalks:
         shift = (self.starts[ids] - (np.cumsum(sizes) - sizes))[graph_seg]
         rows = np.arange(graph_seg.size) + shift
         raw = self.stack.raw_features[rows]
-        route = _route(raw, self.cap, self.num_filters)
+        route = _route(raw)
         if route not in self._arrays:
             self._arrays[route] = _route_arrays(route, self.stack, self.walks)
-        arrays = self._arrays[route]
-        if route == GENERAL:
-            members, walks = arrays
-            width = int(self.widths[ids].max(initial=0))
-            inside = np.arange(width) < self.widths[ids][graph_seg, None]
-            arrays = (np.where(inside, members[rows, :width] - shift[:, None], 0),
-                      np.ascontiguousarray(walks[:, rows, :width]))
-        else:
-            arrays = tuple(a[rows] for a in arrays)
+        arrays = tuple(a[rows] for a in self._arrays[route])
         return WalkInputs(raw, self.cap, route, arrays), graph_seg
 
 
@@ -387,33 +371,27 @@ def stack_responses(stack: WalkInputs, bank: FilterBank, encoder: FeatureEncoder
                     training: bool = False) -> Tensor:
     """Response matrix of the node rows whose graph side is ``stack`` (one
     row per node, one column per filter): entry (v, f) is sum over f's
-    columns of S[v] * sum_p Y_p W^p, p up to the walk cap, Y_p = u_p^T
-    S[members of v], W block diagonal in the bank's adjacencies. Each route
-    takes one autograd node:
+    columns of S[v] * sum_p Y_p W_f^p, p up to the walk cap, Y_p = u_p^T
+    S[members of v]. Each route takes one autograd node:
 
     - RANK_ONE, one raw feature row for every node: S has rank one and the
       response is sum_p counts[v, p] * s_f^T W_f^p s_f (counts: row sums of
       the walk table), ``numkit.rank_one_walks``;
-    - CLASS_WALKS, every row one-hot, with the per-filter K×K class products
-      within MAX_BLOCK_ENTRIES (F·K²·(cap + 1) entries, fixed by the model):
-      the response is sum_{b,p} table[v, b, p] * s_{f,b}^T W_f^p
-      s_{f,class(v)} over the K encoded classes, the table summing the walk
-      table by the class of each member, ``numkit.class_walks``, whose
-      products are row-local outside ``training``;
-    - GENERAL, any other rows: ``numkit.walk_horner``.
+    - CLASS_WALKS, every row one-hot: the response is sum_{b,p} table[v, b, p]
+      * s_{f,b}^T W_f^p s_{f,class(v)} over the K encoded classes, the table
+      summing the walk table by the class of each member,
+      ``numkit.class_walks``, whose products are row-local outside
+      ``training``. Its F·K²·(cap + 1) class products are bounded when the
+      model is built.
 
-    tests/oracles.py holds the per-pair reference and the per-filter chains."""
+    tests/oracles.py holds the per-pair reference, the per-filter chains and
+    the Horner walk sum over feature rows of any kind."""
     rows = nk.row_unit_normalize(bank.features)
     adjacency = bank.effective_adjacency()
     raw, cap = stack.raw_features, stack.cap
     if stack.route == RANK_ONE:
         (counts,) = stack.arrays
         return nk.rank_one_walks(rows, encoder.encode(raw[:1]), adjacency, counts, cap)
-    if stack.route == CLASS_WALKS:
-        table, classes = stack.arrays
-        return nk.class_walks(rows, encoder.encode(np.eye(raw.shape[1])), adjacency, table,
-                              classes, cap, row_local=not training)
-    members, walks = stack.arrays
-    s = encoder.encode(raw) @ nk.transpose(rows)
-    h = nk.walk_horner(s, adjacency, members, walks)
-    return nk.group_col_sums(s * h, bank.size)
+    table, classes = stack.arrays
+    return nk.class_walks(rows, encoder.encode(np.eye(raw.shape[1])), adjacency, table,
+                          classes, cap, row_local=not training)

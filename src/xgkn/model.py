@@ -15,9 +15,10 @@ import numpy as np
 
 from . import numkit as nk
 from .data import Dataset, Split
-from .errors import ShapeError, TrainingDivergedError
+from .errors import CapacityError, ShapeError, TrainingDivergedError
 from .graphs import Rng
 from .kernel import (
+    MAX_BLOCK_ENTRIES,
     FeatureEncoder,
     FilterBank,
     SplitWalks,
@@ -162,12 +163,18 @@ class ForwardPass:
 class XgknModel:
     def __init__(self, config: ModelConfig, encoder: FeatureEncoder, bank: FilterBank,
                  predictor: Predictor, num_classes: int):
+        """Refuses K feature columns whose class products exceed MAX_BLOCK_ENTRIES."""
         self.config = config
         self.encoder = encoder
         self.bank = bank
         self.predictor = predictor
         self.num_classes = num_classes
         self.z_baseline = np.zeros(bank.num_filters)
+        k, f, cap = encoder.weight.shape[0], bank.num_filters, self.walk_cap
+        if f * k * k * (cap + 1) > MAX_BLOCK_ENTRIES:
+            raise CapacityError(f"K = {k} feature columns, F = {f} filters and walk cap {cap} "
+                                f"need F·K²·(cap + 1) = {f * k * k * (cap + 1)} class-product "
+                                f"entries, above the cap of {MAX_BLOCK_ENTRIES}")
 
     @property
     def num_filters(self) -> int:
@@ -269,7 +276,7 @@ def forward(model: XgknModel, graphs) -> ForwardPass:
     the kernel responses of the batch (see README)."""
     cfg = model.config
     stack, graph_seg = build_stack(graphs, cfg.hop_radius, cfg.max_subgraph_size)
-    inputs = walk_inputs(stack, model.walk_cap, model.num_filters)
+    inputs = walk_inputs(stack, model.walk_cap)
     logits, z, r, contributions, argrow = _batch_forward(
         model, inputs, graph_seg, len(graphs), training=False)
     # keep values only: the batch's autograd graph is freed here
@@ -318,7 +325,7 @@ def train(model: XgknModel, ds: Dataset, split: Split, cfg: TrainConfig):
     train_ids = list(split.train_ids)
     split_walks = SplitWalks([build_subgraph_stack(ds.graphs[i], model.config.hop_radius,
                                                    model.config.max_subgraph_size)
-                              for i in train_ids], model.walk_cap, model.num_filters)
+                              for i in train_ids], model.walk_cap)
     labels = np.array([ds.graphs[i].label for i in train_ids], dtype=np.int64)
     params = model.parameters()
     state = nk.adam_init(params, lr=cfg.lr, weight_decay=cfg.weight_decay)

@@ -161,10 +161,6 @@ def _row_local_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jk->ik", a, b)
 
 
-def transpose(a: Tensor) -> Tensor:
-    return _op(a.values.T, (a,), lambda g: (g.T,))
-
-
 def log(a: Tensor) -> Tensor:
     return _op(np.log(a.values), (a,), lambda g: (g / a.values,))
 
@@ -268,73 +264,6 @@ def block_transpose(a: Tensor) -> Tensor:
         return x.reshape(-1, size, size).transpose(0, 2, 1).reshape(x.shape)
 
     return _op(flip(a.values), (a,), lambda g: (flip(g),))
-
-
-def group_col_sums(a: Tensor, size: int) -> Tensor:
-    """Sum each run of ``size`` consecutive columns into one column."""
-    n, cols = a.shape
-    if cols % size:
-        raise ShapeError(f"group_col_sums: {cols} columns do not split into runs of {size}")
-    return _op(a.values.reshape(n, cols // size, size).sum(axis=2), (a,),
-               lambda g: (np.repeat(g, size, axis=1),))
-
-
-def walk_horner(s: Tensor, w: Tensor, members: np.ndarray, walks: np.ndarray) -> Tensor:
-    """Row v of the output is ``sum_p Y_p[v] W^p``, with
-    ``Y_p[v] = sum_j walks[p, v, j] * s[members[v, j]]`` for p >= 1 and
-    ``Y_0 = s`` (step 0 of an anchor walk table is the anchor itself), by
-    Horner's rule: ``H_P = Y_P``, ``H_p = Y_p + H_{p+1} W``. W is block
-    diagonal; ``w`` stacks its square blocks ([F·size, size]), so each
-    product is one ``np.matmul`` over the [F, n, size] column blocks.
-
-    One node for the whole walk sum. Its backward runs the recurrence in
-    reverse per block, dH_{p+1} = dH_p W_f^T and dW_f += H_{p+1}^T dH_p, and
-    sends every dY_p (p >= 1) to the gathered rows of ``s`` in one bincount."""
-    n, width = members.shape
-    size = w.shape[1]
-    steps = walks.shape[0] - 1
-    if s.shape[0] != n or w.shape[0] != s.shape[1] or w.shape[0] % size \
-            or walks.shape[1:] != (n, width):
-        raise ShapeError(f"walk_horner: s {s.shape}, w {w.shape}, members {members.shape}, "
-                         f"walks {walks.shape} do not fit")
-    cols = s.shape[1]
-    blocks = w.values.reshape(-1, size, size)
-
-    def by_block(a):
-        # (n, F·size) as a view of shape [F, n, size]
-        return a.reshape(n, -1, size).transpose(1, 0, 2)
-
-    gathered = s.values[members]
-    horner = [None] * (steps + 1)
-    h = None
-    for p in range(steps, -1, -1):
-        y = by_block(s.values if p == 0 else np.einsum("vj,vjc->vc", walks[p], gathered))
-        if h is None:
-            h = y
-        else:
-            h = np.matmul(h, blocks)
-            h += y
-        horner[p] = h
-
-    def backward(g):
-        dy = np.empty((steps + 1, n, blocks.shape[0], size))
-        dw = np.zeros(blocks.shape)
-        dh = by_block(g)
-        # matmul runs twice as fast on a contiguous W^T as on the view
-        blocks_t = np.ascontiguousarray(blocks.transpose(0, 2, 1))
-        for p in range(steps + 1):
-            dy[p] = dh.transpose(1, 0, 2)
-            if p < steps:
-                dw += np.matmul(horner[p + 1].transpose(0, 2, 1), dh)
-                dh = np.matmul(dh, blocks_t)
-        dy = dy.reshape(steps + 1, n, cols)
-        # (n, width, cols): sum over p >= 1 of walks[p, v, j] * dY_p[v]
-        spread = np.matmul(walks[1:].transpose(1, 2, 0), dy[1:].transpose(1, 0, 2))
-        targets = (members[:, :, None] * cols + np.arange(cols)).reshape(-1)
-        ds = np.bincount(targets, weights=spread.reshape(-1), minlength=n * cols)
-        return dy[0] + ds.reshape(n, cols), dw.reshape(w.shape)
-
-    return _op(h.transpose(1, 0, 2).reshape(n, cols), (s, w), backward)
 
 
 def _filter_walks(rows: Tensor, shared: Tensor, adjacencies: Tensor, cap: int):

@@ -29,7 +29,10 @@ def house_graph() -> Graph:
     return Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1)])
 
 
-def random_graph(n: int, p: float, rng: Rng, d: int = 1, binary_features: bool = False) -> Graph:
+def random_graph(n: int, p: float, rng: Rng, d: int = 2, binary_features: bool = False) -> Graph:
+    """G(n, p) with a one-hot feature row of ``d`` classes drawn per node,
+    the rows the kernel takes; ``binary_features`` draws multi-hot rows of
+    ``d`` independent bits instead, for the brute-force oracles."""
     adj = np.zeros((n, n))
     draws = rng.random((n, n))
     for i in range(n):
@@ -39,7 +42,7 @@ def random_graph(n: int, p: float, rng: Rng, d: int = 1, binary_features: bool =
     if binary_features:
         feats = (rng.random((n, d)) < 0.5).astype(float)
     else:
-        feats = rng.normal(size=(n, d))
+        feats = np.eye(d)[rng.integers(0, d, size=n)]
     return Graph(adj, feats, np.arange(n))
 
 
@@ -66,7 +69,7 @@ def stack_responses_of(stack, bank, encoder, walk_cap=None, training=False):
     ``model.forward`` scores a chunk; the walks take the bank's filter size
     in steps unless ``walk_cap`` is given."""
     cap = bank.size if walk_cap is None else walk_cap
-    return stack_responses(walk_inputs(stack, cap, bank.num_filters), bank, encoder, training)
+    return stack_responses(walk_inputs(stack, cap), bank, encoder, training)
 
 
 def zero_grad(*tensors) -> None:

@@ -14,14 +14,17 @@ the filter and encoder parameterisation, so that their gradients can be
 checked too, but not the walk table, the Horner recurrence or the rank-one
 shortcut they are compared against. ``neighbourhood_walks_loop`` builds the
 walk weights themselves one ``k_hop_neighborhood`` at a time, and
-``walk_horner_per_step`` is the per-step autograd chain that the single
-``numkit.walk_horner`` node must reproduce, as ``rank_one_walks_chain`` is
-the per-filter chain for ``numkit.rank_one_walks``.
+``rank_one_walks_chain`` is the per-filter chain for
+``numkit.rank_one_walks``. ``walk_horner`` is the walk sum over any feature
+rows as one hand-differentiated node, which ``walk_horner_per_step``, its
+per-step chain, must reproduce; ``walk_horner_responses`` builds kernel
+responses from it, the reference for the package's two routes (rows all
+equal, rows all one-hot), which refuses every other kind of row.
 
 ``GraphFilter`` is one filter as its own pair of leaves, with its own
 parameter chain; ``stack_responses_per_filter`` composes the kernel
-responses from a list of them, with a dense block-diagonal walk on the
-general path, and is the reference that ``kernel.FilterBank`` and
+responses from a list of them, with a dense block-diagonal walk for rows
+that are not all equal, and is the reference that ``kernel.FilterBank`` and
 ``kernel.stack_responses`` must reproduce. The stacking, slicing and
 block-diagonal ops it needs are private copies here.
 ``walk_inputs_per_batch`` is the graph side of a training batch built from
@@ -47,8 +50,8 @@ import os
 
 import numpy as np
 
-from xgkn import kernel, numkit as nk
-from xgkn.errors import EmptySelectionError, NumericError, XgknError
+from xgkn import numkit as nk
+from xgkn.errors import EmptySelectionError, NumericError, ShapeError, XgknError
 from xgkn.explainer import Explanation, node_importance, threshold_explanation
 from xgkn.graphs import (
     Graph,
@@ -80,6 +83,10 @@ def exp(a: nk.Tensor) -> nk.Tensor:
     gradient tests chain it with the ops it has."""
     out_values = np.exp(a.values)
     return nk._op(out_values, (a,), lambda g: (g * out_values,))
+
+
+def transpose(a: nk.Tensor) -> nk.Tensor:
+    return nk._op(a.values.T, (a,), lambda g: (g.T,))
 
 
 def finite_difference_check(f, params: list[nk.Tensor], eps: float = 1e-5) -> float:
@@ -201,7 +208,7 @@ class GraphFilter:
 
     def effective_adjacency(self) -> nk.Tensor:
         squashed = nk.sigmoid(self.adjacency_logits)
-        sym = (squashed + nk.transpose(squashed)) * nk.Tensor(np.full((1, 1), 0.5))
+        sym = (squashed + transpose(squashed)) * nk.Tensor(np.full((1, 1), 0.5))
         mask = np.ones((self.size, self.size)) - np.eye(self.size)
         return sym * nk.Tensor(mask)
 
@@ -233,7 +240,7 @@ def _horner_chain(s: nk.Tensor, members: np.ndarray, walks: np.ndarray, times) -
 
 def walk_horner_per_step(s: nk.Tensor, w: nk.Tensor, members: np.ndarray,
                          walks: np.ndarray) -> nk.Tensor:
-    """``numkit.walk_horner`` as a chain of autograd nodes, with H W taken
+    """``walk_horner`` as a chain of autograd nodes, with H W taken
     filter by filter: each column block of H times its block of the stacked
     ``w``. The op must equal its values bit for bit and its gradients to
     rounding."""
@@ -244,16 +251,94 @@ def walk_horner_per_step(s: nk.Tensor, w: nk.Tensor, members: np.ndarray,
         [_block(h, slice(None), cols) @ block for cols, block in blocks]))
 
 
+def group_col_sums(a: nk.Tensor, size: int) -> nk.Tensor:
+    """Sum each run of ``size`` consecutive columns into one column."""
+    n, cols = a.shape
+    if cols % size:
+        raise ShapeError(f"group_col_sums: {cols} columns do not split into runs of {size}")
+    return nk._op(a.values.reshape(n, cols // size, size).sum(axis=2), (a,),
+                  lambda g: (np.repeat(g, size, axis=1),))
+
+
+def walk_horner(s: nk.Tensor, w: nk.Tensor, members: np.ndarray, walks: np.ndarray) -> nk.Tensor:
+    """Row v of the output is ``sum_p Y_p[v] W^p``, with
+    ``Y_p[v] = sum_j walks[p, v, j] * s[members[v, j]]`` for p >= 1 and
+    ``Y_0 = s`` (step 0 of an anchor walk table is the anchor itself), by
+    Horner's rule: ``H_P = Y_P``, ``H_p = Y_p + H_{p+1} W``. W is block
+    diagonal; ``w`` stacks its square blocks ([F·size, size]), so each
+    product is one ``np.matmul`` over the [F, n, size] column blocks.
+
+    One node for the whole walk sum. Its backward runs the recurrence in
+    reverse per block, dH_{p+1} = dH_p W_f^T and dW_f += H_{p+1}^T dH_p, and
+    sends every dY_p (p >= 1) to the gathered rows of ``s`` in one bincount."""
+    n, width = members.shape
+    size = w.shape[1]
+    steps = walks.shape[0] - 1
+    if s.shape[0] != n or w.shape[0] != s.shape[1] or w.shape[0] % size \
+            or walks.shape[1:] != (n, width):
+        raise ShapeError(f"walk_horner: s {s.shape}, w {w.shape}, members {members.shape}, "
+                         f"walks {walks.shape} do not fit")
+    cols = s.shape[1]
+    blocks = w.values.reshape(-1, size, size)
+
+    def by_block(a):
+        # (n, F·size) as a view of shape [F, n, size]
+        return a.reshape(n, -1, size).transpose(1, 0, 2)
+
+    gathered = s.values[members]
+    horner = [None] * (steps + 1)
+    h = None
+    for p in range(steps, -1, -1):
+        y = by_block(s.values if p == 0 else np.einsum("vj,vjc->vc", walks[p], gathered))
+        if h is None:
+            h = y
+        else:
+            h = np.matmul(h, blocks)
+            h += y
+        horner[p] = h
+
+    def backward(g):
+        dy = np.empty((steps + 1, n, blocks.shape[0], size))
+        dw = np.zeros(blocks.shape)
+        dh = by_block(g)
+        # matmul runs twice as fast on a contiguous W^T as on the view
+        blocks_t = np.ascontiguousarray(blocks.transpose(0, 2, 1))
+        for p in range(steps + 1):
+            dy[p] = dh.transpose(1, 0, 2)
+            if p < steps:
+                dw += np.matmul(horner[p + 1].transpose(0, 2, 1), dh)
+                dh = np.matmul(dh, blocks_t)
+        dy = dy.reshape(steps + 1, n, cols)
+        # (n, width, cols): sum over p >= 1 of walks[p, v, j] * dY_p[v]
+        spread = np.matmul(walks[1:].transpose(1, 2, 0), dy[1:].transpose(1, 0, 2))
+        targets = (members[:, :, None] * cols + np.arange(cols)).reshape(-1)
+        ds = np.bincount(targets, weights=spread.reshape(-1), minlength=n * cols)
+        return dy[0] + ds.reshape(n, cols), dw.reshape(w.shape)
+
+    return nk._op(h.transpose(1, 0, 2).reshape(n, cols), (s, w), backward)
+
+
+def walk_horner_responses(raw: np.ndarray, members: np.ndarray, walks: np.ndarray,
+                          bank: FilterBank, encoder) -> nk.Tensor:
+    """The kernel responses of node rows with any raw feature rows ``raw``,
+    their neighbourhoods' ``members`` and walk table ``walks``: s = encode(raw)
+    times the bank's normalized rows, h = ``walk_horner`` of s, then s * h
+    summed over each filter's columns."""
+    s = encoder.encode(raw) @ transpose(nk.row_unit_normalize(bank.features))
+    h = walk_horner(s, bank.effective_adjacency(), members, walks)
+    return group_col_sums(s * h, bank.size)
+
+
 def _rank_one_column(r: nk.Tensor, shared: nk.Tensor, w: nk.Tensor,
                      counts: np.ndarray, cap: int) -> nk.Tensor:
     """One filter's rank-one response column: s = r @ shared^T, the scalars
     s^T W^p s from repeated matrix-vector products, times the walk counts."""
-    s = r @ nk.transpose(shared)
+    s = r @ transpose(shared)
     vec = s
-    coeffs = [nk.transpose(s) @ vec]
+    coeffs = [transpose(s) @ vec]
     for _ in range(cap):
         vec = nk.matmul(w, vec)
-        coeffs.append(nk.transpose(s) @ vec)
+        coeffs.append(transpose(s) @ vec)
     return nk.Tensor(counts[:, :cap + 1]) @ _vstack(coeffs)
 
 
@@ -285,34 +370,33 @@ def stack_responses_per_filter(stack, filters: list[GraphFilter], encoder,
         shared = encoder.encode(raw[:1])
         return _hstack([_rank_one_column(r, shared, w, counts, cap)
                         for r, w in zip(rows, adjacencies)])
-    s = encoder.encode(raw) @ nk.transpose(_vstack(rows))
+    s = encoder.encode(raw) @ transpose(_vstack(rows))
     w = _block_diag(adjacencies)
     h = _horner_chain(s, stack.members, walks, lambda h: h @ w)
     owner = np.repeat(np.arange(len(filters)), [f.size for f in filters])
     return (s * h) @ nk.Tensor((owner[:, None] == np.arange(len(filters))).astype(np.float64))
 
 
-def walk_inputs_per_batch(stacks, cap: int, num_filters: int):
+def walk_inputs_per_batch(stacks, cap: int):
     """The graph side of one training batch as ``model.train`` built it for
     every batch of every epoch before ``kernel.SplitWalks``: ``combine_stacks``
     of the batch's per-graph ``stacks``, a walk table of its own, the route
-    picked from its raw rows and that route's arrays derived from its table.
-    Returns (route, arrays, raw rows, graph index of each row); the reference
-    that ``SplitWalks.batch`` must equal byte for byte."""
+    picked from its raw rows (all equal, or else one-hot) and that route's
+    arrays derived from its table. Returns (route, arrays, raw rows, graph
+    index of each row); the reference that ``SplitWalks.batch`` must equal
+    byte for byte."""
     stack, graph_seg = combine_stacks(stacks)
     walks = anchor_walks(stack.blocks, cap)
     raw = stack.raw_features
     if raw.shape[0] and np.all(raw == raw[0]):
         return "rank_one", (np.ascontiguousarray(walks.sum(axis=2).T),), raw, graph_seg
-    if kernel._takes_class_walks(raw, cap, num_filters):
-        n, k = raw.shape
-        classes = np.argmax(raw, axis=1)
-        cells = (np.arange(n)[:, None] * k + classes[stack.members])[:, :, None] * (cap + 1) \
-            + np.arange(cap + 1)
-        table = np.bincount(cells.reshape(-1), weights=walks.transpose(1, 2, 0).reshape(-1),
-                            minlength=n * k * (cap + 1)).reshape(n, k, cap + 1)
-        return "class_walks", (table, classes), raw, graph_seg
-    return "general", (stack.members, walks), raw, graph_seg
+    n, k = raw.shape
+    classes = np.argmax(raw, axis=1)
+    cells = (np.arange(n)[:, None] * k + classes[stack.members])[:, :, None] * (cap + 1) \
+        + np.arange(cap + 1)
+    table = np.bincount(cells.reshape(-1), weights=walks.transpose(1, 2, 0).reshape(-1),
+                        minlength=n * k * (cap + 1)).reshape(n, k, cap + 1)
+    return "class_walks", (table, classes), raw, graph_seg
 
 
 def segment_col_max_loop(values: np.ndarray, seg: np.ndarray, num_segments: int,
@@ -694,7 +778,7 @@ def node_pair_similarity(gv: Graph, filt, encoder) -> nk.Tensor:
     """Cosine similarities between encoded subgraph nodes and filter nodes."""
     embedded = encoder.encode(gv.features)
     filter_rows = nk.row_unit_normalize(filt.features)
-    return embedded @ nk.transpose(filter_rows)
+    return embedded @ transpose(filter_rows)
 
 
 def rw_kernel(g1: Graph, g2: Graph, walk_cap: int, similarity: np.ndarray) -> float:

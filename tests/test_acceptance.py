@@ -253,10 +253,17 @@ class TestKernelProperties:
                                                start_rows=range(filt.size))
             got2 = anchored_rw_kernel(gv, filt, enc, walk_cap=cap).item()
             worst_anchored = max(worst_anchored, abs(got2 - expected2))
-            # the package path: node 0's neighbourhood spans all it can reach
-            stacked = stack_responses_of(build_subgraph_stack(g1, n1, n1), bank_of([filt]),
+            # the package path, which takes rows that are all equal or all
+            # one-hot, against the same oracle over one-hot rows: node 0's
+            # neighbourhood spans all it can reach
+            gh = g1.with_features(np.eye(2)[rng.derive("h", trial).integers(0, 2, size=n1)])
+            product3, _ = direct_product(gh, filter_as_graph(filt))
+            expected3 = walk_kernel_bruteforce(
+                product3.adjacency, node_pair_similarity(gh, filt, enc).values.reshape(-1), cap,
+                start_rows=range(filt.size))
+            stacked = stack_responses_of(build_subgraph_stack(gh, n1, n1), bank_of([filt]),
                                          enc, walk_cap=cap).values[0, 0]
-            worst_stacked = max(worst_stacked, abs(stacked - expected2))
+            worst_stacked = max(worst_stacked, abs(stacked - expected3))
         report("criterion 8: kernels match brute-force walk oracles within 1e-9",
                worst_plain < 1e-9 and worst_anchored < 1e-9 and worst_stacked < 1e-9,
                f"plain={worst_plain:.2e} anchored={worst_anchored:.2e} "

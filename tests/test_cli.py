@@ -11,11 +11,12 @@ import pytest
 
 import xgkn.cli
 import xgkn.kernel
+import xgkn.model
 from xgkn.cli import main
 from xgkn.data import generate_ba2motifs
 from xgkn.graphs import Rng
 
-from oracles import write_tu_dataset
+from oracles import walk_horner_responses, write_tu_dataset
 
 TINY_CONFIG = {
     "dataset": {"kind": "ba2motifs", "n_graphs": 16, "seed": 3},
@@ -135,6 +136,11 @@ class TestErrors:
         config = write_config(tmp_path, tmp_path / "out",
                               extra={"dataset": {"kind": "tu"}})
         assert main(["prepare", "-c", str(config)]) == 2
+        # missing TU files too, and neither leaves an empty out_dir
+        config = write_config(tmp_path, tmp_path / "out", extra={"dataset": {
+            "kind": "tu", "path": str(tmp_path / "absent"), "name": "X"}})
+        assert main(["prepare", "-c", str(config)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_train_before_prepare_fails(self, tmp_path):
         config = write_config(tmp_path, tmp_path / "fresh")
@@ -245,6 +251,19 @@ BAD_VALUES = [
     ("aim.delta_edge_add=1.0", "aim.delta_edge_add"),
     ("aim.edge_add_scale=0", "aim.edge_add_scale"),
     ("aim.edge_add_scale=-0.1", "aim.edge_add_scale"),
+    # prepare refused these only after it had created out_dir (the typos),
+    # or ran on them: "degree" encoded to constant's rows on a slower path,
+    # "none" replaced TU node labels with constant rows, and node_labels and
+    # degree_cap did nothing here
+    ('dataset.kind="ba2motif"', "dataset.kind"),
+    ("dataset.kind=[1]", "dataset.kind"),
+    ('dataset.feature_policy="degre_onehot"', "dataset.feature_policy"),
+    ('dataset.feature_policy="degree"', "dataset.feature_policy"),
+    ('dataset.feature_policy="none"', "dataset.feature_policy"),
+    ('dataset.feature_policy="node_labels"', "dataset.feature_policy"),
+    ("dataset.feature_policy=[1]", "dataset.feature_policy"),
+    ("dataset.degree_cap=3", "dataset.degree_cap"),
+    (('dataset.feature_policy="constant"', "dataset.degree_cap=3"), "dataset.degree_cap"),
 ]
 
 
@@ -264,7 +283,10 @@ class TestConfigValidation:
             assert main(["prepare", "-c", str(config)]) == 0
         before = tree_bytes(tmp_path)
         capsys.readouterr()
-        assert main([command, "-c", str(config), "--set", override]) == 2
+        argv = [command, "-c", str(config)]
+        for item in override if isinstance(override, tuple) else (override,):
+            argv += ["--set", item]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"'{key}'" in err
         assert "Traceback" not in err
@@ -309,6 +331,23 @@ class TestConfigValidation:
         assert f"'{key}'" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_removed_degree_policy_names_the_policies_to_use(self, tmp_path, capsys):
+        config = write_config(tmp_path, tmp_path / "out")
+        assert main(["prepare", "-c", str(config), "--set",
+                     'dataset.feature_policy="degree"']) == 2
+        err = capsys.readouterr().err
+        assert "'constant'" in err and "'degree_onehot'" in err and "unit row" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_degree_cap_with_degree_onehot_accepted(self, tmp_path):
+        out_dir = tmp_path / "out"
+        config = write_config(tmp_path, out_dir)
+        overrides = ['dataset.feature_policy="degree_onehot"', "dataset.degree_cap=2"]
+        assert main(["prepare", "-c", str(config), "--set", overrides[0],
+                     "--set", overrides[1]]) == 0
+        graphs = json.loads((out_dir / "dataset.json").read_text())["dataset"]["graphs"]
+        assert {len(row) for g in graphs for row in g["features"]} == {3}
 
     def test_grid_on_the_lattice_accepted(self, tmp_path):
         config = write_config(tmp_path, tmp_path / "out", extra={
@@ -436,8 +475,8 @@ def test_constant_features_train_at_walk_cap_zero(tmp_path):
 
 
 def test_labelled_tu_pipeline_with_sidecar_masks(tmp_path, capsys):
-    # node labels give non-uniform features, so training and inference take
-    # the general kernel path, and the sidecar masks select by a1
+    # node labels give non-uniform one-hot features, so training and
+    # inference take the class-walk path, and the sidecar masks select by a1
     ds = generate_ba2motifs(16, Rng(3))
     ds = dataclasses.replace(ds, graphs=tuple(
         g.with_features(np.eye(3)[np.minimum(g.degrees(), 3) - 1]) for g in ds.graphs))
@@ -487,11 +526,51 @@ def test_evaluate_refuses_a_checkpoint_of_the_wrong_shape(tmp_path, capsys):
         assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("policy,row", [("degree_onehot", "two-hot"), (None, "real-valued")])
+def test_train_refuses_rows_neither_equal_nor_one_hot(tmp_path, capsys, policy, row):
+    # a dataset.json hand-edited to hold one such feature row: train stops
+    # with the kernel's message and exit 1 before it writes any checkpoint
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path, out_dir, extra={
+        "dataset": {**TINY_CONFIG["dataset"], "feature_policy": policy}})
+    assert main(["prepare", "-c", str(config)]) == 0
+    path = out_dir / "dataset.json"
+    payload = json.loads(path.read_text())
+    features = payload["dataset"]["graphs"][5]["features"]
+    features[2] = [1.0, 1.0] + [0.0] * (len(features[2]) - 2) if row == "two-hot" else [0.5]
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["train", "-c", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "node feature rows must be all equal or all one-hot" in err
+    assert "Traceback" not in err
+    assert not list(out_dir.glob("checkpoint_seed*.json"))
+
+
+def horner_arrays(stack, walks) -> tuple:
+    """The arrays of a walk_horner route over every row of ``stack``, one
+    entry per row as ``kernel._route_arrays`` gives a route's, so that a
+    batch gathers its rows: each member as an offset from its own row (0
+    where the walk table never reaches it, which adds nothing) and the walk
+    table, rows first."""
+    rows = np.arange(stack.members.shape[0])[:, None]
+    return np.where(walks.any(axis=0), stack.members - rows, 0), walks.transpose(1, 0, 2)
+
+
+def horner_route_responses(inputs, bank, encoder):
+    """``oracles.walk_horner_responses`` of walk inputs whose arrays are
+    ``horner_arrays``' rows."""
+    offsets, walks = inputs.arrays
+    members = offsets + np.arange(offsets.shape[0])[:, None]
+    return walk_horner_responses(inputs.raw_features, members,
+                                 np.ascontiguousarray(walks.transpose(1, 0, 2)), bank, encoder)
+
+
 def test_class_route_leaves_metrics_and_selections_unchanged(tmp_path, monkeypatch):
-    # one-hot degree features (15 columns) take numkit.class_walks; with that
-    # route off every stack takes walk_horner, which sums in another order.
-    # Training, explain and evaluate must end at the same metric values and
-    # the same selected node sets either way
+    # one-hot degree features (15 columns) take numkit.class_walks; with the
+    # oracle's walk_horner responses in its place, which sum in another
+    # order, training, explain and evaluate must end at the same metric
+    # values and the same selected node sets
     calls = []
     class_walks = xgkn.numkit.class_walks
 
@@ -500,10 +579,17 @@ def test_class_route_leaves_metrics_and_selections_unchanged(tmp_path, monkeypat
         return class_walks(*args, **kwargs)
 
     monkeypatch.setattr(xgkn.numkit, "class_walks", counted)
+    route_arrays, stack_responses = xgkn.kernel._route_arrays, xgkn.model.stack_responses
     results = []
     for route in ("class", "walk_horner"):
         if route == "walk_horner":
-            monkeypatch.setattr(xgkn.kernel, "_takes_class_walks", lambda *args: False)
+            # model.py binds stack_responses by name, so it is patched there
+            monkeypatch.setattr(xgkn.kernel, "_route_arrays", lambda name, stack, walks: (
+                horner_arrays(stack, walks) if name == xgkn.kernel.CLASS_WALKS
+                else route_arrays(name, stack, walks)))
+            monkeypatch.setattr(xgkn.model, "stack_responses", lambda inputs, *args: (
+                horner_route_responses(inputs, *args[:2])
+                if inputs.route == xgkn.kernel.CLASS_WALKS else stack_responses(inputs, *args)))
         (tmp_path / route).mkdir()
         out_dir = tmp_path / route / "out"
         config = write_config(tmp_path / route, out_dir, extra={

@@ -197,11 +197,13 @@ class TestBaMultiShapes:
 
 
 class TestFeaturePolicies:
-    def test_scalar_degree_on_path(self):
-        ds = Dataset(graphs=(with_label(path_graph(3), 0), with_label(path_graph(3), 0)),
-                     num_classes=1)
-        out = apply_feature_policy(ds, "degree")
-        assert np.array_equal(out.graphs[0].features.reshape(-1), [1.0, 2.0, 1.0])
+    @pytest.mark.parametrize("policy", ["degree", "none"])
+    def test_removed_policies_refused(self, policy):
+        # scalar degree rows are neither all equal nor one-hot; "none" was an
+        # alias of "constant"
+        ds = Dataset(graphs=(with_label(path_graph(3), 0),), num_classes=1)
+        with pytest.raises(ValueError, match=f"unknown feature policy '{policy}'"):
+            apply_feature_policy(ds, policy)
 
     def test_constant_policy(self):
         ds = generate_ba2motifs(4, Rng(1))
@@ -218,9 +220,10 @@ class TestFeaturePolicies:
 
     def test_motifs_follow_policy(self):
         ds = generate_ba2motifs(4, Rng(2))
-        out = apply_feature_policy(ds, "degree")
-        assert out.gt_motifs[0].feature_dim == 1
-        assert out.gt_motifs[0].features.max() > 1.0
+        out = apply_feature_policy(ds, "degree_onehot", degree_cap=3)
+        assert out.gt_motifs[0].feature_dim == 4
+        assert np.array_equal(out.gt_motifs[0].features,
+                              np.eye(4)[np.minimum(ds.gt_motifs[0].degrees(), 3)])
 
 
 class TestStratifiedSplit:

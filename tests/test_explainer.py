@@ -28,10 +28,10 @@ from oracles import explain_graph, shapley_permutation_oracle, threshold_selecti
 from test_kernel import shuffled_graphs
 
 
-def make_model(m=4, depth=1, seed=0, num_classes=2, agg="negative_entropy"):
+def make_model(m=4, depth=1, seed=0, num_classes=2, agg="negative_entropy", feature_dim=1):
     cfg = ModelConfig(num_filters=m, filter_size=3, embed_dim=4, hop_radius=1,
                       max_subgraph_size=6, predictor_depth=depth, agg_mode=agg)
-    model = init_model(cfg, 1, num_classes, Rng(seed))
+    model = init_model(cfg, feature_dim, num_classes, Rng(seed))
     model.z_baseline = Rng(seed).derive("bl").normal(size=m)
     return model
 
@@ -213,7 +213,7 @@ class TestPropagate:
     def test_a_pass_propagates_as_its_graphs_alone(self, rng, mode):
         # one masked product over the pass's rows, bit for bit the per-graph
         # concept-by-concept sum
-        model = make_model(m=5, seed=12, agg=mode)
+        model = make_model(m=5, seed=12, agg=mode, feature_dim=2)
         graphs = [random_graph(1 + i % 6, 0.5, rng.derive("pp", i)) for i in range(9)]
         fp = forward_batch(model, graphs)
         phi = rng.normal(size=(9, 5))
@@ -268,9 +268,8 @@ class TestNodeImportance:
 
 
     def test_batched_maps_equal_one_graph_maps(self, rng):
-        model = make_model(seed=6)
-        graphs = [random_graph(3 + i % 7, 0.4, rng.derive("batch", i), d=1)
-                  for i in range(40)]
+        model = make_model(seed=6, feature_dim=2)
+        graphs = [random_graph(3 + i % 7, 0.4, rng.derive("batch", i)) for i in range(40)]
         for g, importance in zip(graphs, node_importances(model, graphs)):
             assert np.allclose(importance, node_importance(model, g), rtol=0.0, atol=1e-15)
 
@@ -410,7 +409,7 @@ class TestSelectThreshold:
             select_threshold(model, ds, "a1")
 
     def test_precomputed_classes_leave_i1_i2_scores_unchanged(self, rng):
-        model = make_model(seed=10)
+        model = make_model(seed=10, feature_dim=2)
         graphs = tuple(with_label(random_graph(5 + i % 3, 0.5, rng.derive("pc", i)), i % 2)
                        for i in range(6))
         ds = Dataset(graphs=graphs, num_classes=2)

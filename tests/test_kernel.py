@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xgkn import kernel, numkit as nk
-from xgkn.errors import CapacityError, ShapeError
+from xgkn.errors import CapacityError, FeatureRowError, ShapeError
 from xgkn.graphs import Graph, Rng, k_hop_neighborhood
 from xgkn.kernel import (
     MAX_BLOCK_ENTRIES,
@@ -35,15 +35,20 @@ from oracles import (
     direct_product,
     filter_as_graph,
     finite_difference_check,
+    group_col_sums,
     neighbourhood_walks_loop,
     node_pair_similarity,
     rank_one_walks_chain,
     rw_kernel,
     stack_responses_per_filter,
+    transpose,
+    walk_horner,
     walk_horner_per_step,
+    walk_horner_responses,
     walk_inputs_per_batch,
     walk_kernel_bruteforce,
 )
+from test_model import autograd_nodes
 
 
 def constant_similarity_filter(adjacency: np.ndarray, embed_dim: int = 2) -> GraphFilter:
@@ -264,7 +269,7 @@ class TestKernelResponses:
 
     def test_constant_feature_shortcut_matches_single_calls(self, rng):
         # constant features activate the rank-one shortcut; it must agree
-        # with the general path entry by entry
+        # with the per-neighbourhood oracle entry by entry
         g = random_graph(7, 0.4, rng.derive(11)).with_features(np.ones((7, 1)))
         filters = [GraphFilter.init(4, 3, rng.derive("cf", i)) for i in range(2)]
         enc = FeatureEncoder.init(1, 3, rng.derive(12))
@@ -275,31 +280,37 @@ class TestKernelResponses:
                 expected = anchored_rw_kernel(nb, filt, enc).item()
                 assert r[v, i] == pytest.approx(expected, abs=1e-9)
 
-    def test_general_path_equals_shortcut_on_uniform_features(self, rng):
+    def test_walk_horner_equals_shortcut_on_uniform_features(self, rng):
         # rows of 1 and 2 encode to bitwise the same unit embedding, as the
-        # scale cancels in the row normalisation, but they are not all equal,
-        # so the second stack takes the general path
+        # scale cancels in the row normalisation, but they are not all equal:
+        # the package refuses them, and walk_horner over them gives the
+        # shortcut's responses
         g = random_graph(9, 0.4, rng.derive(15))
         scaled = 1.0 + (rng.derive(16).random((9, 1)) < 0.5)
         assert np.unique(scaled).tolist() == [1.0, 2.0]
         bank = FilterBank.init(3, 4, 3, rng.derive("gs"))
         enc = FeatureEncoder.init(1, 3, rng.derive(17))
         for walk_cap in (None, 0, 2):
-            shortcut, general = (
-                stack_responses_of(build_subgraph_stack(g.with_features(x), 2, 6),
-                                   bank, enc, walk_cap).values
-                for x in (np.ones((9, 1)), scaled))
+            cap = bank.size if walk_cap is None else walk_cap
+            shortcut = stack_responses_of(build_subgraph_stack(g.with_features(np.ones((9, 1))),
+                                                               2, 6), bank, enc, walk_cap).values
+            stack = build_subgraph_stack(g.with_features(scaled), 2, 6)
+            general = walk_horner_responses(scaled, stack.members,
+                                            anchor_walks(stack.blocks, cap), bank, enc).values
             assert np.allclose(general, shortcut, rtol=0.0, atol=1e-12)
+            with pytest.raises(FeatureRowError):
+                stack_responses_of(stack, bank, enc, walk_cap)
 
-    def test_class_route_needs_one_hot_rows_and_bounded_products(self):
-        # 3 classes and 3 steps: 27 entries of class products a filter
+    def test_route_needs_equal_or_one_hot_rows(self):
         onehot = np.eye(3)[[0, 2, 1, 2]]
-        most = kernel.MAX_BLOCK_ENTRIES // 27
-        assert kernel._takes_class_walks(onehot, 2, most)
-        assert not kernel._takes_class_walks(onehot, 2, most + 1)
+        assert kernel._route(onehot) == "class_walks"
+        for rows in (np.tile(onehot[1], (4, 1)), np.full((4, 2), 0.5), np.ones((1, 3))):
+            assert kernel._route(rows) == "rank_one"
         for rows in (onehot + np.eye(3)[[1, 0, 0, 0]], 2.0 * onehot,
                      np.vstack([onehot[:3], np.zeros(3)]), onehot - 0.5):
-            assert not kernel._takes_class_walks(rows, 2, 1)
+            with pytest.raises(FeatureRowError, match=r"all equal or all one-hot .* row 0 "
+                                                      r"of 4 has nonzero entries \{"):
+                kernel._route(rows[[3, 0, 1, 2]])
 
     def test_constant_feature_shortcut_gradients(self, rng):
         g = random_graph(6, 0.5, rng.derive(13)).with_features(np.ones((6, 1)))
@@ -315,10 +326,9 @@ class TestKernelResponses:
         assert finite_difference_check(objective, params) < 1e-4
 
     def test_nonnegative_similarities_give_nonnegative_responses(self, rng):
-        # positive-orthant embeddings make every similarity nonnegative, and
-        # the walk sums then stay nonnegative
+        # one-hot rows and positive-orthant embeddings make every similarity
+        # nonnegative, and the walk sums then stay nonnegative
         g = random_graph(6, 0.5, rng.derive(9), d=2)
-        g = g.with_features(np.abs(g.features) + 0.1)
         bank = FilterBank.init(2, 3, 4, rng.derive("nn"))
         bank.features.values = np.abs(bank.features.values) + 0.1
         enc = FeatureEncoder.init(2, 4, rng.derive(10))
@@ -510,7 +520,7 @@ class TestSubgraphStacks:
 def featured(g: Graph, kind: str, draws) -> Graph:
     """``g`` with three feature columns: the first one-hot row for every
     node (``uniform``, which is one-hot too), a one-hot row drawn per node
-    (``onehot``) or real-valued rows (``real``)."""
+    (``onehot``) or real-valued rows (``real``), which the kernel refuses."""
     if kind == "uniform":
         return g.with_features(np.tile(np.eye(3)[0], (g.n, 1)))
     if kind == "onehot":
@@ -518,13 +528,12 @@ def featured(g: Graph, kind: str, draws) -> Graph:
     return g.with_features(draws.normal(size=(g.n, 3)))
 
 
-def batch_route(split: SplitWalks, stacks, ids, num_filters: int = 2) -> str:
+def batch_route(split: SplitWalks, stacks, ids) -> str:
     """The route of the split's batch ``ids``, whose walk inputs and row
     graphs are asserted to equal, byte for byte, those built from the
     batch's own stacks."""
     got, seg = split.batch(ids)
-    route, arrays, raw, want_seg = walk_inputs_per_batch(
-        [stacks[i] for i in ids], split.cap, num_filters)
+    route, arrays, raw, want_seg = walk_inputs_per_batch([stacks[i] for i in ids], split.cap)
     assert (got.route, got.cap, len(got.arrays)) == (route, split.cap, len(arrays))
     for a, b in zip((seg, got.raw_features, *got.arrays), (want_seg, raw, *arrays)):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -534,7 +543,7 @@ def batch_route(split: SplitWalks, stacks, ids, num_filters: int = 2) -> str:
 class TestSplitWalks:
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(st.lists(st.tuples(shuffled_graphs(max_nodes=8), st.sampled_from(
-               ["uniform", "onehot", "real"])), min_size=1, max_size=8),
+               ["uniform", "onehot"])), min_size=1, max_size=8),
            st.integers(1, 3), st.integers(1, 8), st.integers(0, 4), st.integers(1, 4),
            st.integers(0, 2 ** 32 - 1))
     def test_batches_equal_their_own_stacks(self, drawn, k, max_size, cap, batch_size, seed):
@@ -543,7 +552,7 @@ class TestSplitWalks:
         draws = np.random.default_rng(seed)
         stacks = [build_subgraph_stack(featured(g, kind, draws), k, max_size)
                   for g, kind in drawn]
-        split = SplitWalks(stacks, cap, 2)
+        split = SplitWalks(stacks, cap)
         order = draws.permutation(len(stacks))
         batches = [order[lo:lo + batch_size] for lo in range(0, len(order), batch_size)]
         for ids in batches + [[i] for i in range(len(stacks))]:
@@ -551,8 +560,9 @@ class TestSplitWalks:
 
     def test_each_batch_picks_its_own_route(self, monkeypatch):
         # a uniform batch inside a one-hot split takes rank one; a one-hot
-        # batch inside a split that is not one-hot takes class walks; each
-        # route's split arrays are derived once, however many batches take it
+        # batch inside a split that is not one-hot takes class walks, and a
+        # batch with real-valued rows is refused; each route's split arrays
+        # are derived once, however many batches take it
         derived = []
         route_arrays = kernel._route_arrays
         monkeypatch.setattr(kernel, "_route_arrays",
@@ -566,21 +576,23 @@ class TestSplitWalks:
                   featured(random_graph(6, 0.3, Rng(5)), "onehot", draws)]
         stacks = [build_subgraph_stack(g, 2, 6) for g in graphs]
         assert len({s.members.shape[1] for s in stacks}) > 1
-        onehot = SplitWalks(stacks[:3], 3, 2)
+        onehot = SplitWalks(stacks[:3], 3)
         assert [batch_route(onehot, stacks, ids) for ids in ([1, 0], [2, 0], [0, 1, 2], [1])] \
             == ["rank_one", "class_walks", "class_walks", "rank_one"]
         assert derived == ["rank_one", "class_walks"]
-        mixed = SplitWalks(stacks, 3, 2)
-        assert [batch_route(mixed, stacks, ids) for ids in ([4, 2], [3, 0], [2], [0])] \
-            == ["class_walks", "general", "class_walks", "rank_one"]
+        mixed = SplitWalks(stacks, 3)
+        assert [batch_route(mixed, stacks, ids) for ids in ([4, 2], [2], [0])] \
+            == ["class_walks", "class_walks", "rank_one"]
+        with pytest.raises(FeatureRowError, match="row 0 of 9 has nonzero entries"):
+            mixed.batch([3, 0])
 
 
 def horner_inputs(g: Graph, k: int, max_size: int, num_filters: int, size: int,
                   cap: int, seed: int):
     """Leaves ``s`` and ``w`` (the stacked blocks of ``num_filters`` filters
     of ``size`` nodes), a fixed cotangent, and the members and walk table
-    that ``stack_responses`` would hand ``numkit.walk_horner`` for a walk
-    cap of ``cap``."""
+    that ``walk_horner_responses`` hands ``walk_horner`` for a walk cap of
+    ``cap``."""
     stack = build_subgraph_stack(g, k, max_size)
     walks = anchor_walks(stack.blocks, cap)
     draws = np.random.default_rng(seed)
@@ -605,7 +617,7 @@ class TestWalkHorner:
         s, w, cotangent, members, walks = horner_inputs(
             g, k, max_size, num_filters, size, size if cap is None else cap, seed)
         results = []
-        for op in (nk.walk_horner, walk_horner_per_step):
+        for op in (walk_horner, walk_horner_per_step):
             zero_grad(s, w)
             h = op(s, w, members, walks)
             nk.backward(nk.tsum(h * cotangent))
@@ -623,7 +635,7 @@ class TestWalkHorner:
         assert members.shape[1] > 1
 
         def objective():
-            return nk.tsum(nk.walk_horner(s, w, members, walks) * cotangent)
+            return nk.tsum(walk_horner(s, w, members, walks) * cotangent)
 
         assert finite_difference_check(objective, [s, w]) < 1e-6
 
@@ -631,11 +643,29 @@ class TestWalkHorner:
         g = random_graph(5, 0.5, rng.derive(42))
         s, w, _, members, walks = horner_inputs(g, 1, 4, 2, 2, 2, 43)
         with pytest.raises(ShapeError):
-            nk.walk_horner(s, w, members[:4], walks)
+            walk_horner(s, w, members[:4], walks)
         with pytest.raises(ShapeError):
-            nk.walk_horner(s, nk.Tensor(w.values[:2]), members, walks)
+            walk_horner(s, nk.Tensor(w.values[:2]), members, walks)
         with pytest.raises(ShapeError):
-            nk.walk_horner(s, nk.Tensor(np.ones((4, 3))), members, walks)
+            walk_horner(s, nk.Tensor(np.ones((4, 3))), members, walks)
+
+    def test_graph_size_does_not_grow_with_walk_cap(self, rng):
+        # rows that are neither constant nor one-hot: the walk sum is one node
+        # however many steps it takes, and the filter bank's parameter chain
+        # one chain however many filters it holds; a per-step or per-filter
+        # chain would add nodes
+        graphs = [random_graph(1 + i % 9, 0.45, rng.derive("gs", i), d=4) for i in range(12)]
+        stack = build_stack([g.with_features(g.features + 0.25) for g in graphs], 1, 6)[0]
+        encoder = FeatureEncoder.init(4, 4, rng.derive("ge"))
+        counts = set()
+        for walk_cap in (2, 6):
+            walks = anchor_walks(stack.blocks, walk_cap)
+            for num_filters in (1, 8):
+                bank = FilterBank.init(num_filters, 3, 4, rng.derive("gb", num_filters))
+                out = walk_horner_responses(stack.raw_features, stack.members, walks, bank,
+                                            encoder)
+                counts.add(autograd_nodes(nk.tsum(out)))
+        assert len(counts) == 1
 
 
 def rank_one_inputs(g: Graph, k: int, max_size: int, num_filters: int, size: int,
@@ -749,9 +779,9 @@ def class_walks_of(rows, encoder, adjacencies, g, table, cap, row_local=False):
 def horner_responses(rows, encoder, adjacencies, g, stack, walks):
     """The same responses from ``walk_horner`` over the encoded feature rows:
     s = encode(raw) rows^T, then s * h summed over each filter's columns."""
-    s = encoder.encode(g.features) @ nk.transpose(rows)
-    h = nk.walk_horner(s, adjacencies, stack.members, walks)
-    return nk.group_col_sums(s * h, adjacencies.shape[1])
+    s = encoder.encode(g.features) @ transpose(rows)
+    h = walk_horner(s, adjacencies, stack.members, walks)
+    return group_col_sums(s * h, adjacencies.shape[1])
 
 
 class TestClassWalks:
@@ -838,8 +868,9 @@ class TestFilterBank:
     """The bank's responses against ``stack_responses_per_filter``, the
     per-filter chain: byte-equal on the rank-one path, where every stacked
     op is elementwise, per row or per block; within 1e-12 relative on the
-    walk_horner and class paths (one-hot rows), where each filter's columns
-    are summed over its own block, or walked in class space, rather than over
+    class path (one-hot rows) and for ``walk_horner_responses`` over
+    continuous rows, which the package refuses, where each filter's columns
+    are walked in class space, or summed over its own block, rather than over
     the dense block-diagonal product."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -863,7 +894,11 @@ class TestFilterBank:
         encoder = FeatureEncoder.init(graphs[0].features.shape[1], embed_dim, draws.derive("e"))
         cotangent = nk.Tensor(draws.normal(size=(stack.num_nodes, num_filters)))
         bank = bank_of(filters)
-        out = stack_responses_of(stack, bank, encoder, walk_cap)
+        if features == "continuous":
+            walks = anchor_walks(stack.blocks, size if walk_cap is None else walk_cap)
+            out = walk_horner_responses(stack.raw_features, stack.members, walks, bank, encoder)
+        else:
+            out = stack_responses_of(stack, bank, encoder, walk_cap)
         nk.backward(nk.tsum(out * cotangent))
         got = [out.values, grad(encoder.weight)] + [grad(p) for p in bank.parameters()]
         zero_grad(encoder.weight)

@@ -432,14 +432,14 @@ class TestBatchedMatchesSequential:
         rng = Rng(2024)
         graphs = []
         for i in range(30):
-            g = random_graph(4 + i % 6, 0.45, rng.derive("g", i), d=1)
+            g = random_graph(4 + i % 6, 0.45, rng.derive("g", i))
             if i % 2:
-                g = g.with_features(np.ones((g.n, 1)))
+                g = g.with_features(np.tile(np.eye(2)[0], (g.n, 1)))
             graphs.append(with_label(g, i % 2))
         ds = Dataset(graphs=tuple(graphs), num_classes=2)
         # this model predicts both classes here, and with the configs below some
         # graphs need a second or third perturbation and one is skipped
-        model = make_model(seed=20)
+        model = make_model(seed=51, feature_dim=2)
         return model, ds, [explain_graph(model, g, 0.5) for g in ds.graphs]
 
     @pytest.mark.parametrize("mode", ["I1", "I2"])
@@ -462,7 +462,7 @@ class TestBatchedMatchesSequential:
                   delta_edge_add=0.4, max_retries=3)])
     def test_robustness(self, setup, mode, cfg):
         model, ds, expl = setup
-        pool = np.array([[0.5], [1.0], [-1.5]])
+        pool = np.eye(2)[[1, 0, 1]]
         assert (metric_robustness(model, ds, expl, mode, cfg, Rng(32), feature_pool=pool)
                 == robustness_sequential(model, ds, expl, mode, cfg, Rng(32),
                                          feature_pool=pool))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from xgkn import kernel, numkit as nk
 from xgkn.data import Dataset, stratified_split
-from xgkn.errors import ShapeError, TrainingDivergedError
+from xgkn.errors import CapacityError, FeatureRowError, ShapeError, TrainingDivergedError
 from xgkn.graphs import Graph, Rng
 from xgkn.kernel import SplitWalks, build_subgraph_stack
 from xgkn.model import (
@@ -35,7 +35,7 @@ from oracles import finite_difference_check, rank_one_walks_chain, segment_col_m
 def batch_forward(model, stacks, training):
     """``_batch_forward`` over the per-graph ``stacks`` as one batch, as
     ``train`` scores a batch."""
-    split = SplitWalks(stacks, model.walk_cap, model.num_filters)
+    split = SplitWalks(stacks, model.walk_cap)
     return _batch_forward(model, *split.batch(range(len(stacks))), len(stacks),
                           training=training)
 
@@ -208,10 +208,10 @@ def mixed_graphs(rng, count: int, onehot: bool) -> list[Graph]:
 
 @pytest.fixture
 def op_calls(monkeypatch):
-    """How often each of the three walk ops of ``kernel.stack_responses``
+    """How often each of the two walk ops of ``kernel.stack_responses``
     runs, counted by name."""
     calls = {}
-    for name in ("rank_one_walks", "class_walks", "walk_horner"):
+    for name in ("rank_one_walks", "class_walks"):
         calls[name] = 0
 
         def counted(*args, _op=getattr(nk, name), _name=name, **kwargs):
@@ -271,22 +271,24 @@ class TestForwardBatch:
             assert batched.z[i].tobytes() == want.z[0].tobytes()
             assert batched.logits[i].tobytes() == want.logits[0].tobytes()
         chunks = -(-len(graphs) // INFERENCE_CHUNK)
-        assert op_calls == {"rank_one_walks": 0, "class_walks": chunks + len(graphs),
-                            "walk_horner": 0}
+        assert op_calls == {"rank_one_walks": 0, "class_walks": chunks + len(graphs)}
 
-    def test_one_hot_products_over_the_bound_take_walk_horner(self, rng, op_calls):
-        # 2 filters x 1500 classes x 1500 classes x 4 steps of class products
-        # exceed MAX_BLOCK_ENTRIES, so one-hot rows in 1500 columns take
-        # walk_horner alone and in a chunk
-        graphs = [g.with_features(np.pad(g.features, ((0, 0), (0, 1496))))
-                  for g in mixed_graphs(rng, 12, onehot=True)
-                  if np.any(g.features != g.features[0])]
-        assert 2 * 1500 ** 2 * 4 > kernel.MAX_BLOCK_ENTRIES
-        model = small_model(feature_dim=1500)
-        batched = forward_batch(model, graphs)
-        alone = forward_batch(model, graphs[:1])
-        assert np.allclose(batched.logits[:1], alone.logits, rtol=0.0, atol=1e-12)
-        assert op_calls == {"rank_one_walks": 0, "class_walks": 0, "walk_horner": 2}
+    def test_rows_neither_equal_nor_one_hot_are_refused(self, rng):
+        # a two-hot row, or a real-valued one, among one-hot rows: alone and
+        # in a chunk, with the row's position in its stack
+        graphs = mixed_graphs(rng, 6, onehot=True)
+        model = small_model(feature_dim=4)
+        for bad, entries in ((np.eye(4)[0] + np.eye(4)[2], "{0: 1.0, 2: 1.0}"),
+                             (np.array([0.0, 0.25, 0.0, 0.0]), "{1: 0.25}")):
+            features = graphs[3].features.copy()
+            features[1] = bad
+            edited = graphs[:3] + [graphs[3].with_features(features)]
+            for batch in (edited, edited[3:]):
+                rows = sum(g.n for g in batch)
+                with pytest.raises(FeatureRowError, match=re.escape(
+                        f"all equal or all one-hot (a single 1.0, zeros elsewhere); row "
+                        f"{rows - graphs[3].n + 1} of {rows} has nonzero entries {entries}")):
+                    forward_batch(model, batch)
 
     @pytest.mark.parametrize("onehot", [False, True])
     def test_subgraphs_equal_their_induced_graphs(self, rng, onehot):
@@ -407,28 +409,22 @@ def step_node_counts(graphs, feature_dim: int) -> set:
 
 
 class TestTrain:
-    def test_general_path_graph_size_does_not_grow_with_walk_cap(self, rng, op_calls):
-        # features that are neither constant nor one-hot take walk_horner:
-        # the walk sum is one node however many steps it takes, and the
-        # filter bank's parameter chain one chain however many filters it
-        # holds; a per-step or per-filter chain would add nodes
-        graphs = [g.with_features(g.features + 0.25) for g in mixed_graphs(rng, 12, onehot=True)]
-        assert len(step_node_counts(graphs, 4)) == 1
-        assert op_calls == {"rank_one_walks": 0, "class_walks": 0, "walk_horner": 4}
-
     def test_class_path_graph_size_does_not_grow_with_walk_cap(self, rng, op_calls):
-        # one-hot features take class_walks, one node as well
+        # one-hot features take class_walks: the walk sum is one node however
+        # many steps it takes, and the filter bank's parameter chain one chain
+        # however many filters it holds; a per-step or per-filter chain would
+        # add nodes
         graphs = mixed_graphs(rng, 12, onehot=True)
         raw = np.vstack([g.features for g in graphs])
         assert not np.all(raw == raw[0])
         assert len(step_node_counts(graphs, 4)) == 1
-        assert op_calls == {"rank_one_walks": 0, "class_walks": 4, "walk_horner": 0}
+        assert op_calls == {"rank_one_walks": 0, "class_walks": 4}
 
     def test_rank_one_path_graph_size_does_not_grow_with_walk_cap(self, rng, op_calls):
         # constant features take the rank-one shortcut, whose walk sum is one
         # node as well
         assert len(step_node_counts(mixed_graphs(rng, 12, onehot=False), 1)) == 1
-        assert op_calls == {"rank_one_walks": 4, "class_walks": 0, "walk_horner": 0}
+        assert op_calls == {"rank_one_walks": 4, "class_walks": 0}
 
     def test_adam_gets_one_tensor_per_parameter_kind(self):
         # encoder weight, the bank's two tensors, gamma, beta, weight, bias
@@ -487,8 +483,7 @@ class TestTrain:
         assert tables == [sum(ds.graphs[i].n for i in split.train_ids)]
         batches = -(-len(split.train_ids) // 8)
         assert batches > 1
-        assert op_calls == {"rank_one_walks": epochs * batches + 1, "class_walks": 0,
-                            "walk_horner": 0}
+        assert op_calls == {"rank_one_walks": epochs * batches + 1, "class_walks": 0}
 
     def test_lr_zero_keeps_parameters(self):
         ds = toy_separable_dataset()
@@ -644,3 +639,18 @@ class TestCheckpoint:
         edit(payload)
         with pytest.raises(ShapeError, match=f"'{re.escape(field)}'.*{re.escape(shapes)}"):
             model_from_dict(payload)
+
+    def test_class_products_over_the_bound_are_refused_when_built(self):
+        # 2 filters x K² class products x 4 walk steps: K = 1448 is the most
+        # within MAX_BLOCK_ENTRIES; 1449 and 1500 columns are refused by
+        # init_model and by model_from_dict, before any training
+        assert 8 * 1448 ** 2 <= kernel.MAX_BLOCK_ENTRIES < 8 * 1449 ** 2
+        small_model(feature_dim=1448)
+        for k in (1449, 1500):
+            message = f"K = {k} feature columns, F = 2 filters and walk cap 3 need"
+            with pytest.raises(CapacityError, match=message):
+                small_model(feature_dim=k)
+            payload = model_to_dict(small_model())
+            payload.update(feature_dim=k, encoder_weight=np.zeros((k, 4)).tolist())
+            with pytest.raises(CapacityError, match=message):
+                model_from_dict(payload)
