@@ -69,8 +69,7 @@ FEATURE_POLICIES = {"ba2motifs": (None, "constant", "degree_onehot"),
                     "tu": (None, "constant", "degree_onehot", "node_labels")}
 POLICY_HINTS = {
     "degree": "; scalar degree rows encode to the one unit row that 'constant' gives, and "
-              "the kernel takes rows that are all equal or all one-hot: use 'constant' or "
-              "'degree_onehot'",
+              "the kernel takes one-hot rows only: use 'constant' or 'degree_onehot'",
     "none": "; null keeps the dataset's own features, 'constant' replaces them"}
 
 DEFAULT_CONFIG = {
@@ -167,6 +166,10 @@ def validate_config(config: dict) -> None:
                             for name in FEATURE_POLICIES[kind])
         raise ValueError(f"config key 'dataset.feature_policy' must be one of {allowed} for "
                          f"a {kind} dataset, got {policy!r}" + POLICY_HINTS.get(str(policy), ""))
+    for name in ("path", "name", "gt_sidecar"):
+        if kind != "tu" and dataset[name] is not None:
+            raise ValueError(f"config key 'dataset.{name}' must be null for a generated {kind} "
+                             f"dataset, which reads no files, got {dataset[name]!r}")
     if dataset["degree_cap"] is not None and policy != "degree_onehot":
         raise ValueError(f"config key 'dataset.degree_cap' must be null unless "
                          f"dataset.feature_policy is 'degree_onehot', got "

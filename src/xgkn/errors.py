@@ -22,7 +22,7 @@ class FeatureDimError(XgknError, ValueError):
 
 
 class FeatureRowError(XgknError, ValueError):
-    """Node feature rows are neither all equal nor all one-hot."""
+    """Node feature rows are not all one-hot."""
 
 
 class ShapeError(XgknError, ValueError):

@@ -270,84 +270,62 @@ def anchor_walks(blocks: np.ndarray, steps: int) -> np.ndarray:
     return walks
 
 
-RANK_ONE, CLASS_WALKS = "rank_one", "class_walks"
-
-
-def _route(raw: np.ndarray) -> str:
-    """The walk op that rows ``raw`` take (see ``stack_responses``): rank one
-    when every row is equal, class walks when every row is one-hot (a single
-    1.0, zeros elsewhere). Any other rows are refused."""
-    if raw.shape[0] and np.all(raw == raw[0]):
-        return RANK_ONE
+def _classes(raw: np.ndarray) -> np.ndarray:
+    """The hot column of each of the one-hot rows ``raw`` (a single 1.0,
+    zeros elsewhere); constant features, one column of ones, are one-hot in
+    K = 1 class. Any other rows are refused."""
     hot = raw == 1.0
     one_hot = (hot.sum(axis=1) == 1) & np.all(hot | (raw == 0.0), axis=1)
     if not np.all(one_hot):
         row = int(np.argmin(one_hot))
         entries = {int(c): float(raw[row, c]) for c in np.flatnonzero(raw[row])}
         raise FeatureRowError(
-            f"node feature rows must be all equal or all one-hot (a single 1.0, zeros "
-            f"elsewhere); row {row} of {raw.shape[0]} has nonzero entries {entries}")
-    return CLASS_WALKS
-
-
-def _route_arrays(route: str, stack: SubgraphStack, walks: np.ndarray) -> tuple:
-    """The arrays that ``route`` reads, over every row of ``stack``, whose
-    walk table is ``walks``: the walk counts (row sums of the table) for
-    rank one; the class table and each row's class for class walks."""
-    if route == RANK_ONE:
-        return (np.ascontiguousarray(walks.sum(axis=2).T),)
-    cap = walks.shape[0] - 1
-    n, k = stack.raw_features.shape
-    classes = np.argmax(stack.raw_features, axis=1)
-    # table[v, b, p]: one bincount over (row, member class, step) cells
-    cells = (np.arange(n)[:, None] * k + classes[stack.members])[:, :, None] * (cap + 1) \
-        + np.arange(cap + 1)
-    table = np.bincount(cells.reshape(-1), weights=walks.transpose(1, 2, 0).reshape(-1),
-                        minlength=n * k * (cap + 1)).reshape(n, k, cap + 1)
-    return table, classes
+            f"node feature rows must be one-hot (a single 1.0, zeros elsewhere); row {row} "
+            f"of {raw.shape[0]} has nonzero entries {entries}")
+    return np.argmax(raw, axis=1)
 
 
 @dataclass(frozen=True)
 class WalkInputs:
     """The graph side of the kernel responses of a batch of node rows: their
-    raw features, the walk cap, the route they take (RANK_ONE or CLASS_WALKS)
-    and the arrays that route reads (see ``_route_arrays``)."""
+    raw one-hot features, the walk cap, each row's class and the class
+    table, ``table[v, b, p]`` the length-p anchor walks of v that end at a
+    node of class b."""
 
     raw_features: np.ndarray
     cap: int
-    route: str
-    arrays: tuple
+    table: np.ndarray
+    classes: np.ndarray
 
 
 def walk_inputs(stack: SubgraphStack, cap: int) -> WalkInputs:
     """The graph side of ``stack``'s responses to filters walking ``cap``
-    steps: its walk table, its route and that route's arrays, built for this
-    stack alone."""
+    steps: its walk table summed by the class of each member. Walk counts
+    are integers and member rows 0/1, so the batched product is exact in any
+    summation order; padding members have no walks."""
+    raw = stack.raw_features
+    classes = _classes(raw)
     walks = anchor_walks(stack.blocks, cap)
-    route = _route(stack.raw_features)
-    return WalkInputs(stack.raw_features, cap, route, _route_arrays(route, stack, walks))
+    table = np.matmul(raw[stack.members].transpose(0, 2, 1), walks.transpose(1, 2, 0))
+    return WalkInputs(raw, cap, table, classes)
 
 
 class SplitWalks:
-    """The graph side of a training split, built once: ``combine_stacks`` of
-    its graphs' ``stacks`` and their walk table, and, on a route's first
-    use, that route's arrays over every row of the split. ``batch`` hands out
-    the rows of any of its graphs, in batch order.
+    """The graph side of a training split, built once: ``walk_inputs`` of
+    ``combine_stacks`` of its graphs' ``stacks``, whose rows are refused
+    here unless they are one-hot. ``batch`` hands out the rows of any of its
+    graphs, in batch order.
 
-    A batch takes the same route and the same arrays, bit for bit, as
-    ``walk_inputs`` of ``combine_stacks`` of its graphs' stacks: the route is
-    picked from the batch's own rows, and every array a route reads holds one
-    entry per row, which no other row and no padding width changes. Data
-    graphs have binary adjacency, so a walk table holds exact integer walk
+    A batch's inputs equal, bit for bit, ``walk_inputs`` of
+    ``combine_stacks`` of its graphs' stacks: every array holds one entry
+    per row, which no other row and no padding width changes. Data graphs
+    have binary adjacency, so a walk table holds exact integer walk
     counts."""
 
     def __init__(self, stacks: list[SubgraphStack], cap: int):
-        self.stack = combine_stacks(stacks)[0]
-        self.cap = cap
-        self.walks = anchor_walks(self.stack.blocks, cap)
+        self.inputs = walk_inputs(combine_stacks(stacks)[0], cap)
         self.sizes = np.array([s.num_nodes for s in stacks], dtype=np.int64)
         self.starts = np.cumsum(self.sizes) - self.sizes
-        self._arrays: dict[str, tuple] = {}
 
     def batch(self, graph_ids) -> tuple[WalkInputs, np.ndarray]:
         """The walk inputs of the graphs ``graph_ids`` (positions in the
@@ -359,12 +337,9 @@ class SplitWalks:
         # split row = batch row + shift, per graph
         shift = (self.starts[ids] - (np.cumsum(sizes) - sizes))[graph_seg]
         rows = np.arange(graph_seg.size) + shift
-        raw = self.stack.raw_features[rows]
-        route = _route(raw)
-        if route not in self._arrays:
-            self._arrays[route] = _route_arrays(route, self.stack, self.walks)
-        arrays = tuple(a[rows] for a in self._arrays[route])
-        return WalkInputs(raw, self.cap, route, arrays), graph_seg
+        split = self.inputs
+        return WalkInputs(split.raw_features[rows], split.cap, split.table[rows],
+                          split.classes[rows]), graph_seg
 
 
 def stack_responses(stack: WalkInputs, bank: FilterBank, encoder: FeatureEncoder,
@@ -372,26 +347,16 @@ def stack_responses(stack: WalkInputs, bank: FilterBank, encoder: FeatureEncoder
     """Response matrix of the node rows whose graph side is ``stack`` (one
     row per node, one column per filter): entry (v, f) is sum over f's
     columns of S[v] * sum_p Y_p W_f^p, p up to the walk cap, Y_p = u_p^T
-    S[members of v]. Each route takes one autograd node:
-
-    - RANK_ONE, one raw feature row for every node: S has rank one and the
-      response is sum_p counts[v, p] * s_f^T W_f^p s_f (counts: row sums of
-      the walk table), ``numkit.rank_one_walks``;
-    - CLASS_WALKS, every row one-hot: the response is sum_{b,p} table[v, b, p]
-      * s_{f,b}^T W_f^p s_{f,class(v)} over the K encoded classes, the table
-      summing the walk table by the class of each member,
-      ``numkit.class_walks``, whose products are row-local outside
-      ``training``. Its F·K²·(cap + 1) class products are bounded when the
-      model is built.
+    S[members of v]. Every row is one-hot, so S[v] is the encoded row of v's
+    class and the response is sum_{b,p} table[v, b, p] * s_{f,b}^T W_f^p
+    s_{f,class(v)} over the K encoded classes: one autograd node,
+    ``numkit.class_walks``, whose products are row-local outside
+    ``training``. Its F·K²·(cap + 1) class products are bounded when the
+    model is built.
 
     tests/oracles.py holds the per-pair reference, the per-filter chains and
     the Horner walk sum over feature rows of any kind."""
     rows = nk.row_unit_normalize(bank.features)
     adjacency = bank.effective_adjacency()
-    raw, cap = stack.raw_features, stack.cap
-    if stack.route == RANK_ONE:
-        (counts,) = stack.arrays
-        return nk.rank_one_walks(rows, encoder.encode(raw[:1]), adjacency, counts, cap)
-    table, classes = stack.arrays
-    return nk.class_walks(rows, encoder.encode(np.eye(raw.shape[1])), adjacency, table,
-                          classes, cap, row_local=not training)
+    return nk.class_walks(rows, encoder.encode(np.eye(stack.raw_features.shape[1])), adjacency,
+                          stack.table, stack.classes, stack.cap, row_local=not training)

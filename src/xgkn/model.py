@@ -190,22 +190,6 @@ class XgknModel:
     def parameters(self) -> list[Tensor]:
         return [self.encoder.weight, *self.bank.parameters(), *self.predictor.parameters()]
 
-    def snapshot(self) -> dict:
-        return {
-            "params": [p.values.copy() for p in self.parameters()],
-            "running_mean": self.predictor.running_mean.copy(),
-            "running_var": self.predictor.running_var.copy(),
-            "z_baseline": self.z_baseline.copy(),
-        }
-
-    def restore(self, snap: dict) -> None:
-        for p, values in zip(self.parameters(), snap["params"]):
-            p.values = values.copy()
-            p.grad = None
-        self.predictor.running_mean = snap["running_mean"].copy()
-        self.predictor.running_var = snap["running_var"].copy()
-        self.z_baseline = snap["z_baseline"].copy()
-
 
 def init_model(config: ModelConfig, feature_dim: int, num_classes: int, rng: Rng) -> XgknModel:
     encoder = FeatureEncoder.init(feature_dim, config.embed_dim, rng.derive("encoder"))
@@ -317,11 +301,12 @@ def evaluate_accuracy(model: XgknModel, ds: Dataset, ids) -> float:
 
 def train(model: XgknModel, ds: Dataset, split: Split, cfg: TrainConfig):
     """Mini-batch Adam on the cross-entropy loss. Deterministic under
-    ``cfg.seed``; early-stops on a training-loss plateau and returns the
-    best-loss parameter snapshot. Also sets the explainer baseline (mean
-    aggregated scores over the training split). The graph side of the kernel
-    responses is built once for the split; every batch, and every part of
-    the batch-norm recalibration, takes its rows from it."""
+    ``cfg.seed``; stops early once more than ``cfg.patience`` epochs in a
+    row have not lowered the lowest epoch loss, and returns the parameters
+    after the last update. Also sets the explainer baseline (mean aggregated scores over the
+    training split). The graph side of the kernel responses is built once
+    for the split; every batch, and every part of the batch-norm
+    recalibration, takes its rows from it."""
     train_ids = list(split.train_ids)
     split_walks = SplitWalks([build_subgraph_stack(ds.graphs[i], model.config.hop_radius,
                                                    model.config.max_subgraph_size)
@@ -331,12 +316,9 @@ def train(model: XgknModel, ds: Dataset, split: Split, cfg: TrainConfig):
     state = nk.adam_init(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     shuffle_rng = Rng(cfg.seed).derive("shuffle")
     history = []
-    best = {"loss": np.inf, "epoch": -1, "snap": model.snapshot()}
+    best_loss, best_epoch = np.inf, -1
     n = len(train_ids)
     for epoch in range(cfg.epochs):
-        # snapshot before the updates so the best-loss bookkeeping stores the
-        # parameters the epoch loss was actually computed at
-        epoch_start = model.snapshot()
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         epoch_correct = 0
@@ -354,13 +336,12 @@ def train(model: XgknModel, ds: Dataset, split: Split, cfg: TrainConfig):
             epoch_correct += int((np.argmax(logits.values, axis=1) == labels[batch]).sum())
         epoch_loss /= n
         history.append({"epoch": epoch, "loss": epoch_loss, "accuracy": epoch_correct / n})
-        if epoch_loss < best["loss"] - 1e-12:
-            best = {"loss": epoch_loss, "epoch": epoch, "snap": epoch_start}
-        elif epoch - best["epoch"] > cfg.patience:
+        if epoch_loss < best_loss - 1e-12:
+            best_loss, best_epoch = epoch_loss, epoch
+        elif epoch - best_epoch > cfg.patience:
             break
-    model.restore(best["snap"])
     # recalibrate frozen batch-norm statistics on the training split so the
-    # inference normalization matches the restored parameters exactly
+    # inference normalization matches the final parameters exactly
     scores = []
     for lo in range(0, n, 128):
         part = np.arange(lo, min(lo + 128, n))

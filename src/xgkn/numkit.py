@@ -266,70 +266,6 @@ def block_transpose(a: Tensor) -> Tensor:
     return _op(flip(a.values), (a,), lambda g: (flip(g),))
 
 
-def _filter_walks(rows: Tensor, shared: Tensor, adjacencies: Tensor, cap: int):
-    """The filters' blocks r and W (``[F, size, ...]`` views), v_p = W^p s
-    for p <= cap with s = r shared^T, and the products s^T v_p: the forward
-    of ``rank_one_walks`` and ``class_walks``, one ``np.matmul`` over the
-    blocks each."""
-    size = adjacencies.shape[1]
-    r = rows.values.reshape(-1, size, shared.shape[1])
-    w = adjacencies.values.reshape(-1, size, size)
-    v = [np.matmul(r, shared.values.T)]
-    for _ in range(cap):
-        v.append(np.matmul(w, v[-1]))
-    s_t = v[0].transpose(0, 2, 1)
-    return r, w, v, [np.matmul(s_t, vp) for vp in v]
-
-
-def rank_one_walks(rows: Tensor, shared: Tensor, adjacencies: Tensor,
-                   counts: np.ndarray, cap: int) -> Tensor:
-    """Column f of the output is ``sum_p counts[:, p] * c_{f,p}`` over
-    p <= cap, with ``c_{f,p} = s_f^T W_f^p s_f`` and ``s_f = rows_f @
-    shared^T``: the walk sum when every node has the same feature row
-    ``shared``. ``rows`` and ``adjacencies`` stack the filters' blocks of
-    ``size`` rows; ``counts`` is the (n, cap + 1) table of walk counts.
-
-    One node for all filters; each product is one ``np.matmul`` over the
-    blocks, the BLAS call a per-filter matmul chain makes per filter. The
-    backward adds in that chain's autograd order: dv_P = s g_P,
-    dv_p = s g_p + W^T dv_{p+1}, dW = sum_{p=P..1} dv_p v_{p-1}^T,
-    ds = s g_0 + s g_0 + sum_{p=1..P} v_p g_p + W^T dv_1 (v_p = W^p s,
-    g = dc), the shared row's gradient summing the filters in order, so it
-    equals the chain bit for bit. At cap 0 W gets a zero gradient."""
-    size, dim = adjacencies.shape[1], shared.shape[1]
-    if shared.shape[0] != 1 or rows.shape != (adjacencies.shape[0], dim) \
-            or adjacencies.shape[0] % size or counts.shape[1:] != (cap + 1,):
-        raise ShapeError(f"rank_one_walks: rows {rows.shape}, shared {shared.shape}, "
-                         f"adjacencies {adjacencies.shape}, counts {counts.shape}, "
-                         f"cap {cap} do not fit")
-    r, w, v, products = _filter_walks(rows, shared, adjacencies, cap)
-    c = np.concatenate(products, axis=1)
-    out = np.ascontiguousarray(np.matmul(counts, c)[:, :, 0].T)
-
-    def backward(g):
-        s, w_t = v[0], w.transpose(0, 2, 1)
-        dc = np.matmul(counts.T, g.T[:, :, None])
-        ds = s * dc[:, :1] + s * dc[:, :1]
-        for p in range(1, cap + 1):
-            ds = ds + v[p] * dc[:, p:p + 1]
-        dw = np.zeros(w.shape)
-        if cap:
-            dv = s * dc[:, cap:]
-            dw = np.matmul(dv, v[cap - 1].transpose(0, 2, 1))
-            for p in range(cap - 1, 0, -1):
-                dv = s * dc[:, p:p + 1] + np.matmul(w_t, dv)
-                dw = dw + np.matmul(dv, v[p - 1].transpose(0, 2, 1))
-            ds = ds + np.matmul(w_t, dv)
-        dshared = np.matmul(r.transpose(0, 2, 1), ds)[:, :, 0]
-        total = dshared[:1]
-        for f in range(1, dshared.shape[0]):
-            total = total + dshared[f:f + 1]
-        return (np.matmul(ds, shared.values).reshape(rows.shape), total,
-                dw.reshape(adjacencies.shape))
-
-    return _op(out, (rows, shared, adjacencies), backward)
-
-
 def class_walks(rows: Tensor, shared: Tensor, adjacencies: Tensor, table: np.ndarray,
                 classes: np.ndarray, cap: int, row_local: bool = False) -> Tensor:
     """Column f of the output is ``sum_{b,p} table[v, b, p] * c_{f,p}[b, a]``
@@ -339,7 +275,7 @@ def class_walks(rows: Tensor, shared: Tensor, adjacencies: Tensor, table: np.nda
     of the K rows ``shared``. ``table`` is the (n, K, cap + 1) walk weight of
     each class: ``table[v, b, p]`` sums the length-p anchor walks of v that
     end at a node of class b. ``rows`` and ``adjacencies`` stack the filters'
-    blocks of ``size`` rows; ``rank_one_walks`` is the case K = 1.
+    blocks of ``size`` rows. Constant features are the case K = 1.
 
     One product per class present, over that class's rows: ``@``, or with
     ``row_local`` an ``np.einsum`` whose rows round alone as in any batch.
@@ -355,9 +291,15 @@ def class_walks(rows: Tensor, shared: Tensor, adjacencies: Tensor, table: np.nda
         raise ShapeError(f"class_walks: rows {rows.shape}, shared {shared.shape}, "
                          f"adjacencies {adjacencies.shape}, table {table.shape}, "
                          f"classes {classes.shape}, cap {cap} do not fit")
-    _, w, v, products = _filter_walks(rows, shared, adjacencies, cap)
+    # v_p = W^p s per filter block, s = r shared^T, one np.matmul over the
+    # blocks each, and c_p = s^T v_p
+    w = adjacencies.values.reshape(-1, size, size)
+    v = [np.matmul(rows.values.reshape(-1, size, dim), shared.values.T)]
+    for _ in range(cap):
+        v.append(np.matmul(w, v[-1]))
+    s_t = v[0].transpose(0, 2, 1)
     num_filters, steps = w.shape[0], cap + 1
-    c = np.stack(products, axis=3)
+    c = np.stack([np.matmul(s_t, vp) for vp in v], axis=3)
     # coef[a] is class a's (K·steps, F) matrix, row b·steps + p
     coef = np.ascontiguousarray(c.transpose(2, 1, 3, 0)).reshape(k, k * steps, num_filters)
     # the table's rows sorted by class, each class's rows one slice

@@ -14,12 +14,12 @@ the filter and encoder parameterisation, so that their gradients can be
 checked too, but not the walk table, the Horner recurrence or the rank-one
 shortcut they are compared against. ``neighbourhood_walks_loop`` builds the
 walk weights themselves one ``k_hop_neighborhood`` at a time, and
-``rank_one_walks_chain`` is the per-filter chain for
-``numkit.rank_one_walks``. ``walk_horner`` is the walk sum over any feature
-rows as one hand-differentiated node, which ``walk_horner_per_step``, its
-per-step chain, must reproduce; ``walk_horner_responses`` builds kernel
-responses from it, the reference for the package's two routes (rows all
-equal, rows all one-hot), which refuses every other kind of row.
+``rank_one_walks_chain`` is the per-filter chain for ``numkit.class_walks``
+at K = 1 (constant features). ``walk_horner`` is the walk sum over any
+feature rows as one hand-differentiated node, which ``walk_horner_per_step``,
+its per-step chain, must reproduce; ``walk_horner_responses`` builds kernel
+responses from it, the reference for the package's class walks over one-hot
+rows, the one kind of row the package takes.
 
 ``GraphFilter`` is one filter as its own pair of leaves, with its own
 parameter chain; ``stack_responses_per_filter`` composes the kernel
@@ -344,10 +344,10 @@ def _rank_one_column(r: nk.Tensor, shared: nk.Tensor, w: nk.Tensor,
 
 def rank_one_walks_chain(rows: nk.Tensor, shared: nk.Tensor, adjacencies: nk.Tensor,
                          counts: np.ndarray, cap: int) -> nk.Tensor:
-    """``numkit.rank_one_walks`` as a chain of autograd nodes, one filter at
-    a time, each reading its block of the stacked ``rows`` and
-    ``adjacencies``. At cap 0 the chain never uses W and leaves it no
-    gradient."""
+    """``numkit.class_walks`` at K = 1 (``shared`` one row, ``counts`` the
+    one class's table) as a chain of autograd nodes, one filter at a time,
+    each reading its block of the stacked ``rows`` and ``adjacencies``. At
+    cap 0 the chain never uses W and leaves it no gradient."""
     return _hstack([_rank_one_column(_block(rows, f, slice(None)), shared,
                                      _block(adjacencies, f, slice(None)), counts, cap)
                     for f in _filter_slices(rows.shape[0], adjacencies.shape[1])])
@@ -380,23 +380,21 @@ def stack_responses_per_filter(stack, filters: list[GraphFilter], encoder,
 def walk_inputs_per_batch(stacks, cap: int):
     """The graph side of one training batch as ``model.train`` built it for
     every batch of every epoch before ``kernel.SplitWalks``: ``combine_stacks``
-    of the batch's per-graph ``stacks``, a walk table of its own, the route
-    picked from its raw rows (all equal, or else one-hot) and that route's
-    arrays derived from its table. Returns (route, arrays, raw rows, graph
-    index of each row); the reference that ``SplitWalks.batch`` must equal
-    byte for byte."""
+    of the batch's per-graph ``stacks``, a walk table of its own, and the
+    class table summed from it by one ``np.bincount`` over (row, member
+    class, step) cells. Returns (class table, classes, raw rows, graph index
+    of each row); the reference that ``SplitWalks.batch`` and
+    ``kernel.walk_inputs`` must equal byte for byte."""
     stack, graph_seg = combine_stacks(stacks)
     walks = anchor_walks(stack.blocks, cap)
     raw = stack.raw_features
-    if raw.shape[0] and np.all(raw == raw[0]):
-        return "rank_one", (np.ascontiguousarray(walks.sum(axis=2).T),), raw, graph_seg
     n, k = raw.shape
     classes = np.argmax(raw, axis=1)
     cells = (np.arange(n)[:, None] * k + classes[stack.members])[:, :, None] * (cap + 1) \
         + np.arange(cap + 1)
     table = np.bincount(cells.reshape(-1), weights=walks.transpose(1, 2, 0).reshape(-1),
                         minlength=n * k * (cap + 1)).reshape(n, k, cap + 1)
-    return "class_walks", (table, classes), raw, graph_seg
+    return table, classes, raw, graph_seg
 
 
 def segment_col_max_loop(values: np.ndarray, seg: np.ndarray, num_segments: int,

@@ -112,6 +112,8 @@ def ba2_runs():
             "accuracy": accuracy,
             "train_seconds": train_seconds,
             "epochs": len(history),
+            "final_loss": history[-1]["loss"],
+            "grid_a1": selection.scores,
             "a1": a1,
             "p": selection.p,
             "shifted_a1": shifted_a1,
@@ -143,6 +145,12 @@ class TestPaperNumbers:
         worst = max(drifts)
         per_seed = " ".join(f"seed {r['seed']}: p={r['p']} drift={d:.4f}"
                             for r, d in zip(ba2_runs, drifts))
+        # train returns its final parameters: each seed's epochs run, final
+        # loss and A1 over the grid show where its threshold landed
+        for r in ba2_runs:
+            grid = " ".join(f"{p}:{v:.3f}" for p, v in r["grid_a1"].items())
+            print(f"  seed {r['seed']}: {r['epochs']} epochs, final loss "
+                  f"{r['final_loss']:.3e}, A1 over the grid {grid}")
         report("criterion 4: |A1(p +/- 0.1) - A1(p)| <= 0.15 on every seed",
                worst <= 0.15, f"worst drift={worst:.3f}; {per_seed}")
 
@@ -253,9 +261,9 @@ class TestKernelProperties:
                                                start_rows=range(filt.size))
             got2 = anchored_rw_kernel(gv, filt, enc, walk_cap=cap).item()
             worst_anchored = max(worst_anchored, abs(got2 - expected2))
-            # the package path, which takes rows that are all equal or all
-            # one-hot, against the same oracle over one-hot rows: node 0's
-            # neighbourhood spans all it can reach
+            # the package path, which takes one-hot rows, against the same
+            # oracle over one-hot rows: node 0's neighbourhood spans all it
+            # can reach
             gh = g1.with_features(np.eye(2)[rng.derive("h", trial).integers(0, 2, size=n1)])
             product3, _ = direct_product(gh, filter_as_graph(filt))
             expected3 = walk_kernel_bruteforce(

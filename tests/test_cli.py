@@ -15,6 +15,7 @@ import xgkn.model
 from xgkn.cli import main
 from xgkn.data import generate_ba2motifs
 from xgkn.graphs import Rng
+from xgkn.kernel import WalkInputs, anchor_walks
 
 from oracles import walk_horner_responses, write_tu_dataset
 
@@ -340,6 +341,20 @@ class TestConfigValidation:
         assert "'constant'" in err and "'degree_onehot'" in err and "unit row" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["ba2motifs", "bamultishapes"])
+    @pytest.mark.parametrize("key,value", [("path", "/nonexistent"), ("name", "MUTAG"),
+                                           ("gt_sidecar", "/nonexistent/m.txt")])
+    def test_file_keys_on_generated_data_refused(self, tmp_path, capsys, kind, key, value):
+        # generated graphs read no files; prepare used to ignore these keys
+        # and exit 0
+        config = write_config(tmp_path, tmp_path / "out", extra={
+            "dataset": {**TINY_CONFIG["dataset"], "kind": kind, key: value}})
+        assert main(["prepare", "-c", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"'dataset.{key}'" in err and kind in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_degree_cap_with_degree_onehot_accepted(self, tmp_path):
         out_dir = tmp_path / "out"
         config = write_config(tmp_path, out_dir)
@@ -526,44 +541,54 @@ def test_evaluate_refuses_a_checkpoint_of_the_wrong_shape(tmp_path, capsys):
         assert message in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("policy,row", [("degree_onehot", "two-hot"), (None, "real-valued")])
-def test_train_refuses_rows_neither_equal_nor_one_hot(tmp_path, capsys, policy, row):
-    # a dataset.json hand-edited to hold one such feature row: train stops
-    # with the kernel's message and exit 1 before it writes any checkpoint
+@pytest.mark.parametrize("policy,row", [("degree_onehot", "two-hot"), (None, "real-valued"),
+                                        ("constant", "equal")])
+def test_train_refuses_rows_that_are_not_one_hot(tmp_path, capsys, policy, row):
+    # a dataset.json hand-edited to hold one such feature row, or rows that
+    # are all equal but not one-hot: train stops with the kernel's message
+    # and exit 1 before it writes any checkpoint
     out_dir = tmp_path / "out"
     config = write_config(tmp_path, out_dir, extra={
         "dataset": {**TINY_CONFIG["dataset"], "feature_policy": policy}})
     assert main(["prepare", "-c", str(config)]) == 0
     path = out_dir / "dataset.json"
     payload = json.loads(path.read_text())
-    features = payload["dataset"]["graphs"][5]["features"]
-    features[2] = [1.0, 1.0] + [0.0] * (len(features[2]) - 2) if row == "two-hot" else [0.5]
+    graphs = payload["dataset"]["graphs"]
+    features = graphs[5]["features"]
+    if row == "equal":
+        for g in graphs:
+            g["features"] = [[0.5]] * len(g["features"])
+    else:
+        features[2] = [1.0, 1.0] + [0.0] * (len(features[2]) - 2) if row == "two-hot" \
+            else [0.5]
     path.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["train", "-c", str(config)]) == 1
     err = capsys.readouterr().err
-    assert "node feature rows must be all equal or all one-hot" in err
+    assert "node feature rows must be one-hot" in err
     assert "Traceback" not in err
     assert not list(out_dir.glob("checkpoint_seed*.json"))
 
 
-def horner_arrays(stack, walks) -> tuple:
-    """The arrays of a walk_horner route over every row of ``stack``, one
-    entry per row as ``kernel._route_arrays`` gives a route's, so that a
-    batch gathers its rows: each member as an offset from its own row (0
-    where the walk table never reaches it, which adds nothing) and the walk
-    table, rows first."""
+def horner_inputs(stack, cap: int) -> WalkInputs:
+    """Walk inputs that carry, in place of the class table and the classes,
+    the arrays of a walk_horner route over every row of ``stack``, one entry
+    per row, so that a training batch gathers its rows: each member as an
+    offset from its own row (0 where the walk table never reaches it, which
+    adds nothing) and the walk table, rows first."""
+    walks = anchor_walks(stack.blocks, cap)
     rows = np.arange(stack.members.shape[0])[:, None]
-    return np.where(walks.any(axis=0), stack.members - rows, 0), walks.transpose(1, 0, 2)
+    return WalkInputs(stack.raw_features, cap,
+                      np.where(walks.any(axis=0), stack.members - rows, 0),
+                      walks.transpose(1, 0, 2))
 
 
-def horner_route_responses(inputs, bank, encoder):
-    """``oracles.walk_horner_responses`` of walk inputs whose arrays are
-    ``horner_arrays``' rows."""
-    offsets, walks = inputs.arrays
-    members = offsets + np.arange(offsets.shape[0])[:, None]
+def horner_route_responses(inputs, bank, encoder, training=False):
+    """``oracles.walk_horner_responses`` of ``horner_inputs``' rows."""
+    members = inputs.table + np.arange(inputs.table.shape[0])[:, None]
     return walk_horner_responses(inputs.raw_features, members,
-                                 np.ascontiguousarray(walks.transpose(1, 0, 2)), bank, encoder)
+                                 np.ascontiguousarray(inputs.classes.transpose(1, 0, 2)),
+                                 bank, encoder)
 
 
 def test_class_route_leaves_metrics_and_selections_unchanged(tmp_path, monkeypatch):
@@ -579,17 +604,14 @@ def test_class_route_leaves_metrics_and_selections_unchanged(tmp_path, monkeypat
         return class_walks(*args, **kwargs)
 
     monkeypatch.setattr(xgkn.numkit, "class_walks", counted)
-    route_arrays, stack_responses = xgkn.kernel._route_arrays, xgkn.model.stack_responses
     results = []
     for route in ("class", "walk_horner"):
         if route == "walk_horner":
-            # model.py binds stack_responses by name, so it is patched there
-            monkeypatch.setattr(xgkn.kernel, "_route_arrays", lambda name, stack, walks: (
-                horner_arrays(stack, walks) if name == xgkn.kernel.CLASS_WALKS
-                else route_arrays(name, stack, walks)))
-            monkeypatch.setattr(xgkn.model, "stack_responses", lambda inputs, *args: (
-                horner_route_responses(inputs, *args[:2])
-                if inputs.route == xgkn.kernel.CLASS_WALKS else stack_responses(inputs, *args)))
+            # kernel.SplitWalks and model.forward bind walk_inputs by name,
+            # and model.py binds stack_responses, so each is patched there
+            monkeypatch.setattr(xgkn.kernel, "walk_inputs", horner_inputs)
+            monkeypatch.setattr(xgkn.model, "walk_inputs", horner_inputs)
+            monkeypatch.setattr(xgkn.model, "stack_responses", horner_route_responses)
         (tmp_path / route).mkdir()
         out_dir = tmp_path / route / "out"
         config = write_config(tmp_path / route, out_dir, extra={

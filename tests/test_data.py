@@ -199,7 +199,7 @@ class TestBaMultiShapes:
 class TestFeaturePolicies:
     @pytest.mark.parametrize("policy", ["degree", "none"])
     def test_removed_policies_refused(self, policy):
-        # scalar degree rows are neither all equal nor one-hot; "none" was an
+        # scalar degree rows are not one-hot; "none" was an
         # alias of "constant"
         ds = Dataset(graphs=(with_label(path_graph(3), 0),), num_classes=1)
         with pytest.raises(ValueError, match=f"unknown feature policy '{policy}'"):

@@ -282,9 +282,9 @@ class TestKernelResponses:
 
     def test_walk_horner_equals_shortcut_on_uniform_features(self, rng):
         # rows of 1 and 2 encode to bitwise the same unit embedding, as the
-        # scale cancels in the row normalisation, but they are not all equal:
+        # scale cancels in the row normalisation, but they are not one-hot:
         # the package refuses them, and walk_horner over them gives the
-        # shortcut's responses
+        # responses of constant rows, one class walked at K = 1
         g = random_graph(9, 0.4, rng.derive(15))
         scaled = 1.0 + (rng.derive(16).random((9, 1)) < 0.5)
         assert np.unique(scaled).tolist() == [1.0, 2.0]
@@ -301,16 +301,19 @@ class TestKernelResponses:
             with pytest.raises(FeatureRowError):
                 stack_responses_of(stack, bank, enc, walk_cap)
 
-    def test_route_needs_equal_or_one_hot_rows(self):
+    def test_classes_need_one_hot_rows(self):
+        # constant features (one column of ones) are one class; equal rows
+        # that are not one-hot are refused like any other
         onehot = np.eye(3)[[0, 2, 1, 2]]
-        assert kernel._route(onehot) == "class_walks"
-        for rows in (np.tile(onehot[1], (4, 1)), np.full((4, 2), 0.5), np.ones((1, 3))):
-            assert kernel._route(rows) == "rank_one"
+        assert kernel._classes(onehot).tolist() == [0, 2, 1, 2]
+        assert kernel._classes(np.tile(onehot[1], (4, 1))).tolist() == [2] * 4
+        assert kernel._classes(np.ones((4, 1))).tolist() == [0] * 4
         for rows in (onehot + np.eye(3)[[1, 0, 0, 0]], 2.0 * onehot,
-                     np.vstack([onehot[:3], np.zeros(3)]), onehot - 0.5):
-            with pytest.raises(FeatureRowError, match=r"all equal or all one-hot .* row 0 "
+                     np.vstack([onehot[:3], np.zeros(3)]), onehot - 0.5,
+                     np.full((4, 2), 0.5), np.ones((4, 3)), np.full((4, 1), 2.0)):
+            with pytest.raises(FeatureRowError, match=r"must be one-hot .* row 0 "
                                                       r"of 4 has nonzero entries \{"):
-                kernel._route(rows[[3, 0, 1, 2]])
+                kernel._classes(rows[[3, 0, 1, 2]])
 
     def test_constant_feature_shortcut_gradients(self, rng):
         g = random_graph(6, 0.5, rng.derive(13)).with_features(np.ones((6, 1)))
@@ -528,63 +531,65 @@ def featured(g: Graph, kind: str, draws) -> Graph:
     return g.with_features(draws.normal(size=(g.n, 3)))
 
 
-def batch_route(split: SplitWalks, stacks, ids) -> str:
-    """The route of the split's batch ``ids``, whose walk inputs and row
-    graphs are asserted to equal, byte for byte, those built from the
-    batch's own stacks."""
+def assert_batch_equals_own_stacks(split: SplitWalks, stacks, ids) -> None:
+    """The split's batch ``ids`` has the walk inputs and row graphs, byte
+    for byte, that its own stacks give, their class table summed by
+    ``np.bincount``."""
     got, seg = split.batch(ids)
-    route, arrays, raw, want_seg = walk_inputs_per_batch([stacks[i] for i in ids], split.cap)
-    assert (got.route, got.cap, len(got.arrays)) == (route, split.cap, len(arrays))
-    for a, b in zip((seg, got.raw_features, *got.arrays), (want_seg, raw, *arrays)):
+    cap = split.inputs.cap
+    table, classes, raw, want_seg = walk_inputs_per_batch([stacks[i] for i in ids], cap)
+    assert got.cap == cap
+    for a, b in zip((seg, got.raw_features, got.table, got.classes),
+                    (want_seg, raw, table, classes)):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    return route
 
 
 class TestSplitWalks:
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(st.lists(st.tuples(shuffled_graphs(max_nodes=8), st.sampled_from(
-               ["uniform", "onehot"])), min_size=1, max_size=8),
+               ["uniform", "onehot"])), min_size=1, max_size=8), st.booleans(),
            st.integers(1, 3), st.integers(1, 8), st.integers(0, 4), st.integers(1, 4),
            st.integers(0, 2 ** 32 - 1))
-    def test_batches_equal_their_own_stacks(self, drawn, k, max_size, cap, batch_size, seed):
-        # shuffled batches of graphs of mixed widths and feature kinds, and
-        # each graph alone, so that every kind takes its own route
+    def test_batches_equal_their_own_stacks(self, drawn, constant, k, max_size, cap,
+                                            batch_size, seed):
+        # shuffled batches of graphs of mixed widths, and each graph alone;
+        # a split is one-hot in three columns, or constant (one column)
         draws = np.random.default_rng(seed)
-        stacks = [build_subgraph_stack(featured(g, kind, draws), k, max_size)
+        stacks = [build_subgraph_stack(g.with_features(np.ones((g.n, 1))) if constant
+                                       else featured(g, kind, draws), k, max_size)
                   for g, kind in drawn]
         split = SplitWalks(stacks, cap)
         order = draws.permutation(len(stacks))
         batches = [order[lo:lo + batch_size] for lo in range(0, len(order), batch_size)]
         for ids in batches + [[i] for i in range(len(stacks))]:
-            batch_route(split, stacks, ids)
+            assert_batch_equals_own_stacks(split, stacks, ids)
+        # an inference chunk of the same graphs builds the same table
+        whole = kernel.walk_inputs(combine_stacks(stacks)[0], cap)
+        assert whole.table.tobytes() == split.batch(range(len(stacks)))[0].table.tobytes()
 
-    def test_each_batch_picks_its_own_route(self, monkeypatch):
-        # a uniform batch inside a one-hot split takes rank one; a one-hot
-        # batch inside a split that is not one-hot takes class walks, and a
-        # batch with real-valued rows is refused; each route's split arrays
-        # are derived once, however many batches take it
-        derived = []
-        route_arrays = kernel._route_arrays
-        monkeypatch.setattr(kernel, "_route_arrays",
-                            lambda route, *args: derived.append(route)
-                            or route_arrays(route, *args))
+    def test_class_table_is_built_once_and_bad_rows_refused_up_front(self, monkeypatch):
+        # one walk table and class table over the split, however many
+        # batches, uniform ones included; a split holding a real-valued row
+        # is refused when it is built, before any batch
+        tables = []
+        anchor_walks = kernel.anchor_walks
+        monkeypatch.setattr(kernel, "anchor_walks",
+                            lambda blocks, steps: tables.append(blocks.shape[0])
+                            or anchor_walks(blocks, steps))
         draws = np.random.default_rng(3)
         graphs = [featured(cycle_graph(5), "uniform", draws),
                   featured(path_graph(7), "uniform", draws),
                   featured(random_graph(9, 0.5, Rng(4)), "onehot", draws),
-                  featured(Graph.from_edges(4, [(0, i) for i in (1, 2, 3)]), "real", draws),
-                  featured(random_graph(6, 0.3, Rng(5)), "onehot", draws)]
+                  featured(Graph.from_edges(4, [(0, i) for i in (1, 2, 3)]), "real", draws)]
         stacks = [build_subgraph_stack(g, 2, 6) for g in graphs]
         assert len({s.members.shape[1] for s in stacks}) > 1
-        onehot = SplitWalks(stacks[:3], 3)
-        assert [batch_route(onehot, stacks, ids) for ids in ([1, 0], [2, 0], [0, 1, 2], [1])] \
-            == ["rank_one", "class_walks", "class_walks", "rank_one"]
-        assert derived == ["rank_one", "class_walks"]
-        mixed = SplitWalks(stacks, 3)
-        assert [batch_route(mixed, stacks, ids) for ids in ([4, 2], [2], [0])] \
-            == ["class_walks", "class_walks", "rank_one"]
-        with pytest.raises(FeatureRowError, match="row 0 of 9 has nonzero entries"):
-            mixed.batch([3, 0])
+        split = SplitWalks(stacks[:3], 3)
+        for ids in ([1, 0], [2, 0], [0, 1, 2], [1]):
+            assert_batch_equals_own_stacks(split, stacks, ids)
+        assert tables == [21]
+        with pytest.raises(FeatureRowError, match="row 21 of 25 has nonzero entries"):
+            SplitWalks(stacks, 3)
+        assert tables == [21]
 
 
 def horner_inputs(g: Graph, k: int, max_size: int, num_filters: int, size: int,
@@ -668,74 +673,86 @@ class TestWalkHorner:
         assert len(counts) == 1
 
 
-def rank_one_inputs(g: Graph, k: int, max_size: int, num_filters: int, size: int,
-                    cap: int, seed: int):
-    """Leaves for the stacked filter rows, the shared row and the stacked
-    filter adjacencies of ``num_filters`` filters of ``size`` nodes, a fixed
-    cotangent, and the walk counts of ``g``'s neighbourhoods that
-    ``stack_responses`` would hand ``numkit.rank_one_walks`` for a walk cap
-    of ``cap``."""
-    walks = anchor_walks(build_subgraph_stack(g, k, max_size).blocks, cap)
-    counts = np.ascontiguousarray(walks.sum(axis=2).T)
+def one_class_inputs(g: Graph, k: int, max_size: int, num_filters: int, size: int,
+                     cap: int, seed: int):
+    """Leaves for the stacked filter rows, the one encoded class row and the
+    stacked filter adjacencies of ``num_filters`` filters of ``size`` nodes,
+    a fixed cotangent, and the walk counts of ``g``'s neighbourhoods for a
+    walk cap of ``cap``: the class table that ``kernel.walk_inputs`` builds
+    for constant features, K = 1, asserted equal to the walk table's row
+    sums byte for byte."""
+    stack = build_subgraph_stack(g.with_features(np.ones((g.n, 1))), k, max_size)
+    table = kernel.walk_inputs(stack, cap).table
+    counts = np.ascontiguousarray(anchor_walks(stack.blocks, cap).sum(axis=2).T)
+    assert table.tobytes() == counts[:, None, :].tobytes()
     draws = np.random.default_rng(seed)
     rows = nk.Tensor(draws.normal(size=(num_filters * size, 3)), requires_grad=True)
     shared = nk.Tensor(draws.normal(size=(1, 3)), requires_grad=True)
     adjacencies = nk.Tensor(draws.random((num_filters * size, size)), requires_grad=True)
     cotangent = nk.Tensor(draws.normal(size=(g.n, num_filters)))
-    return rows, shared, adjacencies, cotangent, counts
+    return rows, shared, adjacencies, cotangent, table
 
 
-class TestRankOneWalks:
+def one_class_walks(rows, shared, adjacencies, table, cap, row_local=False):
+    """``numkit.class_walks`` with every row in class 0 of ``table``."""
+    return nk.class_walks(rows, shared, adjacencies, table,
+                          np.zeros(table.shape[0], dtype=np.int64), cap, row_local=row_local)
+
+
+class TestClassWalksOneClass:
+    """Constant features walk as one-hot rows of K = 1 class."""
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(shuffled_graphs(), st.integers(1, 3), st.integers(1, 10),
            st.tuples(st.integers(1, 4), st.integers(1, 5), st.one_of(st.none(), st.integers(0, 4))),
-           st.integers(0, 2 ** 32 - 1))
-    def test_equals_per_filter_chain(self, g, k, max_size, bank, seed):
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_equals_per_filter_chain(self, g, k, max_size, bank, row_local, seed):
         num_filters, size, cap = bank
         cap = size if cap is None else cap
-        rows, shared, adjacencies, cotangent, counts = rank_one_inputs(
+        rows, shared, adjacencies, cotangent, table = one_class_inputs(
             g, k, max_size, num_filters, size, cap, seed)
         leaves = [rows, shared, adjacencies]
         results = []
-        for op in (nk.rank_one_walks, rank_one_walks_chain):
+        for op in (lambda: one_class_walks(rows, shared, adjacencies, table, cap, row_local),
+                   lambda: rank_one_walks_chain(rows, shared, adjacencies, table[:, 0], cap)):
             zero_grad(*leaves)
-            out = op(rows, shared, adjacencies, counts, cap)
+            out = op()
             nk.backward(nk.tsum(out * cotangent))
             # at cap 0 the chain never uses W and leaves it no gradient
             results.append([out.values] + [np.zeros(leaf.shape) if leaf.grad is None
                                            else leaf.grad for leaf in leaves])
         for got, want in zip(*results):
             assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_gradients_match_finite_differences(self, rng):
         g = random_graph(7, 0.4, rng.derive(44))
-        rows, shared, adjacencies, cotangent, counts = rank_one_inputs(g, 2, 5, 3, 3, 2, 45)
+        rows, shared, adjacencies, cotangent, table = one_class_inputs(g, 2, 5, 3, 3, 2, 45)
 
         def objective():
-            return nk.tsum(nk.rank_one_walks(rows, shared, adjacencies, counts, 2) * cotangent)
+            return nk.tsum(one_class_walks(rows, shared, adjacencies, table, 2) * cotangent)
 
         assert finite_difference_check(objective, [rows, shared, adjacencies]) < 1e-6
 
     def test_zero_steps_give_zero_adjacency_gradient(self, rng):
         g = random_graph(5, 0.5, rng.derive(46))
-        rows, shared, adjacencies, cotangent, counts = rank_one_inputs(g, 1, 4, 2, 3, 0, 47)
-        out = nk.rank_one_walks(rows, shared, adjacencies, counts, 0)
+        rows, shared, adjacencies, cotangent, table = one_class_inputs(g, 1, 4, 2, 3, 0, 47)
+        out = one_class_walks(rows, shared, adjacencies, table, 0)
         nk.backward(nk.tsum(out * cotangent))
         assert adjacencies.grad is not None and not adjacencies.grad.any()
         assert np.abs(shared.grad).max() > 0.0
 
     def test_shapes_checked(self, rng):
         g = random_graph(5, 0.5, rng.derive(48))
-        rows, shared, adjacencies, _, counts = rank_one_inputs(g, 1, 4, 2, 2, 2, 49)
+        rows, shared, adjacencies, _, table = one_class_inputs(g, 1, 4, 2, 2, 2, 49)
         with pytest.raises(ShapeError):
-            nk.rank_one_walks(rows, shared, adjacencies, counts, 3)
+            one_class_walks(rows, shared, adjacencies, table, 3)
         with pytest.raises(ShapeError):
-            nk.rank_one_walks(rows, shared, nk.Tensor(adjacencies.values[:2]), counts, 2)
+            one_class_walks(rows, shared, nk.Tensor(adjacencies.values[:2]), table, 2)
         with pytest.raises(ShapeError):
-            nk.rank_one_walks(rows, nk.Tensor(np.ones((1, 4))), adjacencies, counts, 2)
+            one_class_walks(rows, nk.Tensor(np.ones((1, 4))), adjacencies, table, 2)
         with pytest.raises(ShapeError):
-            nk.rank_one_walks(rows, shared, nk.Tensor(np.ones((4, 3))), counts, 2)
+            one_class_walks(rows, shared, nk.Tensor(np.ones((4, 3))), table, 2)
 
 
 @st.composite
@@ -866,12 +883,11 @@ class TestClassWalks:
 
 class TestFilterBank:
     """The bank's responses against ``stack_responses_per_filter``, the
-    per-filter chain: byte-equal on the rank-one path, where every stacked
-    op is elementwise, per row or per block; within 1e-12 relative on the
-    class path (one-hot rows) and for ``walk_horner_responses`` over
-    continuous rows, which the package refuses, where each filter's columns
-    are walked in class space, or summed over its own block, rather than over
-    the dense block-diagonal product."""
+    per-filter chain (for constant rows, each filter's rank-one chain):
+    within 1e-12 relative, for one-hot and constant rows, which the package
+    walks in class space, and for ``walk_horner_responses`` over continuous
+    rows, which the package refuses, summed over each filter's own block,
+    rather than over the dense block-diagonal product."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(st.lists(shuffled_graphs(max_nodes=8), min_size=1, max_size=3),
@@ -882,8 +898,7 @@ class TestFilterBank:
                                      features, seed):
         num_filters, size, walk_cap = shape
         draws = Rng(seed)
-        constant = features == "constant"
-        if constant:
+        if features == "constant":
             graphs = [g.with_features(np.ones((g.n, 1))) for g in graphs]
         elif features == "onehot":
             graphs = [g.with_features(np.eye(3)[draws.derive("x", i).integers(0, 3, size=g.n)])
@@ -909,10 +924,7 @@ class TestFilterBank:
             for group in ([f.adjacency_logits for f in filters], [f.features for f in filters])]
         for a, b in zip(got, want):
             assert a.shape == b.shape
-            if constant:
-                assert a.tobytes() == b.tobytes()
-            else:
-                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def grad(leaf: nk.Tensor) -> np.ndarray:

@@ -423,6 +423,11 @@ class TestDrawSamples:
                 for gi, lo, hi in zip(parent_of, got.bounds, got.bounds[1:])] == want
 
 
+# I3/I4 perturbations that some graphs reject more than once
+RETRYING = AimConfig(delta_feature_robustness=0.6, delta_edge_remove=0.6, delta_edge_add=0.4,
+                     max_retries=3)
+
+
 class TestBatchedMatchesSequential:
     """The batched metrics against the per-graph loops they replaced; 30
     graphs and their samples span several inference chunks."""
@@ -437,10 +442,16 @@ class TestBatchedMatchesSequential:
                 g = g.with_features(np.tile(np.eye(2)[0], (g.n, 1)))
             graphs.append(with_label(g, i % 2))
         ds = Dataset(graphs=tuple(graphs), num_classes=2)
-        # this model predicts both classes here, and with the configs below some
-        # graphs need a second or third perturbation and one is skipped
+        # this model predicts both classes here, and with the retrying config
+        # below some graphs need a second or third perturbation and some are
+        # skipped, so the batched retry rounds are compared where they run
         model = make_model(seed=51, feature_dim=2)
-        return model, ds, [explain_graph(model, g, 0.5) for g in ds.graphs]
+        expl = [explain_graph(model, g, 0.5) for g in ds.graphs]
+        assert set(forward_batch(model, ds.graphs).predicted.tolist()) == {0, 1}
+        for mode in ("I3", "I4"):
+            assert metric_robustness(model, ds, expl, mode, RETRYING, Rng(32),
+                                     feature_pool=np.eye(2)[[1, 0, 1]]).n_skipped >= 1
+        return model, ds, expl
 
     @pytest.mark.parametrize("mode", ["I1", "I2"])
     @pytest.mark.parametrize("cfg", [AimConfig(samples_per_graph=4),
@@ -456,10 +467,7 @@ class TestBatchedMatchesSequential:
                 == sufficiency_necessity_sequential(model, ds, expl, mode, cfg, Rng(31)))
 
     @pytest.mark.parametrize("mode", ["I3", "I4"])
-    @pytest.mark.parametrize("cfg", [
-        AimConfig(),
-        AimConfig(delta_feature_robustness=0.6, delta_edge_remove=0.6,
-                  delta_edge_add=0.4, max_retries=3)])
+    @pytest.mark.parametrize("cfg", [AimConfig(), RETRYING])
     def test_robustness(self, setup, mode, cfg):
         model, ds, expl = setup
         pool = np.eye(2)[[1, 0, 1]]

@@ -208,17 +208,16 @@ def mixed_graphs(rng, count: int, onehot: bool) -> list[Graph]:
 
 @pytest.fixture
 def op_calls(monkeypatch):
-    """How often each of the two walk ops of ``kernel.stack_responses``
-    runs, counted by name."""
-    calls = {}
-    for name in ("rank_one_walks", "class_walks"):
-        calls[name] = 0
+    """The rows of each call of ``numkit.class_walks``, the one walk op of
+    ``kernel.stack_responses``, in call order."""
+    calls = []
+    class_walks = nk.class_walks
 
-        def counted(*args, _op=getattr(nk, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _op(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args[4].shape[0])
+        return class_walks(*args, **kwargs)
 
-        monkeypatch.setattr(nk, name, counted)
+    monkeypatch.setattr(nk, "class_walks", counted)
     return calls
 
 
@@ -248,19 +247,20 @@ class TestForwardBatch:
             else:
                 assert batched.argmax_rows is None and want.argmax_rows is None
 
+    @pytest.mark.parametrize("onehot", [False, True])
     @pytest.mark.parametrize("mode", ["sum", "negative_entropy", "max"])
-    def test_one_hot_graphs_equal_their_batch_of_one(self, rng, mode, op_calls):
-        # one-hot graphs whose rows are not all equal take class_walks alone
-        # and in every chunk, its route fixed by the model's shapes and its
-        # products row-local outside training; edgeless graphs, whose
-        # neighbourhoods hold only their anchor, share chunks with wider ones
-        graphs = [g for g in mixed_graphs(rng, 140, onehot=True)
-                  if np.any(g.features != g.features[0])]
+    def test_graphs_equal_their_batch_of_one(self, rng, onehot, mode, op_calls):
+        # every graph takes class_walks alone and in every chunk, its shapes
+        # fixed by the model and its products row-local outside training:
+        # graphs whose rows are all equal (1-node graphs, cycles) among
+        # others, and edgeless graphs, whose neighbourhoods hold only their
+        # anchor, next to wider ones
+        graphs = mixed_graphs(rng, 140, onehot)
         for i in range(0, len(graphs), 23):
-            graphs.insert(i, Graph(np.zeros((3, 3)), np.eye(4)[[2, 0, 2]], np.arange(3),
-                                   label=i % 2))
+            features = np.eye(4)[[2, 0, 2]] if onehot else np.ones((3, 1))
+            graphs.insert(i, Graph(np.zeros((3, 3)), features, np.arange(3), label=i % 2))
         assert len(graphs) > 2 * INFERENCE_CHUNK
-        model = small_model(feature_dim=4, num_filters=2, agg_mode=mode)
+        model = small_model(feature_dim=4 if onehot else 1, num_filters=2, agg_mode=mode)
         batched = forward_batch(model, graphs)
         bounds = batched.bounds
         for i, g in enumerate(graphs):
@@ -271,11 +271,32 @@ class TestForwardBatch:
             assert batched.z[i].tobytes() == want.z[0].tobytes()
             assert batched.logits[i].tobytes() == want.logits[0].tobytes()
         chunks = -(-len(graphs) // INFERENCE_CHUNK)
-        assert op_calls == {"rank_one_walks": 0, "class_walks": chunks + len(graphs)}
+        assert len(op_calls) == chunks + len(graphs)
 
-    def test_rows_neither_equal_nor_one_hot_are_refused(self, rng):
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.integers(1, 9), st.integers(0, 3), st.integers(0, 30), st.integers(0, 2 ** 32 - 1))
+    def test_uniform_graph_scores_alone_as_in_a_mixed_chunk(self, n, hot, position, seed):
+        # a graph whose one-hot rows are all equal, among graphs whose rows
+        # differ and among subgraphs of them, logits byte for byte
+        rng = Rng(seed)
+        uniform = with_label(random_graph(n, 0.5, rng.derive("u")).with_features(
+            np.tile(np.eye(4)[hot], (n, 1))), 0)
+        others = [g for g in mixed_graphs(rng, 30, onehot=True)
+                  if np.any(g.features != g.features[0])]
+        model = small_model(feature_dim=4, num_filters=3, seed=seed % 7)
+        alone = forward_batch(model, [uniform]).logits[0].tobytes()
+        at = min(position, len(others))
+        assert forward_batch(model, others[:at] + [uniform] + others[at:]).logits[at].tobytes() \
+            == alone
+        parents = others[:3] + [uniform]
+        picks = [(i % 3, list(range(1 + i % parents[i % 3].n))) for i in range(at)]
+        masked, _ = subgraphs_of(parents, picks + [(3, list(range(n)))] + picks[:5])
+        assert forward_batch(model, masked).logits[at].tobytes() == alone
+
+    def test_rows_not_one_hot_are_refused(self, rng):
         # a two-hot row, or a real-valued one, among one-hot rows: alone and
-        # in a chunk, with the row's position in its stack
+        # in a chunk, with the row's position in its stack; and rows that
+        # are all equal but not one-hot
         graphs = mixed_graphs(rng, 6, onehot=True)
         model = small_model(feature_dim=4)
         for bad, entries in ((np.eye(4)[0] + np.eye(4)[2], "{0: 1.0, 2: 1.0}"),
@@ -286,9 +307,13 @@ class TestForwardBatch:
             for batch in (edited, edited[3:]):
                 rows = sum(g.n for g in batch)
                 with pytest.raises(FeatureRowError, match=re.escape(
-                        f"all equal or all one-hot (a single 1.0, zeros elsewhere); row "
+                        f"must be one-hot (a single 1.0, zeros elsewhere); row "
                         f"{rows - graphs[3].n + 1} of {rows} has nonzero entries {entries}")):
                     forward_batch(model, batch)
+        halves = cycle_graph(5).with_features(np.full((5, 1), 0.5))
+        with pytest.raises(FeatureRowError, match=re.escape("row 0 of 5 has nonzero "
+                                                            "entries {0: 0.5}")):
+            forward_batch(small_model(), [halves])
 
     @pytest.mark.parametrize("onehot", [False, True])
     def test_subgraphs_equal_their_induced_graphs(self, rng, onehot):
@@ -409,39 +434,38 @@ def step_node_counts(graphs, feature_dim: int) -> set:
 
 
 class TestTrain:
-    def test_class_path_graph_size_does_not_grow_with_walk_cap(self, rng, op_calls):
-        # one-hot features take class_walks: the walk sum is one node however
-        # many steps it takes, and the filter bank's parameter chain one chain
-        # however many filters it holds; a per-step or per-filter chain would
-        # add nodes
-        graphs = mixed_graphs(rng, 12, onehot=True)
-        raw = np.vstack([g.features for g in graphs])
-        assert not np.all(raw == raw[0])
-        assert len(step_node_counts(graphs, 4)) == 1
-        assert op_calls == {"rank_one_walks": 0, "class_walks": 4}
-
-    def test_rank_one_path_graph_size_does_not_grow_with_walk_cap(self, rng, op_calls):
-        # constant features take the rank-one shortcut, whose walk sum is one
-        # node as well
-        assert len(step_node_counts(mixed_graphs(rng, 12, onehot=False), 1)) == 1
-        assert op_calls == {"rank_one_walks": 4, "class_walks": 0}
+    @pytest.mark.parametrize("onehot", [False, True])
+    def test_graph_size_does_not_grow_with_walk_cap(self, rng, onehot, op_calls):
+        # one-hot and constant features take class_walks: the walk sum is one
+        # node however many steps it takes, and the filter bank's parameter
+        # chain one chain however many filters it holds; a per-step or
+        # per-filter chain would add nodes
+        graphs = mixed_graphs(rng, 12, onehot)
+        assert len(step_node_counts(graphs, 4 if onehot else 1)) == 1
+        assert len(op_calls) == 4
 
     def test_adam_gets_one_tensor_per_parameter_kind(self):
         # encoder weight, the bank's two tensors, gamma, beta, weight, bias
         assert len(small_model(num_filters=8).parameters()) == 7
 
-    def test_rank_one_training_steps_equal_the_per_filter_chain(self, rng, monkeypatch):
-        # five Adam steps through the rank-one op and through the per-filter
-        # autograd chain end at the same parameters bit for bit: training
-        # outcomes such as acceptance criterion 4 move when training's
-        # floating-point order does
+    def test_constant_feature_training_steps_match_the_per_filter_chain(self, rng,
+                                                                        monkeypatch):
+        # five Adam steps through class_walks at K = 1 and through the
+        # per-filter rank-one chain of autograd nodes, which sums in another
+        # order, end at the same parameters within 1e-12 relative
         graphs = mixed_graphs(rng, 24, onehot=False)
         stacks = [build_subgraph_stack(g, 2, 6) for g in graphs]
         labels = np.array([g.label for g in graphs])
         initial = [p.values for p in small_model(num_filters=4, filter_size=4).parameters()]
+        class_walks, calls = nk.class_walks, []
+
+        def chain(rows, shared, adjacencies, table, classes, cap, row_local=False):
+            calls.append(table.shape[1])
+            return rank_one_walks_chain(rows, shared, adjacencies, table[:, 0], cap)
+
         finals = []
-        for op in (nk.rank_one_walks, rank_one_walks_chain):
-            monkeypatch.setattr(nk, "rank_one_walks", op)
+        for op in (class_walks, chain):
+            monkeypatch.setattr(nk, "class_walks", op)
             model = small_model(num_filters=4, filter_size=4)
             params = model.parameters()
             state = nk.adam_init(params, lr=0.05, weight_decay=1e-4)
@@ -451,8 +475,9 @@ class TestTrain:
                 nk.backward(nk.cross_entropy(logits, labels[batch]))
                 nk.adam_step(params, state)
             finals.append([p.values for p in params])
+        assert calls == [1] * 5
         for got, want, start in zip(*finals, initial):
-            assert got.tobytes() == want.tobytes()
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             assert not np.array_equal(got, start)
 
     def test_constant_features_train_at_walk_cap_zero(self):
@@ -483,7 +508,52 @@ class TestTrain:
         assert tables == [sum(ds.graphs[i].n for i in split.train_ids)]
         batches = -(-len(split.train_ids) // 8)
         assert batches > 1
-        assert op_calls == {"rank_one_walks": epochs * batches + 1, "class_walks": 0}
+        assert len(op_calls) == epochs * batches + 1
+
+    def test_one_epoch_changes_the_parameters(self):
+        ds = toy_separable_dataset()
+        split = stratified_split(ds, 0.2, 1, seed=0)[0]
+        before = [p.values.copy() for p in small_model().parameters()]
+        model, history = train(small_model(), ds, split, TrainConfig(epochs=1, seed=0))
+        assert len(history) == 1
+        for p, b in zip(model.parameters(), before):
+            assert not np.array_equal(p.values, b)
+
+    def test_returns_the_parameters_of_its_last_update(self):
+        # bit for bit a hand-written loop over the same batches, whose last
+        # epoch's loss need not be the lowest
+        ds = toy_separable_dataset()
+        split = stratified_split(ds, 0.2, 1, seed=4)[0]
+        cfg = TrainConfig(epochs=6, lr=0.2, batch_size=8, seed=2)
+        model, history = train(small_model(seed=5), ds, split, cfg)
+        assert len(history) == cfg.epochs
+        stacks = [build_subgraph_stack(ds.graphs[i], 1, 6) for i in split.train_ids]
+        labels = np.array([ds.graphs[i].label for i in split.train_ids])
+        hand = small_model(seed=5)
+        params = hand.parameters()
+        state = nk.adam_init(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+        shuffle = Rng(cfg.seed).derive("shuffle")
+        split_walks = SplitWalks(stacks, hand.walk_cap)
+        for _ in range(cfg.epochs):
+            order = shuffle.permutation(len(stacks))
+            for lo in range(0, len(stacks), cfg.batch_size):
+                batch = order[lo:lo + cfg.batch_size]
+                logits = _batch_forward(hand, *split_walks.batch(batch), len(batch),
+                                        training=True)[0]
+                nk.backward(nk.cross_entropy(logits, labels[batch]))
+                nk.adam_step(params, state)
+        for got, want in zip(model.parameters(), params):
+            assert got.values.tobytes() == want.values.tobytes()
+
+    def test_patience_ends_a_plateau(self):
+        # with lr 0 every epoch scores the same loss: the first epoch stays
+        # the best, and the run stops once `patience` epochs have not beaten it
+        ds = toy_separable_dataset()
+        split = stratified_split(ds, 0.2, 1, seed=0)[0]
+        _, history = train(small_model(), ds, split,
+                           TrainConfig(epochs=50, lr=0.0, weight_decay=0.0, patience=3, seed=1))
+        assert len(history) == 5
+        assert np.ptp([h["loss"] for h in history]) <= 1e-12
 
     def test_lr_zero_keeps_parameters(self):
         ds = toy_separable_dataset()
