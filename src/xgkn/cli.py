@@ -438,6 +438,7 @@ def _explanations_from_records(records: list, ds: Dataset) -> tuple[list, list]:
 
 
 def cmd_evaluate(config: dict, compare_dir: str | None = None) -> int:
+    comparisons = dict([_compare_report(compare_dir)]) if compare_dir else None
     out_dir = resolve_out_dir(config)
     h = canonical_hash(config)
     ds, splits = load_prepared(out_dir, h)
@@ -516,11 +517,6 @@ def cmd_evaluate(config: dict, compare_dir: str | None = None) -> int:
     else:
         skipped_metrics.add("I5")
     values = {k: v for k, v in values.items() if v}
-    comparisons = None
-    if compare_dir:
-        other = _load_json(Path(compare_dir) / "report.json")
-        comparisons = {Path(compare_dir).name: {
-            name: entry["values"] for name, entry in other["metrics"].items()}}
     report = aim_report(values, comparisons=comparisons,
                         config={"config_hash": h, "seeds": seeds,
                                 "aim": config["aim"],
@@ -594,15 +590,26 @@ def render_report(payload: dict) -> str:
     return "\n".join(lines)
 
 
+def _compare_report(compare_dir: str) -> tuple[str, dict]:
+    """The name of ``compare_dir`` and the values of each metric of its
+    ``report.json``. A file that is missing, is not JSON or holds no metric
+    values is refused with a message that names it."""
+    path = Path(compare_dir) / "report.json"
+    try:
+        metrics = _load_json(path)["metrics"]
+        return Path(compare_dir).name, {name: entry["values"] for name, entry in metrics.items()}
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError):
+        raise ValueError(f"compare report {path} is not a report.json with metric values") \
+            from None
+
+
 def cmd_report(config: dict, compare_dir: str | None = None) -> int:
     out_dir = resolve_out_dir(config)
     payload = _load_json(out_dir / "report.json")
     _check_hash(payload, canonical_hash(config), out_dir / "report.json")
     if compare_dir:
-        other = _load_json(Path(compare_dir) / "report.json")
         ours = {name: entry["values"] for name, entry in payload["metrics"].items()}
-        theirs = {name: entry["values"] for name, entry in other["metrics"].items()}
-        report = aim_report(ours, comparisons={Path(compare_dir).name: theirs},
+        report = aim_report(ours, comparisons=dict([_compare_report(compare_dir)]),
                             alpha=AimConfig(**config["aim"]).alpha)
         payload["ttests"] = list(report.ttests)
     print(render_report(payload))
@@ -645,6 +652,8 @@ def keep_freed_heap() -> bool:
 # argument handling
 
 def _apply_overrides(config: dict, overrides: list[str]) -> dict:
+    """Set each ``section.key=value`` of ``overrides`` in ``config``; a path
+    through a value that is not an object is refused, naming the key."""
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"override must look like section.key=value, got {item!r}")
@@ -655,8 +664,11 @@ def _apply_overrides(config: dict, overrides: list[str]) -> dict:
             value = raw
         node = config
         keys = dotted.split(".")
-        for key in keys[:-1]:
+        for depth, key in enumerate(keys[:-1]):
             node = node.setdefault(key, {})
+            if not isinstance(node, dict):
+                raise ValueError(f"override {item!r}: config key "
+                                 f"'{'.'.join(keys[:depth + 1])}' is {node!r}, not an object")
         node[keys[-1]] = value
     return config
 
@@ -672,7 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config entry (dotted path, JSON value)")
     parser.add_argument("--out", help="override out_dir")
-    parser.add_argument("--compare", help="another run directory for t-tests")
+    parser.add_argument("--compare", help="another run directory for t-tests "
+                                          "(evaluate and report only)")
     return parser
 
 
@@ -680,11 +693,19 @@ def main(argv=None) -> int:
     keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.compare is not None and args.command not in ("evaluate", "report"):
+        print(f"error: --compare applies to evaluate and report only, not {args.command}",
+              file=sys.stderr)
+        return 2
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             user_config = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         print(f"cannot read config {args.config}: {err}", file=sys.stderr)
+        return 2
+    if not isinstance(user_config, dict):
+        print(f"cannot read config {args.config}: its top level must be a JSON object, "
+              f"not a {type(user_config).__name__}", file=sys.stderr)
         return 2
     try:
         config = merge_config(user_config)

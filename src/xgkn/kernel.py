@@ -83,12 +83,9 @@ class FilterBank:
         return values.reshape(self.num_filters, self.size, -1)
 
     def effective_adjacency(self) -> Tensor:
-        """The F filter adjacencies, stacked as the logits are."""
-        squashed = nk.sigmoid(self.adjacency_logits)
-        sym = (squashed + nk.block_transpose(squashed)) * Tensor(np.full((1, 1), 0.5))
-        off_diagonal = np.tile(np.ones((self.size, self.size)) - np.eye(self.size),
-                               (self.num_filters, 1))
-        return sym * Tensor(off_diagonal)
+        """The F filter adjacencies, stacked as the logits are: one
+        ``numkit.symmetric_adjacency`` node."""
+        return nk.symmetric_adjacency(self.adjacency_logits)
 
     def adjacency_values(self) -> np.ndarray:
         """The F filter adjacencies as [F, size, size]."""
@@ -288,33 +285,50 @@ def _classes(raw: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class WalkInputs:
     """The graph side of the kernel responses of a batch of node rows: their
-    raw one-hot features, the walk cap, each row's class and the class
-    table, ``table[v, b, p]`` the length-p anchor walks of v that end at a
-    node of class b."""
+    raw one-hot features, the walk cap, each row's class, and the class
+    table grouped by class: ``order`` is the stable class order of the rows,
+    and ``table[i, b, p]`` counts the length-p anchor walks of row
+    ``order[i]`` that end at a node of class b."""
 
     raw_features: np.ndarray
     cap: int
     table: np.ndarray
     classes: np.ndarray
+    order: np.ndarray
 
 
-def walk_inputs(stack: SubgraphStack, cap: int) -> WalkInputs:
-    """The graph side of ``stack``'s responses to filters walking ``cap``
-    steps: its walk table summed by the class of each member. Walk counts
+def _class_table(stack: SubgraphStack, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The class of each row of ``stack`` and its class table, in row
+    order: the walk table summed by the class of each member. Walk counts
     are integers and member rows 0/1, so the batched product is exact in any
     summation order; padding members have no walks."""
     raw = stack.raw_features
     classes = _classes(raw)
     walks = anchor_walks(stack.blocks, cap)
-    table = np.matmul(raw[stack.members].transpose(0, 2, 1), walks.transpose(1, 2, 0))
-    return WalkInputs(raw, cap, table, classes)
+    return classes, np.matmul(raw[stack.members].transpose(0, 2, 1), walks.transpose(1, 2, 0))
+
+
+def _grouped(raw: np.ndarray, cap: int, table: np.ndarray, classes: np.ndarray,
+             rows: np.ndarray) -> WalkInputs:
+    """The walk inputs of ``rows`` of the row-order arrays, their class
+    table gathered once, grouped by class."""
+    classes = classes[rows]
+    order = np.argsort(classes, kind="stable")
+    return WalkInputs(raw[rows], cap, table[rows[order]], classes, order)
+
+
+def walk_inputs(stack: SubgraphStack, cap: int) -> WalkInputs:
+    """The graph side of ``stack``'s responses to filters walking ``cap``
+    steps."""
+    classes, table = _class_table(stack, cap)
+    return _grouped(stack.raw_features, cap, table, classes, np.arange(classes.size))
 
 
 class SplitWalks:
-    """The graph side of a training split, built once: ``walk_inputs`` of
-    ``combine_stacks`` of its graphs' ``stacks``, whose rows are refused
-    here unless they are one-hot. ``batch`` hands out the rows of any of its
-    graphs, in batch order.
+    """The graph side of a training split, built once: the classes and the
+    class table of ``combine_stacks`` of its graphs' ``stacks``, whose rows
+    are refused here unless they are one-hot. ``batch`` hands out the rows
+    of any of its graphs, in batch order.
 
     A batch's inputs equal, bit for bit, ``walk_inputs`` of
     ``combine_stacks`` of its graphs' stacks: every array holds one entry
@@ -323,7 +337,9 @@ class SplitWalks:
     counts."""
 
     def __init__(self, stacks: list[SubgraphStack], cap: int):
-        self.inputs = walk_inputs(combine_stacks(stacks)[0], cap)
+        stack = combine_stacks(stacks)[0]
+        self.raw_features, self.cap = stack.raw_features, cap
+        self.classes, self.table = _class_table(stack, cap)
         self.sizes = np.array([s.num_nodes for s in stacks], dtype=np.int64)
         self.starts = np.cumsum(self.sizes) - self.sizes
 
@@ -337,13 +353,28 @@ class SplitWalks:
         # split row = batch row + shift, per graph
         shift = (self.starts[ids] - (np.cumsum(sizes) - sizes))[graph_seg]
         rows = np.arange(graph_seg.size) + shift
-        split = self.inputs
-        return WalkInputs(split.raw_features[rows], split.cap, split.table[rows],
-                          split.classes[rows]), graph_seg
+        return _grouped(self.raw_features, self.cap, self.table, self.classes, rows), graph_seg
+
+
+def _filter_side(bank: FilterBank, encoder: FeatureEncoder) -> tuple[Tensor, Tensor, Tensor]:
+    """The bank's normalized feature rows, the encoder's K encoded class rows
+    and the bank's effective adjacencies."""
+    return (nk.row_unit_normalize(bank.features),
+            encoder.encode(np.eye(encoder.weight.shape[0])), bank.effective_adjacency())
+
+
+def filter_products(bank: FilterBank, encoder: FeatureEncoder, cap: int) -> np.ndarray:
+    """The class products of the filter side, values only
+    (``numkit.class_products``): what ``stack_responses`` computes from the
+    parameters on every call unless it is handed them. Inference parameters
+    do not change, so ``model.forward_batch`` computes them once for all its
+    chunks."""
+    rows, shared, adjacency = _filter_side(bank, encoder)
+    return nk.class_products(rows.values, shared.values, bank.blocks(adjacency.values), cap)[1]
 
 
 def stack_responses(stack: WalkInputs, bank: FilterBank, encoder: FeatureEncoder,
-                    training: bool = False) -> Tensor:
+                    training: bool = False, products: np.ndarray | None = None) -> Tensor:
     """Response matrix of the node rows whose graph side is ``stack`` (one
     row per node, one column per filter): entry (v, f) is sum over f's
     columns of S[v] * sum_p Y_p W_f^p, p up to the walk cap, Y_p = u_p^T
@@ -352,11 +383,14 @@ def stack_responses(stack: WalkInputs, bank: FilterBank, encoder: FeatureEncoder
     s_{f,class(v)} over the K encoded classes: one autograd node,
     ``numkit.class_walks``, whose products are row-local outside
     ``training``. Its F·K²·(cap + 1) class products are bounded when the
-    model is built.
+    model is built. Handed the ``filter_products`` of the bank and encoder
+    (inference only), it takes the same row-local products of them, values
+    only, with no autograd node.
 
     tests/oracles.py holds the per-pair reference, the per-filter chains and
     the Horner walk sum over feature rows of any kind."""
-    rows = nk.row_unit_normalize(bank.features)
-    adjacency = bank.effective_adjacency()
-    return nk.class_walks(rows, encoder.encode(np.eye(stack.raw_features.shape[1])), adjacency,
-                          stack.table, stack.classes, stack.cap, row_local=not training)
+    if products is not None:
+        return Tensor(nk.class_table_product(stack.table, stack.classes, stack.order,
+                                             products, row_local=True))
+    return nk.class_walks(*_filter_side(bank, encoder), stack.table, stack.classes, stack.cap,
+                          row_local=not training, order=stack.order)

@@ -25,6 +25,7 @@ from .kernel import (
     WalkInputs,
     build_stack,
     build_subgraph_stack,
+    filter_products,
     stack_responses,
     walk_inputs,
 )
@@ -114,18 +115,13 @@ class Predictor:
         if z.shape[1] != self.in_dim:
             raise ShapeError(f"predictor expects width {self.in_dim}, got {z.shape[1]}")
         if training:
-            batch = z.shape[0]
-            mean = nk.tsum(z, axis=0) * Tensor(np.full((1, 1), 1.0 / batch))
-            centered = z - mean
-            var = nk.tsum(centered * centered, axis=0) * Tensor(np.full((1, 1), 1.0 / batch))
+            out, mean, var = nk.batch_norm(z, self.gamma, self.beta, self.bn_eps)
             mom = self.bn_momentum
-            self.running_mean = (1 - mom) * self.running_mean + mom * mean.values
-            self.running_var = (1 - mom) * self.running_var + mom * var.values
-            normed = centered / nk.sqrt(var + Tensor(np.full((1, 1), self.bn_eps)))
+            self.running_mean = (1 - mom) * self.running_mean + mom * mean
+            self.running_var = (1 - mom) * self.running_var + mom * var
         else:
             scale = 1.0 / np.sqrt(self.running_var + self.bn_eps)
-            normed = (z - Tensor(self.running_mean)) * Tensor(scale)
-        out = normed * self.gamma + self.beta
+            out = (z - Tensor(self.running_mean)) * Tensor(scale) * self.gamma + self.beta
         for i, (w, b) in enumerate(self.layers):
             out = (out @ w if training else nk.row_matmul(out, w)) + b
             if i + 1 < len(self.layers):
@@ -211,19 +207,9 @@ def _aggregate_tensor(r: Tensor, mode: str, eps: float, seg: np.ndarray, num_gra
         z = nk.segment_sum_rows(r, seg, num_graphs)
         return z, r.values.copy(), None
     if mode == "negative_entropy":
-        clamped = nk.clip_min(r, eps)
-        squares = clamped * clamped
-        col_sums = nk.segment_sum_rows(squares, seg, num_graphs)
-        if norm_scope == "global" and training:
-            norm = nk.sqrt(col_sums @ Tensor(np.ones((m, 1))))
-        elif norm_scope == "global":
-            norm = nk.sqrt(nk.tsum(col_sums, axis=1))
-        else:
-            norm = nk.sqrt(col_sums)
-        q = clamped / nk.gather_rows(norm, seg)
-        contrib = q * nk.log(q)
-        z = nk.segment_sum_rows(contrib, seg, num_graphs)
-        return z, contrib.values.copy(), None
+        z, contributions = nk.negative_entropy(r, seg, num_graphs, eps, norm_scope,
+                                               row_local=not training)
+        return z, contributions, None
     if mode == "max":
         z, argrow = nk.segment_col_max(r, seg, num_graphs)
         s_tilde = np.zeros_like(r.values)
@@ -233,14 +219,15 @@ def _aggregate_tensor(r: Tensor, mode: str, eps: float, seg: np.ndarray, num_gra
 
 
 def _batch_forward(model: XgknModel, inputs: WalkInputs, graph_seg: np.ndarray,
-                   num_graphs: int, training: bool):
+                   num_graphs: int, training: bool, products: np.ndarray | None = None):
     """Scores the batch of ``num_graphs`` graphs whose node rows have the
     graph side ``inputs``, ``graph_seg`` giving each row's graph: (logits, z,
     responses, contribution values, argmax rows). Row i of logits and z is
     graph i; responses and contributions hold the graphs' node rows in
-    order, and argmax rows index them."""
+    order, and argmax rows index them. Inference may hand over the model's
+    ``kernel.filter_products``."""
     cfg = model.config
-    r = stack_responses(inputs, model.bank, model.encoder, training)
+    r = stack_responses(inputs, model.bank, model.encoder, training, products)
     z, contributions, argrow = _aggregate_tensor(
         r, cfg.agg_mode, cfg.entropy_eps, graph_seg, num_graphs, cfg.norm_scope, training)
     return model.predictor.logits(z, training=training), z, r, contributions, argrow
@@ -252,17 +239,18 @@ def _batch_forward(model: XgknModel, inputs: WalkInputs, graph_seg: np.ndarray,
 INFERENCE_CHUNK = 32
 
 
-def forward(model: XgknModel, graphs) -> ForwardPass:
+def forward(model: XgknModel, graphs, products: np.ndarray | None = None) -> ForwardPass:
     """One inference pass over all of ``graphs`` (or ``kernel.Subgraphs``) at
     once: their stack from one ``build_stack`` and its ``walk_inputs``, then
-    ``_batch_forward``; batch-norm statistics stay frozen. Aggregation and the
-    predictor are row-local, so a graph's rows equal its batch of one up to
-    the kernel responses of the batch (see README)."""
+    ``_batch_forward``, with the model's ``kernel.filter_products`` if given;
+    batch-norm statistics stay frozen. Aggregation and the predictor are
+    row-local, so a graph's rows equal its batch of one up to the kernel
+    responses of the batch (see README)."""
     cfg = model.config
     stack, graph_seg = build_stack(graphs, cfg.hop_radius, cfg.max_subgraph_size)
     inputs = walk_inputs(stack, model.walk_cap)
     logits, z, r, contributions, argrow = _batch_forward(
-        model, inputs, graph_seg, len(graphs), training=False)
+        model, inputs, graph_seg, len(graphs), training=False, products=products)
     # keep values only: the batch's autograd graph is freed here
     return ForwardPass(R=r.values, contributions=contributions, z=z.values,
                        logits=logits.values,
@@ -272,8 +260,10 @@ def forward(model: XgknModel, graphs) -> ForwardPass:
 
 def forward_batch(model: XgknModel, graphs) -> ForwardPass:
     """Inference over graphs or ``kernel.Subgraphs``: one ``forward`` per
-    INFERENCE_CHUNK graphs, the passes joined into one."""
-    passes = [forward(model, graphs[lo:lo + INFERENCE_CHUNK])
+    INFERENCE_CHUNK graphs, the passes joined into one. The filter side of
+    the kernel responses is computed once, for all chunks."""
+    products = filter_products(model.bank, model.encoder, model.walk_cap)
+    passes = [forward(model, graphs[lo:lo + INFERENCE_CHUNK], products)
               for lo in range(0, len(graphs), INFERENCE_CHUNK)]
     if len(passes) == 1:
         return passes[0]

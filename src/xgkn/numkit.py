@@ -161,38 +161,35 @@ def _row_local_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jk->ik", a, b)
 
 
-def log(a: Tensor) -> Tensor:
-    return _op(np.log(a.values), (a,), lambda g: (g / a.values,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out_values = np.sqrt(a.values)
-    return _op(out_values, (a,), lambda g: (g * 0.5 / out_values,))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out_values = 1.0 / (1.0 + np.exp(-a.values))
-    return _op(out_values, (a,), lambda g: (g * out_values * (1.0 - out_values),))
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.values > 0.0
     return _op(a.values * mask, (a,), lambda g: (g * mask,))
 
 
-def clip_min(a: Tensor, lo: float) -> Tensor:
-    """Elementwise max(a, lo); gradient passes only where a > lo."""
-    mask = a.values > lo
-    return _op(np.maximum(a.values, lo), (a,), lambda g: (g * mask,))
+def symmetric_adjacency(logits: Tensor) -> Tensor:
+    """``(sigmoid(x) + sigmoid(x)^T) * 0.5`` with a zero diagonal, for every
+    square block of the stack ``logits`` ([F·size, size], rows f·size to
+    f·size + size - 1 holding block f), as one node. Forward and backward
+    take the steps, and the rounding, of the chain sigmoid, block transpose,
+    add, ×0.5 and mask (``tests/oracles.py``)."""
+    size = logits.shape[1]
+    if logits.shape[0] % size:
+        raise ShapeError(f"symmetric_adjacency needs a stack of square blocks, "
+                         f"got {logits.shape}")
 
+    def flip(x):
+        return x.reshape(-1, size, size).transpose(0, 2, 1).reshape(x.shape)
 
-def tsum(a: Tensor, axis: int | None = None) -> Tensor:
-    """Sum to (1, 1) when axis is None, else keepdims sum along the axis."""
-    if axis is None:
-        values = a.values.sum().reshape(1, 1)
-        return _op(values, (a,), lambda g: (np.broadcast_to(g, a.shape),))
-    values = a.values.sum(axis=axis, keepdims=True)
-    return _op(values, (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
+    half = np.full((1, 1), 0.5)
+    mask = np.tile(np.ones((size, size)) - np.eye(size), (logits.shape[0] // size, 1))
+    squashed = 1.0 / (1.0 + np.exp(-logits.values))
+
+    def backward(g):
+        g_sum = g * mask * half
+        g_squashed = g_sum + flip(g_sum)
+        return (g_squashed * squashed * (1.0 - squashed),)
+
+    return _op((squashed + flip(squashed)) * half * mask, (logits,), backward)
 
 
 def _scatter_rows(rows: np.ndarray, seg: np.ndarray, num_segments: int) -> np.ndarray:
@@ -204,16 +201,82 @@ def _scatter_rows(rows: np.ndarray, seg: np.ndarray, num_segments: int) -> np.nd
                        minlength=num_segments * cols).reshape(num_segments, cols)
 
 
-def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows by index (duplicates allowed); backward scatter-adds."""
-    idx = np.asarray(idx, dtype=np.int64)
-    return _op(a.values[idx], (a,), lambda g: (_scatter_rows(g, idx, a.shape[0]),))
-
-
 def segment_sum_rows(a: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
     """Sum rows that share a segment id into one output row per segment."""
     seg = np.asarray(seg, dtype=np.int64)
     return _op(_scatter_rows(a.values, seg, num_segments), (a,), lambda g: (g[seg],))
+
+
+def negative_entropy(r: Tensor, seg: np.ndarray, num_segments: int, eps: float,
+                     norm_scope: str = "global", row_local: bool = False
+                     ) -> tuple[Tensor, np.ndarray]:
+    """Per segment and column, the sum of ``q log q`` over the segment's rows,
+    ``q = max(r, eps) / norm`` with ``norm`` the square root of the
+    segment's sum of squares: over all its columns (``global``) or per column
+    (``per_column``). Returns the (num_segments, cols) sums as one node and
+    the ``q log q`` values. The global sum over columns is a product with a
+    ones column, or with ``row_local`` a row sum, which rounds the same for
+    a segment alone or among any others.
+
+    Forward and backward take the steps, and the rounding, of the chain of
+    clip, square, segment sum, norm, gather, divide, log and product
+    (``tests/oracles.py``), the clamped rows' gradient summed as that chain's
+    backward sums it: the division's part, then the square's two."""
+    seg = np.asarray(seg, dtype=np.int64)
+    keep = r.values > eps
+    clamped = np.maximum(r.values, eps)
+    col_sums = _scatter_rows(clamped * clamped, seg, num_segments)
+    if norm_scope == "per_column":
+        total = col_sums
+    elif row_local:
+        total = col_sums.sum(axis=1, keepdims=True)
+    else:
+        total = col_sums @ np.ones((r.shape[1], 1))
+    norm = np.sqrt(total)
+    gathered = norm[seg]
+    q = clamped / gathered
+    log_q = np.log(q)
+    contributions = q * log_q
+
+    def backward(g):
+        g_contrib = g[seg]
+        g_q = g_contrib * log_q + g_contrib * q / q
+        g_gathered = _unbroadcast(-g_q * clamped / (gathered * gathered), gathered.shape)
+        # the global sum's backward, a product with a ones row in the chain,
+        # copies each entry exactly, as broadcasting does
+        g_total = _scatter_rows(g_gathered, seg, num_segments) * 0.5 / norm
+        g_square = g_total[seg] * clamped
+        return ((g_q / gathered + g_square + g_square) * keep,)
+
+    return _op(_scatter_rows(contributions, seg, num_segments), (r,), backward), contributions
+
+
+def batch_norm(z: Tensor, gamma: Tensor, beta: Tensor, eps: float
+               ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Training-mode batch normalization as one node: ``(z - mean) /
+    sqrt(var + eps) * gamma + beta`` over the batch's rows, and the batch
+    mean and (biased) variance. Forward and backward take the steps, and the
+    rounding, of the chain of column sums, centring, square, square root,
+    division, scale and shift (``tests/oracles.py``), the centred rows'
+    gradient summed as that chain's backward sums it: the division's part,
+    then the square's two."""
+    inv = np.full((1, 1), 1.0 / z.shape[0])
+    mean = z.values.sum(axis=0, keepdims=True) * inv
+    centered = z.values - mean
+    var = (centered * centered).sum(axis=0, keepdims=True) * inv
+    std = np.sqrt(var + np.full((1, 1), eps))
+    normed = centered / std
+
+    def backward(g):
+        g_normed = g * gamma.values
+        g_std = _unbroadcast(-g_normed * centered / (std * std), std.shape)
+        g_square = g_std * 0.5 / std * inv * centered
+        g_centered = g_normed / std + g_square + g_square
+        g_mean = _unbroadcast(-g_centered, mean.shape)
+        return (g_centered + g_mean * inv,
+                _unbroadcast(g * normed, gamma.shape), _unbroadcast(g, beta.shape))
+
+    return _op(normed * gamma.values + beta.values, (z, gamma, beta), backward), mean, var
 
 
 def segment_col_max(a: Tensor, seg: np.ndarray, num_segments: int) -> tuple[Tensor, np.ndarray]:
@@ -252,22 +315,49 @@ def segment_col_max(a: Tensor, seg: np.ndarray, num_segments: int) -> tuple[Tens
     return _op(values, (a,), backward), argrow
 
 
-def block_transpose(a: Tensor) -> Tensor:
-    """Transpose every square block of a stack of them: ``a`` is
-    [F·size, size], and rows f·size to f·size + size - 1 hold block f. The
-    backward is the same block transpose."""
-    size = a.shape[1]
-    if a.shape[0] % size:
-        raise ShapeError(f"block_transpose needs a stack of square blocks, got {a.shape}")
+def class_products(rows: np.ndarray, shared: np.ndarray, w: np.ndarray, cap: int
+                   ) -> tuple[list, np.ndarray]:
+    """The filter side of ``class_walks``: the walk vectors ``v_p = W^p s``
+    of every filter block (``s = rows_f @ shared^T``, [F, size, K]) for p up
+    to ``cap``, one ``np.matmul`` over the blocks each, and the products
+    ``c_{f,p}[b, a] = s_{f,b}^T v_p[:, a]`` as class a's (K·(cap + 1), F)
+    matrix, row b·(cap + 1) + p. ``w`` is [F, size, size]."""
+    size, (k, dim) = w.shape[1], shared.shape
+    v = [np.matmul(rows.reshape(-1, size, dim), shared.T)]
+    for _ in range(cap):
+        v.append(np.matmul(w, v[-1]))
+    s_t = v[0].transpose(0, 2, 1)
+    c = np.stack([np.matmul(s_t, vp) for vp in v], axis=3)
+    return v, np.ascontiguousarray(c.transpose(2, 1, 3, 0)).reshape(k, k * (cap + 1), w.shape[0])
 
-    def flip(x):
-        return x.reshape(-1, size, size).transpose(0, 2, 1).reshape(x.shape)
 
-    return _op(flip(a.values), (a,), lambda g: (flip(g),))
+def _class_parts(classes: np.ndarray, k: int) -> list:
+    """(class, slice) of each class present, over rows grouped by class."""
+    counts = np.bincount(classes, minlength=k)
+    ends = np.cumsum(counts)
+    return [(a, slice(ends[a] - counts[a], ends[a])) for a in np.flatnonzero(counts)]
+
+
+def class_table_product(table: np.ndarray, classes: np.ndarray, order: np.ndarray,
+                        coef: np.ndarray, row_local: bool = False) -> np.ndarray:
+    """The rows of ``class_walks`` from the class products ``coef`` of
+    ``class_products``, where ``table`` is grouped by class: its row i is
+    the class table of row ``order[i]``, ``order`` the stable class order of
+    ``classes``. One product per class present, over that class's rows:
+    ``@``, or with ``row_local`` an ``np.einsum`` whose rows round alone as
+    in any batch."""
+    n = classes.shape[0]
+    flat = table.reshape(n, -1)
+    out = np.empty((n, coef.shape[2]))
+    for a, part in _class_parts(classes, coef.shape[0]):
+        out[order[part]] = _row_local_product(flat[part], coef[a]) if row_local \
+            else flat[part] @ coef[a]
+    return out
 
 
 def class_walks(rows: Tensor, shared: Tensor, adjacencies: Tensor, table: np.ndarray,
-                classes: np.ndarray, cap: int, row_local: bool = False) -> Tensor:
+                classes: np.ndarray, cap: int, row_local: bool = False,
+                order: np.ndarray | None = None) -> Tensor:
     """Column f of the output is ``sum_{b,p} table[v, b, p] * c_{f,p}[b, a]``
     at row v of class ``a = classes[v]``, over p <= cap, with
     ``c_{f,p}[b, a] = s_{f,b}^T W_f^p s_{f,a}`` and ``s_f = rows_f @
@@ -275,10 +365,11 @@ def class_walks(rows: Tensor, shared: Tensor, adjacencies: Tensor, table: np.nda
     of the K rows ``shared``. ``table`` is the (n, K, cap + 1) walk weight of
     each class: ``table[v, b, p]`` sums the length-p anchor walks of v that
     end at a node of class b. ``rows`` and ``adjacencies`` stack the filters'
-    blocks of ``size`` rows. Constant features are the case K = 1.
+    blocks of ``size`` rows. Constant features are the case K = 1. Given
+    ``order``, the stable class order of the rows, ``table`` comes grouped
+    by class already, its row i the table of row ``order[i]``.
 
-    One product per class present, over that class's rows: ``@``, or with
-    ``row_local`` an ``np.einsum`` whose rows round alone as in any batch.
+    The forward is ``class_products`` and ``class_table_product``.
     The backward takes ``table^T g`` per class into dc, then runs back through
     v_p = W v_{p-1} (v_0 = s): dv_p = s dc_p + W^T dv_{p+1},
     dW = sum_p dv_p v_{p-1}^T, ds = dv_0 + sum_p v_p dc_p^T. At cap 0 W gets a
@@ -291,32 +382,19 @@ def class_walks(rows: Tensor, shared: Tensor, adjacencies: Tensor, table: np.nda
         raise ShapeError(f"class_walks: rows {rows.shape}, shared {shared.shape}, "
                          f"adjacencies {adjacencies.shape}, table {table.shape}, "
                          f"classes {classes.shape}, cap {cap} do not fit")
-    # v_p = W^p s per filter block, s = r shared^T, one np.matmul over the
-    # blocks each, and c_p = s^T v_p
+    if order is None:
+        order = np.argsort(classes, kind="stable")
+        table = table[order]
     w = adjacencies.values.reshape(-1, size, size)
-    v = [np.matmul(rows.values.reshape(-1, size, dim), shared.values.T)]
-    for _ in range(cap):
-        v.append(np.matmul(w, v[-1]))
-    s_t = v[0].transpose(0, 2, 1)
-    num_filters, steps = w.shape[0], cap + 1
-    c = np.stack([np.matmul(s_t, vp) for vp in v], axis=3)
-    # coef[a] is class a's (K·steps, F) matrix, row b·steps + p
-    coef = np.ascontiguousarray(c.transpose(2, 1, 3, 0)).reshape(k, k * steps, num_filters)
-    # the table's rows sorted by class, each class's rows one slice
-    order = np.argsort(classes, kind="stable")
-    flat = table.reshape(n, k * steps)[order]
-    counts = np.bincount(classes, minlength=k)
-    ends = np.cumsum(counts)
-    groups = [(a, slice(ends[a] - counts[a], ends[a])) for a in np.flatnonzero(counts)]
-    out = np.empty((n, num_filters))
-    for a, part in groups:
-        out[order[part]] = _row_local_product(flat[part], coef[a]) if row_local \
-            else flat[part] @ coef[a]
+    v, coef = class_products(rows.values, shared.values, w, cap)
+    out = class_table_product(table, classes, order, coef, row_local)
 
     def backward(g):
+        num_filters, steps = w.shape[0], cap + 1
+        flat = table.reshape(n, k * steps)
         dcoef = np.zeros(coef.shape)
         g = g[order]
-        for a, part in groups:
+        for a, part in _class_parts(classes, k):
             dcoef[a] = flat[part].T @ g[part]
         # dc[f, b, a, p]
         dc = dcoef.reshape(k, k, steps, num_filters).transpose(3, 1, 0, 2)
@@ -418,7 +496,9 @@ def backward(output: Tensor) -> None:
 
 @dataclass
 class AdamState:
-    """Adam moments plus hyperparameters; one slot per parameter tensor."""
+    """Adam moments plus hyperparameters over one flat buffer of every
+    parameter: ``adam_init`` makes each parameter's ``values`` a view of its
+    slice of ``flat``, and ``m`` and ``v`` are laid out as ``flat`` is."""
 
     lr: float = 0.01
     beta1: float = 0.9
@@ -426,38 +506,53 @@ class AdamState:
     eps: float = 1e-8
     weight_decay: float = 0.0
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    flat: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    views: list = field(default_factory=list)
 
 
 def adam_init(params: list[Tensor], lr: float = 0.01, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0) -> AdamState:
+    """Adam state for ``params``, whose values move into the state's flat
+    buffer: each ``p.values`` becomes a view of it, with the same values."""
     state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay)
-    state.m = [np.zeros_like(p.values) for p in params]
-    state.v = [np.zeros_like(p.values) for p in params]
+    state.flat = np.concatenate([np.zeros(0)] + [p.values.ravel() for p in params])
+    state.m = np.zeros_like(state.flat)
+    state.v = np.zeros_like(state.flat)
+    lo = 0
+    for p in params:
+        p.values = state.flat[lo:lo + p.values.size].reshape(p.values.shape)
+        state.views.append(p.values)
+        lo += p.values.size
     return state
 
 
 def adam_step(params: list[Tensor], state: AdamState) -> None:
-    """One Adam update (classic L2 weight decay added to the gradient).
+    """One Adam update (classic L2 weight decay added to the gradient), one
+    array operation per step of the rule over the flat buffer; elementwise,
+    so each entry rounds as in a loop over the tensors.
 
     Parameters are updated in place and their grads are zeroed.
     """
-    if len(state.m) != len(params):
-        raise OptimizerStateError("state does not match the parameter list")
+    if len(state.views) != len(params) \
+            or any(p.values is not view for p, view in zip(params, state.views)):
+        raise OptimizerStateError("state does not match the parameter list; run adam_init "
+                                  "again after replacing parameter values")
     for p in params:
         if p.grad is None:
             raise OptimizerStateError("parameter has no gradient; run backward first")
     state.step += 1
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step
-    for i, p in enumerate(params):
-        g = p.grad + state.weight_decay * p.values
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        p.values = p.values - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    g = np.concatenate([np.zeros(0)] + [p.grad.ravel() for p in params]) \
+        + state.weight_decay * state.flat
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
+    m_hat = state.m / bc1
+    v_hat = state.v / bc2
+    state.flat -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    for p in params:
         p.grad = None
 
 

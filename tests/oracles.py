@@ -30,6 +30,13 @@ block-diagonal ops it needs are private copies here.
 ``walk_inputs_per_batch`` is the graph side of a training batch built from
 the batch's own stacks, which ``kernel.SplitWalks`` takes from the split's.
 
+The chains of autograd nodes that ``numkit``'s fused ops replace are
+references too: ``symmetric_adjacency_chain``, ``negative_entropy_chain``
+and ``batch_norm_chain``, built from the elementwise ops the package no
+longer uses (``log``, ``sqrt``, ``sigmoid``, ``clip_min``, ``tsum``,
+``gather_rows``, ``block_transpose``), and ``adam_per_tensor``, the Adam
+loop over the tensors that ``numkit.adam_step``'s flat buffer replaces.
+
 The module also holds what only the tests use: the central-difference
 gradient check and the ``exp`` op it is run on, the one-call
 ``explain_graph``, the ``AnchorError`` that ``anchored_rw_kernel`` raises
@@ -87,6 +94,113 @@ def exp(a: nk.Tensor) -> nk.Tensor:
 
 def transpose(a: nk.Tensor) -> nk.Tensor:
     return nk._op(a.values.T, (a,), lambda g: (g.T,))
+
+
+def log(a: nk.Tensor) -> nk.Tensor:
+    return nk._op(np.log(a.values), (a,), lambda g: (g / a.values,))
+
+
+def sqrt(a: nk.Tensor) -> nk.Tensor:
+    out_values = np.sqrt(a.values)
+    return nk._op(out_values, (a,), lambda g: (g * 0.5 / out_values,))
+
+
+def sigmoid(a: nk.Tensor) -> nk.Tensor:
+    out_values = 1.0 / (1.0 + np.exp(-a.values))
+    return nk._op(out_values, (a,), lambda g: (g * out_values * (1.0 - out_values),))
+
+
+def clip_min(a: nk.Tensor, lo: float) -> nk.Tensor:
+    """Elementwise max(a, lo); gradient passes only where a > lo."""
+    mask = a.values > lo
+    return nk._op(np.maximum(a.values, lo), (a,), lambda g: (g * mask,))
+
+
+def tsum(a: nk.Tensor, axis: int | None = None) -> nk.Tensor:
+    """Sum to (1, 1) when axis is None, else keepdims sum along the axis."""
+    if axis is None:
+        values = a.values.sum().reshape(1, 1)
+        return nk._op(values, (a,), lambda g: (np.broadcast_to(g, a.shape),))
+    values = a.values.sum(axis=axis, keepdims=True)
+    return nk._op(values, (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
+
+
+def gather_rows(a: nk.Tensor, idx: np.ndarray) -> nk.Tensor:
+    """Select rows by index (duplicates allowed); backward scatter-adds."""
+    idx = np.asarray(idx, dtype=np.int64)
+    return nk._op(a.values[idx], (a,), lambda g: (nk._scatter_rows(g, idx, a.shape[0]),))
+
+
+def block_transpose(a: nk.Tensor) -> nk.Tensor:
+    """Transpose every square block of a stack of them: ``a`` is
+    [F·size, size], and rows f·size to f·size + size - 1 hold block f. The
+    backward is the same block transpose."""
+    size = a.shape[1]
+    if a.shape[0] % size:
+        raise ShapeError(f"block_transpose needs a stack of square blocks, got {a.shape}")
+
+    def flip(x):
+        return x.reshape(-1, size, size).transpose(0, 2, 1).reshape(x.shape)
+
+    return nk._op(flip(a.values), (a,), lambda g: (flip(g),))
+
+
+def symmetric_adjacency_chain(logits: nk.Tensor) -> nk.Tensor:
+    """``numkit.symmetric_adjacency`` as the chain of autograd nodes that
+    ``FilterBank.effective_adjacency`` ran: sigmoid, block transpose, add,
+    ×0.5 and the off-diagonal mask."""
+    size = logits.shape[1]
+    squashed = sigmoid(logits)
+    sym = (squashed + block_transpose(squashed)) * nk.Tensor(np.full((1, 1), 0.5))
+    return sym * nk.Tensor(np.tile(np.ones((size, size)) - np.eye(size),
+                                   (logits.shape[0] // size, 1)))
+
+
+def negative_entropy_chain(r: nk.Tensor, seg: np.ndarray, num_segments: int, eps: float,
+                           norm_scope: str = "global", row_local: bool = False):
+    """``numkit.negative_entropy`` as the chain of autograd nodes that
+    negative-entropy aggregation ran: (z, contribution values)."""
+    clamped = clip_min(r, eps)
+    col_sums = nk.segment_sum_rows(clamped * clamped, seg, num_segments)
+    if norm_scope == "per_column":
+        norm = sqrt(col_sums)
+    elif row_local:
+        norm = sqrt(tsum(col_sums, axis=1))
+    else:
+        norm = sqrt(col_sums @ nk.Tensor(np.ones((r.shape[1], 1))))
+    q = clamped / gather_rows(norm, seg)
+    contrib = q * log(q)
+    return nk.segment_sum_rows(contrib, seg, num_segments), contrib.values.copy()
+
+
+def batch_norm_chain(z: nk.Tensor, gamma: nk.Tensor, beta: nk.Tensor, eps: float):
+    """``numkit.batch_norm`` as the chain of autograd nodes that the
+    predictor's training-mode batch norm ran: (output, batch mean, batch
+    variance)."""
+    inv = nk.Tensor(np.full((1, 1), 1.0 / z.shape[0]))
+    mean = tsum(z, axis=0) * inv
+    centered = z - mean
+    var = tsum(centered * centered, axis=0) * inv
+    normed = centered / sqrt(var + nk.Tensor(np.full((1, 1), eps)))
+    return normed * gamma + beta, mean.values, var.values
+
+
+def adam_per_tensor(params: list[nk.Tensor], moments: list, step: int, lr: float,
+                    weight_decay: float, beta1: float = 0.9, beta2: float = 0.999,
+                    eps: float = 1e-8) -> None:
+    """Adam update number ``step`` tensor by tensor, as ``numkit.adam_step``
+    looped before it took one flat buffer: ``moments`` holds an (m, v) pair
+    of arrays per parameter and is updated with the values."""
+    bc1 = 1.0 - beta1 ** step
+    bc2 = 1.0 - beta2 ** step
+    for i, p in enumerate(params):
+        m, v = moments[i]
+        g = p.grad + weight_decay * p.values
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        moments[i] = (m, v)
+        p.values = p.values - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        p.grad = None
 
 
 def finite_difference_check(f, params: list[nk.Tensor], eps: float = 1e-5) -> float:
@@ -207,7 +321,7 @@ class GraphFilter:
         return self.features.shape[0]
 
     def effective_adjacency(self) -> nk.Tensor:
-        squashed = nk.sigmoid(self.adjacency_logits)
+        squashed = sigmoid(self.adjacency_logits)
         sym = (squashed + transpose(squashed)) * nk.Tensor(np.full((1, 1), 0.5))
         mask = np.ones((self.size, self.size)) - np.eye(self.size)
         return sym * nk.Tensor(mask)
@@ -230,7 +344,7 @@ def _horner_chain(s: nk.Tensor, members: np.ndarray, walks: np.ndarray, times) -
     """``sum_p Y_p W^p`` by Horner's rule as a chain of autograd nodes: one
     gather of the member rows of ``s``, then per walk step p a group-weighted
     sum and ``y + times(h)``, ``times`` applying W."""
-    gathered = nk.gather_rows(s, members.reshape(-1))
+    gathered = gather_rows(s, members.reshape(-1))
     h = None
     for p in range(walks.shape[0] - 1, -1, -1):
         y = s if p == 0 else _group_weighted_sum(gathered, walks[p])
@@ -812,5 +926,5 @@ def anchored_rw_kernel(gv: Graph, filt, encoder, walk_cap: int | None = None) ->
     for _ in range(cap):
         m = nk.matmul(a, nk.matmul(m, w))
         acc = acc + m
-    anchor_row = nk.gather_rows(s * acc, np.array([0]))
-    return nk.tsum(anchor_row)
+    anchor_row = gather_rows(s * acc, np.array([0]))
+    return tsum(anchor_row)

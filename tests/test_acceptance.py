@@ -49,7 +49,7 @@ from xgkn.model import (
 from conftest import random_graph, stack_responses_of, with_label
 from oracles import GraphFilter, anchored_rw_kernel, bank_of, direct_product, filter_as_graph, \
     finite_difference_check, ged_bruteforce, node_pair_similarity, rw_kernel, \
-    walk_kernel_bruteforce
+    tsum, walk_kernel_bruteforce
 from test_explainer import make_model
 from test_metrics import duplicate_first_filter, score_matrix
 
@@ -297,7 +297,7 @@ class TestKernelProperties:
 
             def kernel_objective():
                 r = stack_responses_of(stack, bank, encoder)
-                return nk.tsum(r * r)
+                return tsum(r * r)
 
             worst = max(worst, finite_difference_check(kernel_objective, kernel_params))
 
@@ -308,7 +308,7 @@ class TestKernelProperties:
 
             def entropy_objective():
                 z, _, _ = _aggregate_tensor(resp, "negative_entropy", 1e-8, seg, 2)
-                return nk.tsum(z * weights)
+                return tsum(z * weights)
 
             worst = max(worst, finite_difference_check(entropy_objective, [resp]))
 

@@ -15,7 +15,7 @@ import xgkn.model
 from xgkn.cli import main
 from xgkn.data import generate_ba2motifs
 from xgkn.graphs import Rng
-from xgkn.kernel import WalkInputs, anchor_walks
+from xgkn.kernel import anchor_walks
 
 from oracles import walk_horner_responses, write_tu_dataset
 
@@ -189,6 +189,52 @@ class TestErrors:
         assert main(["report", "-c", str(config), "--compare", str(other)]) == 2
         err = capsys.readouterr().err
         assert str(other) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("override,key", [("out_dir.x=1", "out_dir"), ("seeds.x=1", "seeds"),
+                                              ("model.num_filters.x=2", "model.num_filters")])
+    def test_override_through_a_value_that_is_no_object_names_it(self, tmp_path, capsys,
+                                                                 override, key):
+        config = write_config(tmp_path, tmp_path / "out")
+        assert main(["prepare", "-c", str(config), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("top", ["[1, 2]", '"x"', "3"])
+    def test_config_that_is_no_object_is_usage_error_naming_it(self, tmp_path, capsys, top):
+        config = tmp_path / "config.json"
+        config.write_text(top)
+        assert main(["prepare", "-c", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and "JSON object" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["prepare", "train", "explain"])
+    def test_compare_refused_where_nothing_reads_it(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, tmp_path / "out")
+        assert main([command, "-c", str(config), "--compare", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "--compare" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content", [None, "not json", "[]", '{"metrics": 3}'])
+    def test_evaluate_reads_the_compare_report_before_any_work(self, pipeline, tmp_path,
+                                                                capsys, monkeypatch, content):
+        # a compare report that is missing, not JSON or no report is refused,
+        # naming it, before evaluate loads the prepared dataset
+        _, out_dir, config = pipeline
+        other = tmp_path / "other"
+        other.mkdir()
+        if content is not None:
+            (other / "report.json").write_text(content)
+        loads = []
+        monkeypatch.setattr(xgkn.cli, "load_prepared", lambda *args: loads.append(args))
+        report = (out_dir / "report.json").read_bytes()
+        capsys.readouterr()
+        assert main(["evaluate", "-c", str(config), "--compare", str(other)]) == 2
+        err = capsys.readouterr().err
+        assert str(other / "report.json") in err and "Traceback" not in err
+        assert loads == []
+        assert (out_dir / "report.json").read_bytes() == report
 
     def test_override_changes_dataset(self, tmp_path, capsys):
         out_dir = tmp_path / "run2"
@@ -570,24 +616,25 @@ def test_train_refuses_rows_that_are_not_one_hot(tmp_path, capsys, policy, row):
     assert not list(out_dir.glob("checkpoint_seed*.json"))
 
 
-def horner_inputs(stack, cap: int) -> WalkInputs:
-    """Walk inputs that carry, in place of the class table and the classes,
-    the arrays of a walk_horner route over every row of ``stack``, one entry
-    per row, so that a training batch gathers its rows: each member as an
-    offset from its own row (0 where the walk table never reaches it, which
-    adds nothing) and the walk table, rows first."""
+def horner_class_table(stack, cap: int):
+    """In place of each row's class and class table, class 0 and the arrays
+    of a walk_horner route, one entry per row, so that a training batch
+    gathers its rows: each member as an offset from its own row (0 where the
+    walk table never reaches it, which adds nothing) and the walk table,
+    side by side in one row."""
     walks = anchor_walks(stack.blocks, cap)
     rows = np.arange(stack.members.shape[0])[:, None]
-    return WalkInputs(stack.raw_features, cap,
-                      np.where(walks.any(axis=0), stack.members - rows, 0),
-                      walks.transpose(1, 0, 2))
+    offsets = np.where(walks.any(axis=0), stack.members - rows, 0)
+    return np.zeros(rows.size, dtype=np.int64), \
+        np.hstack([offsets, walks.transpose(1, 0, 2).reshape(rows.size, -1)])
 
 
-def horner_route_responses(inputs, bank, encoder, training=False):
-    """``oracles.walk_horner_responses`` of ``horner_inputs``' rows."""
-    members = inputs.table + np.arange(inputs.table.shape[0])[:, None]
-    return walk_horner_responses(inputs.raw_features, members,
-                                 np.ascontiguousarray(inputs.classes.transpose(1, 0, 2)),
+def horner_route_responses(inputs, bank, encoder, training=False, products=None):
+    """``oracles.walk_horner_responses`` of ``horner_class_table``'s rows."""
+    n, width = inputs.table.shape[0], inputs.table.shape[1] // (inputs.cap + 2)
+    members = inputs.table[:, :width].astype(np.int64) + np.arange(n)[:, None]
+    walks = inputs.table[:, width:].reshape(n, inputs.cap + 1, width).transpose(1, 0, 2)
+    return walk_horner_responses(inputs.raw_features, members, np.ascontiguousarray(walks),
                                  bank, encoder)
 
 
@@ -607,10 +654,10 @@ def test_class_route_leaves_metrics_and_selections_unchanged(tmp_path, monkeypat
     results = []
     for route in ("class", "walk_horner"):
         if route == "walk_horner":
-            # kernel.SplitWalks and model.forward bind walk_inputs by name,
-            # and model.py binds stack_responses, so each is patched there
-            monkeypatch.setattr(xgkn.kernel, "walk_inputs", horner_inputs)
-            monkeypatch.setattr(xgkn.model, "walk_inputs", horner_inputs)
+            # kernel.SplitWalks and kernel.walk_inputs take their tables
+            # from kernel._class_table, and model.py binds stack_responses
+            # by name, so each is patched there
+            monkeypatch.setattr(xgkn.kernel, "_class_table", horner_class_table)
             monkeypatch.setattr(xgkn.model, "stack_responses", horner_route_responses)
         (tmp_path / route).mkdir()
         out_dir = tmp_path / route / "out"

@@ -42,6 +42,7 @@ from oracles import (
     rw_kernel,
     stack_responses_per_filter,
     transpose,
+    tsum,
     walk_horner,
     walk_horner_per_step,
     walk_horner_responses,
@@ -324,7 +325,7 @@ class TestKernelResponses:
 
         def objective():
             r = stack_responses_of(stack, bank, enc)
-            return nk.tsum(r * r)
+            return tsum(r * r)
 
         assert finite_difference_check(objective, params) < 1e-4
 
@@ -348,7 +349,7 @@ class TestKernelResponses:
 
         def objective():
             r = stack_responses_of(stack, bank, enc)
-            return nk.tsum(r * r)
+            return tsum(r * r)
 
         assert finite_difference_check(objective, params) < 1e-4
 
@@ -534,13 +535,14 @@ def featured(g: Graph, kind: str, draws) -> Graph:
 def assert_batch_equals_own_stacks(split: SplitWalks, stacks, ids) -> None:
     """The split's batch ``ids`` has the walk inputs and row graphs, byte
     for byte, that its own stacks give, their class table summed by
-    ``np.bincount``."""
+    ``np.bincount`` and grouped by class in stable order."""
     got, seg = split.batch(ids)
-    cap = split.inputs.cap
+    cap = split.cap
     table, classes, raw, want_seg = walk_inputs_per_batch([stacks[i] for i in ids], cap)
+    order = np.argsort(classes, kind="stable")
     assert got.cap == cap
-    for a, b in zip((seg, got.raw_features, got.table, got.classes),
-                    (want_seg, raw, table, classes)):
+    for a, b in zip((seg, got.raw_features, got.table, got.classes, got.order),
+                    (want_seg, raw, table[order], classes, order)):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -625,7 +627,7 @@ class TestWalkHorner:
         for op in (walk_horner, walk_horner_per_step):
             zero_grad(s, w)
             h = op(s, w, members, walks)
-            nk.backward(nk.tsum(h * cotangent))
+            nk.backward(tsum(h * cotangent))
             # at cap 0 the composition never uses w and leaves it no gradient
             results.append((h.values, s.grad,
                             np.zeros(w.shape) if w.grad is None else w.grad))
@@ -640,7 +642,7 @@ class TestWalkHorner:
         assert members.shape[1] > 1
 
         def objective():
-            return nk.tsum(walk_horner(s, w, members, walks) * cotangent)
+            return tsum(walk_horner(s, w, members, walks) * cotangent)
 
         assert finite_difference_check(objective, [s, w]) < 1e-6
 
@@ -669,7 +671,7 @@ class TestWalkHorner:
                 bank = FilterBank.init(num_filters, 3, 4, rng.derive("gb", num_filters))
                 out = walk_horner_responses(stack.raw_features, stack.members, walks, bank,
                                             encoder)
-                counts.add(autograd_nodes(nk.tsum(out)))
+                counts.add(autograd_nodes(tsum(out)))
         assert len(counts) == 1
 
 
@@ -717,7 +719,7 @@ class TestClassWalksOneClass:
                    lambda: rank_one_walks_chain(rows, shared, adjacencies, table[:, 0], cap)):
             zero_grad(*leaves)
             out = op()
-            nk.backward(nk.tsum(out * cotangent))
+            nk.backward(tsum(out * cotangent))
             # at cap 0 the chain never uses W and leaves it no gradient
             results.append([out.values] + [np.zeros(leaf.shape) if leaf.grad is None
                                            else leaf.grad for leaf in leaves])
@@ -730,7 +732,7 @@ class TestClassWalksOneClass:
         rows, shared, adjacencies, cotangent, table = one_class_inputs(g, 2, 5, 3, 3, 2, 45)
 
         def objective():
-            return nk.tsum(one_class_walks(rows, shared, adjacencies, table, 2) * cotangent)
+            return tsum(one_class_walks(rows, shared, adjacencies, table, 2) * cotangent)
 
         assert finite_difference_check(objective, [rows, shared, adjacencies]) < 1e-6
 
@@ -738,7 +740,7 @@ class TestClassWalksOneClass:
         g = random_graph(5, 0.5, rng.derive(46))
         rows, shared, adjacencies, cotangent, table = one_class_inputs(g, 1, 4, 2, 3, 0, 47)
         out = one_class_walks(rows, shared, adjacencies, table, 0)
-        nk.backward(nk.tsum(out * cotangent))
+        nk.backward(tsum(out * cotangent))
         assert adjacencies.grad is not None and not adjacencies.grad.any()
         assert np.abs(shared.grad).max() > 0.0
 
@@ -816,7 +818,7 @@ class TestClassWalks:
                    lambda: horner_responses(rows, encoder, adjacencies, g, stack, walks)):
             zero_grad(*leaves)
             out = op()
-            nk.backward(nk.tsum(out * cotangent))
+            nk.backward(tsum(out * cotangent))
             results.append([out.values] + [leaf.grad for leaf in leaves])
         for got, want in zip(*results):
             assert got.shape == want.shape
@@ -845,7 +847,7 @@ class TestClassWalks:
         assert not table[:, 2].any()
 
         def objective():
-            return nk.tsum(class_walks_of(rows, encoder, adjacencies, g, table, 2) * cotangent)
+            return tsum(class_walks_of(rows, encoder, adjacencies, g, table, 2) * cotangent)
 
         assert finite_difference_check(
             objective, [rows, encoder.weight, adjacencies]) < 1e-6
@@ -855,7 +857,7 @@ class TestClassWalks:
         rows, encoder, adjacencies, cotangent, _, _, table = class_inputs(
             g, 1, 4, 2, 3, 0, 56)
         out = class_walks_of(rows, encoder, adjacencies, g, table, 0)
-        nk.backward(nk.tsum(out * cotangent))
+        nk.backward(tsum(out * cotangent))
         assert adjacencies.grad is not None and not adjacencies.grad.any()
         assert np.abs(encoder.weight.grad).max() > 0.0
 
@@ -914,11 +916,11 @@ class TestFilterBank:
             out = walk_horner_responses(stack.raw_features, stack.members, walks, bank, encoder)
         else:
             out = stack_responses_of(stack, bank, encoder, walk_cap)
-        nk.backward(nk.tsum(out * cotangent))
+        nk.backward(tsum(out * cotangent))
         got = [out.values, grad(encoder.weight)] + [grad(p) for p in bank.parameters()]
         zero_grad(encoder.weight)
         out = stack_responses_per_filter(stack, filters, encoder, walk_cap)
-        nk.backward(nk.tsum(out * cotangent))
+        nk.backward(tsum(out * cotangent))
         want = [out.values, grad(encoder.weight)] + [
             np.vstack([grad(p) for p in group])
             for group in ([f.adjacency_logits for f in filters], [f.features for f in filters])]

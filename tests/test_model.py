@@ -29,7 +29,15 @@ from xgkn.model import (
 )
 
 from conftest import cycle_graph, path_graph, random_graph, subgraphs_of, with_label
-from oracles import finite_difference_check, rank_one_walks_chain, segment_col_max_loop
+from oracles import (
+    batch_norm_chain,
+    finite_difference_check,
+    negative_entropy_chain,
+    rank_one_walks_chain,
+    segment_col_max_loop,
+    symmetric_adjacency_chain,
+    tsum,
+)
 
 
 def batch_forward(model, stacks, training):
@@ -111,7 +119,7 @@ class TestAggregate:
         upstream = rng.normal(size=(len(sizes), cols))
         r = nk.Tensor(values, requires_grad=True)
         z, contributions, argrow = _aggregate_tensor(r, "max", 1e-8, seg, len(sizes))
-        nk.backward(nk.tsum(z * nk.Tensor(upstream)))
+        nk.backward(tsum(z * nk.Tensor(upstream)))
         want = segment_col_max_loop(values, seg, len(sizes), upstream)
         for got, expected in zip((z.values, argrow, r.grad, contributions), want):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
@@ -208,16 +216,18 @@ def mixed_graphs(rng, count: int, onehot: bool) -> list[Graph]:
 
 @pytest.fixture
 def op_calls(monkeypatch):
-    """The rows of each call of ``numkit.class_walks``, the one walk op of
-    ``kernel.stack_responses``, in call order."""
+    """The rows of each call of ``numkit.class_table_product``, in call
+    order: one per ``numkit.class_walks`` call, the one walk op of
+    ``kernel.stack_responses``, and one per inference chunk handed the
+    filter side."""
     calls = []
-    class_walks = nk.class_walks
+    class_table_product = nk.class_table_product
 
     def counted(*args, **kwargs):
-        calls.append(args[4].shape[0])
-        return class_walks(*args, **kwargs)
+        calls.append(args[1].shape[0])
+        return class_table_product(*args, **kwargs)
 
-    monkeypatch.setattr(nk, "class_walks", counted)
+    monkeypatch.setattr(nk, "class_table_product", counted)
     return calls
 
 
@@ -444,6 +454,52 @@ class TestTrain:
         assert len(step_node_counts(graphs, 4 if onehot else 1)) == 1
         assert len(op_calls) == 4
 
+    @pytest.mark.parametrize("onehot", [False, True])
+    def test_a_step_of_the_bench_model_builds_18_nodes(self, rng, onehot):
+        # the walk op, one node each for the filter adjacency, the entropy
+        # aggregation and batch norm, the rows' normalization, the encoder's
+        # product and normalization, the layer's product and bias and the
+        # loss: 10 ops, the encoder's identity input and 7 leaves
+        graphs = mixed_graphs(rng, 24, onehot)
+        stacks = [build_subgraph_stack(g, 1, 5) for g in graphs]
+        config = ModelConfig(num_filters=8, filter_size=6, embed_dim=16, hop_radius=1,
+                             max_subgraph_size=5, agg_mode="negative_entropy")
+        model = init_model(config, 4 if onehot else 1, 2, Rng(0))
+        logits = batch_forward(model, stacks, training=True)[0]
+        assert autograd_nodes(nk.cross_entropy(logits, [g.label for g in graphs])) == 18
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("norm_scope", ["global", "per_column"])
+    def test_training_steps_equal_the_chains(self, rng, monkeypatch, depth, norm_scope):
+        # three Adam steps through the fused ops and through the chains of
+        # autograd nodes they replace: logits, every gradient, the running
+        # statistics and the parameters byte for byte
+        graphs = mixed_graphs(rng, 24, onehot=True)
+        stacks = [build_subgraph_stack(g, 1, 6) for g in graphs]
+        labels = np.array([g.label for g in graphs])
+        runs = []
+        for chains in (False, True):
+            if chains:
+                monkeypatch.setattr(nk, "symmetric_adjacency", symmetric_adjacency_chain)
+                monkeypatch.setattr(nk, "negative_entropy", negative_entropy_chain)
+                monkeypatch.setattr(nk, "batch_norm", batch_norm_chain)
+            model = small_model(feature_dim=4, num_filters=4, predictor_depth=depth,
+                                norm_scope=norm_scope)
+            params = model.parameters()
+            state = nk.adam_init(params, lr=0.05, weight_decay=1e-4)
+            seen = []
+            for step in range(3):
+                batch = slice(step % 2 * 12, step % 2 * 12 + 12)
+                logits = batch_forward(model, stacks[batch], training=True)[0]
+                nk.backward(nk.cross_entropy(logits, labels[batch]))
+                seen += [logits.values.copy()] + [p.grad.copy() for p in params]
+                nk.adam_step(params, state)
+            pred = model.predictor
+            runs.append(seen + [p.values.copy() for p in params]
+                        + [pred.running_mean, pred.running_var])
+        for got, want in zip(*runs):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_adam_gets_one_tensor_per_parameter_kind(self):
         # encoder weight, the bank's two tensors, gamma, beta, weight, bias
         assert len(small_model(num_filters=8).parameters()) == 7
@@ -459,8 +515,9 @@ class TestTrain:
         initial = [p.values for p in small_model(num_filters=4, filter_size=4).parameters()]
         class_walks, calls = nk.class_walks, []
 
-        def chain(rows, shared, adjacencies, table, classes, cap, row_local=False):
+        def chain(rows, shared, adjacencies, table, classes, cap, row_local=False, order=None):
             calls.append(table.shape[1])
+            assert np.array_equal(order, np.arange(len(classes)))
             return rank_one_walks_chain(rows, shared, adjacencies, table[:, 0], cap)
 
         finals = []

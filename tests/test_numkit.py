@@ -16,11 +16,22 @@ from xgkn import numkit as nk
 from xgkn.graphs import Rng
 
 from oracles import (
+    adam_per_tensor,
+    batch_norm_chain,
+    block_transpose,
+    clip_min,
     exp,
     finite_difference_check,
+    gather_rows,
     group_col_sums,
+    log,
+    negative_entropy_chain,
     segment_col_max_loop,
+    sigmoid,
     spearman_closed_form,
+    sqrt,
+    symmetric_adjacency_chain,
+    tsum,
 )
 
 
@@ -40,7 +51,7 @@ class TestScatterRows:
         assert summed.values.tobytes() == want.tobytes()
         # gather_rows's backward scatters the upstream rows by the same ids
         b = nk.Tensor(rng.normal(size=(num_segments, cols)), requires_grad=True)
-        nk.backward(nk.tsum(nk.mul(nk.gather_rows(b, seg), nk.Tensor(values))))
+        nk.backward(tsum(nk.mul(gather_rows(b, seg), nk.Tensor(values))))
         assert b.grad.tobytes() == want.tobytes()
 
 
@@ -48,7 +59,7 @@ class TestBackward:
     def test_linear_map_gradient_is_column_sums(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         x = nk.Tensor(np.ones((2, 1)), requires_grad=True)
-        out = nk.tsum(nk.Tensor(a) @ x)
+        out = tsum(nk.Tensor(a) @ x)
         nk.backward(out)
         assert np.allclose(x.grad.reshape(-1), a.sum(axis=0))
 
@@ -63,7 +74,7 @@ class TestBackward:
         b = nk.Tensor(rng.random((3, 3)) + 0.5, requires_grad=True)
 
         def f():
-            return nk.tsum(nk.log(a @ b))
+            return tsum(log(a @ b))
 
         assert finite_difference_check(f, [a, b]) < 1e-4
 
@@ -89,7 +100,7 @@ class TestBackward:
         # d/dx sum(exp(x)^2) = 2 exp(2x), twice over two backward calls
         x = nk.Tensor([[0.5, -1.0]], requires_grad=True)
         mid = exp(x)
-        out = nk.tsum(mid * mid)
+        out = tsum(mid * mid)
         nk.backward(out)
         nk.backward(out)
         assert mid.grad is None and out.grad is None
@@ -101,7 +112,7 @@ class TestBackward:
         x = nk.Tensor([[0.0]], requires_grad=True)
         stopped = nk._op(x.values.copy(), (x,), lambda g: (np.zeros((1, 1)),))
         with np.errstate(divide="ignore"), pytest.raises(NumericError):
-            nk.backward(nk.log(stopped))
+            nk.backward(log(stopped))
 
 
 class TestOpGradients:
@@ -112,16 +123,16 @@ class TestOpGradients:
 
     def test_div_broadcast(self):
         self.params_and_check(
-            lambda a, b: nk.tsum(nk.div(a, b)), [(3, 4), (3, 1)], seed=1)
+            lambda a, b: tsum(nk.div(a, b)), [(3, 4), (3, 1)], seed=1)
 
     def test_sigmoid_exp_sqrt(self):
         self.params_and_check(
-            lambda a: nk.tsum(nk.sqrt(exp(nk.sigmoid(a)))), [(2, 3)], seed=2)
+            lambda a: tsum(sqrt(exp(sigmoid(a)))), [(2, 3)], seed=2)
 
     def test_row_unit_normalize(self):
         weights = nk.Tensor(Rng(30).normal(size=(4, 3)))
         self.params_and_check(
-            lambda a: nk.tsum(nk.mul(nk.row_unit_normalize(a), weights)),
+            lambda a: tsum(nk.mul(nk.row_unit_normalize(a), weights)),
             [(4, 3)], seed=3)
 
     def test_row_unit_normalize_zero_row_guard(self):
@@ -129,24 +140,24 @@ class TestOpGradients:
         out = nk.row_unit_normalize(a)
         assert np.allclose(out.values[0], 0.0)
         assert np.allclose(out.values[1], [0.6, 0.8])
-        nk.backward(nk.tsum(out))
+        nk.backward(tsum(out))
         assert np.allclose(a.grad[0], 0.0)
 
     def test_gather_and_segment_sum(self):
         def build(a):
-            picked = nk.gather_rows(a, np.array([0, 2, 2]))
+            picked = gather_rows(a, np.array([0, 2, 2]))
             summed = nk.segment_sum_rows(picked, np.array([0, 0, 1]), 2)
-            return nk.tsum(nk.mul(summed, summed))
+            return tsum(nk.mul(summed, summed))
         self.params_and_check(build, [(3, 2)], seed=4)
 
     def test_block_transpose(self):
         a = nk.Tensor(np.arange(8.0).reshape(4, 2))
-        assert nk.block_transpose(a).values.tolist() == [[0, 2], [1, 3], [4, 6], [5, 7]]
+        assert block_transpose(a).values.tolist() == [[0, 2], [1, 3], [4, 6], [5, 7]]
         weights = nk.Tensor(Rng(31).normal(size=(6, 3)))
         self.params_and_check(
-            lambda a: nk.tsum(nk.mul(nk.block_transpose(a), weights)), [(6, 3)], seed=5)
+            lambda a: tsum(nk.mul(block_transpose(a), weights)), [(6, 3)], seed=5)
         with pytest.raises(ShapeError):
-            nk.block_transpose(nk.Tensor(np.ones((5, 2))))
+            block_transpose(nk.Tensor(np.ones((5, 2))))
 
     def test_group_col_sums(self):
         # the oracle op that walk_horner_responses sums each filter's columns by
@@ -154,13 +165,13 @@ class TestOpGradients:
         assert group_col_sums(a, 3).values.tolist() == [[3, 12], [21, 30]]
         weights = nk.Tensor(Rng(32).normal(size=(3, 2)))
         self.params_and_check(
-            lambda a: nk.tsum(nk.mul(group_col_sums(a, 2), weights)), [(3, 4)], seed=6)
+            lambda a: tsum(nk.mul(group_col_sums(a, 2), weights)), [(3, 4)], seed=6)
         with pytest.raises(ShapeError):
             group_col_sums(a, 4)
 
     def test_clip_min_blocks_gradient_below(self):
         a = nk.Tensor(np.array([[0.5, 2.0]]), requires_grad=True)
-        nk.backward(nk.tsum(nk.clip_min(a, 1.0)))
+        nk.backward(tsum(clip_min(a, 1.0)))
         assert np.allclose(a.grad, [[0.0, 1.0]])
 
     def test_cross_entropy_matches_finite_differences(self):
@@ -178,8 +189,110 @@ class TestOpGradients:
         out, argrow = nk.segment_col_max(a, np.array([0, 0, 1]), 2)
         assert np.allclose(out.values, [[3.0, 5.0], [0.0, 7.0]])
         assert argrow.tolist() == [[1, 0], [2, 2]]
-        nk.backward(nk.tsum(out))
+        nk.backward(tsum(out))
         assert np.allclose(a.grad, [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+
+
+def assert_bytes_equal(got, want) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def leaf(values) -> nk.Tensor:
+    return nk.Tensor(np.array(values, dtype=np.float64), requires_grad=True)
+
+
+def pull(out: nk.Tensor, upstream: np.ndarray) -> None:
+    """Backward from ``out`` under the cotangent ``upstream``."""
+    nk.backward(tsum(out * nk.Tensor(upstream)))
+
+
+class TestFusedOps:
+    """Each fused op against the chain of autograd nodes it replaces
+    (``tests/oracles.py``): forward values and every gradient byte for byte,
+    and the gradients against central differences."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    def test_symmetric_adjacency_equals_the_chain(self, num_filters, size, seed):
+        rng = Rng(seed)
+        logits = rng.normal(size=(num_filters * size, size)) * 10.0 ** rng.integers(-2, 2)
+        upstream = rng.normal(size=logits.shape)
+        got, want = leaf(logits), leaf(logits)
+        out, ref = nk.symmetric_adjacency(got), symmetric_adjacency_chain(want)
+        assert_bytes_equal(out.values, ref.values)
+        pull(out, upstream)
+        pull(ref, upstream)
+        assert_bytes_equal(got.grad, want.grad)
+
+    def test_symmetric_adjacency_gradients(self):
+        weights = nk.Tensor(Rng(40).normal(size=(6, 3)))
+        logits = leaf(Rng(41).normal(size=(6, 3)))
+        assert finite_difference_check(
+            lambda: tsum(nk.symmetric_adjacency(logits) * weights), [logits]) < 1e-6
+        with pytest.raises(ShapeError):
+            nk.symmetric_adjacency(leaf(np.ones((5, 2))))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=6), st.integers(1, 5),
+           st.sampled_from(["global", "per_column"]), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_negative_entropy_equals_the_chain(self, sizes, cols, norm_scope, row_local, seed):
+        # segments of one row occur, and about a quarter of the responses
+        # sit at or below eps (zeros, negatives), which the guard clamps
+        rng = Rng(seed)
+        seg = np.repeat(np.arange(len(sizes)), sizes)
+        values = rng.random((seg.size, cols)) * 10.0 ** rng.integers(-3, 3)
+        values[rng.random(values.shape) < 0.15] = 0.0
+        values[rng.random(values.shape) < 0.1] *= -1.0
+        upstream = rng.normal(size=(len(sizes), cols))
+        got, want = leaf(values), leaf(values)
+        z, contributions = nk.negative_entropy(got, seg, len(sizes), 1e-8, norm_scope, row_local)
+        ref, ref_contributions = negative_entropy_chain(want, seg, len(sizes), 1e-8,
+                                                        norm_scope, row_local)
+        assert_bytes_equal(z.values, ref.values)
+        assert_bytes_equal(contributions, ref_contributions)
+        pull(z, upstream)
+        pull(ref, upstream)
+        assert_bytes_equal(got.grad, want.grad)
+
+    @pytest.mark.parametrize("norm_scope", ["global", "per_column"])
+    @pytest.mark.parametrize("row_local", [False, True])
+    def test_negative_entropy_gradients(self, norm_scope, row_local):
+        seg = np.array([0, 0, 0, 1, 2, 2])
+        r = leaf(Rng(42).random((6, 3)) + 0.1)
+        weights = nk.Tensor(Rng(43).normal(size=(3, 3)))
+        assert finite_difference_check(lambda: tsum(nk.negative_entropy(
+            r, seg, 3, 1e-8, norm_scope, row_local)[0] * weights), [r]) < 1e-5
+
+    def test_negative_entropy_guard_blocks_the_gradient(self):
+        # responses at or below eps are clamped and get no gradient
+        r = leaf([[0.0, 2.0], [-1.0, 1.0], [3.0, 1e-9]])
+        nk.backward(tsum(nk.negative_entropy(r, np.zeros(3, np.int64), 1, 1e-8)[0]))
+        assert (r.grad[[0, 1, 2], [0, 0, 1]] == 0.0).all()
+        assert (r.grad[[0, 1, 2], [1, 1, 0]] != 0.0).all()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.integers(1, 40), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    def test_batch_norm_equals_the_chain(self, rows, cols, seed):
+        rng = Rng(seed)
+        z = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-3, 3) + rng.normal(size=(1, cols))
+        gamma, beta = rng.normal(size=(1, cols)), rng.normal(size=(1, cols))
+        upstream = rng.normal(size=(rows, cols))
+        got, want = [leaf(z), leaf(gamma), leaf(beta)], [leaf(z), leaf(gamma), leaf(beta)]
+        out, mean, var = nk.batch_norm(*got, 1e-5)
+        ref, ref_mean, ref_var = batch_norm_chain(*want, 1e-5)
+        for a, b in ((out.values, ref.values), (mean, ref_mean), (var, ref_var)):
+            assert_bytes_equal(a, b)
+        pull(out, upstream)
+        pull(ref, upstream)
+        for a, b in zip(got, want):
+            assert_bytes_equal(a.grad, b.grad)
+
+    def test_batch_norm_gradients(self):
+        params = [leaf(Rng(44).normal(size=s)) for s in ((7, 3), (1, 3), (1, 3))]
+        weights = nk.Tensor(Rng(45).normal(size=(7, 3)))
+        assert finite_difference_check(
+            lambda: tsum(nk.batch_norm(*params, 1e-5)[0] * weights), params) < 1e-5
 
 
 class TestSegmentColMax:
@@ -198,7 +311,7 @@ class TestSegmentColMax:
         a = nk.Tensor(values, requires_grad=True)
         out, argrow = nk.segment_col_max(a, seg, num_segments)
         with np.errstate(invalid="ignore"):  # the loss sums -inf maxima of both signs
-            nk.backward(nk.tsum(out * nk.Tensor(upstream)))
+            nk.backward(tsum(out * nk.Tensor(upstream)))
         maxima, want_rows, grad, _ = segment_col_max_loop(values, seg, num_segments, upstream)
         for got, want in ((out.values, maxima), (argrow, want_rows), (a.grad, grad)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -233,7 +346,7 @@ class TestRowMatmul:
         params = [nk.Tensor(Rng(33).normal(size=s), requires_grad=True)
                   for s in ((4, 3), (3, 2))]
         assert finite_difference_check(
-            lambda: nk.tsum(nk.mul(nk.row_matmul(*params), weights)), params) < 1e-4
+            lambda: tsum(nk.mul(nk.row_matmul(*params), weights)), params) < 1e-4
 
     def test_mismatch_rejected(self):
         with pytest.raises(ShapeError):
@@ -287,6 +400,36 @@ class TestAdam:
         p.grad = np.array([[1.0]])
         nk.adam_step([p], state)
         assert p.grad is None
+
+    def test_flat_buffer_equals_the_per_tensor_loop(self):
+        # five steps over tensors of several shapes, gradients over seven
+        # decades, against the loop over the tensors that the flat buffer
+        # replaces
+        rng = Rng(46)
+        shapes = ((3, 4), (1, 4), (5, 2), (1, 1))
+        start = [rng.normal(size=s) for s in shapes]
+        flat, looped = [leaf(v) for v in start], [leaf(v) for v in start]
+        state = nk.adam_init(flat, lr=0.05, weight_decay=1e-3)
+        assert all(p.values.base is state.flat for p in flat)
+        moments = [(np.zeros(s), np.zeros(s)) for s in shapes]
+        for step in range(1, 6):
+            for p, q in zip(flat, looped):
+                p.grad = rng.normal(size=p.shape) * 10.0 ** rng.integers(-4, 3)
+                q.grad = p.grad.copy()
+            nk.adam_step(flat, state)
+            adam_per_tensor(looped, moments, step, lr=0.05, weight_decay=1e-3)
+            for p, q in zip(flat, looped):
+                assert_bytes_equal(p.values, q.values)
+                assert p.grad is None
+        assert_bytes_equal(state.m, np.concatenate([m.ravel() for m, _ in moments]))
+
+    def test_replaced_values_are_refused(self):
+        p = nk.Tensor([[1.0, 2.0]], requires_grad=True)
+        state = nk.adam_init([p])
+        p.values = np.array([[3.0, 4.0]])
+        p.grad = np.ones((1, 2))
+        with pytest.raises(OptimizerStateError, match="adam_init"):
+            nk.adam_step([p], state)
 
 
 class TestSoftmax:
