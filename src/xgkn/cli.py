@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
-import dataclasses
 import hashlib
 import json
 import os
@@ -57,6 +56,7 @@ from .model import (
     model_to_dict,
     train,
 )
+from .record import fields, replace
 
 OUT_ROOT_ENV = "XGKN_OUT_ROOT"
 
@@ -103,7 +103,7 @@ def merge_config(user: dict) -> dict:
     return merged
 
 
-# The JSON values each annotation of a config dataclass field admits.
+# The JSON values each annotation of a config record field admits.
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "None": (type(None),)}
 
 
@@ -112,28 +112,28 @@ def _check_section(config: dict, section: str, cls) -> None:
     field annotations of ``cls``; a bool is not an int) or one that ``cls``
     itself refuses. Each check of ``cls`` names its field first."""
     values = config[section]
-    for f in dataclasses.fields(cls):
-        if f.name in values:
-            allowed = tuple(t for name in f.type.split(" | ") for t in _JSON_TYPES[name])
-            if type(values[f.name]) not in allowed:
-                raise ValueError(f"config key '{section}.{f.name}' must be {f.type}, "
-                                 f"got {values[f.name]!r}")
+    for key, annotation in fields(cls).items():
+        if key in values:
+            allowed = tuple(t for name in annotation.split(" | ") for t in _JSON_TYPES[name])
+            if type(values[key]) not in allowed:
+                raise ValueError(f"config key '{section}.{key}' must be {annotation}, "
+                                 f"got {values[key]!r}")
     try:
         cls(**values)
     except ValueError as err:
         raise ValueError(f"config key '{section}.{str(err).split()[0]}': {err}") from None
 
 
-def validate_config(config: dict) -> None:
+def validate_config(config: dict, user: dict) -> None:
     """Refuse a merged config with a key no command reads, a value of the
     wrong type or out of range, a dataset setting that does nothing, or a
     seed list or threshold setting no command can run, before any stage
     runs; the ValueError names the key.
     ``train.seed`` is refused too: each model trains under its entry in
-    ``seeds``."""
-    def fields(cls) -> set:
-        return {f.name for f in dataclasses.fields(cls)}
-    known = {"model": fields(ModelConfig), "train": fields(TrainConfig) - {"seed"},
+    ``seeds``. ``user``, the config as written with its overrides applied,
+    tells a set key from a default: a ``tu`` dataset, which generates
+    nothing, refuses a set ``dataset.n_graphs`` or ``dataset.seed``."""
+    known = {"model": fields(ModelConfig), "train": fields(TrainConfig).keys() - {"seed"},
              "aim": fields(AimConfig)}
     for key, value in config.items():
         if key not in DEFAULT_CONFIG:
@@ -170,6 +170,11 @@ def validate_config(config: dict) -> None:
         if kind != "tu" and dataset[name] is not None:
             raise ValueError(f"config key 'dataset.{name}' must be null for a generated {kind} "
                              f"dataset, which reads no files, got {dataset[name]!r}")
+    own = user.get("dataset", {})
+    for name in ("n_graphs", "seed"):
+        if kind == "tu" and name in own:
+            raise ValueError(f"config key 'dataset.{name}' must be left unset for a tu "
+                             f"dataset, which reads its graphs from files, got {own[name]!r}")
     if dataset["degree_cap"] is not None and policy != "degree_onehot":
         raise ValueError(f"config key 'dataset.degree_cap' must be null unless "
                          f"dataset.feature_policy is 'degree_onehot', got "
@@ -383,7 +388,7 @@ def _load_model(out_dir: Path, seed: int, expected_hash: str):
 def _aim_config(config: dict, ds: Dataset) -> AimConfig:
     """The aim config with ``delta_edge_add`` resolved on the whole dataset."""
     cfg = AimConfig(**config["aim"])
-    return dataclasses.replace(cfg, delta_edge_add=cfg.resolve_edge_add(ds))
+    return replace(cfg, delta_edge_add=cfg.resolve_edge_add(ds))
 
 
 def cmd_explain(config: dict) -> int:
@@ -708,11 +713,11 @@ def main(argv=None) -> int:
               f"not a {type(user_config).__name__}", file=sys.stderr)
         return 2
     try:
+        user_config = _apply_overrides(user_config, args.set)
         config = merge_config(user_config)
-        config = _apply_overrides(config, args.set)
         if args.out:
             config["out_dir"] = args.out
-        validate_config(config)
+        validate_config(config, user_config)
         if args.command == "prepare":
             return cmd_prepare(config)
         if args.command == "train":

@@ -8,17 +8,16 @@ policies, ground-truth sidecar files and deterministic stratified splits.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CapacityError, DatasetFormatError, SplitError
 from .graphs import Graph, NodeSet, Rng
 from .kernel import MAX_BLOCK_ENTRIES
+from .record import Record, replace
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     graphs: tuple[Graph, ...]
     num_classes: int
     feature_policy: str = "constant"
@@ -58,8 +57,7 @@ class Dataset:
         return float(np.mean([g.density() for g in self.graphs]))
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(Record):
     train_ids: tuple[int, ...]
     test_ids: tuple[int, ...]
     fold: int

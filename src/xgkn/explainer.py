@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,12 +22,12 @@ from .errors import CapacityError, ShapeError
 from .graphs import Graph, NodeSet, Rng
 from .model import ForwardPass, Predictor, XgknModel, forward_batch
 from .numkit import Tensor, softmax
+from .record import Record
 
 MAX_EXACT_PLAYERS = 20
 
 
-@dataclass(frozen=True)
-class Attribution:
+class Attribution(Record):
     """Per-concept Shapley attributions of a batch of predictions: row i of
     ``phi`` (and entry i of the other fields) belongs to prediction i."""
 
@@ -43,8 +42,7 @@ class Attribution:
         return float(gaps.max(initial=0.0))
 
 
-@dataclass(frozen=True)
-class Explanation:
+class Explanation(Record):
     """Importance map plus the thresholded node selection for one input."""
 
     importance: np.ndarray
@@ -225,8 +223,7 @@ def threshold_explanation(g: Graph, importance: np.ndarray, p: float) -> Explana
 DEFAULT_THRESHOLD_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
-@dataclass(frozen=True)
-class ThresholdSelection:
+class ThresholdSelection(Record):
     p: float
     criterion: str
     scores: dict

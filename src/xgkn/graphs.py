@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .errors import (
     IncompatibleSetsError,
     InvalidNodeError,
 )
+from .record import Record
 
 
 def _key_to_int(key) -> int:
@@ -77,8 +77,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Undirected graph with dense adjacency and per-node features.
 
     ``anchor`` is the position (not id) of the anchor node when the graph is a
@@ -172,8 +171,7 @@ class Graph:
         return out
 
 
-@dataclass(frozen=True)
-class NodeSet:
+class NodeSet(Record):
     """Sorted, duplicate-free node ids referencing one root graph.
 
     ``root`` is an opaque tag (dataset graph index in practice); two sets with

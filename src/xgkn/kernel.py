@@ -14,14 +14,13 @@ product graph nor any power of it is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from . import numkit as nk
 from .errors import CapacityError, FeatureRowError, ShapeError
 from .graphs import Graph, Rng
 from .numkit import Tensor
+from .record import Record, replace
 
 
 class FeatureEncoder:
@@ -101,8 +100,7 @@ class FilterBank:
 MAX_BLOCK_ENTRIES = 1 << 24
 
 
-@dataclass(frozen=True)
-class SubgraphStack:
+class SubgraphStack(Record):
     """The k-hop neighbourhoods of every node of a graph, or of a batch of
     graphs. Row v of ``members`` lists the nodes of v's neighbourhood, anchor
     first, as rows of ``raw_features``; ``blocks[v]`` is their induced
@@ -114,8 +112,7 @@ class SubgraphStack:
     num_nodes: int
 
 
-@dataclass(frozen=True)
-class Subgraphs:
+class Subgraphs(Record):
     """Induced subgraphs of parent graphs, never built as graphs: subgraph i
     keeps the positions ``positions[bounds[i]:bounds[i + 1]]`` of parent
     ``parent_of[i]``, in that order. The parents' flattened adjacencies (and
@@ -282,8 +279,7 @@ def _classes(raw: np.ndarray) -> np.ndarray:
     return np.argmax(raw, axis=1)
 
 
-@dataclass(frozen=True)
-class WalkInputs:
+class WalkInputs(Record):
     """The graph side of the kernel responses of a batch of node rows: their
     raw one-hot features, the walk cap, each row's class, and the class
     table grouped by class: ``order`` is the stable class order of the rows,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .graphs import (
 from .kernel import Subgraphs
 from .model import XgknModel, forward_batch, perturb_filters
 from .numkit import spearman_abs, welch_ttest
+from .record import Record, replace
 
 AIM_METRIC_ORDER = ("A1", "A2", "I1", "I2", "I3", "I4", "I5", "M1", "M2", "M3")
 
@@ -47,8 +47,7 @@ REPORT_NOTES = (
 )
 
 
-@dataclass(frozen=True)
-class AimConfig:
+class AimConfig(Record):
     """Perturbation and sampling knobs for the metric suite."""
 
     samples_per_graph: int = 10
@@ -82,8 +81,7 @@ class AimConfig:
         return self.edge_add_scale * ds.average_density()
 
 
-@dataclass(frozen=True)
-class MetricResult:
+class MetricResult(Record):
     name: str
     value: float
     n_used: int
@@ -377,8 +375,7 @@ def metric_redundancy(streams: np.ndarray) -> MetricResult:
 # ---------------------------------------------------------------------------
 # aggregation
 
-@dataclass(frozen=True)
-class MetricSummary:
+class MetricSummary(Record):
     mean: float
     std: float
     values: tuple[float, ...]
@@ -393,8 +390,7 @@ class MetricSummary:
                              n_samples=n_samples)
 
 
-@dataclass(frozen=True)
-class AimReport:
+class AimReport(Record):
     metrics: dict
     config: dict
     notes: tuple[str, ...]

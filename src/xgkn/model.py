@@ -9,8 +9,6 @@ and ``max`` (column max with the attaining row recorded).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import numkit as nk
@@ -30,12 +28,12 @@ from .kernel import (
     walk_inputs,
 )
 from .numkit import Tensor
+from .record import Record
 
 AGG_MODES = ("sum", "negative_entropy", "max")
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Record):
     num_filters: int = 4
     filter_size: int = 6
     embed_dim: int = 16
@@ -65,8 +63,7 @@ class ModelConfig:
             raise ValueError("predictor_depth must be 1 or 2")
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Record):
     epochs: int = 300
     lr: float = 0.01
     weight_decay: float = 1e-4
@@ -135,8 +132,7 @@ class Predictor:
         return params
 
 
-@dataclass(frozen=True)
-class ForwardPass:
+class ForwardPass(Record):
     """What the explainer and the metrics read from an inference pass over a
     batch of graphs. Row i of ``z`` and ``logits`` is graph i; the responses
     ``R`` and ``contributions`` hold the graphs' node rows in order, graph i's

@@ -8,7 +8,6 @@ Everything is float64 and strictly two-dimensional; scalars are (1, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .errors import (
     ShapeError,
     StatisticsError,
 )
+from .record import Record
 
 
 class Tensor:
@@ -494,22 +494,18 @@ def backward(output: Tensor) -> None:
                 grads[key] = pg
 
 
-@dataclass
 class AdamState:
     """Adam moments plus hyperparameters over one flat buffer of every
     parameter: ``adam_init`` makes each parameter's ``values`` a view of its
     slice of ``flat``, and ``m`` and ``v`` are laid out as ``flat`` is."""
 
-    lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    step: int = 0
-    flat: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    views: list = field(default_factory=list)
+    def __init__(self, lr: float = 0.01, beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8, weight_decay: float = 0.0):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.weight_decay = weight_decay
+        self.step = 0
+        self.flat, self.m, self.v = np.zeros(0), np.zeros(0), np.zeros(0)
+        self.views: list = []
 
 
 def adam_init(params: list[Tensor], lr: float = 0.01, beta1: float = 0.9,
@@ -601,8 +597,7 @@ def spearman_abs(x, y) -> float:
     return abs(float(dx @ dy) / math.sqrt(sx * sy))
 
 
-@dataclass(frozen=True)
-class TTestResult:
+class TTestResult(Record):
     t: float
     df: float
     p_value: float

@@ -1,5 +1,4 @@
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from xgkn.graphs import Graph, NodeSet, Rng, induced_subgraph
 from xgkn.kernel import Subgraphs, stack_responses, walk_inputs
+from xgkn.record import replace
 
 
 def path_graph(n: int, features=None) -> Graph:

@@ -1,5 +1,4 @@
 import ctypes
-import dataclasses
 import json
 import os
 import subprocess
@@ -16,6 +15,7 @@ from xgkn.cli import main
 from xgkn.data import generate_ba2motifs
 from xgkn.graphs import Rng
 from xgkn.kernel import anchor_walks
+from xgkn.record import replace
 
 from oracles import walk_horner_responses, write_tu_dataset
 
@@ -264,7 +264,7 @@ BAD_CONFIGS = [
 
 
 # Values refused before any stage runs. Before validate_config built the
-# config dataclasses, the first two ended train in a TypeError traceback, the
+# config records, the first two ended train in a TypeError traceback, the
 # next two passed prepare, samples_per_graph=0 passed prepare and train, and
 # test_fraction=1.5 exited 1.
 BAD_VALUES = [
@@ -400,6 +400,33 @@ class TestConfigValidation:
         assert f"'dataset.{key}'" in err and kind in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("route", ["file", "set"])
+    @pytest.mark.parametrize("key,value", [("n_graphs", 8), ("seed", 3)])
+    def test_generator_keys_on_tu_data_refused(self, tmp_path, capsys, route, key, value):
+        # a tu dataset is read from files, not generated; prepare used to
+        # ignore these keys and exit 0, whether the file or --set set them
+        write_tu_dataset(generate_ba2motifs(4, Rng(0)), str(tmp_path / "tu"), "X")
+        dataset = {"kind": "tu", "path": str(tmp_path / "tu"), "name": "X"}
+        config = write_config(tmp_path, tmp_path / "out", extra={
+            "dataset": {**dataset, key: value} if route == "file" else dataset})
+        argv = ["prepare", "-c", str(config)]
+        if route == "set":
+            argv += ["--set", f"dataset.{key}={value}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"'dataset.{key}'" in err and "tu" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_section_override_keeps_the_defaults_it_leaves_out(self, tmp_path, capsys):
+        # --set used to replace the merged section, defaults included, so
+        # split={} ended prepare in a KeyError traceback
+        out_dir = tmp_path / "out"
+        config = write_config(tmp_path, out_dir)
+        assert main(["prepare", "-c", str(config), "--set", "split={}"]) == 0
+        stored = json.loads((out_dir / "config.json").read_text())["config"]
+        assert stored["split"] == xgkn.cli.DEFAULT_CONFIG["split"]
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_degree_cap_with_degree_onehot_accepted(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -539,7 +566,7 @@ def test_labelled_tu_pipeline_with_sidecar_masks(tmp_path, capsys):
     # node labels give non-uniform one-hot features, so training and
     # inference take the class-walk path, and the sidecar masks select by a1
     ds = generate_ba2motifs(16, Rng(3))
-    ds = dataclasses.replace(ds, graphs=tuple(
+    ds = replace(ds, graphs=tuple(
         g.with_features(np.eye(3)[np.minimum(g.degrees(), 3) - 1]) for g in ds.graphs))
     write_tu_dataset(ds, str(tmp_path / "tu"), "LAB")
     sidecar = tmp_path / "masks.txt"

@@ -1,5 +1,4 @@
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,7 @@ from xgkn.data import (
 from xgkn.errors import CapacityError, DatasetFormatError, SplitError
 from xgkn.graphs import Graph, Rng, induced_subgraph
 from xgkn.kernel import MAX_BLOCK_ENTRIES
+from xgkn.record import replace
 
 from conftest import path_graph, star_graph, with_label
 from oracles import bfs_hop_distances, is_isomorphic_bruteforce, write_tu_dataset
