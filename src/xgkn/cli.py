@@ -22,7 +22,7 @@ import numpy as np
 
 from . import data as data_mod
 from .data import Dataset, apply_feature_policy, load_ground_truth_masks, stratified_split
-from .errors import AlignmentError, TrainingDivergedError, XgknError
+from .errors import AlignmentError, NumericError, TrainingDivergedError, XgknError
 from .explainer import (
     DEFAULT_THRESHOLD_GRID,
     criterion_score,
@@ -222,7 +222,9 @@ def resolve_out_dir(config: dict) -> Path:
 
 
 def _dump_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
+    """Write ``payload`` as JSON; a NaN or infinity in it is refused with a
+    ValueError before the file is opened."""
+    path.write_text(json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n",
                     encoding="utf-8")
 
 
@@ -408,6 +410,10 @@ def cmd_explain(config: dict) -> int:
         eval_ds = ds.subset(split.test_ids)
         fp = forward_batch(model, eval_ds.graphs)
         importances = importance_maps(model, fp)
+        for graph_id, importance in zip(split.test_ids, importances):
+            if not np.isfinite(importance).all():
+                raise NumericError(f"explain seed {seed}: graph {graph_id} has a non-finite "
+                                   f"importance; nothing was written for this seed")
         predicted = fp.predicted.tolist()
         selection = select_threshold(model, eval_ds, criterion, grid=grid,
                                      cfg=aim_cfg, rng=Rng(seed).derive("threshold"),
@@ -590,8 +596,9 @@ def render_report(payload: dict) -> str:
         lines.append("invalid (too many skipped samples): " + ", ".join(payload["invalid"]))
     for row in payload.get("ttests", []):
         flag = "*" if row["significant"] else " "
+        t = "n/a" if row["t"] is None else f"{row['t']:.3f}"
         lines.append(f"t-test {row['metric']} vs {row['against']}: "
-                     f"t={row['t']:.3f} df={row['df']:.1f} p={row['p_value']:.4f}{flag}")
+                     f"t={t} df={row['df']:.1f} p={row['p_value']:.4f}{flag}")
     return "\n".join(lines)
 
 
@@ -737,5 +744,26 @@ def main(argv=None) -> int:
         return 2
 
 
+# The status the interpreter's own exit gives when it cannot flush stdout.
+FLUSH_FAILED_STATUS = 120
+
+
+def run(argv=None):
+    """The process entry: ``main(argv)``, then stdout and stderr flushed and
+    the process ended with main's status by ``os._exit``. This skips the
+    interpreter's teardown, about 20 ms of module clearing and full
+    collections, and any atexit handler; every artifact is closed before
+    ``main`` returns. An exception out of ``main`` (argparse's SystemExit
+    too) leaves through Python's normal exit. A flush that finds the pipe's
+    reader gone ends the process with status 120 and no traceback."""
+    code = main(argv)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = FLUSH_FAILED_STATUS
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

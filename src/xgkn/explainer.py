@@ -294,7 +294,7 @@ def explanation_record(graph_id: int, expl: Explanation) -> dict:
 def write_explanations(path: str, records: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
 
 
 def read_explanations(path: str) -> list[dict]:

@@ -435,9 +435,11 @@ def aim_report(values_by_metric: dict, comparisons: dict | None = None,
             if len(ours) < 2 or len(theirs) < 2:
                 continue
             if np.var(ours, ddof=1) == 0.0 and np.var(theirs, ddof=1) == 0.0:
+                # neither run varies: t is 0 for equal means and has no finite
+                # value otherwise, which a JSON report records as null
                 identical = np.allclose(np.mean(ours), np.mean(theirs))
                 ttests.append({"metric": name, "against": other_name,
-                               "t": 0.0 if identical else float("inf"),
+                               "t": 0.0 if identical else None,
                                "df": float(len(ours) + len(theirs) - 2),
                                "p_value": 1.0 if identical else 0.0,
                                "significant": not identical})

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import numkit as nk
 from .data import Dataset, Split
-from .errors import CapacityError, ShapeError, TrainingDivergedError
+from .errors import CapacityError, NumericError, ShapeError, TrainingDivergedError
 from .graphs import Rng
 from .kernel import (
     MAX_BLOCK_ENTRIES,
@@ -418,16 +418,21 @@ def model_to_dict(model: XgknModel) -> dict:
 
 
 def _checked_array(field: str, value, shape: tuple) -> np.ndarray:
+    """The checkpoint array ``value`` of ``field``, refused unless it has
+    ``shape`` and only finite entries."""
     array = np.array(value, dtype=np.float64)
     if array.shape != shape:
         raise ShapeError(f"checkpoint field '{field}' has shape {array.shape}, "
                          f"expected {shape}")
+    if not np.isfinite(array).all():
+        raise NumericError(f"checkpoint field '{field}' holds a non-finite value")
     return array
 
 
 def model_from_dict(payload: dict) -> XgknModel:
-    """The model of a checkpoint, whose encoder and filter shapes are checked
-    against its config before the bank is built."""
+    """The model of a checkpoint. Every array is checked against the shape
+    its config implies and for non-finite values, and ``running_var`` for
+    negative entries, before the model is built."""
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format {payload.get('format')!r}")
     config = ModelConfig(**payload["config"])
@@ -445,14 +450,21 @@ def model_from_dict(payload: dict) -> XgknModel:
     predictor = Predictor(config.num_filters, payload["num_classes"],
                           config.predictor_depth, config.hidden_dim, Rng(0),
                           bn_eps=config.bn_eps, bn_momentum=config.bn_momentum)
-    pred = payload["predictor"]
-    predictor.gamma.values = np.array(pred["gamma"])
-    predictor.beta.values = np.array(pred["beta"])
-    predictor.running_mean = np.array(pred["running_mean"])
-    predictor.running_var = np.array(pred["running_var"])
-    for (w, b), layer in zip(predictor.layers, pred["layers"]):
-        w.values = np.array(layer["w"])
-        b.values = np.array(layer["b"])
+    pred, width = payload["predictor"], (1, config.num_filters)
+    predictor.gamma.values = _checked_array("predictor.gamma", pred["gamma"], width)
+    predictor.beta.values = _checked_array("predictor.beta", pred["beta"], width)
+    predictor.running_mean = _checked_array("predictor.running_mean", pred["running_mean"],
+                                            width)
+    predictor.running_var = _checked_array("predictor.running_var", pred["running_var"], width)
+    if (predictor.running_var < 0).any():
+        raise NumericError("checkpoint field 'predictor.running_var' holds a negative value")
+    if len(pred["layers"]) != config.predictor_depth:
+        raise ShapeError(f"checkpoint field 'predictor.layers' has {len(pred['layers'])} "
+                         f"entries, expected predictor_depth = {config.predictor_depth}")
+    for i, ((w, b), layer) in enumerate(zip(predictor.layers, pred["layers"])):
+        w.values = _checked_array(f"predictor.layers[{i}].w", layer["w"], w.shape)
+        b.values = _checked_array(f"predictor.layers[{i}].b", layer["b"], b.shape)
     model = XgknModel(config, encoder, bank, predictor, payload["num_classes"])
-    model.z_baseline = np.array(payload["z_baseline"])
+    model.z_baseline = _checked_array("z_baseline", payload["z_baseline"],
+                                      (config.num_filters,))
     return model

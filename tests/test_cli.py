@@ -13,8 +13,10 @@ import xgkn.kernel
 import xgkn.model
 from xgkn.cli import main
 from xgkn.data import generate_ba2motifs
+from xgkn.explainer import write_explanations
 from xgkn.graphs import Rng
 from xgkn.kernel import anchor_walks
+from xgkn.metrics import aim_report
 from xgkn.record import replace
 
 from oracles import walk_horner_responses, write_tu_dataset
@@ -703,3 +705,169 @@ def test_class_route_leaves_metrics_and_selections_unchanged(tmp_path, monkeypat
     assert class_rows > 0 and class_rows_off == 0
     assert metrics == metrics_off
     assert selected == selected_off
+
+
+# ---------------------------------------------------------------------------
+# the process entry: ``python -m xgkn.cli`` ends through ``cli.run``
+
+STAGES = ("prepare", "train", "explain", "evaluate", "report")
+
+
+def cli_process(args, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """One ``python -m xgkn.cli`` process with block-buffered streams, as a
+    pipeline runs it; stderr is captured."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(xgkn.cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "xgkn.cli", *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True)
+
+
+def test_process_pipeline_prints_and_writes_what_main_does(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path, out_dir, extra={
+        "train": {"epochs": 2, "batch_size": 16}, "seeds": [0]})
+    printed = {}
+    for command in STAGES:
+        assert main([command, "-c", str(config)]) == 0, command
+        printed[command] = capsys.readouterr().out
+    def artifacts():
+        """Every file of the run, with run.log's timestamps cut."""
+        files = tree_bytes(out_dir)
+        files["run.log"] = [line.split(b"] ", 1)[1] for line in files["run.log"].splitlines()]
+        return files
+
+    in_process = artifacts()
+    for path in out_dir.iterdir():
+        path.unlink()
+    for command in STAGES:
+        proc = cli_process([command, "-c", str(config)])
+        assert (proc.returncode, proc.stderr) == (0, ""), command
+        assert proc.stdout == printed[command], command
+    assert artifacts() == in_process
+
+
+@pytest.mark.parametrize("case", ["hash mismatch", "unreadable config", "unknown command"])
+def test_process_exit_status_and_message(tmp_path, case):
+    # 1 and 2 come back from main; argparse's SystemExit leaves through
+    # Python's own exit
+    config = write_config(tmp_path, tmp_path / "out")
+    args, code, message = {
+        "hash mismatch": (["train", "-c", str(config), "--set", "train.epochs=6"], 1,
+                          "was produced under config"),
+        "unreadable config": (["prepare", "-c", str(tmp_path / "absent.json")], 2,
+                              "cannot read config"),
+        "unknown command": (["fit", "-c", str(config)], 2, "invalid choice: 'fit'"),
+    }[case]
+    if case == "hash mismatch":
+        assert main(["prepare", "-c", str(config)]) == 0
+    proc = cli_process(args)
+    assert proc.returncode == code
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_process_whose_stdout_reader_is_gone_exits_120_quietly(tmp_path):
+    # prepare's one line stays in stdout's buffer until the final flush,
+    # which finds the pipe closed: the interpreter's own exit gives 120 too,
+    # but prints the BrokenPipeError
+    config = write_config(tmp_path, tmp_path / "out")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = cli_process(["prepare", "-c", str(config)], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120
+    assert proc.stderr == ""
+    assert (tmp_path / "out" / "dataset.json").is_file()
+
+
+# ---------------------------------------------------------------------------
+# checkpoints and explanations that carry values no stage can use
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A prepared and trained run on one seed, never explained."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    out_dir = tmp_path / "run"
+    config = write_config(tmp_path, out_dir, extra={
+        "train": {"epochs": 2, "batch_size": 16}, "seeds": [0]})
+    for command in ("prepare", "train"):
+        assert main([command, "-c", str(config)]) == 0, command
+    return out_dir, config
+
+
+def nan_at(rows):
+    rows[0][0] = float("nan")
+
+
+CORRUPTIONS = {
+    "encoder_weight": lambda m: nan_at(m["encoder_weight"]),
+    "filters[1].features": lambda m: nan_at(m["filters"][1]["features"]),
+    "predictor.gamma": lambda m: nan_at(m["predictor"]["gamma"]),
+    "predictor.gamma too wide": lambda m: m["predictor"]["gamma"][0].append(1.0),
+    "predictor.beta": lambda m: m["predictor"]["beta"][0].append(0.0),
+    "predictor.running_mean": lambda m: m["predictor"]["running_mean"][0].__setitem__(
+        1, float("inf")),
+    "predictor.running_var": lambda m: m["predictor"].update(running_var=[[-1.0, 1.0]]),
+    "predictor.layers": lambda m: m["predictor"]["layers"].append(
+        m["predictor"]["layers"][0]),
+    "predictor.layers[0].w": lambda m: nan_at(m["predictor"]["layers"][0]["w"]),
+    "predictor.layers[0].b": lambda m: m["predictor"]["layers"][0].update(b=[0.0, 0.0]),
+    "z_baseline": lambda m: m["z_baseline"].append(0.0),
+    "z_baseline NaN": lambda m: m["z_baseline"].__setitem__(0, float("nan")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_explain_refuses_a_corrupted_checkpoint_field(trained, capsys, case):
+    out_dir, config = trained
+    path = out_dir / "checkpoint_seed0.json"
+    original = path.read_text()
+    payload = json.loads(original)
+    CORRUPTIONS[case](payload["model"])
+    path.write_text(json.dumps(payload))
+    try:
+        capsys.readouterr()
+        assert main(["explain", "-c", str(config)]) == 1
+    finally:
+        path.write_text(original)
+    err = capsys.readouterr().err
+    assert f"checkpoint field '{case.split()[0]}'" in err and "Traceback" not in err
+    assert not (out_dir / "explanations_seed0.jsonl").exists()
+
+
+def test_explain_refuses_a_non_finite_importance_naming_the_graph(trained, capsys,
+                                                                  monkeypatch):
+    out_dir, config = trained
+    maps = xgkn.cli.importance_maps
+
+    def one_nan(model, fp):
+        importances = maps(model, fp)
+        importances[1][0] = np.nan
+        return importances
+
+    monkeypatch.setattr(xgkn.cli, "importance_maps", one_nan)
+    assert main(["explain", "-c", str(config)]) == 1
+    test_ids = json.loads((out_dir / "splits.json").read_text())["splits"][0]["test_ids"]
+    err = capsys.readouterr().err
+    assert f"graph {test_ids[1]} has a non-finite importance" in err
+    assert not (out_dir / "explanations_seed0.jsonl").exists()
+
+
+def test_artifact_writers_refuse_non_finite_values(tmp_path):
+    with pytest.raises(ValueError):
+        xgkn.cli._dump_json(tmp_path / "a.json", {"value": float("inf")})
+    with pytest.raises(ValueError):
+        write_explanations(str(tmp_path / "b.jsonl"), [{"importance": [float("nan")]}])
+    assert not (tmp_path / "a.json").exists()
+
+
+def test_report_of_runs_that_do_not_vary_holds_no_infinite_t(tmp_path):
+    # equal values within each run and different means leave Welch's t
+    # without a finite value
+    report = aim_report({"A1": [0.5, 0.5]}, comparisons={"other": {"A1": [0.7, 0.7]}})
+    assert [(row["t"], row["p_value"], row["significant"]) for row in report.ttests] \
+        == [(None, 0.0, True)]
+    xgkn.cli._dump_json(tmp_path / "report.json", report.to_dict())
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert "t-test A1 vs other: t=n/a df=2.0 p=0.0000*" in xgkn.cli.render_report(payload)
