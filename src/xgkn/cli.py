@@ -744,10 +744,6 @@ def main(argv=None) -> int:
         return 2
 
 
-# The status the interpreter's own exit gives when it cannot flush stdout.
-FLUSH_FAILED_STATUS = 120
-
-
 def run(argv=None):
     """The process entry: ``main(argv)``, then stdout and stderr flushed and
     the process ended with main's status by ``os._exit``. This skips the
@@ -761,7 +757,7 @@ def run(argv=None):
         sys.stdout.flush()
         sys.stderr.flush()
     except BrokenPipeError:
-        code = FLUSH_FAILED_STATUS
+        code = 120  # the interpreter's own status when its exit cannot flush
     os._exit(code)
 
 

@@ -292,9 +292,12 @@ def explanation_record(graph_id: int, expl: Explanation) -> dict:
 
 
 def write_explanations(path: str, records: list[dict]) -> None:
+    """Write one JSON line per record; a NaN or infinity in any record is
+    refused with a ValueError before the file is opened."""
+    text = "".join(json.dumps(record, sort_keys=True, allow_nan=False) + "\n"
+                   for record in records)
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
+        fh.write(text)
 
 
 def read_explanations(path: str) -> list[dict]:

@@ -796,25 +796,26 @@ def trained(tmp_path_factory):
     return out_dir, config
 
 
-def nan_at(rows):
-    rows[0][0] = float("nan")
+def set_first(rows, value):
+    rows[0][0] = value
 
 
+NAN, INF = float("nan"), float("inf")
+# case -> edit of the checkpoint's model; a case names its field first
 CORRUPTIONS = {
-    "encoder_weight": lambda m: nan_at(m["encoder_weight"]),
-    "filters[1].features": lambda m: nan_at(m["filters"][1]["features"]),
-    "predictor.gamma": lambda m: nan_at(m["predictor"]["gamma"]),
+    "encoder_weight": lambda m: set_first(m["encoder_weight"], NAN),
+    "filters[1].features": lambda m: set_first(m["filters"][1]["features"], NAN),
+    "predictor.gamma": lambda m: set_first(m["predictor"]["gamma"], NAN),
     "predictor.gamma too wide": lambda m: m["predictor"]["gamma"][0].append(1.0),
     "predictor.beta": lambda m: m["predictor"]["beta"][0].append(0.0),
-    "predictor.running_mean": lambda m: m["predictor"]["running_mean"][0].__setitem__(
-        1, float("inf")),
-    "predictor.running_var": lambda m: m["predictor"].update(running_var=[[-1.0, 1.0]]),
+    "predictor.running_mean": lambda m: set_first(m["predictor"]["running_mean"], INF),
+    "predictor.running_var": lambda m: set_first(m["predictor"]["running_var"], -1.0),
     "predictor.layers": lambda m: m["predictor"]["layers"].append(
         m["predictor"]["layers"][0]),
-    "predictor.layers[0].w": lambda m: nan_at(m["predictor"]["layers"][0]["w"]),
+    "predictor.layers[0].w": lambda m: set_first(m["predictor"]["layers"][0]["w"], NAN),
     "predictor.layers[0].b": lambda m: m["predictor"]["layers"][0].update(b=[0.0, 0.0]),
     "z_baseline": lambda m: m["z_baseline"].append(0.0),
-    "z_baseline NaN": lambda m: m["z_baseline"].__setitem__(0, float("nan")),
+    "z_baseline NaN": lambda m: set_first([m["z_baseline"]], NAN),
 }
 
 
@@ -854,12 +855,13 @@ def test_explain_refuses_a_non_finite_importance_naming_the_graph(trained, capsy
     assert not (out_dir / "explanations_seed0.jsonl").exists()
 
 
-def test_artifact_writers_refuse_non_finite_values(tmp_path):
+def test_artifact_writers_refuse_non_finite_values_before_opening_the_file(tmp_path):
     with pytest.raises(ValueError):
-        xgkn.cli._dump_json(tmp_path / "a.json", {"value": float("inf")})
+        xgkn.cli._dump_json(tmp_path / "a.json", {"value": INF})
     with pytest.raises(ValueError):
-        write_explanations(str(tmp_path / "b.jsonl"), [{"importance": [float("nan")]}])
-    assert not (tmp_path / "a.json").exists()
+        write_explanations(str(tmp_path / "b.jsonl"), [{"importance": [0.5]},
+                                                       {"importance": [NAN]}])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_report_of_runs_that_do_not_vary_holds_no_infinite_t(tmp_path):
