@@ -22,7 +22,7 @@ import numpy as np
 
 from . import data as data_mod
 from .data import Dataset, apply_feature_policy, load_ground_truth_masks, stratified_split
-from .errors import AlignmentError, NumericError, TrainingDivergedError, XgknError
+from .errors import AlignmentError, ArtifactError, NumericError, TrainingDivergedError, XgknError
 from .explainer import (
     DEFAULT_THRESHOLD_GRID,
     criterion_score,
@@ -229,7 +229,12 @@ def _dump_json(path: Path, payload: dict) -> None:
 
 
 def _load_json(path: Path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
+    """The artifact ``path``; one that is not JSON is refused with an
+    ArtifactError (exit 1) that names it, a missing one stays an OSError."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise ArtifactError(f"{path} is not a JSON artifact: {err}") from None
 
 
 def _log(out_dir: Path, message: str) -> None:
@@ -579,7 +584,8 @@ def _write_ttests_csv(path: Path, report) -> None:
         writer = csv.writer(fh)
         writer.writerow(["metric", "against", "t", "df", "p_value", "significant"])
         for row in report.ttests:
-            writer.writerow([row["metric"], row["against"], repr(row["t"]),
+            writer.writerow([row["metric"], row["against"],
+                             "" if row["t"] is None else repr(row["t"]),
                              repr(row["df"]), repr(row["p_value"]), row["significant"]])
 
 
@@ -610,7 +616,7 @@ def _compare_report(compare_dir: str) -> tuple[str, dict]:
     try:
         metrics = _load_json(path)["metrics"]
         return Path(compare_dir).name, {name: entry["values"] for name, entry in metrics.items()}
-    except (json.JSONDecodeError, KeyError, TypeError, AttributeError):
+    except (ArtifactError, KeyError, TypeError, AttributeError):
         raise ValueError(f"compare report {path} is not a report.json with metric values") \
             from None
 

@@ -76,3 +76,7 @@ class UndefinedMetricError(XgknError, ValueError):
 
 class AlignmentError(XgknError, ValueError):
     """Artifacts from different runs or configs were mixed."""
+
+
+class ArtifactError(XgknError, ValueError):
+    """An artifact of an earlier stage is not JSON (a truncated write, say)."""

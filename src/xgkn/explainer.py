@@ -18,10 +18,10 @@ import math
 import numpy as np
 
 from .data import Dataset
-from .errors import CapacityError, ShapeError
+from .errors import ArtifactError, CapacityError, ShapeError
 from .graphs import Graph, NodeSet, Rng
 from .model import ForwardPass, Predictor, XgknModel, forward_batch
-from .numkit import Tensor, softmax
+from .numkit import softmax
 from .record import Record
 
 MAX_EXACT_PLAYERS = 20
@@ -72,10 +72,10 @@ def exact_shapley(model: XgknModel, z: np.ndarray, baseline: np.ndarray,
     if len(pred.layers) > 1 and m > MAX_EXACT_PLAYERS:
         raise CapacityError(
             f"{m} concepts exceed the exact enumeration cap of {MAX_EXACT_PLAYERS}")
-    logits = pred.logits(Tensor(np.vstack([baseline, z])), training=False).values
+    logits = pred.logits(np.vstack([baseline, z]))
     if len(pred.layers) == 1:
         scale = 1.0 / np.sqrt(pred.running_var[0] + pred.bn_eps)
-        phi = (z - baseline) * scale * pred.gamma.values[0] * pred.layers[0][0].values[:, target].T
+        phi = (z - baseline) * scale * pred.gamma[0] * pred.layers[0][0][:, target].T
     else:
         phi = np.array([enumerated_shapley(pred, row, baseline, c)
                         for row, c in zip(z, target)]).reshape(-1, m)
@@ -92,7 +92,7 @@ def enumerated_shapley(predictor: Predictor, z: np.ndarray, baseline: np.ndarray
     masks = np.arange(1 << m, dtype=np.int64)
     membership = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
     coalition_scores = np.where(membership, z, baseline)
-    game = predictor.logits(Tensor(coalition_scores), training=False).values[:, target_class]
+    game = predictor.logits(coalition_scores)[:, target_class]
     sizes = membership.sum(axis=1)
     fact = [math.factorial(i) for i in range(m + 1)]
     weight_by_size = np.array([fact[s] * fact[m - 1 - s] / fact[m] for s in range(m)])
@@ -301,5 +301,10 @@ def write_explanations(path: str, records: list[dict]) -> None:
 
 
 def read_explanations(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    """The records of ``path``; a line that is not JSON is refused with an
+    ArtifactError that names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [json.loads(line) for line in fh if line.strip()]
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise ArtifactError(f"{path} holds a line that is not JSON: {err}") from None

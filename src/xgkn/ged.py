@@ -136,7 +136,7 @@ def binarize_filter(adjacency: np.ndarray, features: np.ndarray,
         if encoder is None:
             raise ValueError("snapping to dataset rows requires the encoder")
         rows = unique_rows(np.asarray(feature_rows, dtype=np.float64))
-        encoded = encoder.encode_rows(rows)
+        encoded = encoder.encode(rows)
         normalized = features / np.maximum(
             np.linalg.norm(features, axis=1, keepdims=True), 1e-12)
         features = np.empty((size, rows.shape[1]))

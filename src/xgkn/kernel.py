@@ -19,43 +19,41 @@ import numpy as np
 from . import numkit as nk
 from .errors import CapacityError, FeatureRowError, ShapeError
 from .graphs import Graph, Rng
-from .numkit import Tensor
 from .record import Record, replace
 
 
 class FeatureEncoder:
     """Linear map from raw node features to L2-normalized embeddings."""
 
-    def __init__(self, weight: Tensor):
+    def __init__(self, weight: np.ndarray):
         self.weight = weight
 
     @staticmethod
     def init(feature_dim: int, embed_dim: int, rng: Rng) -> "FeatureEncoder":
         scale = 1.0 / np.sqrt(feature_dim)
-        return FeatureEncoder(Tensor(rng.normal(scale=scale, size=(feature_dim, embed_dim)),
-                                     requires_grad=True))
+        return FeatureEncoder(rng.normal(scale=scale, size=(feature_dim, embed_dim)))
 
-    def encode(self, raw_features: np.ndarray) -> Tensor:
-        return nk.row_unit_normalize(Tensor(raw_features) @ self.weight)
-
-    def encode_rows(self, raw_features: np.ndarray) -> np.ndarray:
-        return self.encode(raw_features).values
+    def encode(self, raw_features: np.ndarray) -> np.ndarray:
+        """The embeddings of the 2-D rows ``raw_features``."""
+        return nk.row_unit_normalize(raw_features @ self.weight)[0]
 
 
 class FilterBank:
     """The model's F trainable graphs of ``size`` nodes each, stacked: rows
-    f·size to f·size + size - 1 of both tensors belong to filter f. Free
+    f·size to f·size + size - 1 of both arrays belong to filter f. Free
     adjacency logits ([F·size, size]) are squashed through a sigmoid and
-    symmetrized with a zero diagonal, so entries stay in [0, 1]; ``features``
-    ([F·size, embed_dim]) holds an embedding row per filter node."""
+    symmetrized with a zero diagonal (``mask``), so entries stay in [0, 1];
+    ``features`` ([F·size, embed_dim]) holds an embedding row per filter
+    node."""
 
-    def __init__(self, adjacency_logits: Tensor, features: Tensor):
+    def __init__(self, adjacency_logits: np.ndarray, features: np.ndarray):
         rows, size = adjacency_logits.shape
         if rows % size or features.shape[0] != rows:
             raise ShapeError(f"a filter bank needs [F·size, size] logits and a feature row "
                              f"per node, got {adjacency_logits.shape} and {features.shape}")
         self.adjacency_logits = adjacency_logits
         self.features = features
+        self.mask = nk.off_diagonal_mask(rows // size, size)
 
     @staticmethod
     def init(num_filters: int, size: int, embed_dim: int, rng: Rng) -> "FilterBank":
@@ -66,8 +64,7 @@ class FilterBank:
             draw = rng.derive("filter", f)
             logits.append(draw.normal(size=(size, size)))
             features.append(draw.normal(size=(size, embed_dim)))
-        return FilterBank(Tensor(np.vstack(logits), requires_grad=True),
-                          Tensor(np.vstack(features), requires_grad=True))
+        return FilterBank(np.vstack(logits), np.vstack(features))
 
     @property
     def size(self) -> int:
@@ -81,17 +78,14 @@ class FilterBank:
         """A bank-shaped [F·size, cols] array as its F blocks, [F, size, cols]."""
         return values.reshape(self.num_filters, self.size, -1)
 
-    def effective_adjacency(self) -> Tensor:
-        """The F filter adjacencies, stacked as the logits are: one
-        ``numkit.symmetric_adjacency`` node."""
-        return nk.symmetric_adjacency(self.adjacency_logits)
+    def effective_adjacency(self) -> np.ndarray:
+        """The F filter adjacencies, stacked as the logits are
+        (``numkit.symmetric_adjacency``)."""
+        return nk.symmetric_adjacency(self.adjacency_logits, self.mask)[0]
 
     def adjacency_values(self) -> np.ndarray:
         """The F filter adjacencies as [F, size, size]."""
-        return self.blocks(self.effective_adjacency().values)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.adjacency_logits, self.features]
+        return self.blocks(self.effective_adjacency())
 
 
 # Most entries the neighbourhood blocks of one graph may hold (n x width^2
@@ -283,14 +277,16 @@ class WalkInputs(Record):
     """The graph side of the kernel responses of a batch of node rows: their
     raw one-hot features, the walk cap, each row's class, and the class
     table grouped by class: ``order`` is the stable class order of the rows,
-    and ``table[i, b, p]`` counts the length-p anchor walks of row
-    ``order[i]`` that end at a node of class b."""
+    ``table[i, b, p]`` counts the length-p anchor walks of row ``order[i]``
+    that end at a node of class b, and ``parts`` holds the
+    ``numkit.class_parts`` of the grouped rows."""
 
     raw_features: np.ndarray
     cap: int
     table: np.ndarray
     classes: np.ndarray
     order: np.ndarray
+    parts: list
 
 
 def _class_table(stack: SubgraphStack, cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +306,8 @@ def _grouped(raw: np.ndarray, cap: int, table: np.ndarray, classes: np.ndarray,
     table gathered once, grouped by class."""
     classes = classes[rows]
     order = np.argsort(classes, kind="stable")
-    return WalkInputs(raw[rows], cap, table[rows[order]], classes, order)
+    return WalkInputs(raw[rows], cap, table[rows[order]], classes, order,
+                      nk.class_parts(classes, table.shape[1]))
 
 
 def walk_inputs(stack: SubgraphStack, cap: int) -> WalkInputs:
@@ -352,41 +349,27 @@ class SplitWalks:
         return _grouped(self.raw_features, self.cap, self.table, self.classes, rows), graph_seg
 
 
-def _filter_side(bank: FilterBank, encoder: FeatureEncoder) -> tuple[Tensor, Tensor, Tensor]:
-    """The bank's normalized feature rows, the encoder's K encoded class rows
-    and the bank's effective adjacencies."""
-    return (nk.row_unit_normalize(bank.features),
-            encoder.encode(np.eye(encoder.weight.shape[0])), bank.effective_adjacency())
-
-
 def filter_products(bank: FilterBank, encoder: FeatureEncoder, cap: int) -> np.ndarray:
-    """The class products of the filter side, values only
-    (``numkit.class_products``): what ``stack_responses`` computes from the
-    parameters on every call unless it is handed them. Inference parameters
-    do not change, so ``model.forward_batch`` computes them once for all its
-    chunks."""
-    rows, shared, adjacency = _filter_side(bank, encoder)
-    return nk.class_products(rows.values, shared.values, bank.blocks(adjacency.values), cap)[1]
+    """The class products (``numkit.class_products``) of the bank's
+    normalized rows, the encoder's K encoded classes and the bank's
+    adjacencies, which ``stack_responses`` takes; ``model.forward_batch``
+    computes them once for all its chunks."""
+    rows = nk.row_unit_normalize(bank.features)[0]
+    shared = encoder.encode(np.eye(encoder.weight.shape[0]))
+    return nk.class_products(rows, shared, bank.effective_adjacency(), cap)[0]
 
 
-def stack_responses(stack: WalkInputs, bank: FilterBank, encoder: FeatureEncoder,
-                    training: bool = False, products: np.ndarray | None = None) -> Tensor:
+def stack_responses(stack: WalkInputs, products: np.ndarray, training: bool = False):
     """Response matrix of the node rows whose graph side is ``stack`` (one
-    row per node, one column per filter): entry (v, f) is sum over f's
-    columns of S[v] * sum_p Y_p W_f^p, p up to the walk cap, Y_p = u_p^T
-    S[members of v]. Every row is one-hot, so S[v] is the encoded row of v's
-    class and the response is sum_{b,p} table[v, b, p] * s_{f,b}^T W_f^p
-    s_{f,class(v)} over the K encoded classes: one autograd node,
-    ``numkit.class_walks``, whose products are row-local outside
-    ``training``. Its F·K²·(cap + 1) class products are bounded when the
-    model is built. Handed the ``filter_products`` of the bank and encoder
-    (inference only), it takes the same row-local products of them, values
-    only, with no autograd node.
+    row per node, one column per filter), and its backward to ``products``:
+    entry (v, f) is sum over f's columns of S[v] * sum_p Y_p W_f^p, p up to
+    the walk cap, Y_p = u_p^T S[members of v]. Every row is one-hot, so S[v]
+    is the encoded row of v's class and the response is sum_{b,p}
+    table[v, b, p] * s_{f,b}^T W_f^p s_{f,class(v)}: the
+    ``numkit.class_table_product`` of the ``filter_products``, row-local
+    outside ``training``.
 
     tests/oracles.py holds the per-pair reference, the per-filter chains and
     the Horner walk sum over feature rows of any kind."""
-    if products is not None:
-        return Tensor(nk.class_table_product(stack.table, stack.classes, stack.order,
-                                             products, row_local=True))
-    return nk.class_walks(*_filter_side(bank, encoder), stack.table, stack.classes, stack.cap,
-                          row_local=not training, order=stack.order)
+    return nk.class_table_product(stack.table, stack.parts, stack.order, products,
+                                  row_local=not training)

@@ -143,7 +143,7 @@ def metric_a2(model: XgknModel, ds: Dataset) -> MetricResult:
             feature_rows = pool
     bank = model.bank
     discrete = [binarize_filter(a, f, feature_rows, model.encoder)
-                for a, f in zip(bank.adjacency_values(), bank.blocks(bank.features.values))]
+                for a, f in zip(bank.adjacency_values(), bank.blocks(bank.features))]
     return _result("A2", [1.0 - float(np.mean(
         [_nearest_filter_distance(discrete, motif) for motif in ds.gt_motifs]))])
 

@@ -27,7 +27,6 @@ from .kernel import (
     stack_responses,
     walk_inputs,
 )
-from .numkit import Tensor
 from .record import Record
 
 AGG_MODES = ("sum", "negative_entropy", "max")
@@ -83,53 +82,40 @@ class TrainConfig(Record):
 
 
 class Predictor:
-    """Batch normalization followed by one linear layer (or a 2-layer MLP)."""
+    """Batch normalization followed by one linear layer (or a 2-layer MLP).
+    ``layers`` holds a (weight, bias) pair per layer."""
 
     def __init__(self, in_dim: int, num_classes: int, depth: int, hidden_dim: int,
                  rng: Rng, bn_eps: float = 1e-5, bn_momentum: float = 0.1):
         self.bn_eps = bn_eps
         self.bn_momentum = bn_momentum
-        self.gamma = Tensor(np.ones((1, in_dim)), requires_grad=True)
-        self.beta = Tensor(np.zeros((1, in_dim)), requires_grad=True)
+        self.gamma = np.ones((1, in_dim))
+        self.beta = np.zeros((1, in_dim))
         self.running_mean = np.zeros((1, in_dim))
         self.running_var = np.ones((1, in_dim))
         self.layers = []
         dims = [in_dim, num_classes] if depth == 1 else [in_dim, hidden_dim, num_classes]
         for d_in, d_out in zip(dims, dims[1:]):
-            w = Tensor(rng.normal(scale=1.0 / np.sqrt(d_in), size=(d_in, d_out)),
-                       requires_grad=True)
-            b = Tensor(np.zeros((1, d_out)), requires_grad=True)
-            self.layers.append((w, b))
+            self.layers.append((rng.normal(scale=1.0 / np.sqrt(d_in), size=(d_in, d_out)),
+                                np.zeros((1, d_out))))
 
     @property
     def in_dim(self) -> int:
         return self.gamma.shape[1]
 
-    def logits(self, z: Tensor, training: bool) -> Tensor:
-        """Logits of the rows of ``z``. Training normalizes by the batch's
-        statistics; inference uses the frozen ones and row-local products, so
-        each row's logits do not depend on the rows scored with it."""
+    def logits(self, z: np.ndarray) -> np.ndarray:
+        """Inference logits of the rows of ``z``: the frozen batch-norm
+        statistics and row-local products, so each row's logits do not depend
+        on the rows scored with it."""
         if z.shape[1] != self.in_dim:
             raise ShapeError(f"predictor expects width {self.in_dim}, got {z.shape[1]}")
-        if training:
-            out, mean, var = nk.batch_norm(z, self.gamma, self.beta, self.bn_eps)
-            mom = self.bn_momentum
-            self.running_mean = (1 - mom) * self.running_mean + mom * mean
-            self.running_var = (1 - mom) * self.running_var + mom * var
-        else:
-            scale = 1.0 / np.sqrt(self.running_var + self.bn_eps)
-            out = (z - Tensor(self.running_mean)) * Tensor(scale) * self.gamma + self.beta
+        scale = 1.0 / np.sqrt(self.running_var + self.bn_eps)
+        out = (z - self.running_mean) * scale * self.gamma + self.beta
         for i, (w, b) in enumerate(self.layers):
-            out = (out @ w if training else nk.row_matmul(out, w)) + b
+            out = nk.row_local_product(out, w) + b
             if i + 1 < len(self.layers):
-                out = nk.relu(out)
+                out = out * (out > 0.0)
         return out
-
-    def parameters(self) -> list[Tensor]:
-        params = [self.gamma, self.beta]
-        for w, b in self.layers:
-            params.extend([w, b])
-        return params
 
 
 class ForwardPass(Record):
@@ -179,8 +165,19 @@ class XgknModel:
         cap = self.config.walk_cap
         return self.bank.size if cap is None else cap
 
-    def parameters(self) -> list[Tensor]:
-        return [self.encoder.weight, *self.bank.parameters(), *self.predictor.parameters()]
+    def parameters(self) -> list[np.ndarray]:
+        """The trainable arrays: the encoder weight, the bank's logits and
+        rows, gamma, beta, then each layer's weight and bias."""
+        pred = self.predictor
+        return [self.encoder.weight, self.bank.adjacency_logits, self.bank.features,
+                pred.gamma, pred.beta, *(p for layer in pred.layers for p in layer)]
+
+    def set_parameters(self, arrays: list[np.ndarray]) -> None:
+        """Take ``arrays``, in the order of ``parameters``, as the parameters."""
+        pred = self.predictor
+        (self.encoder.weight, self.bank.adjacency_logits, self.bank.features,
+         pred.gamma, pred.beta, *layers) = arrays
+        pred.layers = list(zip(layers[::2], layers[1::2]))
 
 
 def init_model(config: ModelConfig, feature_dim: int, num_classes: int, rng: Rng) -> XgknModel:
@@ -192,45 +189,42 @@ def init_model(config: ModelConfig, feature_dim: int, num_classes: int, rng: Rng
     return XgknModel(config, encoder, bank, predictor, num_classes)
 
 
-def _aggregate_tensor(r: Tensor, mode: str, eps: float, seg: np.ndarray, num_graphs: int,
-                      norm_scope: str = "global", training: bool = False
-                      ) -> tuple[Tensor, np.ndarray, np.ndarray | None]:
-    """Batched aggregation; returns (z, contribution values, argmax rows).
-    Outside training every graph's outputs are computed from its own rows
-    alone, bit for bit as in a batch of one."""
-    m = r.shape[1]
+def _aggregate(r: np.ndarray, mode: str, eps: float, seg: np.ndarray, num_graphs: int,
+               norm_scope: str = "global", training: bool = False):
+    """Batched aggregation of the responses ``r``: (z, contribution values,
+    argmax rows, backward). Outside training every graph's outputs are
+    computed from its own rows alone, bit for bit as in a batch of one."""
     if mode == "sum":
-        z = nk.segment_sum_rows(r, seg, num_graphs)
-        return z, r.values.copy(), None
+        z, back = nk.segment_sum_rows(r, seg, num_graphs)
+        return z, r.copy(), None, back
     if mode == "negative_entropy":
-        z, contributions = nk.negative_entropy(r, seg, num_graphs, eps, norm_scope,
-                                               row_local=not training)
-        return z, contributions, None
+        z, contributions, back = nk.negative_entropy(r, seg, num_graphs, eps, norm_scope,
+                                                     row_local=not training)
+        return z, contributions, None, back
     if mode == "max":
-        z, argrow = nk.segment_col_max(r, seg, num_graphs)
-        s_tilde = np.zeros_like(r.values)
-        s_tilde[argrow, np.arange(m)] = z.values
-        return z, s_tilde, argrow
+        z, argrow, back = nk.segment_col_max(r, seg, num_graphs)
+        s_tilde = np.zeros_like(r)
+        s_tilde[argrow, np.arange(r.shape[1])] = z
+        return z, s_tilde, argrow, back
     raise ValueError(f"unknown aggregation mode {mode!r}")
 
 
 def _batch_forward(model: XgknModel, inputs: WalkInputs, graph_seg: np.ndarray,
-                   num_graphs: int, training: bool, products: np.ndarray | None = None):
-    """Scores the batch of ``num_graphs`` graphs whose node rows have the
-    graph side ``inputs``, ``graph_seg`` giving each row's graph: (logits, z,
+                   num_graphs: int, products: np.ndarray):
+    """Inference over the batch of ``num_graphs`` graphs whose node rows have
+    the graph side ``inputs``, ``graph_seg`` giving each row's graph, under
+    the model's ``kernel.filter_products`` ``products``: (logits, z,
     responses, contribution values, argmax rows). Row i of logits and z is
     graph i; responses and contributions hold the graphs' node rows in
-    order, and argmax rows index them. Inference may hand over the model's
-    ``kernel.filter_products``."""
+    order, and argmax rows index them."""
     cfg = model.config
-    r = stack_responses(inputs, model.bank, model.encoder, training, products)
-    z, contributions, argrow = _aggregate_tensor(
-        r, cfg.agg_mode, cfg.entropy_eps, graph_seg, num_graphs, cfg.norm_scope, training)
-    return model.predictor.logits(z, training=training), z, r, contributions, argrow
+    r = stack_responses(inputs, products)[0]
+    z, contributions, argrow, _ = _aggregate(r, cfg.agg_mode, cfg.entropy_eps, graph_seg,
+                                             num_graphs, cfg.norm_scope)
+    return model.predictor.logits(z), z, r, contributions, argrow
 
 
-# Graphs per inference batch. Each batch holds its own autograd graph until
-# its responses are read out, so this sets the peak memory of explain and
+# Graphs per inference batch, which sets the peak memory of explain and
 # evaluate.
 INFERENCE_CHUNK = 32
 
@@ -238,18 +232,18 @@ INFERENCE_CHUNK = 32
 def forward(model: XgknModel, graphs, products: np.ndarray | None = None) -> ForwardPass:
     """One inference pass over all of ``graphs`` (or ``kernel.Subgraphs``) at
     once: their stack from one ``build_stack`` and its ``walk_inputs``, then
-    ``_batch_forward``, with the model's ``kernel.filter_products`` if given;
-    batch-norm statistics stay frozen. Aggregation and the predictor are
-    row-local, so a graph's rows equal its batch of one up to the kernel
-    responses of the batch (see README)."""
+    ``_batch_forward`` under the model's ``kernel.filter_products``, computed
+    here unless given; batch-norm statistics stay frozen. Aggregation and
+    the predictor are row-local, so a graph's rows equal its batch of one up
+    to the kernel responses of the batch (see README)."""
     cfg = model.config
+    if products is None:
+        products = filter_products(model.bank, model.encoder, model.walk_cap)
     stack, graph_seg = build_stack(graphs, cfg.hop_radius, cfg.max_subgraph_size)
     inputs = walk_inputs(stack, model.walk_cap)
-    logits, z, r, contributions, argrow = _batch_forward(
-        model, inputs, graph_seg, len(graphs), training=False, products=products)
-    # keep values only: the batch's autograd graph is freed here
-    return ForwardPass(R=r.values, contributions=contributions, z=z.values,
-                       logits=logits.values,
+    logits, z, r, contributions, argrow = _batch_forward(model, inputs, graph_seg,
+                                                         len(graphs), products)
+    return ForwardPass(R=r, contributions=contributions, z=z, logits=logits,
                        bounds=np.searchsorted(graph_seg, np.arange(len(graphs) + 1)),
                        argmax_rows=argrow)
 
@@ -285,21 +279,74 @@ def evaluate_accuracy(model: XgknModel, ds: Dataset, ids) -> float:
     return correct / len(ids)
 
 
+def train_step(model: XgknModel, inputs: WalkInputs, graph_seg: np.ndarray, labels,
+               classes: np.ndarray, grads: list[np.ndarray]):
+    """The forward of one training step over the batch of ``len(labels)``
+    graphs whose node rows have the graph side ``inputs`` (``graph_seg``
+    gives each row's graph): the (1, 1) loss, the logits, and the steps for
+    ``numkit.backward``, which writes each parameter's gradient into its
+    array of ``grads`` (``parameters`` order). ``classes``, the identity over
+    the K feature classes, is the encoder's input. Batch norm moves the
+    running statistics towards the batch's. The program is straight-line:
+    only the filter side forks, into the class products."""
+    cfg, bank, pred = model.config, model.bank, model.predictor
+    g_weight, g_logits, g_features, g_gamma, g_beta, *g_layers = grads
+    steps = []
+
+    def record(back, *sinks) -> int:
+        steps.append((back, sinks))
+        return len(steps) - 1
+
+    adjacency, back = nk.symmetric_adjacency(bank.adjacency_logits, bank.mask)
+    at_adjacency = record(back, g_logits)
+    rows, back = nk.row_unit_normalize(bank.features)
+    at_rows = record(back, g_features)
+    encoded, back = nk.matmul(classes, model.encoder.weight)
+    at = record(back, None, g_weight)
+    shared, back = nk.row_unit_normalize(encoded)
+    at_shared = record(back, at)
+    products, back = nk.class_products(rows, shared, adjacency, inputs.cap)
+    at = record(back, at_rows, at_shared, at_adjacency)
+    r, back = stack_responses(inputs, products, training=True)
+    at = record(back, at)
+    z, _, _, back = _aggregate(r, cfg.agg_mode, cfg.entropy_eps, graph_seg, len(labels),
+                               cfg.norm_scope, training=True)
+    at = record(back, at)
+    out, mean, var, back = nk.batch_norm(z, pred.gamma, pred.beta, cfg.bn_eps)
+    at = record(back, at, g_gamma, g_beta)
+    mom = pred.bn_momentum
+    pred.running_mean = (1 - mom) * pred.running_mean + mom * mean
+    pred.running_var = (1 - mom) * pred.running_var + mom * var
+    for i, (w, b) in enumerate(pred.layers):
+        if i:
+            out, back = nk.relu(out)
+            at = record(back, at)
+        out, back = nk.affine(out, w, b)
+        at = record(back, at, *g_layers[2 * i:2 * i + 2])
+    loss, back = nk.cross_entropy(out, labels)
+    record(back, at)
+    return loss, out, steps
+
+
 def train(model: XgknModel, ds: Dataset, split: Split, cfg: TrainConfig):
     """Mini-batch Adam on the cross-entropy loss. Deterministic under
     ``cfg.seed``; stops early once more than ``cfg.patience`` epochs in a
     row have not lowered the lowest epoch loss, and returns the parameters
-    after the last update. Also sets the explainer baseline (mean aggregated scores over the
-    training split). The graph side of the kernel responses is built once
-    for the split; every batch, and every part of the batch-norm
-    recalibration, takes its rows from it."""
+    after the last update. Also sets the explainer baseline (mean aggregated
+    scores over the training split). The graph side of the kernel responses
+    is built once for the split, and every batch and recalibration part
+    takes its rows from it. The parameters become views of the optimizer's
+    flat buffer, and each step's gradient fills one buffer laid out alike."""
     train_ids = list(split.train_ids)
     split_walks = SplitWalks([build_subgraph_stack(ds.graphs[i], model.config.hop_radius,
                                                    model.config.max_subgraph_size)
                               for i in train_ids], model.walk_cap)
     labels = np.array([ds.graphs[i].label for i in train_ids], dtype=np.int64)
-    params = model.parameters()
-    state = nk.adam_init(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    state = nk.AdamState(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    model.set_parameters(state.split(state.flat))
+    grad = np.zeros_like(state.flat)
+    grads = state.split(grad)
+    classes = np.eye(model.encoder.weight.shape[0])
     shuffle_rng = Rng(cfg.seed).derive("shuffle")
     history = []
     best_loss, best_epoch = np.inf, -1
@@ -311,15 +358,15 @@ def train(model: XgknModel, ds: Dataset, split: Split, cfg: TrainConfig):
         for lo in range(0, n, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
             inputs, graph_seg = split_walks.batch(batch)
-            logits = _batch_forward(model, inputs, graph_seg, len(batch), training=True)[0]
-            loss = nk.cross_entropy(logits, labels[batch])
+            loss, logits, steps = train_step(model, inputs, graph_seg, labels[batch], classes,
+                                             grads)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise TrainingDivergedError(epoch, history)
-            nk.backward(loss)
-            nk.adam_step(params, state)
+            nk.backward(steps, grad)
+            nk.adam_step(state, grad)
             epoch_loss += loss_value * len(batch)
-            epoch_correct += int((np.argmax(logits.values, axis=1) == labels[batch]).sum())
+            epoch_correct += int((np.argmax(logits, axis=1) == labels[batch]).sum())
         epoch_loss /= n
         history.append({"epoch": epoch, "loss": epoch_loss, "accuracy": epoch_correct / n})
         if epoch_loss < best_loss - 1e-12:
@@ -328,11 +375,11 @@ def train(model: XgknModel, ds: Dataset, split: Split, cfg: TrainConfig):
             break
     # recalibrate frozen batch-norm statistics on the training split so the
     # inference normalization matches the final parameters exactly
+    products = filter_products(model.bank, model.encoder, model.walk_cap)
     scores = []
     for lo in range(0, n, 128):
         part = np.arange(lo, min(lo + 128, n))
-        scores.append(_batch_forward(model, *split_walks.batch(part), len(part),
-                                     training=False)[1].values)
+        scores.append(_batch_forward(model, *split_walks.batch(part), len(part), products)[1])
     scores = np.vstack(scores)
     model.predictor.running_mean = scores.mean(axis=0, keepdims=True)
     model.predictor.running_var = scores.var(axis=0, keepdims=True)
@@ -358,21 +405,21 @@ def perturb_filters(model: XgknModel, mode: str, delta: float, rng: Rng,
         if feature_pool is None or len(feature_pool) == 0:
             raise ValueError("feature mode needs a nonempty feature pool")
         pool = np.asarray(feature_pool, dtype=np.float64)
-        features = bank.features.values.copy()
+        features = bank.features.copy()
         for block in bank.blocks(features):
             for row in np.flatnonzero(rng.random(bank.size) < delta):
                 raw = pool[int(rng.integers(0, pool.shape[0]))]
-                block[row] = out.encoder.encode_rows(raw.reshape(1, -1))[0]
-        bank.features.values = features
+                block[row] = out.encoder.encode(raw.reshape(1, -1))[0]
+        bank.features = features
     elif mode == "edges":
-        logits = bank.adjacency_logits.values.copy()
+        logits = bank.adjacency_logits.copy()
         upper = np.triu(np.ones((bank.size, bank.size), dtype=bool), 1)
         for block, effective in zip(bank.blocks(logits), bank.adjacency_values()):
             toggle = upper & (rng.random((bank.size, bank.size)) < delta)
             flip = np.where(effective >= 0.5, -_SATURATED_LOGIT, _SATURATED_LOGIT)
             block[toggle] = flip[toggle]
             block.T[toggle] = flip[toggle]
-        bank.adjacency_logits.values = logits
+        bank.adjacency_logits = logits
     else:
         raise ValueError(f"unknown filter perturbation mode {mode!r}")
     return out
@@ -399,19 +446,18 @@ def model_to_dict(model: XgknModel) -> dict:
         },
         "num_classes": model.num_classes,
         "feature_dim": model.encoder.weight.shape[0],
-        "encoder_weight": model.encoder.weight.values.tolist(),
+        "encoder_weight": model.encoder.weight.tolist(),
         "filters": [
             {"adjacency_logits": logits.tolist(), "features": features.tolist()}
-            for logits, features in zip(model.bank.blocks(model.bank.adjacency_logits.values),
-                                        model.bank.blocks(model.bank.features.values))
+            for logits, features in zip(model.bank.blocks(model.bank.adjacency_logits),
+                                        model.bank.blocks(model.bank.features))
         ],
         "predictor": {
-            "gamma": model.predictor.gamma.values.tolist(),
-            "beta": model.predictor.beta.values.tolist(),
+            "gamma": model.predictor.gamma.tolist(),
+            "beta": model.predictor.beta.tolist(),
             "running_mean": model.predictor.running_mean.tolist(),
             "running_var": model.predictor.running_var.tolist(),
-            "layers": [{"w": w.values.tolist(), "b": b.values.tolist()}
-                       for w, b in model.predictor.layers],
+            "layers": [{"w": w.tolist(), "b": b.tolist()} for w, b in model.predictor.layers],
         },
         "z_baseline": model.z_baseline.tolist(),
     }
@@ -437,22 +483,21 @@ def model_from_dict(payload: dict) -> XgknModel:
         raise ValueError(f"unsupported checkpoint format {payload.get('format')!r}")
     config = ModelConfig(**payload["config"])
     size, dim, entries = config.filter_size, config.embed_dim, payload["filters"]
-    encoder = FeatureEncoder(Tensor(_checked_array(
-        "encoder_weight", payload["encoder_weight"], (payload["feature_dim"], dim)),
-        requires_grad=True))
+    encoder = FeatureEncoder(_checked_array(
+        "encoder_weight", payload["encoder_weight"], (payload["feature_dim"], dim)))
     if len(entries) != config.num_filters:
         raise ShapeError(f"checkpoint field 'filters' has {len(entries)} entries, "
                          f"expected num_filters = {config.num_filters}")
     bank = FilterBank(*(
-        Tensor(np.vstack([_checked_array(f"filters[{i}].{key}", f[key], shape)
-                          for i, f in enumerate(entries)]), requires_grad=True)
+        np.vstack([_checked_array(f"filters[{i}].{key}", f[key], shape)
+                   for i, f in enumerate(entries)])
         for key, shape in (("adjacency_logits", (size, size)), ("features", (size, dim)))))
     predictor = Predictor(config.num_filters, payload["num_classes"],
                           config.predictor_depth, config.hidden_dim, Rng(0),
                           bn_eps=config.bn_eps, bn_momentum=config.bn_momentum)
     pred, width = payload["predictor"], (1, config.num_filters)
-    predictor.gamma.values = _checked_array("predictor.gamma", pred["gamma"], width)
-    predictor.beta.values = _checked_array("predictor.beta", pred["beta"], width)
+    predictor.gamma = _checked_array("predictor.gamma", pred["gamma"], width)
+    predictor.beta = _checked_array("predictor.beta", pred["beta"], width)
     predictor.running_mean = _checked_array("predictor.running_mean", pred["running_mean"],
                                             width)
     predictor.running_var = _checked_array("predictor.running_var", pred["running_var"], width)
@@ -461,9 +506,10 @@ def model_from_dict(payload: dict) -> XgknModel:
     if len(pred["layers"]) != config.predictor_depth:
         raise ShapeError(f"checkpoint field 'predictor.layers' has {len(pred['layers'])} "
                          f"entries, expected predictor_depth = {config.predictor_depth}")
-    for i, ((w, b), layer) in enumerate(zip(predictor.layers, pred["layers"])):
-        w.values = _checked_array(f"predictor.layers[{i}].w", layer["w"], w.shape)
-        b.values = _checked_array(f"predictor.layers[{i}].b", layer["b"], b.shape)
+    predictor.layers = [
+        (_checked_array(f"predictor.layers[{i}].w", layer["w"], w.shape),
+         _checked_array(f"predictor.layers[{i}].b", layer["b"], b.shape))
+        for i, ((w, b), layer) in enumerate(zip(predictor.layers, pred["layers"]))]
     model = XgknModel(config, encoder, bank, predictor, payload["num_classes"])
     model.z_baseline = _checked_array("z_baseline", payload["z_baseline"],
                                       (config.num_filters,))

@@ -14,7 +14,7 @@ the filter and encoder parameterisation, so that their gradients can be
 checked too, but not the walk table, the Horner recurrence or the rank-one
 shortcut they are compared against. ``neighbourhood_walks_loop`` builds the
 walk weights themselves one ``k_hop_neighborhood`` at a time, and
-``rank_one_walks_chain`` is the per-filter chain for ``numkit.class_walks``
+``rank_one_walks_chain`` is the per-filter chain for ``class_walks``
 at K = 1 (constant features). ``walk_horner`` is the walk sum over any
 feature rows as one hand-differentiated node, which ``walk_horner_per_step``,
 its per-step chain, must reproduce; ``walk_horner_responses`` builds kernel
@@ -69,11 +69,333 @@ from xgkn.graphs import (
     perturb_edges,
     perturb_features,
 )
-from xgkn.kernel import FilterBank, anchor_walks, combine_stacks
+from xgkn.kernel import FeatureEncoder, FilterBank, anchor_walks, combine_stacks, walk_inputs
 from xgkn.metrics import _explanation_edges, _result
 from xgkn.model import forward_batch, perturb_filters
 
-from conftest import zero_grad
+
+# ---------------------------------------------------------------------------
+# the tape: 2-D tensors with reverse-mode gradients over any program of ops,
+# which the package's straight-line training step replaces. The gradient
+# and finite-difference tests run the numkit ops through it (``lift``).
+
+
+class Tensor:
+    """A 2-D value in the computation graph.
+
+    ``requires_grad`` marks trainable leaves; op outputs inherit the flag from
+    their parents. ``backward`` accumulates into the ``grad`` of leaves only
+    (clear it between steps with ``zero_grad``). A leaf made from a 2-D
+    float64 array holds that array itself, so a test can wrap a model's
+    parameters and see its in-place edits."""
+
+    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward_fn")
+
+    def __init__(self, values, requires_grad: bool = False):
+        v = np.asarray(values, dtype=np.float64)
+        if v.ndim == 0:
+            v = v.reshape(1, 1)
+        elif v.ndim == 1:
+            v = v.reshape(1, -1)
+        elif v.ndim != 2:
+            raise ShapeError(f"tensors are 2-D, got shape {v.shape}")
+        self.values = v
+        self.requires_grad = requires_grad
+        self.grad = None
+        self._parents = ()
+        self._backward_fn = None
+
+    @property
+    def shape(self):
+        return self.values.shape
+
+    def item(self) -> float:
+        if self.values.size != 1:
+            raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
+        return float(self.values.reshape(()))
+
+    def __add__(self, other):
+        return add(self, _as_tensor(other))
+
+    def __radd__(self, other):
+        return add(_as_tensor(other), self)
+
+    def __sub__(self, other):
+        return sub(self, _as_tensor(other))
+
+    def __rsub__(self, other):
+        return sub(_as_tensor(other), self)
+
+    def __mul__(self, other):
+        return mul(self, _as_tensor(other))
+
+    def __rmul__(self, other):
+        return mul(_as_tensor(other), self)
+
+    def __truediv__(self, other):
+        return div(self, _as_tensor(other))
+
+    def __rtruediv__(self, other):
+        return div(_as_tensor(other), self)
+
+    def __matmul__(self, other):
+        return matmul(self, _as_tensor(other))
+
+    def __neg__(self):
+        return neg(self)
+
+    def __repr__(self):
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def _as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _op(values, parents, backward_fn) -> Tensor:
+    out = Tensor(values)
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = tuple(parents)
+        out._backward_fn = backward_fn
+    return out
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    if grad.shape == shape:
+        return grad
+    out = grad
+    if shape[0] == 1 and grad.shape[0] > 1:
+        out = out.sum(axis=0, keepdims=True)
+    if shape[1] == 1 and grad.shape[1] > 1:
+        out = out.sum(axis=1, keepdims=True)
+    return out
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    return _op(a.values + b.values, (a, b),
+               lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    return _op(a.values - b.values, (a, b),
+               lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    return _op(a.values * b.values, (a, b),
+               lambda g: (_unbroadcast(g * b.values, a.shape),
+                          _unbroadcast(g * a.values, b.shape)))
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    return _op(a.values / b.values, (a, b),
+               lambda g: (_unbroadcast(g / b.values, a.shape),
+                          _unbroadcast(-g * a.values / (b.values * b.values), b.shape)))
+
+
+def neg(a: Tensor) -> Tensor:
+    return _op(-a.values, (a,), lambda g: (-g,))
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul mismatch: {a.shape} @ {b.shape}")
+    return _op(a.values @ b.values, (a, b),
+               lambda g: (g @ b.values.T, a.values.T @ g))
+
+
+def backward(output: Tensor) -> None:
+    """Accumulate d(output)/d(leaf) into ``grad`` of every requires_grad leaf
+    reachable from ``output``, in a topological order of the graph; op
+    outputs keep no ``grad``. Every gradient, intermediate ones included, is
+    checked for non-finite entries. ``output`` must be scalar."""
+    if output.values.shape != (1, 1):
+        raise ShapeError(f"backward needs a scalar output, got shape {output.shape}")
+    order = []
+    visited = set()
+    stack = [(output, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    grads = {id(output): np.ones((1, 1))}
+    for node in reversed(order):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if not np.isfinite(g).all():
+            raise NumericError("non-finite gradient encountered")
+        if node._backward_fn is None:
+            if node.requires_grad:
+                node.grad = g.copy() if node.grad is None else node.grad + g
+            continue
+        parent_grads = node._backward_fn(g)
+        for parent, pg in zip(node._parents, parent_grads):
+            if pg is None or not parent.requires_grad:
+                continue
+            key = id(parent)
+            if key in grads:
+                grads[key] = grads[key] + pg
+            else:
+                grads[key] = pg
+
+
+def zero_grad(*tensors) -> None:
+    """Clear the gradients that ``backward`` left on ``tensors``."""
+    for t in tensors:
+        t.grad = None
+
+
+def lift(op, inputs: int = 1):
+    """The numkit op ``op`` as a node of the tape: its first ``inputs``
+    arguments are its differentiable inputs (Tensors, or arrays taken as
+    constants), the others pass through. Returns the output Tensor, followed
+    by the op's other values when it has any."""
+    def lifted(*args, **kwargs):
+        parents = tuple(_as_tensor(a) for a in args[:inputs])
+        values, *extras, back = op(*(p.values for p in parents), *args[inputs:], **kwargs)
+        out = _op(values, parents, back)
+        return (out, *extras) if extras else out
+
+    return lifted
+
+
+row_unit_normalize = lift(nk.row_unit_normalize)
+segment_sum_rows = lift(nk.segment_sum_rows)
+negative_entropy = lift(nk.negative_entropy)
+batch_norm = lift(nk.batch_norm, 3)
+segment_col_max = lift(nk.segment_col_max)
+cross_entropy = lift(nk.cross_entropy)
+relu = lift(nk.relu)
+affine = lift(nk.affine, 3)
+
+
+def symmetric_adjacency(logits) -> Tensor:
+    """``numkit.symmetric_adjacency`` under the mask of a stack shaped as
+    ``logits``."""
+    size = logits.shape[1]
+    mask = nk.off_diagonal_mask(logits.shape[0] // size, size)
+    return lift(nk.symmetric_adjacency)(logits, mask)
+
+
+def class_walks(rows, shared, adjacencies, table: np.ndarray, classes: np.ndarray, cap: int,
+                row_local: bool = False, order: np.ndarray | None = None) -> Tensor:
+    """The kernel's class walks as one node of the tape: column f of the
+    output is ``sum_{b,p} table[v, b, p] * c_{f,p}[b, a]`` at row v of class
+    ``a = classes[v]``, ``numkit.class_table_product`` of
+    ``numkit.class_products``, and the backward runs theirs. ``table`` is
+    each row's (n, K, cap + 1) class table in row order, or grouped by class
+    when ``order``, the stable class order of the rows, is given."""
+    size, (k, dim) = adjacencies.shape[1], shared.shape
+    n = classes.shape[0]
+    if rows.shape != (adjacencies.shape[0], dim) or adjacencies.shape[0] % size \
+            or table.shape != (n, k, cap + 1) \
+            or (n and not 0 <= classes.min() <= classes.max() < k):
+        raise ShapeError(f"class_walks: rows {rows.shape}, shared {shared.shape}, "
+                         f"adjacencies {adjacencies.shape}, table {table.shape}, "
+                         f"classes {classes.shape}, cap {cap} do not fit")
+    if order is None:
+        order = np.argsort(classes, kind="stable")
+        table = table[order]
+    products, back_products = nk.class_products(rows.values, shared.values,
+                                                adjacencies.values, cap)
+    out, back = nk.class_table_product(table, nk.class_parts(classes, k), order, products,
+                                       row_local)
+    return _op(out, (rows, shared, adjacencies), lambda g: back_products(*back(g)))
+
+
+def encode(encoder, raw: np.ndarray) -> Tensor:
+    """``kernel.FeatureEncoder.encode`` on the tape, differentiable in the
+    encoder's weight when it is a leaf."""
+    return row_unit_normalize(Tensor(raw) @ _as_tensor(encoder.weight))
+
+
+def effective_adjacency(bank) -> Tensor:
+    """``kernel.FilterBank.effective_adjacency`` on the tape."""
+    return symmetric_adjacency(_as_tensor(bank.adjacency_logits))
+
+
+def stack_responses_of(stack, bank, encoder, walk_cap=None, training=False) -> Tensor:
+    """``kernel.stack_responses`` over ``stack``'s own ``walk_inputs`` on the
+    tape, as ``model.forward`` scores a chunk (row-local unless
+    ``training``); the walks take the bank's filter size in steps unless
+    ``walk_cap`` is given. Leaves in the bank or the encoder get gradients."""
+    cap = bank.size if walk_cap is None else walk_cap
+    inputs = walk_inputs(stack, cap)
+    return class_walks(row_unit_normalize(_as_tensor(bank.features)),
+                       encode(encoder, np.eye(encoder.weight.shape[0])),
+                       effective_adjacency(bank), inputs.table, inputs.classes, cap,
+                       row_local=not training, order=inputs.order)
+
+
+def tape_step(model, inputs, graph_seg: np.ndarray, labels, chains: bool = False,
+              responses=None):
+    """One training step of ``model`` on the tape, the reference for
+    ``model.train_step`` and ``numkit.backward``: the graph the package's
+    training built before its explicit step, with the layers as the tape's
+    own product, sum and relu. ``chains`` takes the chains of nodes that the
+    fused adjacency, entropy and batch-norm ops replace; ``responses``, given
+    ``inputs`` and a ``FilterBank`` and ``FeatureEncoder`` of the leaves,
+    takes the kernel responses' place. Batch norm moves
+    the running statistics as the package's step does. Returns the loss, the
+    logits and a leaf per parameter, holding the model's own arrays, in
+    ``parameters`` order."""
+    cfg = model.config
+    leaves = [Tensor(p, requires_grad=True) for p in model.parameters()]
+    weight, logits, features, gamma, beta, *layers = leaves
+    if responses is None:
+        adjacency = (symmetric_adjacency_chain if chains else symmetric_adjacency)(logits)
+        shared = row_unit_normalize(Tensor(np.eye(weight.shape[0])) @ weight)
+        r = class_walks(row_unit_normalize(features), shared, adjacency, inputs.table,
+                        inputs.classes, inputs.cap, order=inputs.order)
+    else:
+        r = responses(inputs, FilterBank(logits, features), FeatureEncoder(weight))
+    num_graphs = len(labels)
+    if cfg.agg_mode == "sum":
+        z = segment_sum_rows(r, graph_seg, num_graphs)
+    elif cfg.agg_mode == "max":
+        z = segment_col_max(r, graph_seg, num_graphs)[0]
+    else:
+        z = (negative_entropy_chain if chains else negative_entropy)(
+            r, graph_seg, num_graphs, cfg.entropy_eps, cfg.norm_scope)[0]
+    out, mean, var = (batch_norm_chain if chains else batch_norm)(z, gamma, beta, cfg.bn_eps)
+    pred, mom = model.predictor, cfg.bn_momentum
+    pred.running_mean = (1 - mom) * pred.running_mean + mom * mean
+    pred.running_var = (1 - mom) * pred.running_var + mom * var
+    for i, (w, b) in enumerate(zip(layers[::2], layers[1::2])):
+        if i:
+            out = relu(out)
+        out = out @ w + b
+    return cross_entropy(out, labels), out, leaves
+
+
+def flat_grad(leaves: list[Tensor]) -> np.ndarray:
+    """The leaves' gradients laid end to end, as ``numkit.AdamState.flat``
+    lays out the parameters."""
+    return np.concatenate([np.zeros(0)] + [t.grad.ravel() for t in leaves])
+
+
+def as_leaves(*holders) -> list[Tensor]:
+    """Make the parameter arrays of package ``FilterBank``s (logits, then
+    rows) and ``FeatureEncoder``s (weight) leaves of the tape, in place; each
+    leaf holds the array it replaces. Returns the leaves in that order."""
+    leaves = []
+    for holder in holders:
+        names = ("weight",) if hasattr(holder, "weight") else ("adjacency_logits", "features")
+        for name in names:
+            leaf = Tensor(getattr(holder, name), requires_grad=True)
+            setattr(holder, name, leaf)
+            leaves.append(leaf)
+    return leaves
 
 
 class AnchorError(XgknError, ValueError):
@@ -85,53 +407,54 @@ def explain_graph(model, g: Graph, p: float) -> Explanation:
     return threshold_explanation(g, node_importance(model, g), p)
 
 
-def exp(a: nk.Tensor) -> nk.Tensor:
+def exp(a: Tensor) -> Tensor:
     """Elementwise exp as an autograd op: the package has no use for it, the
     gradient tests chain it with the ops it has."""
     out_values = np.exp(a.values)
-    return nk._op(out_values, (a,), lambda g: (g * out_values,))
+    return _op(out_values, (a,), lambda g: (g * out_values,))
 
 
-def transpose(a: nk.Tensor) -> nk.Tensor:
-    return nk._op(a.values.T, (a,), lambda g: (g.T,))
+def transpose(a: Tensor) -> Tensor:
+    return _op(a.values.T, (a,), lambda g: (g.T,))
 
 
-def log(a: nk.Tensor) -> nk.Tensor:
-    return nk._op(np.log(a.values), (a,), lambda g: (g / a.values,))
+def log(a: Tensor) -> Tensor:
+    return _op(np.log(a.values), (a,), lambda g: (g / a.values,))
 
 
-def sqrt(a: nk.Tensor) -> nk.Tensor:
+def sqrt(a: Tensor) -> Tensor:
     out_values = np.sqrt(a.values)
-    return nk._op(out_values, (a,), lambda g: (g * 0.5 / out_values,))
+    return _op(out_values, (a,), lambda g: (g * 0.5 / out_values,))
 
 
-def sigmoid(a: nk.Tensor) -> nk.Tensor:
+def sigmoid(a: Tensor) -> Tensor:
     out_values = 1.0 / (1.0 + np.exp(-a.values))
-    return nk._op(out_values, (a,), lambda g: (g * out_values * (1.0 - out_values),))
+    return _op(out_values, (a,), lambda g: (g * out_values * (1.0 - out_values),))
 
 
-def clip_min(a: nk.Tensor, lo: float) -> nk.Tensor:
+def clip_min(a: Tensor, lo: float) -> Tensor:
     """Elementwise max(a, lo); gradient passes only where a > lo."""
     mask = a.values > lo
-    return nk._op(np.maximum(a.values, lo), (a,), lambda g: (g * mask,))
+    return _op(np.maximum(a.values, lo), (a,), lambda g: (g * mask,))
 
 
-def tsum(a: nk.Tensor, axis: int | None = None) -> nk.Tensor:
+def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     """Sum to (1, 1) when axis is None, else keepdims sum along the axis."""
     if axis is None:
         values = a.values.sum().reshape(1, 1)
-        return nk._op(values, (a,), lambda g: (np.broadcast_to(g, a.shape),))
+        return _op(values, (a,), lambda g: (np.broadcast_to(g, a.shape),))
     values = a.values.sum(axis=axis, keepdims=True)
-    return nk._op(values, (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
+    return _op(values, (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
-def gather_rows(a: nk.Tensor, idx: np.ndarray) -> nk.Tensor:
+def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Select rows by index (duplicates allowed); backward scatter-adds."""
     idx = np.asarray(idx, dtype=np.int64)
-    return nk._op(a.values[idx], (a,), lambda g: (nk._scatter_rows(g, idx, a.shape[0]),))
+    return _op(a.values[idx], (a,), lambda g: (
+        nk.scatter_rows(g, nk.segment_cells(idx, g.shape[1]), a.shape[0]),))
 
 
-def block_transpose(a: nk.Tensor) -> nk.Tensor:
+def block_transpose(a: Tensor) -> Tensor:
     """Transpose every square block of a stack of them: ``a`` is
     [F·size, size], and rows f·size to f·size + size - 1 hold block f. The
     backward is the same block transpose."""
@@ -142,50 +465,50 @@ def block_transpose(a: nk.Tensor) -> nk.Tensor:
     def flip(x):
         return x.reshape(-1, size, size).transpose(0, 2, 1).reshape(x.shape)
 
-    return nk._op(flip(a.values), (a,), lambda g: (flip(g),))
+    return _op(flip(a.values), (a,), lambda g: (flip(g),))
 
 
-def symmetric_adjacency_chain(logits: nk.Tensor) -> nk.Tensor:
+def symmetric_adjacency_chain(logits: Tensor) -> Tensor:
     """``numkit.symmetric_adjacency`` as the chain of autograd nodes that
     ``FilterBank.effective_adjacency`` ran: sigmoid, block transpose, add,
     ×0.5 and the off-diagonal mask."""
     size = logits.shape[1]
     squashed = sigmoid(logits)
-    sym = (squashed + block_transpose(squashed)) * nk.Tensor(np.full((1, 1), 0.5))
-    return sym * nk.Tensor(np.tile(np.ones((size, size)) - np.eye(size),
-                                   (logits.shape[0] // size, 1)))
+    sym = (squashed + block_transpose(squashed)) * Tensor(np.full((1, 1), 0.5))
+    return sym * Tensor(np.tile(np.ones((size, size)) - np.eye(size),
+                                (logits.shape[0] // size, 1)))
 
 
-def negative_entropy_chain(r: nk.Tensor, seg: np.ndarray, num_segments: int, eps: float,
+def negative_entropy_chain(r: Tensor, seg: np.ndarray, num_segments: int, eps: float,
                            norm_scope: str = "global", row_local: bool = False):
     """``numkit.negative_entropy`` as the chain of autograd nodes that
     negative-entropy aggregation ran: (z, contribution values)."""
     clamped = clip_min(r, eps)
-    col_sums = nk.segment_sum_rows(clamped * clamped, seg, num_segments)
+    col_sums = segment_sum_rows(clamped * clamped, seg, num_segments)
     if norm_scope == "per_column":
         norm = sqrt(col_sums)
     elif row_local:
         norm = sqrt(tsum(col_sums, axis=1))
     else:
-        norm = sqrt(col_sums @ nk.Tensor(np.ones((r.shape[1], 1))))
+        norm = sqrt(col_sums @ Tensor(np.ones((r.shape[1], 1))))
     q = clamped / gather_rows(norm, seg)
     contrib = q * log(q)
-    return nk.segment_sum_rows(contrib, seg, num_segments), contrib.values.copy()
+    return segment_sum_rows(contrib, seg, num_segments), contrib.values.copy()
 
 
-def batch_norm_chain(z: nk.Tensor, gamma: nk.Tensor, beta: nk.Tensor, eps: float):
+def batch_norm_chain(z: Tensor, gamma: Tensor, beta: Tensor, eps: float):
     """``numkit.batch_norm`` as the chain of autograd nodes that the
     predictor's training-mode batch norm ran: (output, batch mean, batch
     variance)."""
-    inv = nk.Tensor(np.full((1, 1), 1.0 / z.shape[0]))
+    inv = Tensor(np.full((1, 1), 1.0 / z.shape[0]))
     mean = tsum(z, axis=0) * inv
     centered = z - mean
     var = tsum(centered * centered, axis=0) * inv
-    normed = centered / sqrt(var + nk.Tensor(np.full((1, 1), eps)))
+    normed = centered / sqrt(var + Tensor(np.full((1, 1), eps)))
     return normed * gamma + beta, mean.values, var.values
 
 
-def adam_per_tensor(params: list[nk.Tensor], moments: list, step: int, lr: float,
+def adam_per_tensor(params: list[Tensor], moments: list, step: int, lr: float,
                     weight_decay: float, beta1: float = 0.9, beta2: float = 0.999,
                     eps: float = 1e-8) -> None:
     """Adam update number ``step`` tensor by tensor, as ``numkit.adam_step``
@@ -203,7 +526,7 @@ def adam_per_tensor(params: list[nk.Tensor], moments: list, step: int, lr: float
         p.grad = None
 
 
-def finite_difference_check(f, params: list[nk.Tensor], eps: float = 1e-5) -> float:
+def finite_difference_check(f, params: list[Tensor], eps: float = 1e-5) -> float:
     """Max relative error between reverse-mode and central-difference gradients.
 
     ``f`` re-evaluates the scalar objective from the current parameter values.
@@ -212,7 +535,7 @@ def finite_difference_check(f, params: list[nk.Tensor], eps: float = 1e-5) -> fl
     out = f()
     if not np.isfinite(out.values).all():
         raise NumericError("objective is non-finite")
-    nk.backward(out)
+    backward(out)
     analytic = [np.zeros_like(p.values) if p.grad is None else p.grad.copy() for p in params]
     worst = 0.0
     for p, g_ad in zip(params, analytic):
@@ -252,47 +575,47 @@ def neighbourhood_walks_loop(g: Graph, k: int, max_size: int, steps: int) -> lis
     return out
 
 
-def _group_weighted_sum(a: nk.Tensor, weights: np.ndarray) -> nk.Tensor:
+def _group_weighted_sum(a: Tensor, weights: np.ndarray) -> Tensor:
     """Row v is ``sum_j weights[v, j] * a[v * width + j]``: the rows of ``a``
     in consecutive groups of ``width``, each summed under its row of the
     constant (n, width) ``weights``."""
     n, width = weights.shape
     groups = a.values.reshape(n, width, a.shape[1])
-    return nk._op(np.einsum("vj,vjc->vc", weights, groups), (a,),
-                  lambda g: ((weights[:, :, None] * g[:, None, :]).reshape(a.shape),))
+    return _op(np.einsum("vj,vjc->vc", weights, groups), (a,),
+               lambda g: ((weights[:, :, None] * g[:, None, :]).reshape(a.shape),))
 
 
-def _vstack(parts: list[nk.Tensor]) -> nk.Tensor:
+def _vstack(parts: list[Tensor]) -> Tensor:
     bounds = np.cumsum([0] + [p.shape[0] for p in parts])
-    return nk._op(np.vstack([p.values for p in parts]), tuple(parts),
-                  lambda g: tuple(g[lo:hi] for lo, hi in zip(bounds, bounds[1:])))
+    return _op(np.vstack([p.values for p in parts]), tuple(parts),
+               lambda g: tuple(g[lo:hi] for lo, hi in zip(bounds, bounds[1:])))
 
 
-def _hstack(parts: list[nk.Tensor]) -> nk.Tensor:
+def _hstack(parts: list[Tensor]) -> Tensor:
     bounds = np.cumsum([0] + [p.shape[1] for p in parts])
-    return nk._op(np.hstack([p.values for p in parts]), tuple(parts),
-                  lambda g: tuple(g[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])))
+    return _op(np.hstack([p.values for p in parts]), tuple(parts),
+               lambda g: tuple(g[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])))
 
 
-def _block_diag(parts: list[nk.Tensor]) -> nk.Tensor:
+def _block_diag(parts: list[Tensor]) -> Tensor:
     """Block-diagonal matrix of ``parts``, zeros elsewhere."""
     rows = np.cumsum([0] + [p.shape[0] for p in parts])
     cols = np.cumsum([0] + [p.shape[1] for p in parts])
     values = np.zeros((rows[-1], cols[-1]))
     for i, p in enumerate(parts):
         values[rows[i]:rows[i + 1], cols[i]:cols[i + 1]] = p.values
-    return nk._op(values, tuple(parts), lambda g: tuple(
+    return _op(values, tuple(parts), lambda g: tuple(
         g[rows[i]:rows[i + 1], cols[i]:cols[i + 1]] for i in range(len(parts))))
 
 
-def _block(a: nk.Tensor, rows: slice, cols: slice) -> nk.Tensor:
+def _block(a: Tensor, rows: slice, cols: slice) -> Tensor:
     """The sub-matrix ``a[rows, cols]``; its gradient is zero elsewhere."""
     def backward(g):
         out = np.zeros(a.shape)
         out[rows, cols] = g
         return (out,)
 
-    return nk._op(a.values[rows, cols], (a,), backward)
+    return _op(a.values[rows, cols], (a,), backward)
 
 
 def _filter_slices(stacked: int, size: int) -> list[slice]:
@@ -305,7 +628,7 @@ class GraphFilter:
     row per node. ``effective_adjacency`` is the per-filter parameter chain
     that ``kernel.FilterBank`` runs for every filter at once."""
 
-    def __init__(self, adjacency_logits: nk.Tensor, features: nk.Tensor):
+    def __init__(self, adjacency_logits: Tensor, features: Tensor):
         self.adjacency_logits = adjacency_logits
         self.features = features
 
@@ -313,34 +636,34 @@ class GraphFilter:
     def init(size: int, embed_dim: int, rng) -> "GraphFilter":
         logits = rng.normal(size=(size, size))
         feats = rng.normal(size=(size, embed_dim))
-        return GraphFilter(nk.Tensor(logits, requires_grad=True),
-                           nk.Tensor(feats, requires_grad=True))
+        return GraphFilter(Tensor(logits, requires_grad=True),
+                           Tensor(feats, requires_grad=True))
 
     @property
     def size(self) -> int:
         return self.features.shape[0]
 
-    def effective_adjacency(self) -> nk.Tensor:
+    def effective_adjacency(self) -> Tensor:
         squashed = sigmoid(self.adjacency_logits)
-        sym = (squashed + transpose(squashed)) * nk.Tensor(np.full((1, 1), 0.5))
+        sym = (squashed + transpose(squashed)) * Tensor(np.full((1, 1), 0.5))
         mask = np.ones((self.size, self.size)) - np.eye(self.size)
-        return sym * nk.Tensor(mask)
+        return sym * Tensor(mask)
 
     def adjacency_values(self) -> np.ndarray:
         return self.effective_adjacency().values
 
-    def parameters(self) -> list[nk.Tensor]:
+    def parameters(self) -> list[Tensor]:
         return [self.adjacency_logits, self.features]
 
 
 def bank_of(filters: list[GraphFilter]) -> FilterBank:
     """A filter bank with new leaves holding the values of ``filters``."""
     return FilterBank(
-        nk.Tensor(np.vstack([f.adjacency_logits.values for f in filters]), requires_grad=True),
-        nk.Tensor(np.vstack([f.features.values for f in filters]), requires_grad=True))
+        Tensor(np.vstack([f.adjacency_logits.values for f in filters]), requires_grad=True),
+        Tensor(np.vstack([f.features.values for f in filters]), requires_grad=True))
 
 
-def _horner_chain(s: nk.Tensor, members: np.ndarray, walks: np.ndarray, times) -> nk.Tensor:
+def _horner_chain(s: Tensor, members: np.ndarray, walks: np.ndarray, times) -> Tensor:
     """``sum_p Y_p W^p`` by Horner's rule as a chain of autograd nodes: one
     gather of the member rows of ``s``, then per walk step p a group-weighted
     sum and ``y + times(h)``, ``times`` applying W."""
@@ -352,8 +675,8 @@ def _horner_chain(s: nk.Tensor, members: np.ndarray, walks: np.ndarray, times) -
     return h
 
 
-def walk_horner_per_step(s: nk.Tensor, w: nk.Tensor, members: np.ndarray,
-                         walks: np.ndarray) -> nk.Tensor:
+def walk_horner_per_step(s: Tensor, w: Tensor, members: np.ndarray,
+                         walks: np.ndarray) -> Tensor:
     """``walk_horner`` as a chain of autograd nodes, with H W taken
     filter by filter: each column block of H times its block of the stacked
     ``w``. The op must equal its values bit for bit and its gradients to
@@ -365,16 +688,16 @@ def walk_horner_per_step(s: nk.Tensor, w: nk.Tensor, members: np.ndarray,
         [_block(h, slice(None), cols) @ block for cols, block in blocks]))
 
 
-def group_col_sums(a: nk.Tensor, size: int) -> nk.Tensor:
+def group_col_sums(a: Tensor, size: int) -> Tensor:
     """Sum each run of ``size`` consecutive columns into one column."""
     n, cols = a.shape
     if cols % size:
         raise ShapeError(f"group_col_sums: {cols} columns do not split into runs of {size}")
-    return nk._op(a.values.reshape(n, cols // size, size).sum(axis=2), (a,),
-                  lambda g: (np.repeat(g, size, axis=1),))
+    return _op(a.values.reshape(n, cols // size, size).sum(axis=2), (a,),
+               lambda g: (np.repeat(g, size, axis=1),))
 
 
-def walk_horner(s: nk.Tensor, w: nk.Tensor, members: np.ndarray, walks: np.ndarray) -> nk.Tensor:
+def walk_horner(s: Tensor, w: Tensor, members: np.ndarray, walks: np.ndarray) -> Tensor:
     """Row v of the output is ``sum_p Y_p[v] W^p``, with
     ``Y_p[v] = sum_j walks[p, v, j] * s[members[v, j]]`` for p >= 1 and
     ``Y_0 = s`` (step 0 of an anchor walk table is the anchor itself), by
@@ -429,36 +752,36 @@ def walk_horner(s: nk.Tensor, w: nk.Tensor, members: np.ndarray, walks: np.ndarr
         ds = np.bincount(targets, weights=spread.reshape(-1), minlength=n * cols)
         return dy[0] + ds.reshape(n, cols), dw.reshape(w.shape)
 
-    return nk._op(h.transpose(1, 0, 2).reshape(n, cols), (s, w), backward)
+    return _op(h.transpose(1, 0, 2).reshape(n, cols), (s, w), backward)
 
 
 def walk_horner_responses(raw: np.ndarray, members: np.ndarray, walks: np.ndarray,
-                          bank: FilterBank, encoder) -> nk.Tensor:
+                          bank: FilterBank, encoder) -> Tensor:
     """The kernel responses of node rows with any raw feature rows ``raw``,
     their neighbourhoods' ``members`` and walk table ``walks``: s = encode(raw)
     times the bank's normalized rows, h = ``walk_horner`` of s, then s * h
     summed over each filter's columns."""
-    s = encoder.encode(raw) @ transpose(nk.row_unit_normalize(bank.features))
-    h = walk_horner(s, bank.effective_adjacency(), members, walks)
+    s = encode(encoder, raw) @ transpose(row_unit_normalize(bank.features))
+    h = walk_horner(s, effective_adjacency(bank), members, walks)
     return group_col_sums(s * h, bank.size)
 
 
-def _rank_one_column(r: nk.Tensor, shared: nk.Tensor, w: nk.Tensor,
-                     counts: np.ndarray, cap: int) -> nk.Tensor:
+def _rank_one_column(r: Tensor, shared: Tensor, w: Tensor,
+                     counts: np.ndarray, cap: int) -> Tensor:
     """One filter's rank-one response column: s = r @ shared^T, the scalars
     s^T W^p s from repeated matrix-vector products, times the walk counts."""
     s = r @ transpose(shared)
     vec = s
     coeffs = [transpose(s) @ vec]
     for _ in range(cap):
-        vec = nk.matmul(w, vec)
+        vec = matmul(w, vec)
         coeffs.append(transpose(s) @ vec)
-    return nk.Tensor(counts[:, :cap + 1]) @ _vstack(coeffs)
+    return Tensor(counts[:, :cap + 1]) @ _vstack(coeffs)
 
 
-def rank_one_walks_chain(rows: nk.Tensor, shared: nk.Tensor, adjacencies: nk.Tensor,
-                         counts: np.ndarray, cap: int) -> nk.Tensor:
-    """``numkit.class_walks`` at K = 1 (``shared`` one row, ``counts`` the
+def rank_one_walks_chain(rows: Tensor, shared: Tensor, adjacencies: Tensor,
+                         counts: np.ndarray, cap: int) -> Tensor:
+    """``class_walks`` at K = 1 (``shared`` one row, ``counts`` the
     one class's table) as a chain of autograd nodes, one filter at a time,
     each reading its block of the stacked ``rows`` and ``adjacencies``. At
     cap 0 the chain never uses W and leaves it no gradient."""
@@ -468,7 +791,7 @@ def rank_one_walks_chain(rows: nk.Tensor, shared: nk.Tensor, adjacencies: nk.Ten
 
 
 def stack_responses_per_filter(stack, filters: list[GraphFilter], encoder,
-                               walk_cap: int | None = None) -> nk.Tensor:
+                               walk_cap: int | None = None) -> Tensor:
     """``kernel.stack_responses`` filter by filter: each filter's own
     parameter chain and normalized rows. Constant features take the rank-one
     chain of each filter; other features take one per-step walk chain over
@@ -476,19 +799,19 @@ def stack_responses_per_filter(stack, filters: list[GraphFilter], encoder,
     columns."""
     cap = filters[0].size if walk_cap is None else walk_cap
     walks = anchor_walks(stack.blocks, cap)
-    rows = [nk.row_unit_normalize(f.features) for f in filters]
+    rows = [row_unit_normalize(f.features) for f in filters]
     adjacencies = [f.effective_adjacency() for f in filters]
     raw = stack.raw_features
     if raw.shape[0] and np.all(raw == raw[0]):
         counts = np.ascontiguousarray(walks.sum(axis=2).T)
-        shared = encoder.encode(raw[:1])
+        shared = encode(encoder, raw[:1])
         return _hstack([_rank_one_column(r, shared, w, counts, cap)
                         for r, w in zip(rows, adjacencies)])
-    s = encoder.encode(raw) @ transpose(_vstack(rows))
+    s = encode(encoder, raw) @ transpose(_vstack(rows))
     w = _block_diag(adjacencies)
     h = _horner_chain(s, stack.members, walks, lambda h: h @ w)
     owner = np.repeat(np.arange(len(filters)), [f.size for f in filters])
-    return (s * h) @ nk.Tensor((owner[:, None] == np.arange(len(filters))).astype(np.float64))
+    return (s * h) @ Tensor((owner[:, None] == np.arange(len(filters))).astype(np.float64))
 
 
 def walk_inputs_per_batch(stacks, cap: int):
@@ -886,10 +1209,10 @@ def filter_as_graph(filt: GraphFilter) -> Graph:
                  np.arange(filt.size))
 
 
-def node_pair_similarity(gv: Graph, filt, encoder) -> nk.Tensor:
+def node_pair_similarity(gv: Graph, filt, encoder) -> Tensor:
     """Cosine similarities between encoded subgraph nodes and filter nodes."""
-    embedded = encoder.encode(gv.features)
-    filter_rows = nk.row_unit_normalize(filt.features)
+    embedded = encode(encoder, gv.features)
+    filter_rows = row_unit_normalize(filt.features)
     return embedded @ transpose(filter_rows)
 
 
@@ -909,7 +1232,7 @@ def rw_kernel(g1: Graph, g2: Graph, walk_cap: int, similarity: np.ndarray) -> fl
     return total
 
 
-def anchored_rw_kernel(gv: Graph, filt, encoder, walk_cap: int | None = None) -> nk.Tensor:
+def anchored_rw_kernel(gv: Graph, filt, encoder, walk_cap: int | None = None) -> Tensor:
     """Walk-kernel response of one node-centered subgraph against one filter,
     restricted to walks starting at the anchor; differentiable in the filter
     and encoder parameters. The walk cap defaults to the filter size."""
@@ -920,11 +1243,11 @@ def anchored_rw_kernel(gv: Graph, filt, encoder, walk_cap: int | None = None) ->
     cap = filt.size if walk_cap is None else walk_cap
     s = node_pair_similarity(gv, filt, encoder)
     w = filt.effective_adjacency()
-    a = nk.Tensor(gv.adjacency)
+    a = Tensor(gv.adjacency)
     m = s
     acc = s
     for _ in range(cap):
-        m = nk.matmul(a, nk.matmul(m, w))
+        m = matmul(a, matmul(m, w))
         acc = acc + m
     anchor_row = gather_rows(s * acc, np.array([0]))
     return tsum(anchor_row)

@@ -46,10 +46,28 @@ from xgkn.model import (
     train,
 )
 
-from conftest import random_graph, stack_responses_of, with_label
-from oracles import GraphFilter, anchored_rw_kernel, bank_of, direct_product, filter_as_graph, \
-    finite_difference_check, ged_bruteforce, node_pair_similarity, rw_kernel, \
-    tsum, walk_kernel_bruteforce
+from conftest import random_graph, with_label
+from oracles import (
+    GraphFilter,
+    Tensor,
+    affine,
+    anchored_rw_kernel,
+    as_leaves,
+    bank_of,
+    batch_norm,
+    cross_entropy,
+    direct_product,
+    filter_as_graph,
+    finite_difference_check,
+    ged_bruteforce,
+    negative_entropy,
+    node_pair_similarity,
+    relu,
+    rw_kernel,
+    stack_responses_of,
+    tsum,
+    walk_kernel_bruteforce,
+)
 from test_explainer import make_model
 from test_metrics import duplicate_first_filter, score_matrix
 
@@ -282,7 +300,7 @@ class TestKernelProperties:
         # the composite has genuine high-curvature regions (entropy log near
         # zero responses, batch-norm near zero variance) where central
         # differences are meaningless
-        from xgkn.model import Predictor, _aggregate_tensor
+        from xgkn.model import Predictor
         rng = Rng(900)
         worst = 0.0
         for trial in range(20):
@@ -293,7 +311,7 @@ class TestKernelProperties:
             bank = bank_of([GraphFilter.init(3, 3, rng.derive("kf", trial, i))
                             for i in range(2)])
             encoder = FeatureEncoder.init(2, 3, rng.derive("ke", trial))
-            kernel_params = bank.parameters() + [encoder.weight]
+            kernel_params = [bank.adjacency_logits, bank.features] + as_leaves(encoder)
 
             def kernel_objective():
                 r = stack_responses_of(stack, bank, encoder)
@@ -302,27 +320,31 @@ class TestKernelProperties:
             worst = max(worst, finite_difference_check(kernel_objective, kernel_params))
 
             # entropy aggregation on responses bounded away from the clamp
-            resp = nk.Tensor(rng.random((5, 3)) + 0.5, requires_grad=True)
+            resp = Tensor(rng.random((5, 3)) + 0.5, requires_grad=True)
             seg = np.array([0, 0, 0, 1, 1])
-            weights = nk.Tensor(rng.normal(size=(2, 3)))
+            weights = Tensor(rng.normal(size=(2, 3)))
 
             def entropy_objective():
-                z, _, _ = _aggregate_tensor(resp, "negative_entropy", 1e-8, seg, 2)
-                return tsum(z * weights)
+                return tsum(negative_entropy(resp, seg, 2, 1e-8)[0] * weights)
 
             worst = max(worst, finite_difference_check(entropy_objective, [resp]))
 
-            # batch-norm + linear predictor under cross-entropy
+            # batch-norm + linear predictor under cross-entropy, the
+            # training step's ops
             predictor = Predictor(3, 2, depth=1 + trial % 2, hidden_dim=4,
-                                  rng=rng.derive("pp", trial), bn_momentum=0.0)
-            scores = nk.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+                                  rng=rng.derive("pp", trial))
+            leaves = [Tensor(p, requires_grad=True) for p in
+                      (predictor.gamma, predictor.beta, *sum(predictor.layers, ()))]
+            scores = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
             labels = np.array([0, 1, 0, 1])
 
             def predictor_objective():
-                return nk.cross_entropy(predictor.logits(scores, training=True), labels)
+                out = batch_norm(scores, leaves[0], leaves[1], predictor.bn_eps)[0]
+                for i in range(2, len(leaves), 2):
+                    out = affine(relu(out) if i > 2 else out, leaves[i], leaves[i + 1])
+                return cross_entropy(out, labels)
 
-            worst = max(worst, finite_difference_check(
-                predictor_objective, predictor.parameters() + [scores]))
+            worst = max(worst, finite_difference_check(predictor_objective, leaves + [scores]))
         report("criterion 9: all trainable gradients pass FD checks < 1e-4",
                worst < 1e-4, f"worst={worst:.2e}")
 

@@ -11,6 +11,7 @@ import pytest
 import xgkn.cli
 import xgkn.kernel
 import xgkn.model
+import xgkn.numkit
 from xgkn.cli import main
 from xgkn.data import generate_ba2motifs
 from xgkn.explainer import write_explanations
@@ -19,7 +20,7 @@ from xgkn.kernel import anchor_walks
 from xgkn.metrics import aim_report
 from xgkn.record import replace
 
-from oracles import walk_horner_responses, write_tu_dataset
+from oracles import backward, tape_step, walk_horner_responses, write_tu_dataset
 
 TINY_CONFIG = {
     "dataset": {"kind": "ba2motifs", "n_graphs": 16, "seed": 3},
@@ -658,7 +659,7 @@ def horner_class_table(stack, cap: int):
         np.hstack([offsets, walks.transpose(1, 0, 2).reshape(rows.size, -1)])
 
 
-def horner_route_responses(inputs, bank, encoder, training=False, products=None):
+def horner_responses(inputs, bank, encoder):
     """``oracles.walk_horner_responses`` of ``horner_class_table``'s rows."""
     n, width = inputs.table.shape[0], inputs.table.shape[1] // (inputs.cap + 2)
     members = inputs.table[:, :width].astype(np.int64) + np.arange(n)[:, None]
@@ -667,27 +668,47 @@ def horner_route_responses(inputs, bank, encoder, training=False, products=None)
                                  bank, encoder)
 
 
+def horner_train_step(model, inputs, graph_seg, labels, classes, grads):
+    """``model.train_step`` over the walk_horner route: one step, whose
+    backward runs the tape of ``oracles.tape_step`` and hands each leaf's
+    gradient to its array of ``grads``."""
+    loss, logits, leaves = tape_step(model, inputs, graph_seg, labels,
+                                     responses=horner_responses)
+
+    def back(g):
+        backward(loss)
+        return [leaf.grad for leaf in leaves]
+
+    return loss.values, logits.values, [(back, tuple(grads))]
+
+
 def test_class_route_leaves_metrics_and_selections_unchanged(tmp_path, monkeypatch):
-    # one-hot degree features (15 columns) take numkit.class_walks; with the
-    # oracle's walk_horner responses in its place, which sum in another
-    # order, training, explain and evaluate must end at the same metric
-    # values and the same selected node sets
+    # one-hot degree features (15 columns) take the class walks; with the
+    # oracle's walk_horner responses in their place, on the tape in
+    # training, which sum in another order, training, explain and evaluate
+    # must end at the same metric values and the same selected node sets
     calls = []
-    class_walks = xgkn.numkit.class_walks
+    class_table_product = xgkn.numkit.class_table_product
 
     def counted(*args, **kwargs):
-        calls.append(args[3].shape[0])
-        return class_walks(*args, **kwargs)
+        calls.append(args[0].shape[0])
+        return class_table_product(*args, **kwargs)
 
-    monkeypatch.setattr(xgkn.numkit, "class_walks", counted)
+    monkeypatch.setattr(xgkn.numkit, "class_table_product", counted)
     results = []
     for route in ("class", "walk_horner"):
         if route == "walk_horner":
             # kernel.SplitWalks and kernel.walk_inputs take their tables
-            # from kernel._class_table, and model.py binds stack_responses
-            # by name, so each is patched there
+            # from kernel._class_table, and model.py binds the filter side,
+            # the responses and the training step by name, so each is
+            # patched there; inference hands the bank and the encoder to the
+            # responses as its filter products
             monkeypatch.setattr(xgkn.kernel, "_class_table", horner_class_table)
-            monkeypatch.setattr(xgkn.model, "stack_responses", horner_route_responses)
+            monkeypatch.setattr(xgkn.model, "filter_products",
+                                lambda bank, encoder, cap: (bank, encoder))
+            monkeypatch.setattr(xgkn.model, "stack_responses", lambda inputs, products: (
+                horner_responses(inputs, *products).values, None))
+            monkeypatch.setattr(xgkn.model, "train_step", horner_train_step)
         (tmp_path / route).mkdir()
         out_dir = tmp_path / route / "out"
         config = write_config(tmp_path / route, out_dir, extra={
@@ -713,13 +734,13 @@ def test_class_route_leaves_metrics_and_selections_unchanged(tmp_path, monkeypat
 STAGES = ("prepare", "train", "explain", "evaluate", "report")
 
 
-def cli_process(args, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def cli_process(args, stdout=subprocess.PIPE, flags=()) -> subprocess.CompletedProcess:
     """One ``python -m xgkn.cli`` process with block-buffered streams, as a
-    pipeline runs it; stderr is captured."""
+    pipeline runs it, the interpreter given ``flags``; stderr is captured."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(xgkn.cli.__file__).resolve().parents[1])
-    return subprocess.run([sys.executable, "-m", "xgkn.cli", *args], env=env, stdout=stdout,
-                          stderr=subprocess.PIPE, text=True)
+    return subprocess.run([sys.executable, *flags, "-m", "xgkn.cli", *args], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
 
 
 def test_process_pipeline_prints_and_writes_what_main_does(tmp_path, capsys):
@@ -763,6 +784,20 @@ def test_process_exit_status_and_message(tmp_path, case):
     proc = cli_process(args)
     assert proc.returncode == code
     assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("features", ["constant", "degree_onehot"])
+def test_process_pipeline_runs_clean_with_warnings_as_errors(tmp_path, features):
+    # under -W error a RuntimeWarning (overflow, division by zero, an
+    # invalid value) from a hand-written forward or backward ends the stage
+    # with a traceback
+    config = write_config(tmp_path, tmp_path / "out", extra={
+        "dataset": {"kind": "ba2motifs", "n_graphs": 16, "seed": 3,
+                    "feature_policy": None if features == "constant" else features},
+        "train": {"epochs": 3, "batch_size": 8}})
+    for command in STAGES:
+        proc = cli_process([command, "-c", str(config)], flags=("-W", "error"))
+        assert (proc.returncode, proc.stderr) == (0, ""), command
 
 
 def test_process_whose_stdout_reader_is_gone_exits_120_quietly(tmp_path):
@@ -873,3 +908,63 @@ def test_report_of_runs_that_do_not_vary_holds_no_infinite_t(tmp_path):
     xgkn.cli._dump_json(tmp_path / "report.json", report.to_dict())
     payload = json.loads((tmp_path / "report.json").read_text())
     assert "t-test A1 vs other: t=n/a df=2.0 p=0.0000*" in xgkn.cli.render_report(payload)
+    xgkn.cli._write_ttests_csv(tmp_path / "ttests.csv", report)
+    assert (tmp_path / "ttests.csv").read_text().splitlines()[1] == "A1,other,,2.0,0.0,True"
+
+
+def test_train_stops_at_a_non_finite_gradient_writing_no_checkpoint(tmp_path, capsys,
+                                                                    monkeypatch):
+    # batch norm hands gamma an infinite gradient while the loss stays
+    # finite: the check after the reverse pass stops the first seed
+    batch_norm = xgkn.numkit.batch_norm
+
+    def poisoned(z, gamma, beta, eps):
+        out, mean, var, back = batch_norm(z, gamma, beta, eps)
+
+        def poisoned_back(g):
+            g_z, _, g_beta = back(g)
+            return g_z, np.full(gamma.shape, np.inf), g_beta
+
+        return out, mean, var, poisoned_back
+
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path, out_dir)
+    assert main(["prepare", "-c", str(config)]) == 0
+    monkeypatch.setattr(xgkn.numkit, "batch_norm", poisoned)
+    capsys.readouterr()
+    assert main(["train", "-c", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite gradient" in err and "Traceback" not in err
+    assert not list(out_dir.glob("checkpoint_seed*.json"))
+
+
+# ---------------------------------------------------------------------------
+# one rule for bad artifacts: one that is not JSON exits 1 naming the file,
+# a missing one exits 2 (as every OSError of a path does)
+
+# artifact -> the first stage that reads it
+READERS = {"dataset.json": "train", "splits.json": "train", "checkpoint_seed0.json": "explain",
+           "explanations_seed0.jsonl": "evaluate", "report.json": "report"}
+DAMAGE = {"truncated": (lambda raw: raw[:len(raw) // 2], 1),
+          "not UTF-8": (lambda raw: b"\xff" + raw, 1),
+          "missing": (None, 2)}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_a_bad_artifact_is_refused_naming_it(pipeline, capsys, name, damage):
+    _, out_dir, config = pipeline
+    path = out_dir / name
+    original = path.read_bytes()
+    edit, code = DAMAGE[damage]
+    if edit is None:
+        path.unlink()
+    else:
+        path.write_bytes(edit(original))
+    try:
+        capsys.readouterr()
+        assert main([READERS[name], "-c", str(config)]) == code
+    finally:
+        path.write_bytes(original)
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err

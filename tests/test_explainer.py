@@ -21,7 +21,6 @@ from xgkn.explainer import (
 )
 from xgkn.graphs import Graph, NodeSet, Rng
 from xgkn.model import ForwardPass, ModelConfig, forward_batch, init_model
-from xgkn.numkit import Tensor
 
 from conftest import cycle_graph, random_graph, with_label
 from oracles import explain_graph, shapley_permutation_oracle, threshold_selection_loop
@@ -39,8 +38,7 @@ def make_model(m=4, depth=1, seed=0, num_classes=2, agg="negative_entropy", feat
 def game_fn(model, z, baseline, target):
     def value(coalition):
         mixed = np.array([z[i] if i in coalition else baseline[i] for i in range(len(z))])
-        return model.predictor.logits(Tensor(mixed.reshape(1, -1)), training=False) \
-            .values[0, target]
+        return model.predictor.logits(mixed.reshape(1, -1))[0, target]
     return value
 
 
@@ -54,8 +52,8 @@ class TestExactShapley:
         # the frozen batch-norm + linear head is affine, so the Shapley value
         # of coordinate i is its effective weight times (z_i - baseline_i)
         pred = model.predictor
-        scale = (pred.gamma.values / np.sqrt(pred.running_var + pred.bn_eps)).reshape(-1)
-        w_eff = scale * pred.layers[0][0].values[:, 1]
+        scale = (pred.gamma / np.sqrt(pred.running_var + pred.bn_eps)).reshape(-1)
+        w_eff = scale * pred.layers[0][0][:, 1]
         assert np.allclose(attr.phi, w_eff * (z - baseline), atol=1e-9)
 
     def test_baseline_input_gives_zero_attributions(self):
@@ -126,8 +124,8 @@ class TestExactShapley:
         pred = model.predictor
         pred.running_mean = draws.normal(size=(1, m))
         pred.running_var = draws.uniform(0.01, 4.0, size=(1, m))
-        pred.gamma.values = draws.normal(size=(1, m))
-        pred.beta.values = draws.normal(size=(1, m))
+        pred.gamma = draws.normal(size=(1, m))
+        pred.beta = draws.normal(size=(1, m))
         baseline = draws.normal(size=m)
         z = draws.normal(size=(rows, m)) * 3.0
         if at_baseline:

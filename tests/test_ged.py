@@ -9,7 +9,6 @@ from xgkn.errors import CapacityError
 from xgkn.ged import binarize_filter, ged_exact, ged_normalized, unique_rows
 from xgkn.graphs import Graph
 from xgkn.kernel import FilterBank
-from xgkn import numkit as nk
 
 from conftest import cycle_graph, house_graph, path_graph, random_graph
 from oracles import ged_bruteforce, is_isomorphic_bruteforce
@@ -143,8 +142,8 @@ class TestBinarizeFilter:
         A2 hands ``binarize_filter``."""
         size = weights.shape[0]
         logits = np.log(weights / (1 - weights) + 1e-300)
-        bank = FilterBank(nk.Tensor(logits), nk.Tensor(np.ones((size, 2))))
-        return bank.adjacency_values()[0], bank.features.values
+        bank = FilterBank(logits, np.ones((size, 2)))
+        return bank.adjacency_values()[0], bank.features
 
     def test_high_weights_give_complete_graph(self):
         w = np.full((4, 4), 0.9)
@@ -170,7 +169,7 @@ class TestBinarizeFilter:
         from xgkn.kernel import FeatureEncoder
         features = np.array([[0.9, 0.1], [0.2, 0.8]])
         rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-        encoder = FeatureEncoder(nk.Tensor(np.eye(2)))
+        encoder = FeatureEncoder(np.eye(2))
         g = binarize_filter(np.full((2, 2), 0.5), features, feature_rows=rows,
                             encoder=encoder)
         assert np.allclose(g.features, [[1.0, 0.0], [0.0, 1.0]])

@@ -19,20 +19,18 @@ from xgkn.kernel import (
     combine_stacks,
 )
 
-from conftest import (
-    cycle_graph,
-    path_graph,
-    random_graph,
-    stack_responses_of,
-    subgraphs_of,
-    zero_grad,
-)
+from conftest import cycle_graph, path_graph, random_graph, subgraphs_of
 from oracles import (
     AnchorError,
     GraphFilter,
+    Tensor,
     anchored_rw_kernel,
+    as_leaves,
+    backward,
     bank_of,
+    class_walks,
     direct_product,
+    encode,
     filter_as_graph,
     finite_difference_check,
     group_col_sums,
@@ -40,6 +38,7 @@ from oracles import (
     node_pair_similarity,
     rank_one_walks_chain,
     rw_kernel,
+    stack_responses_of,
     stack_responses_per_filter,
     transpose,
     tsum,
@@ -48,8 +47,20 @@ from oracles import (
     walk_horner_responses,
     walk_inputs_per_batch,
     walk_kernel_bruteforce,
+    zero_grad,
 )
-from test_model import autograd_nodes
+
+
+def autograd_nodes(out: Tensor) -> int:
+    """Number of tensors in the autograd graph that ends at ``out``."""
+    seen = set()
+    pending = [out]
+    while pending:
+        node = pending.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            pending.extend(node._parents)
+    return len(seen)
 
 
 def constant_similarity_filter(adjacency: np.ndarray, embed_dim: int = 2) -> GraphFilter:
@@ -58,12 +69,12 @@ def constant_similarity_filter(adjacency: np.ndarray, embed_dim: int = 2) -> Gra
     size = adjacency.shape[0]
     logits = np.where(adjacency > 0, 40.0, -40.0)
     np.fill_diagonal(logits, -40.0)
-    return GraphFilter(nk.Tensor(logits, requires_grad=True),
-                       nk.Tensor(np.ones((size, embed_dim)), requires_grad=True))
+    return GraphFilter(Tensor(logits, requires_grad=True),
+                       Tensor(np.ones((size, embed_dim)), requires_grad=True))
 
 
 def unit_encoder(feature_dim: int = 1, embed_dim: int = 2) -> FeatureEncoder:
-    return FeatureEncoder(nk.Tensor(np.ones((feature_dim, embed_dim)), requires_grad=True))
+    return FeatureEncoder(Tensor(np.ones((feature_dim, embed_dim)), requires_grad=True))
 
 
 def anchored_at(g: Graph, position: int) -> Graph:
@@ -86,22 +97,24 @@ class TestFilterParameterization:
         bank = bank_of([constant_similarity_filter(path_graph(3).adjacency),
                         constant_similarity_filter(cycle_graph(3).adjacency)])
         want = [path_graph(3).adjacency, cycle_graph(3).adjacency]
-        assert np.allclose(bank.adjacency_values(), want, rtol=0.0, atol=1e-17)
-        assert np.array_equal(bank.adjacency_values() >= 0.5, np.array(want) > 0)
+        adjacencies = FilterBank(bank.adjacency_logits.values,
+                                 bank.features.values).adjacency_values()
+        assert np.allclose(adjacencies, want, rtol=0.0, atol=1e-17)
+        assert np.array_equal(adjacencies >= 0.5, np.array(want) > 0)
 
     def test_init_draws_each_filter_from_its_own_stream(self, rng):
         bank = FilterBank.init(3, 4, 5, rng)
-        for f, (logits, features) in enumerate(zip(bank.blocks(bank.adjacency_logits.values),
-                                                   bank.blocks(bank.features.values))):
+        for f, (logits, features) in enumerate(zip(bank.blocks(bank.adjacency_logits),
+                                                   bank.blocks(bank.features))):
             filt = GraphFilter.init(4, 5, rng.derive("filter", f))
             assert logits.tobytes() == filt.adjacency_logits.values.tobytes()
             assert features.tobytes() == filt.features.values.tobytes()
 
     def test_mismatched_tensors_rejected(self):
         with pytest.raises(ShapeError):
-            FilterBank(nk.Tensor(np.zeros((6, 4))), nk.Tensor(np.zeros((6, 2))))
+            FilterBank(np.zeros((6, 4)), np.zeros((6, 2)))
         with pytest.raises(ShapeError):
-            FilterBank(nk.Tensor(np.zeros((6, 3))), nk.Tensor(np.zeros((3, 2))))
+            FilterBank(np.zeros((6, 3)), np.zeros((3, 2)))
 
 
 class TestNodePairSimilarity:
@@ -113,8 +126,8 @@ class TestNodePairSimilarity:
 
     def test_orthogonal_embeddings_give_zero(self):
         g = Graph(np.zeros((1, 1)), np.array([[1.0, 0.0]]), np.arange(1), anchor=0)
-        filt = GraphFilter(nk.Tensor(np.zeros((1, 1))), nk.Tensor(np.array([[0.0, 1.0]])))
-        enc = FeatureEncoder(nk.Tensor(np.eye(2)))
+        filt = GraphFilter(Tensor(np.zeros((1, 1))), Tensor(np.array([[0.0, 1.0]])))
+        enc = FeatureEncoder(Tensor(np.eye(2)))
         s = node_pair_similarity(g, filt, enc)
         assert s.values == pytest.approx(np.array([[0.0]]))
 
@@ -123,7 +136,7 @@ class TestNodePairSimilarity:
         filt = GraphFilter.init(4, 5, rng.derive(2))
         enc = FeatureEncoder.init(2, 5, rng.derive(3))
         s = node_pair_similarity(g, filt, enc).values
-        embedded = g.features @ enc.weight.values
+        embedded = g.features @ enc.weight
         embedded /= np.linalg.norm(embedded, axis=1, keepdims=True)
         filter_rows = filt.features.values / np.linalg.norm(
             filt.features.values, axis=1, keepdims=True)
@@ -235,7 +248,7 @@ class TestAnchoredKernel:
             gv = anchored_at(random_graph(4, 0.6, rng.derive("fd", trial), d=2), 0)
             filt = GraphFilter.init(3, 3, rng.derive("fdf", trial))
             enc = FeatureEncoder.init(2, 3, rng.derive("fde", trial))
-            params = filt.parameters() + [enc.weight]
+            params = filt.parameters() + as_leaves(enc)
             err = finite_difference_check(
                 lambda: anchored_rw_kernel(gv, filt, enc), params)
             assert err < 1e-4
@@ -321,7 +334,7 @@ class TestKernelResponses:
         stack = build_subgraph_stack(g, k=2, max_size=5)
         bank = FilterBank.init(2, 3, 3, rng.derive("cg"))
         enc = FeatureEncoder.init(1, 3, rng.derive(14))
-        params = bank.parameters() + [enc.weight]
+        params = as_leaves(bank, enc)
 
         def objective():
             r = stack_responses_of(stack, bank, enc)
@@ -329,14 +342,46 @@ class TestKernelResponses:
 
         assert finite_difference_check(objective, params) < 1e-4
 
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("onehot", [False, True])
+    def test_package_responses_equal_the_tape(self, rng, onehot, training):
+        # kernel.stack_responses of kernel.filter_products, byte for byte
+        # the tape's class walks, for walk caps 0, 2 and the filter size
+        graphs = [random_graph(1 + i % 8, 0.45, rng.derive("pt", i), d=3) for i in range(9)]
+        if not onehot:
+            graphs = [g.with_features(np.ones((g.n, 1))) for g in graphs]
+        stack = build_stack(graphs, 2, 5)[0]
+        bank = FilterBank.init(3, 4, 5, rng.derive("pb"))
+        enc = FeatureEncoder.init(3 if onehot else 1, 5, rng.derive("pe"))
+        for cap in (0, 2, 4):
+            products = kernel.filter_products(bank, enc, cap)
+            got = kernel.stack_responses(kernel.walk_inputs(stack, cap), products, training)[0]
+            want = stack_responses_of(stack, bank, enc, cap, training).values
+            assert got.tobytes() == want.tobytes()
+
+    def test_walk_ops_check_shapes(self, rng):
+        bank = FilterBank.init(2, 3, 4, rng.derive("sc"))
+        rows, adjacencies = bank.features, bank.effective_adjacency()
+        with pytest.raises(ShapeError, match="class_products"):
+            nk.class_products(rows[:5], np.ones((2, 4)), adjacencies, 2)
+        with pytest.raises(ShapeError, match="class_products"):
+            nk.class_products(rows, np.ones((2, 3)), adjacencies, 2)
+        with pytest.raises(ShapeError, match="class_products"):
+            nk.class_products(rows, np.ones((2, 4)), np.ones((6, 4)), 2)
+        products = nk.class_products(rows, np.ones((2, 4)), adjacencies, 2)[0]
+        parts = nk.class_parts(np.array([0, 1, 1]), 2)
+        for table in (np.ones((3, 2, 2)), np.ones((3, 3, 3)), np.ones((3, 1, 3))):
+            with pytest.raises(ShapeError, match="class_table_product"):
+                nk.class_table_product(table, parts, np.arange(3), products)
+
     def test_nonnegative_similarities_give_nonnegative_responses(self, rng):
         # one-hot rows and positive-orthant embeddings make every similarity
         # nonnegative, and the walk sums then stay nonnegative
         g = random_graph(6, 0.5, rng.derive(9), d=2)
         bank = FilterBank.init(2, 3, 4, rng.derive("nn"))
-        bank.features.values = np.abs(bank.features.values) + 0.1
+        bank.features = np.abs(bank.features) + 0.1
         enc = FeatureEncoder.init(2, 4, rng.derive(10))
-        enc.weight.values = np.abs(enc.weight.values) + 0.1
+        enc.weight = np.abs(enc.weight) + 0.1
         r = stack_responses_of(build_subgraph_stack(g, 2, 5), bank, enc).values
         assert r.min() >= 0.0
 
@@ -345,7 +390,7 @@ class TestKernelResponses:
         stack = build_subgraph_stack(g, k=2, max_size=4)
         bank = FilterBank.init(2, 3, 3, rng.derive("sf"))
         enc = FeatureEncoder.init(2, 3, rng.derive(8))
-        params = bank.parameters() + [enc.weight]
+        params = as_leaves(bank, enc)
 
         def objective():
             r = stack_responses_of(stack, bank, enc)
@@ -604,9 +649,9 @@ def horner_inputs(g: Graph, k: int, max_size: int, num_filters: int, size: int,
     walks = anchor_walks(stack.blocks, cap)
     draws = np.random.default_rng(seed)
     cols = num_filters * size
-    s = nk.Tensor(draws.normal(size=(g.n, cols)), requires_grad=True)
-    w = nk.Tensor(draws.normal(size=(cols, size)) / size, requires_grad=True)
-    cotangent = nk.Tensor(draws.normal(size=(g.n, cols)))
+    s = Tensor(draws.normal(size=(g.n, cols)), requires_grad=True)
+    w = Tensor(draws.normal(size=(cols, size)) / size, requires_grad=True)
+    cotangent = Tensor(draws.normal(size=(g.n, cols)))
     return s, w, cotangent, stack.members, walks
 
 
@@ -627,7 +672,7 @@ class TestWalkHorner:
         for op in (walk_horner, walk_horner_per_step):
             zero_grad(s, w)
             h = op(s, w, members, walks)
-            nk.backward(tsum(h * cotangent))
+            backward(tsum(h * cotangent))
             # at cap 0 the composition never uses w and leaves it no gradient
             results.append((h.values, s.grad,
                             np.zeros(w.shape) if w.grad is None else w.grad))
@@ -652,9 +697,9 @@ class TestWalkHorner:
         with pytest.raises(ShapeError):
             walk_horner(s, w, members[:4], walks)
         with pytest.raises(ShapeError):
-            walk_horner(s, nk.Tensor(w.values[:2]), members, walks)
+            walk_horner(s, Tensor(w.values[:2]), members, walks)
         with pytest.raises(ShapeError):
-            walk_horner(s, nk.Tensor(np.ones((4, 3))), members, walks)
+            walk_horner(s, Tensor(np.ones((4, 3))), members, walks)
 
     def test_graph_size_does_not_grow_with_walk_cap(self, rng):
         # rows that are neither constant nor one-hot: the walk sum is one node
@@ -664,11 +709,13 @@ class TestWalkHorner:
         graphs = [random_graph(1 + i % 9, 0.45, rng.derive("gs", i), d=4) for i in range(12)]
         stack = build_stack([g.with_features(g.features + 0.25) for g in graphs], 1, 6)[0]
         encoder = FeatureEncoder.init(4, 4, rng.derive("ge"))
+        as_leaves(encoder)
         counts = set()
         for walk_cap in (2, 6):
             walks = anchor_walks(stack.blocks, walk_cap)
             for num_filters in (1, 8):
                 bank = FilterBank.init(num_filters, 3, 4, rng.derive("gb", num_filters))
+                as_leaves(bank)
                 out = walk_horner_responses(stack.raw_features, stack.members, walks, bank,
                                             encoder)
                 counts.add(autograd_nodes(tsum(out)))
@@ -688,17 +735,17 @@ def one_class_inputs(g: Graph, k: int, max_size: int, num_filters: int, size: in
     counts = np.ascontiguousarray(anchor_walks(stack.blocks, cap).sum(axis=2).T)
     assert table.tobytes() == counts[:, None, :].tobytes()
     draws = np.random.default_rng(seed)
-    rows = nk.Tensor(draws.normal(size=(num_filters * size, 3)), requires_grad=True)
-    shared = nk.Tensor(draws.normal(size=(1, 3)), requires_grad=True)
-    adjacencies = nk.Tensor(draws.random((num_filters * size, size)), requires_grad=True)
-    cotangent = nk.Tensor(draws.normal(size=(g.n, num_filters)))
+    rows = Tensor(draws.normal(size=(num_filters * size, 3)), requires_grad=True)
+    shared = Tensor(draws.normal(size=(1, 3)), requires_grad=True)
+    adjacencies = Tensor(draws.random((num_filters * size, size)), requires_grad=True)
+    cotangent = Tensor(draws.normal(size=(g.n, num_filters)))
     return rows, shared, adjacencies, cotangent, table
 
 
 def one_class_walks(rows, shared, adjacencies, table, cap, row_local=False):
-    """``numkit.class_walks`` with every row in class 0 of ``table``."""
-    return nk.class_walks(rows, shared, adjacencies, table,
-                          np.zeros(table.shape[0], dtype=np.int64), cap, row_local=row_local)
+    """``oracles.class_walks`` with every row in class 0 of ``table``."""
+    return class_walks(rows, shared, adjacencies, table,
+                       np.zeros(table.shape[0], dtype=np.int64), cap, row_local=row_local)
 
 
 class TestClassWalksOneClass:
@@ -719,7 +766,7 @@ class TestClassWalksOneClass:
                    lambda: rank_one_walks_chain(rows, shared, adjacencies, table[:, 0], cap)):
             zero_grad(*leaves)
             out = op()
-            nk.backward(tsum(out * cotangent))
+            backward(tsum(out * cotangent))
             # at cap 0 the chain never uses W and leaves it no gradient
             results.append([out.values] + [np.zeros(leaf.shape) if leaf.grad is None
                                            else leaf.grad for leaf in leaves])
@@ -740,7 +787,7 @@ class TestClassWalksOneClass:
         g = random_graph(5, 0.5, rng.derive(46))
         rows, shared, adjacencies, cotangent, table = one_class_inputs(g, 1, 4, 2, 3, 0, 47)
         out = one_class_walks(rows, shared, adjacencies, table, 0)
-        nk.backward(tsum(out * cotangent))
+        backward(tsum(out * cotangent))
         assert adjacencies.grad is not None and not adjacencies.grad.any()
         assert np.abs(shared.grad).max() > 0.0
 
@@ -750,11 +797,11 @@ class TestClassWalksOneClass:
         with pytest.raises(ShapeError):
             one_class_walks(rows, shared, adjacencies, table, 3)
         with pytest.raises(ShapeError):
-            one_class_walks(rows, shared, nk.Tensor(adjacencies.values[:2]), table, 2)
+            one_class_walks(rows, shared, Tensor(adjacencies.values[:2]), table, 2)
         with pytest.raises(ShapeError):
-            one_class_walks(rows, nk.Tensor(np.ones((1, 4))), adjacencies, table, 2)
+            one_class_walks(rows, Tensor(np.ones((1, 4))), adjacencies, table, 2)
         with pytest.raises(ShapeError):
-            one_class_walks(rows, shared, nk.Tensor(np.ones((4, 3))), table, 2)
+            one_class_walks(rows, shared, Tensor(np.ones((4, 3))), table, 2)
 
 
 @st.composite
@@ -779,26 +826,26 @@ def class_inputs(g: Graph, k: int, max_size: int, num_filters: int, size: int,
     walks = anchor_walks(stack.blocks, cap)
     table = np.einsum("pvj,vjb->vbp", walks, g.features[stack.members])
     draws = np.random.default_rng(seed)
-    rows = nk.Tensor(draws.normal(size=(num_filters * size, 3)), requires_grad=True)
-    encoder = FeatureEncoder(nk.Tensor(draws.normal(size=(g.features.shape[1], 3)),
-                                       requires_grad=True))
-    adjacencies = nk.Tensor(draws.normal(size=(num_filters * size, size)) / size,
-                            requires_grad=True)
-    cotangent = nk.Tensor(draws.normal(size=(g.n, num_filters)))
+    rows = Tensor(draws.normal(size=(num_filters * size, 3)), requires_grad=True)
+    encoder = FeatureEncoder(Tensor(draws.normal(size=(g.features.shape[1], 3)),
+                                    requires_grad=True))
+    adjacencies = Tensor(draws.normal(size=(num_filters * size, size)) / size,
+                         requires_grad=True)
+    cotangent = Tensor(draws.normal(size=(g.n, num_filters)))
     return rows, encoder, adjacencies, cotangent, stack, walks, table
 
 
 def class_walks_of(rows, encoder, adjacencies, g, table, cap, row_local=False):
-    """``numkit.class_walks`` over the encoded identity rows, as
-    ``stack_responses`` calls it."""
-    return nk.class_walks(rows, encoder.encode(np.eye(g.features.shape[1])), adjacencies,
-                          table, np.argmax(g.features, axis=1), cap, row_local=row_local)
+    """``oracles.class_walks`` over the encoded identity rows, as
+    ``stack_responses`` takes them."""
+    return class_walks(rows, encode(encoder, np.eye(g.features.shape[1])), adjacencies,
+                       table, np.argmax(g.features, axis=1), cap, row_local=row_local)
 
 
 def horner_responses(rows, encoder, adjacencies, g, stack, walks):
     """The same responses from ``walk_horner`` over the encoded feature rows:
     s = encode(raw) rows^T, then s * h summed over each filter's columns."""
-    s = encoder.encode(g.features) @ transpose(rows)
+    s = encode(encoder, g.features) @ transpose(rows)
     h = walk_horner(s, adjacencies, stack.members, walks)
     return group_col_sums(s * h, adjacencies.shape[1])
 
@@ -818,7 +865,7 @@ class TestClassWalks:
                    lambda: horner_responses(rows, encoder, adjacencies, g, stack, walks)):
             zero_grad(*leaves)
             out = op()
-            nk.backward(tsum(out * cotangent))
+            backward(tsum(out * cotangent))
             results.append([out.values] + [leaf.grad for leaf in leaves])
         for got, want in zip(*results):
             assert got.shape == want.shape
@@ -831,12 +878,12 @@ class TestClassWalks:
         g = random_graph(9, 0.4, rng.derive(50)).with_features(
             np.eye(4)[rng.derive(51).integers(0, 4, size=9)])
         rows, encoder, adjacencies, _, _, _, table = class_inputs(g, 2, 6, 3, 4, 4, 52)
-        shared = encoder.encode(np.eye(4))
+        shared = encode(encoder, np.eye(4))
         classes = np.argmax(g.features, axis=1)
-        out = nk.class_walks(rows, shared, adjacencies, table, classes, 4, row_local=True)
+        out = class_walks(rows, shared, adjacencies, table, classes, 4, row_local=True)
         for v in range(9):
-            alone = nk.class_walks(rows, shared, adjacencies, table[v:v + 1],
-                                   classes[v:v + 1], 4, row_local=True)
+            alone = class_walks(rows, shared, adjacencies, table[v:v + 1],
+                                classes[v:v + 1], 4, row_local=True)
             assert alone.values.tobytes() == out.values[v:v + 1].tobytes()
 
     def test_gradients_match_finite_differences(self, rng):
@@ -857,30 +904,30 @@ class TestClassWalks:
         rows, encoder, adjacencies, cotangent, _, _, table = class_inputs(
             g, 1, 4, 2, 3, 0, 56)
         out = class_walks_of(rows, encoder, adjacencies, g, table, 0)
-        nk.backward(tsum(out * cotangent))
+        backward(tsum(out * cotangent))
         assert adjacencies.grad is not None and not adjacencies.grad.any()
         assert np.abs(encoder.weight.grad).max() > 0.0
 
     def test_shapes_checked(self, rng):
         g = random_graph(5, 0.5, rng.derive(57)).with_features(np.eye(3)[[0, 2, 2, 1, 0]])
         rows, encoder, adjacencies, _, _, _, table = class_inputs(g, 1, 4, 2, 2, 2, 58)
-        shared = encoder.encode(np.eye(3))
+        shared = encode(encoder, np.eye(3))
         classes = np.array([0, 2, 2, 1, 0])
         with pytest.raises(ShapeError):
-            nk.class_walks(rows, shared, adjacencies, table, classes, 3)
+            class_walks(rows, shared, adjacencies, table, classes, 3)
         with pytest.raises(ShapeError):
-            nk.class_walks(rows, shared, adjacencies, table, classes[:4], 2)
+            class_walks(rows, shared, adjacencies, table, classes[:4], 2)
         with pytest.raises(ShapeError):
-            nk.class_walks(rows, shared, adjacencies, table, classes + 1, 2)
+            class_walks(rows, shared, adjacencies, table, classes + 1, 2)
         with pytest.raises(ShapeError):
-            nk.class_walks(rows, shared, adjacencies, table, classes - 1, 2)
+            class_walks(rows, shared, adjacencies, table, classes - 1, 2)
         with pytest.raises(ShapeError):
-            nk.class_walks(rows, encoder.encode(np.eye(2)), adjacencies, table[:, :2],
-                           classes, 2)
+            class_walks(rows, encode(encoder, np.eye(2)), adjacencies, table[:, :2],
+                        classes, 2)
         with pytest.raises(ShapeError):
-            nk.class_walks(rows, nk.Tensor(np.ones((3, 4))), adjacencies, table, classes, 2)
+            class_walks(rows, Tensor(np.ones((3, 4))), adjacencies, table, classes, 2)
         with pytest.raises(ShapeError):
-            nk.class_walks(rows, shared, nk.Tensor(np.ones((4, 3))), table, classes, 2)
+            class_walks(rows, shared, Tensor(np.ones((4, 3))), table, classes, 2)
 
 
 class TestFilterBank:
@@ -909,18 +956,20 @@ class TestFilterBank:
         filters = [GraphFilter.init(size, embed_dim, draws.derive("f", f))
                    for f in range(num_filters)]
         encoder = FeatureEncoder.init(graphs[0].features.shape[1], embed_dim, draws.derive("e"))
-        cotangent = nk.Tensor(draws.normal(size=(stack.num_nodes, num_filters)))
+        as_leaves(encoder)
+        cotangent = Tensor(draws.normal(size=(stack.num_nodes, num_filters)))
         bank = bank_of(filters)
         if features == "continuous":
             walks = anchor_walks(stack.blocks, size if walk_cap is None else walk_cap)
             out = walk_horner_responses(stack.raw_features, stack.members, walks, bank, encoder)
         else:
             out = stack_responses_of(stack, bank, encoder, walk_cap)
-        nk.backward(tsum(out * cotangent))
-        got = [out.values, grad(encoder.weight)] + [grad(p) for p in bank.parameters()]
+        backward(tsum(out * cotangent))
+        got = [out.values, grad(encoder.weight), grad(bank.adjacency_logits),
+               grad(bank.features)]
         zero_grad(encoder.weight)
         out = stack_responses_per_filter(stack, filters, encoder, walk_cap)
-        nk.backward(tsum(out * cotangent))
+        backward(tsum(out * cotangent))
         want = [out.values, grad(encoder.weight)] + [
             np.vstack([grad(p) for p in group])
             for group in ([f.adjacency_logits for f in filters], [f.features for f in filters])]
@@ -929,6 +978,6 @@ class TestFilterBank:
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
-def grad(leaf: nk.Tensor) -> np.ndarray:
+def grad(leaf: Tensor) -> np.ndarray:
     """The leaf's gradient, zero where backward left none."""
     return np.zeros(leaf.shape) if leaf.grad is None else leaf.grad

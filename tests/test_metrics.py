@@ -21,7 +21,7 @@ from xgkn.metrics import (
     metric_sufficiency_necessity,
 )
 from xgkn.model import ModelConfig, XgknModel, forward_batch, init_model
-from xgkn.numkit import Tensor, spearman_abs
+from xgkn.numkit import spearman_abs
 
 from conftest import random_graph, with_label
 from oracles import (
@@ -61,8 +61,8 @@ def tiny_dataset(rng, n_graphs=4, n=6):
 def duplicate_first_filter(model: XgknModel) -> None:
     """Give every filter of the bank the parameters of the first."""
     bank = model.bank
-    for tensor in bank.parameters():
-        blocks = bank.blocks(tensor.values)
+    for values in (bank.adjacency_logits, bank.features):
+        blocks = bank.blocks(values)
         blocks[1:] = blocks[0]
 
 
@@ -75,15 +75,15 @@ def marked_node_model() -> XgknModel:
     cfg = ModelConfig(num_filters=1, filter_size=1, embed_dim=2, hop_radius=1,
                       max_subgraph_size=4, agg_mode="sum", walk_cap=1)
     model = init_model(cfg, 2, 2, Rng(0))
-    model.encoder.weight.values = np.eye(2)
-    model.bank.features.values = np.array([[0.0, 1.0]])
-    model.predictor.gamma.values = np.ones((1, 1))
-    model.predictor.beta.values = np.zeros((1, 1))
+    model.encoder.weight = np.eye(2)
+    model.bank.features = np.array([[0.0, 1.0]])
+    model.predictor.gamma = np.ones((1, 1))
+    model.predictor.beta = np.zeros((1, 1))
     model.predictor.running_mean = np.array([[0.5]])
     model.predictor.running_var = np.array([[0.25]])
     w, b = model.predictor.layers[0]
-    w.values = np.array([[1.0, -1.0]])
-    b.values = np.zeros((1, 2))
+    w[...] = [[1.0, -1.0]]
+    b[...] = 0.0
     model.z_baseline = np.array([0.5])
     return model
 
@@ -130,14 +130,14 @@ class TestMetricA2:
         logits = np.where(house.adjacency > 0, 40.0, -40.0)
         np.fill_diagonal(logits, -40.0)
         model = make_model(m=1)
-        model.bank = FilterBank(Tensor(logits), Tensor(np.ones((5, 4))))
+        model.bank = FilterBank(logits, np.ones((5, 4)))
         ds = generate_ba2motifs(4, Rng(0))
         ds = Dataset(graphs=ds.graphs, num_classes=2, gt_motifs=(house,))
         assert metric_a2(model, ds).value == pytest.approx(1.0)
 
     def test_empty_filters_vs_cycle_hand_value(self):
         model = make_model(m=1)
-        model.bank = FilterBank(Tensor(np.full((6, 6), -40.0)), Tensor(np.ones((6, 4))))
+        model.bank = FilterBank(np.full((6, 6), -40.0), np.ones((6, 4)))
         ds = generate_ba2motifs(4, Rng(0))
         ds = Dataset(graphs=ds.graphs, num_classes=2, gt_motifs=(cycle_motif(5),))
         # edit path: delete 1 spare node, insert the 5 cycle edges -> 6;
@@ -163,8 +163,8 @@ class TestMetricA2:
             adjacencies.append(adj + adj.T)
         model = make_model(m=len(adjacencies))
         model.bank = FilterBank(
-            Tensor(np.vstack([np.where(adj > 0, 40.0, -40.0) for adj in adjacencies])),
-            Tensor(np.ones((6 * len(adjacencies), 4))))
+            np.vstack([np.where(adj > 0, 40.0, -40.0) for adj in adjacencies]),
+            np.ones((6 * len(adjacencies), 4)))
         motifs = (house_motif(), cycle_motif(5))
         ds = Dataset(graphs=generate_ba2motifs(4, Rng(0)).graphs, num_classes=2,
                      gt_motifs=motifs)
@@ -185,8 +185,8 @@ class TestSufficiencyNecessity:
     def test_constant_model_gives_necessity_zero(self, rng):
         model = make_model(seed=4)
         w, b = model.predictor.layers[0]
-        w.values = np.zeros_like(w.values)
-        b.values = np.array([[1.0, 0.0]])
+        w[...] = 0.0
+        b[...] = [[1.0, 0.0]]
         ds = tiny_dataset(rng, n_graphs=3)
         expl = [explanation_for(g, (0,)) for g in ds.graphs]
         res = metric_sufficiency_necessity(model, ds, expl, "I2", AimConfig(), Rng(6))
@@ -301,7 +301,7 @@ class TestCorrectness:
     def test_score_blind_predictor_reports_zero(self, rng):
         model = make_model(seed=10)
         w, b = model.predictor.layers[0]
-        w.values = np.zeros_like(w.values)
+        w[...] = 0.0
         ds = tiny_dataset(rng, n_graphs=3)
         expl = [explain_graph(model, g, 0.5) for g in ds.graphs]
         res = metric_correctness(model, ds, expl, "M2",

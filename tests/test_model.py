@@ -8,16 +8,22 @@ from hypothesis import given, settings, strategies as st
 
 from xgkn import kernel, numkit as nk
 from xgkn.data import Dataset, stratified_split
-from xgkn.errors import CapacityError, FeatureRowError, ShapeError, TrainingDivergedError
+import oracles
+from xgkn.errors import (
+    CapacityError,
+    FeatureRowError,
+    NumericError,
+    ShapeError,
+    TrainingDivergedError,
+)
 from xgkn.graphs import Graph, Rng
-from xgkn.kernel import SplitWalks, build_subgraph_stack
+from xgkn.kernel import SplitWalks, build_subgraph_stack, filter_products, stack_responses
 from xgkn.model import (
     ModelConfig,
     Predictor,
     TrainConfig,
     XgknModel,
-    _aggregate_tensor,
-    _batch_forward,
+    _aggregate,
     INFERENCE_CHUNK,
     evaluate_accuracy,
     forward_batch,
@@ -26,26 +32,54 @@ from xgkn.model import (
     model_to_dict,
     perturb_filters,
     train,
+    train_step,
 )
 
 from conftest import cycle_graph, path_graph, random_graph, subgraphs_of, with_label
 from oracles import (
-    batch_norm_chain,
-    finite_difference_check,
-    negative_entropy_chain,
+    backward,
+    flat_grad,
     rank_one_walks_chain,
     segment_col_max_loop,
-    symmetric_adjacency_chain,
-    tsum,
+    tape_step,
 )
 
 
-def batch_forward(model, stacks, training):
-    """``_batch_forward`` over the per-graph ``stacks`` as one batch, as
-    ``train`` scores a batch."""
-    split = SplitWalks(stacks, model.walk_cap)
-    return _batch_forward(model, *split.batch(range(len(stacks))), len(stacks),
-                          training=training)
+def batch_of(model, stacks):
+    """The graph side of the per-graph ``stacks`` as one batch, and each
+    row's graph, as ``train`` hands a batch to ``train_step``."""
+    return SplitWalks(stacks, model.walk_cap).batch(range(len(stacks)))
+
+
+class Optimizer:
+    """The parameters of ``model`` as views of an Adam state's flat buffer,
+    and a gradient buffer laid out alike, as ``train`` sets them up."""
+
+    def __init__(self, model, lr=0.05, weight_decay=1e-4):
+        self.model = model
+        self.state = nk.AdamState(model.parameters(), lr=lr, weight_decay=weight_decay)
+        model.set_parameters(self.state.split(self.state.flat))
+        self.grad = np.zeros_like(self.state.flat)
+        self.classes = np.eye(model.encoder.weight.shape[0])
+
+    def step(self, inputs, graph_seg, labels, update=True):
+        """One explicit training step: the loss and logits, then the
+        gradient in ``self.grad``, then (with ``update``) the Adam update."""
+        loss, logits, steps = train_step(self.model, inputs, graph_seg, labels, self.classes,
+                                         self.state.split(self.grad))
+        nk.backward(steps, self.grad)
+        if update:
+            nk.adam_step(self.state, self.grad)
+        return loss, logits
+
+    def tape_step(self, inputs, graph_seg, labels, chains=False):
+        """The same step on the tape (``oracles.tape_step``), its gradient
+        laid out as ``self.grad``, then the Adam update."""
+        loss, logits, leaves = tape_step(self.model, inputs, graph_seg, labels, chains)
+        backward(loss)
+        grad = flat_grad(leaves)
+        nk.adam_step(self.state, grad)
+        return logits.values, grad
 
 
 def toy_separable_dataset() -> Dataset:
@@ -68,9 +102,9 @@ def small_model(feature_dim=1, num_classes=2, seed=0, **overrides) -> XgknModel:
 def aggregate_one_graph(R: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """One response matrix aggregated as a batch of one graph: the per-filter
     scores and the additive per-row contributions."""
-    r = nk.Tensor(np.asarray(R, dtype=np.float64))
-    z, s_tilde, _ = _aggregate_tensor(r, mode, 1e-8, np.zeros(r.shape[0], dtype=np.int64), 1)
-    return z.values.reshape(-1), s_tilde
+    r = np.asarray(R, dtype=np.float64)
+    z, s_tilde, _, _ = _aggregate(r, mode, 1e-8, np.zeros(r.shape[0], dtype=np.int64), 1)
+    return z.reshape(-1), s_tilde
 
 
 class TestAggregate:
@@ -117,11 +151,9 @@ class TestAggregate:
         values = np.array([-1.0, 0.5, 2.0])[rng.integers(0, 3, size=(sum(sizes), cols))]
         seg = np.repeat(np.arange(len(sizes)), sizes)
         upstream = rng.normal(size=(len(sizes), cols))
-        r = nk.Tensor(values, requires_grad=True)
-        z, contributions, argrow = _aggregate_tensor(r, "max", 1e-8, seg, len(sizes))
-        nk.backward(tsum(z * nk.Tensor(upstream)))
+        z, contributions, argrow, back = _aggregate(values, "max", 1e-8, seg, len(sizes))
         want = segment_col_max_loop(values, seg, len(sizes), upstream)
-        for got, expected in zip((z.values, argrow, r.grad, contributions), want):
+        for got, expected in zip((z, argrow, back(upstream)[0], contributions), want):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
@@ -129,19 +161,18 @@ class TestPredictor:
     def test_zero_weights_give_bias(self):
         pred = Predictor(3, 2, depth=1, hidden_dim=4, rng=Rng(0))
         w, b = pred.layers[0]
-        w.values = np.zeros_like(w.values)
-        b.values = np.array([[1.5, -2.5]])
-        out = pred.logits(nk.Tensor(np.random.default_rng(0).normal(size=(4, 3))),
-                          training=False)
-        assert np.allclose(out.values, [[1.5, -2.5]] * 4)
+        w[...] = 0.0
+        b[...] = [[1.5, -2.5]]
+        out = pred.logits(np.random.default_rng(0).normal(size=(4, 3)))
+        assert np.allclose(out, [[1.5, -2.5]] * 4)
 
     def test_identity_like_weights(self):
         pred = Predictor(2, 2, depth=1, hidden_dim=4, rng=Rng(0))
         w, b = pred.layers[0]
-        w.values = np.eye(2)
-        b.values = np.zeros((1, 2))
-        out = pred.logits(nk.Tensor(np.array([[1.0, 0.0]])), training=False)
-        assert np.allclose(out.values, [[1.0, 0.0]], atol=1e-4)
+        w[...] = np.eye(2)
+        b[...] = 0.0
+        out = pred.logits(np.array([[1.0, 0.0]]))
+        assert np.allclose(out, [[1.0, 0.0]], atol=1e-4)
 
     def test_matches_matrix_vector_oracle(self):
         rng = Rng(4)
@@ -149,23 +180,27 @@ class TestPredictor:
         pred.running_mean = rng.normal(size=(1, 3))
         pred.running_var = np.abs(rng.normal(size=(1, 3))) + 0.5
         z = rng.normal(size=(1, 3))
-        out = pred.logits(nk.Tensor(z), training=False).values
+        out = pred.logits(z)
         normed = (z - pred.running_mean) / np.sqrt(pred.running_var + pred.bn_eps)
-        affine = normed * pred.gamma.values + pred.beta.values
+        affine = normed * pred.gamma + pred.beta
         w, b = pred.layers[0]
-        expected = affine @ w.values + b.values
+        expected = affine @ w + b
         assert np.allclose(out, expected, atol=1e-12)
 
-    def test_training_mode_updates_running_stats(self):
-        pred = Predictor(2, 2, depth=1, hidden_dim=4, rng=Rng(1))
-        before = pred.running_mean.copy()
-        pred.logits(nk.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])), training=True)
-        assert not np.array_equal(pred.running_mean, before)
+    def test_training_step_updates_running_stats(self, rng):
+        model = small_model()
+        pred = model.predictor
+        before = pred.running_mean.copy(), pred.running_var.copy()
+        graphs = mixed_graphs(rng, 6, onehot=False)
+        inputs, seg = batch_of(model, [build_subgraph_stack(g, 1, 6) for g in graphs])
+        Optimizer(model).step(inputs, seg, [g.label for g in graphs], update=False)
+        assert not np.array_equal(pred.running_mean, before[0])
+        assert not np.array_equal(pred.running_var, before[1])
 
-    def test_inference_mode_is_frozen(self):
+    def test_inference_is_frozen(self):
         pred = Predictor(2, 2, depth=1, hidden_dim=4, rng=Rng(1))
         before = pred.running_mean.copy()
-        pred.logits(nk.Tensor(np.array([[1.0, 2.0]])), training=False)
+        pred.logits(np.array([[1.0, 2.0]]))
         assert np.array_equal(pred.running_mean, before)
 
 
@@ -217,14 +252,13 @@ def mixed_graphs(rng, count: int, onehot: bool) -> list[Graph]:
 @pytest.fixture
 def op_calls(monkeypatch):
     """The rows of each call of ``numkit.class_table_product``, in call
-    order: one per ``numkit.class_walks`` call, the one walk op of
-    ``kernel.stack_responses``, and one per inference chunk handed the
-    filter side."""
+    order: one per ``kernel.stack_responses`` call, that is one per training
+    step and one per inference chunk or recalibration part."""
     calls = []
     class_table_product = nk.class_table_product
 
     def counted(*args, **kwargs):
-        calls.append(args[1].shape[0])
+        calls.append(args[0].shape[0])
         return class_table_product(*args, **kwargs)
 
     monkeypatch.setattr(nk, "class_table_product", counted)
@@ -375,9 +409,9 @@ class TestRowLocalInference:
         bounds = np.cumsum([0] + list(sizes))
 
         def score(r, seg, count):
-            z, contributions, argrow = _aggregate_tensor(
-                nk.Tensor(r), mode, model.config.entropy_eps, seg, count, norm_scope)
-            return z.values, contributions, argrow, model.predictor.logits(z, False).values
+            z, contributions, argrow, _ = _aggregate(r, mode, model.config.entropy_eps, seg,
+                                                     count, norm_scope)
+            return z, contributions, argrow, model.predictor.logits(z)
 
         z, contributions, argrow, logits = score(np.vstack(rows), seg, len(sizes))
         for i, (r, lo, hi) in enumerate(zip(rows, bounds, bounds[1:])):
@@ -395,82 +429,109 @@ class TestRowLocalInference:
         graphs = mixed_graphs(rng, 24, onehot=True)
         stacks = [build_subgraph_stack(g, 1, 6) for g in graphs]
         model = small_model(feature_dim=4, num_filters=8, predictor_depth=depth)
-        logits, z, r, _, _ = batch_forward(model, stacks, training=True)
-        seg = np.repeat(np.arange(len(stacks)), [s.num_nodes for s in stacks])
-        clamped = np.maximum(r.values, model.config.entropy_eps)
+        inputs, seg = batch_of(model, stacks)
+        r = stack_responses(inputs, filter_products(model.bank, model.encoder, model.walk_cap),
+                            training=True)[0]
+        pred = model.predictor
+        gamma, beta, layers = pred.gamma.copy(), pred.beta.copy(), list(pred.layers)
+        _, logits = Optimizer(model).step(inputs, seg, [g.label for g in graphs], update=False)
+        clamped = np.maximum(r, model.config.entropy_eps)
         col_sums = np.zeros((len(stacks), 8))
         np.add.at(col_sums, seg, clamped * clamped)
         q = clamped / np.sqrt(col_sums @ np.ones((8, 1)))[seg]
         want_z = np.zeros((len(stacks), 8))
         np.add.at(want_z, seg, q * np.log(q))
-        assert np.array_equal(z.values, want_z)
-        pred = model.predictor
         batch = np.full((1, 1), 1.0 / len(stacks))
         centered = want_z - want_z.sum(axis=0, keepdims=True) * batch
         var = (centered * centered).sum(axis=0, keepdims=True) * batch
-        out = centered / np.sqrt(var + pred.bn_eps) * pred.gamma.values + pred.beta.values
-        for i, (w, b) in enumerate(pred.layers):
-            out = out @ w.values + b.values
-            if i + 1 < len(pred.layers):
+        out = centered / np.sqrt(var + pred.bn_eps) * gamma + beta
+        for i, (w, b) in enumerate(layers):
+            out = out @ w + b
+            if i + 1 < len(layers):
                 out = out * (out > 0.0)
-        assert np.array_equal(logits.values, out)
+        assert np.array_equal(logits, out)
 
 
-def autograd_nodes(out: nk.Tensor) -> int:
-    """Number of tensors in the autograd graph that ends at ``out``."""
-    seen = set()
-    pending = [out]
-    while pending:
-        node = pending.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            pending.extend(node._parents)
-    return len(seen)
-
-
-def step_node_counts(graphs, feature_dim: int) -> set:
-    """The autograd nodes of one training step's loss over ``graphs``, for
-    walk caps 2 and 6 and for 1 and 8 filters."""
+def step_lengths(graphs, feature_dim: int) -> set:
+    """The steps of one training step's program over ``graphs``, for walk
+    caps 2 and 6 and for 1 and 8 filters."""
     stacks = [build_subgraph_stack(g, 1, 6) for g in graphs]
     labels = np.array([g.label for g in graphs])
-    counts = set()
+    lengths = set()
     for walk_cap in (2, 6):
         for num_filters in (1, 8):
             model = small_model(feature_dim=feature_dim, walk_cap=walk_cap,
                                 num_filters=num_filters)
-            logits = batch_forward(model, stacks, training=True)[0]
-            counts.add(autograd_nodes(nk.cross_entropy(logits, labels)))
-    return counts
+            inputs, seg = batch_of(model, stacks)
+            grads = [np.zeros(p.shape) for p in model.parameters()]
+            lengths.add(len(train_step(model, inputs, seg, labels,
+                                       np.eye(feature_dim), grads)[2]))
+    return lengths
 
 
 class TestTrain:
     @pytest.mark.parametrize("onehot", [False, True])
-    def test_graph_size_does_not_grow_with_walk_cap(self, rng, onehot, op_calls):
-        # one-hot and constant features take class_walks: the walk sum is one
-        # node however many steps it takes, and the filter bank's parameter
-        # chain one chain however many filters it holds; a per-step or
-        # per-filter chain would add nodes
+    def test_program_does_not_grow_with_walk_cap(self, rng, onehot, op_calls):
+        # one-hot and constant features take the class walks: the walk sum
+        # is two ops however many steps it takes, and the filter bank's
+        # parameter ops one each however many filters it holds; a per-step
+        # or per-filter chain would add ops
         graphs = mixed_graphs(rng, 12, onehot)
-        assert len(step_node_counts(graphs, 4 if onehot else 1)) == 1
+        assert len(step_lengths(graphs, 4 if onehot else 1)) == 1
         assert len(op_calls) == 4
 
     @pytest.mark.parametrize("onehot", [False, True])
-    def test_a_step_of_the_bench_model_builds_18_nodes(self, rng, onehot):
-        # the walk op, one node each for the filter adjacency, the entropy
-        # aggregation and batch norm, the rows' normalization, the encoder's
-        # product and normalization, the layer's product and bias and the
-        # loss: 10 ops, the encoder's identity input and 7 leaves
+    def test_a_step_of_the_bench_model_runs_10_ops(self, rng, onehot):
+        # the filter adjacency, the rows' normalization, the encoder's
+        # product and normalization, the class products, the responses,
+        # the entropy aggregation, batch norm, the layer and the loss
         graphs = mixed_graphs(rng, 24, onehot)
         stacks = [build_subgraph_stack(g, 1, 5) for g in graphs]
         config = ModelConfig(num_filters=8, filter_size=6, embed_dim=16, hop_radius=1,
                              max_subgraph_size=5, agg_mode="negative_entropy")
         model = init_model(config, 4 if onehot else 1, 2, Rng(0))
-        logits = batch_forward(model, stacks, training=True)[0]
-        assert autograd_nodes(nk.cross_entropy(logits, [g.label for g in graphs])) == 18
+        inputs, seg = batch_of(model, stacks)
+        grads = [np.zeros(p.shape) for p in model.parameters()]
+        steps = train_step(model, inputs, seg, [g.label for g in graphs],
+                           np.eye(4 if onehot else 1), grads)[2]
+        assert len(steps) == 10
+
+    @pytest.mark.parametrize("walk_cap", [None, 0])
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("norm_scope", ["global", "per_column"])
+    @pytest.mark.parametrize("mode", ["sum", "negative_entropy", "max"])
+    def test_flat_gradient_equals_the_tape(self, rng, mode, norm_scope, depth, walk_cap):
+        # three Adam steps of the explicit step and of the tape, one-hot and
+        # constant features, batches of 12 graphs and of 1: loss, logits,
+        # the flat gradient, the running statistics and the parameters byte
+        # for byte
+        for onehot in (False, True):
+            graphs = mixed_graphs(rng, 25, onehot)
+            stacks = [build_subgraph_stack(g, 1, 6) for g in graphs]
+            labels = np.array([g.label for g in graphs])
+            runs = []
+            for tape in (False, True):
+                model = small_model(feature_dim=4 if onehot else 1, num_filters=3,
+                                    agg_mode=mode, norm_scope=norm_scope,
+                                    predictor_depth=depth, walk_cap=walk_cap)
+                opt = Optimizer(model)
+                seen = []
+                for batch in (slice(0, 12), slice(12, 24), slice(24, 25)):
+                    inputs, seg = batch_of(model, stacks[batch])
+                    if tape:
+                        logits, grad = opt.tape_step(inputs, seg, labels[batch])
+                    else:
+                        logits = opt.step(inputs, seg, labels[batch])[1]
+                        grad = opt.grad.copy()
+                    seen += [logits, grad]
+                pred = model.predictor
+                runs.append(seen + [opt.state.flat, pred.running_mean, pred.running_var])
+            for got, want in zip(*runs):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("norm_scope", ["global", "per_column"])
-    def test_training_steps_equal_the_chains(self, rng, monkeypatch, depth, norm_scope):
+    def test_training_steps_equal_the_chains(self, rng, depth, norm_scope):
         # three Adam steps through the fused ops and through the chains of
         # autograd nodes they replace: logits, every gradient, the running
         # statistics and the parameters byte for byte
@@ -479,26 +540,44 @@ class TestTrain:
         labels = np.array([g.label for g in graphs])
         runs = []
         for chains in (False, True):
-            if chains:
-                monkeypatch.setattr(nk, "symmetric_adjacency", symmetric_adjacency_chain)
-                monkeypatch.setattr(nk, "negative_entropy", negative_entropy_chain)
-                monkeypatch.setattr(nk, "batch_norm", batch_norm_chain)
             model = small_model(feature_dim=4, num_filters=4, predictor_depth=depth,
                                 norm_scope=norm_scope)
-            params = model.parameters()
-            state = nk.adam_init(params, lr=0.05, weight_decay=1e-4)
+            opt = Optimizer(model)
             seen = []
             for step in range(3):
                 batch = slice(step % 2 * 12, step % 2 * 12 + 12)
-                logits = batch_forward(model, stacks[batch], training=True)[0]
-                nk.backward(nk.cross_entropy(logits, labels[batch]))
-                seen += [logits.values.copy()] + [p.grad.copy() for p in params]
-                nk.adam_step(params, state)
+                inputs, seg = batch_of(model, stacks[batch])
+                if chains:
+                    logits, grad = opt.tape_step(inputs, seg, labels[batch], chains=True)
+                else:
+                    logits = opt.step(inputs, seg, labels[batch])[1]
+                    grad = opt.grad.copy()
+                seen += [logits, grad]
             pred = model.predictor
-            runs.append(seen + [p.values.copy() for p in params]
-                        + [pred.running_mean, pred.running_var])
+            runs.append(seen + [opt.state.flat, pred.running_mean, pred.running_var])
         for got, want in zip(*runs):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_a_non_finite_gradient_raises(self, monkeypatch):
+        # batch norm hands gamma an infinite gradient: the loss is finite,
+        # so only the check after the reverse pass stops the step, before
+        # any update
+        batch_norm = nk.batch_norm
+
+        def poisoned(*args):
+            out, mean, var, back = batch_norm(*args)
+            return out, mean, var, lambda g: (back(g)[0], np.full(args[1].shape, np.inf),
+                                              back(g)[2])
+
+        monkeypatch.setattr(nk, "batch_norm", poisoned)
+        ds = toy_separable_dataset()
+        split = stratified_split(ds, 0.2, 1, seed=5)[0]
+        model = small_model()
+        before = [p.copy() for p in model.parameters()]
+        with pytest.raises(NumericError, match="non-finite gradient"):
+            train(model, ds, split, TrainConfig(epochs=3, seed=0))
+        for p, b in zip(model.parameters(), before):
+            assert np.array_equal(p, b)
 
     def test_adam_gets_one_tensor_per_parameter_kind(self):
         # encoder weight, the bank's two tensors, gamma, beta, weight, bias
@@ -506,32 +585,33 @@ class TestTrain:
 
     def test_constant_feature_training_steps_match_the_per_filter_chain(self, rng,
                                                                         monkeypatch):
-        # five Adam steps through class_walks at K = 1 and through the
+        # five Adam steps through the class walks at K = 1 and through the
         # per-filter rank-one chain of autograd nodes, which sums in another
         # order, end at the same parameters within 1e-12 relative
         graphs = mixed_graphs(rng, 24, onehot=False)
         stacks = [build_subgraph_stack(g, 2, 6) for g in graphs]
         labels = np.array([g.label for g in graphs])
-        initial = [p.values for p in small_model(num_filters=4, filter_size=4).parameters()]
-        class_walks, calls = nk.class_walks, []
+        initial = small_model(num_filters=4, filter_size=4).parameters()
+        calls = []
 
         def chain(rows, shared, adjacencies, table, classes, cap, row_local=False, order=None):
             calls.append(table.shape[1])
             assert np.array_equal(order, np.arange(len(classes)))
             return rank_one_walks_chain(rows, shared, adjacencies, table[:, 0], cap)
 
+        monkeypatch.setattr(oracles, "class_walks", chain)
         finals = []
-        for op in (class_walks, chain):
-            monkeypatch.setattr(nk, "class_walks", op)
+        for tape in (False, True):
             model = small_model(num_filters=4, filter_size=4)
-            params = model.parameters()
-            state = nk.adam_init(params, lr=0.05, weight_decay=1e-4)
+            opt = Optimizer(model)
             for step in range(5):
                 batch = slice(step % 2 * 12, step % 2 * 12 + 12)
-                logits = batch_forward(model, stacks[batch], training=True)[0]
-                nk.backward(nk.cross_entropy(logits, labels[batch]))
-                nk.adam_step(params, state)
-            finals.append([p.values for p in params])
+                inputs, seg = batch_of(model, stacks[batch])
+                if tape:
+                    opt.tape_step(inputs, seg, labels[batch])
+                else:
+                    opt.step(inputs, seg, labels[batch])
+            finals.append(model.parameters())
         assert calls == [1] * 5
         for got, want, start in zip(*finals, initial):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -545,7 +625,7 @@ class TestTrain:
         model, history = train(small_model(walk_cap=0), ds, split,
                                TrainConfig(epochs=3, seed=0))
         assert len(history) == 3
-        assert all(np.isfinite(p.values).all() for p in model.parameters())
+        assert all(np.isfinite(p).all() for p in model.parameters())
 
     @pytest.mark.parametrize("epochs", [1, 5])
     def test_walk_table_is_built_once_per_split(self, monkeypatch, op_calls, epochs):
@@ -570,11 +650,11 @@ class TestTrain:
     def test_one_epoch_changes_the_parameters(self):
         ds = toy_separable_dataset()
         split = stratified_split(ds, 0.2, 1, seed=0)[0]
-        before = [p.values.copy() for p in small_model().parameters()]
+        before = [p.copy() for p in small_model().parameters()]
         model, history = train(small_model(), ds, split, TrainConfig(epochs=1, seed=0))
         assert len(history) == 1
         for p, b in zip(model.parameters(), before):
-            assert not np.array_equal(p.values, b)
+            assert not np.array_equal(p, b)
 
     def test_returns_the_parameters_of_its_last_update(self):
         # bit for bit a hand-written loop over the same batches, whose last
@@ -587,20 +667,16 @@ class TestTrain:
         stacks = [build_subgraph_stack(ds.graphs[i], 1, 6) for i in split.train_ids]
         labels = np.array([ds.graphs[i].label for i in split.train_ids])
         hand = small_model(seed=5)
-        params = hand.parameters()
-        state = nk.adam_init(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+        opt = Optimizer(hand, lr=cfg.lr, weight_decay=cfg.weight_decay)
         shuffle = Rng(cfg.seed).derive("shuffle")
         split_walks = SplitWalks(stacks, hand.walk_cap)
         for _ in range(cfg.epochs):
             order = shuffle.permutation(len(stacks))
             for lo in range(0, len(stacks), cfg.batch_size):
                 batch = order[lo:lo + cfg.batch_size]
-                logits = _batch_forward(hand, *split_walks.batch(batch), len(batch),
-                                        training=True)[0]
-                nk.backward(nk.cross_entropy(logits, labels[batch]))
-                nk.adam_step(params, state)
-        for got, want in zip(model.parameters(), params):
-            assert got.values.tobytes() == want.values.tobytes()
+                opt.step(*split_walks.batch(batch), labels[batch])
+        for got, want in zip(model.parameters(), hand.parameters()):
+            assert got.tobytes() == want.tobytes()
 
     def test_patience_ends_a_plateau(self):
         # with lr 0 every epoch scores the same loss: the first epoch stays
@@ -616,10 +692,10 @@ class TestTrain:
         ds = toy_separable_dataset()
         split = stratified_split(ds, 0.2, 1, seed=0)[0]
         model = small_model()
-        before = [p.values.copy() for p in model.parameters()]
+        before = [p.copy() for p in model.parameters()]
         train(model, ds, split, TrainConfig(epochs=3, lr=0.0, weight_decay=0.0, seed=1))
         for p, b in zip(model.parameters(), before):
-            assert np.array_equal(p.values, b)
+            assert np.array_equal(p, b)
 
     def test_separable_toy_reaches_full_train_accuracy(self):
         ds = toy_separable_dataset()
@@ -637,7 +713,7 @@ class TestTrain:
         for _ in range(2):
             model = small_model(seed=11)
             model, _ = train(model, ds, split, TrainConfig(epochs=10, seed=5))
-            finals.append([p.values.copy() for p in model.parameters()])
+            finals.append([p.copy() for p in model.parameters()])
         for a, b in zip(*finals):
             assert np.array_equal(a, b)
 
@@ -646,7 +722,7 @@ class TestTrain:
         split = stratified_split(ds, 0.2, 1, seed=5)[0]
         model = small_model()
         w, _ = model.predictor.layers[0]
-        w.values = np.full_like(w.values, np.nan)
+        w[...] = np.nan
         with pytest.raises(TrainingDivergedError) as err:
             train(model, ds, split, TrainConfig(epochs=3, seed=0))
         assert err.value.epoch == 0
@@ -661,22 +737,31 @@ class TestTrain:
 
     def test_end_to_end_gradients_match_finite_differences(self, rng):
         # micro-batch of 2 size-distinct graphs through entropy aggregation
-        # and batch-norm (momentum zeroed so the objective is pure; identical
-        # labels keep the bias gradients away from the FD noise floor)
-        model = small_model(agg_mode="negative_entropy", bn_momentum=0.0)
+        # and batch-norm (identical labels keep the bias gradients away from
+        # the FD noise floor): the explicit step's gradient against central
+        # differences of its loss, every parameter entry
+        model = small_model(agg_mode="negative_entropy")
         graphs = [random_graph(5 + i, 0.5, rng.derive("fd", i), d=1)
                   .with_features(np.ones((5 + i, 1))) for i in range(2)]
-        stacks = [build_subgraph_stack(g, 1, 6) for g in graphs]
+        inputs, seg = batch_of(model, [build_subgraph_stack(g, 1, 6) for g in graphs])
         labels = np.array([0, 0])
-        params = model.parameters()
-
-        def objective():
-            logits = batch_forward(model, stacks, training=True)[0]
-            return nk.cross_entropy(logits, labels)
-
+        opt = Optimizer(model)
+        opt.step(inputs, seg, labels, update=False)
+        worst = 0.0
         # step 2e-4: large enough that difference noise on near-dead
         # coordinates stays under the 1e-8 relative floor
-        assert finite_difference_check(objective, params, eps=2e-4) < 1e-4
+        eps = 2e-4
+        for i in range(opt.state.flat.size):
+            keep = opt.state.flat[i]
+            losses = []
+            for shift in (eps, -eps):
+                opt.state.flat[i] = keep + shift
+                losses.append(opt.step(inputs, seg, labels, update=False)[0].item())
+            opt.state.flat[i] = keep
+            opt.step(inputs, seg, labels, update=False)
+            g_fd = (losses[0] - losses[1]) / (2.0 * eps)
+            worst = max(worst, abs(opt.grad[i] - g_fd) / (abs(g_fd) + 1e-8))
+        assert worst < 1e-4
 
 
 class TestPerturbFilters:
@@ -684,25 +769,24 @@ class TestPerturbFilters:
         model = small_model()
         pool = np.ones((5, 1))
         out = perturb_filters(model, "features", 1e-9, Rng(3), feature_pool=pool)
-        assert np.array_equal(out.bank.features.values, model.bank.features.values)
+        assert np.array_equal(out.bank.features, model.bank.features)
         out = perturb_filters(model, "edges", 1e-9, Rng(3))
-        assert np.array_equal(out.bank.adjacency_logits.values,
-                              model.bank.adjacency_logits.values)
+        assert np.array_equal(out.bank.adjacency_logits, model.bank.adjacency_logits)
 
     def test_feature_mode_uses_encoded_pool_rows(self):
         model = small_model()
         pool = np.full((4, 1), 3.0)
         out = perturb_filters(model, "features", 0.999, Rng(5), feature_pool=pool)
-        encoded = model.encoder.encode_rows(np.array([[3.0]]))[0]
-        for row in out.bank.features.values:
+        encoded = model.encoder.encode(np.array([[3.0]]))[0]
+        for row in out.bank.features:
             assert np.allclose(row, encoded)
 
     def test_theta_untouched(self):
         model = small_model()
         out = perturb_filters(model, "edges", 0.9, Rng(6))
-        assert np.array_equal(out.encoder.weight.values, model.encoder.weight.values)
-        for a, b in zip(out.predictor.parameters(), model.predictor.parameters()):
-            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(out.encoder.weight, model.encoder.weight)
+        for a, b in zip(out.parameters()[3:], model.parameters()[3:]):
+            assert np.array_equal(a, b)
 
     def test_edge_toggle_fraction_monte_carlo(self):
         model = small_model(filter_size=8, num_filters=1)
@@ -744,12 +828,11 @@ class TestCheckpoint:
         assert len(payload["filters"]) == 3
         for f, entry in enumerate(payload["filters"]):
             rows = slice(4 * f, 4 * f + 4)
-            assert entry["adjacency_logits"] == \
-                model.bank.adjacency_logits.values[rows].tolist()
-            assert entry["features"] == model.bank.features.values[rows].tolist()
+            assert entry["adjacency_logits"] == model.bank.adjacency_logits[rows].tolist()
+            assert entry["features"] == model.bank.features[rows].tolist()
         restored = model_from_dict(json.loads(json.dumps(payload)))
         for a, b in zip(restored.parameters(), model.parameters()):
-            assert a.values.tobytes() == b.values.tobytes()
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("edit,field,shapes", [
         (lambda p: p["filters"][1].update(adjacency_logits=np.zeros((5, 5)).tolist()),
